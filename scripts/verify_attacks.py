@@ -5,7 +5,7 @@ Executes every canonical eavesdropping scenario at the requested round
 count and prints one report block per scenario, with each empirical QBER
 gated against its closed form.  Exit status 0 means every gate passed.
 
-    python scripts/verify_attacks.py --rounds 1000000 --workers 2
+    python scripts/verify_attacks.py --rounds 1000000
 """
 
 import argparse
@@ -33,7 +33,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rounds", type=int, default=1_000_000)
     parser.add_argument("--seed", type=int, default=20050920)
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     status = 0

@@ -10,8 +10,9 @@ The package has three layers:
 * ``photonics`` -- zero-QBER (beam-splitting / photon-number-splitting)
   analysis for weak coherent pulse sources.
 
-``montecarlo`` runs batched protocol rounds and gates the empirical error
-rates against the analytic predictions; ``cli`` exposes everything as a
+``montecarlo`` enumerates a round's exact outcome distribution, samples
+batches of rounds from it and gates the empirical error rates against the
+analytic predictions; ``cli`` exposes everything as a
 command line tool.
 """
 
@@ -45,6 +46,6 @@ from .photonics import (
     scan_distances,
     secure_gain,
 )
-from .montecarlo import BatchReport, RateReport, compare, run_batch
+from .montecarlo import BatchReport, LeafTable, RateReport, compare, enumerate_round, run_batch
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .qsim import Basis, ancilla_rotation, apply, attach_ancilla, cnot, discriminate, hadamard, measure, spin_flip
+from .rng import coin
 
 ATTACK_KINDS = ("none", "ir", "nort", "dcnot", "dcnot_star")
 TWO_WAY_KINDS = ("nort", "dcnot", "dcnot_star")
@@ -100,7 +101,7 @@ class _IRRound(RoundAttack):
         self.fwd = None
         self.bwd = None
         if attacked:
-            self.basis = Basis.Z if rng.random() < 0.5 else Basis.X
+            self.basis = Basis.Z if coin(rng, 0.5) else Basis.X
 
     def forward(self, state, rng):
         if not self.attacked:
@@ -133,7 +134,7 @@ class _NortRound(RoundAttack):
         self.align = None
         self.done_backward = False
         if attacked:
-            self.align = Basis.Z if rng.random() < 0.5 else Basis.X
+            self.align = Basis.Z if coin(rng, 0.5) else Basis.X
 
     def _probe(self, state, rotation, h_gate):
         state = attach_ancilla(state)
@@ -190,7 +191,7 @@ class _DcnotRound(RoundAttack):
             return state
         s = self.strategy
         state = apply(state, s.copy_gate)
-        if s.star and rng.random() < s.params.chi:
+        if s.star and coin(rng, s.params.chi):
             self.flip = 1
             state = apply(state, s.flip_gate)
         return state
@@ -215,7 +216,7 @@ class AttackStrategy:
 
 class _IRStrategy(AttackStrategy):
     def new_round(self, rng):
-        return _IRRound(rng.random() < self.params.xi, rng)
+        return _IRRound(coin(rng, self.params.xi), rng)
 
 
 class _NortStrategy(AttackStrategy):
@@ -227,7 +228,7 @@ class _NortStrategy(AttackStrategy):
         self.h_bwd = hadamard(0)
 
     def new_round(self, rng):
-        return _NortRound(self, rng.random() < self.params.xi, rng)
+        return _NortRound(self, coin(rng, self.params.xi), rng)
 
 
 class _DcnotStrategy(AttackStrategy):
@@ -238,7 +239,7 @@ class _DcnotStrategy(AttackStrategy):
         self.flip_gate = spin_flip(0)
 
     def new_round(self, rng):
-        return _DcnotRound(self, rng.random() < self.params.xi)
+        return _DcnotRound(self, coin(rng, self.params.xi))
 
 
 def make_strategy(params: AttackParams) -> AttackStrategy:

@@ -1,11 +1,18 @@
 """Batch experiment runner with analytic-vs-empirical verification.
 
-Rounds are executed in fixed chunks of 2**16; every chunk derives its own
-random stream from (seed, chunk index), so the merged tallies are
-identical no matter how many workers execute the chunks or in which
-order.  Each tallied rate is reported with a 95% Wilson interval and,
-where a closed form exists, gated PASS/FAIL against the prediction using
-a 5-sigma Wilson band (wide enough to be flake-free at a million rounds).
+Engine: every round is an independent, identically distributed draw from
+one finite distribution -- a fixed circuit whose only randomness is a
+sequence of coins (see :mod:`qkd2way.rng`).  :func:`enumerate_round` runs
+the round state machine once per outcome path, giving a leaf table of path
+probabilities and per-leaf tally counters, and a batch of n rounds is then
+one multinomial draw over the leaves.  This holds only while rounds are
+i.i.d.: an attack or protocol whose rounds share state (memory, drift,
+adaptive choices) cannot use it, and must run round by round as
+:func:`qkd2way.protocol.run` does.
+
+Each tallied rate is reported with a 95% Wilson interval and, where a
+closed form exists, gated PASS/FAIL against the prediction using a 5-sigma
+Wilson band (wide enough to be flake-free at a million rounds).
 """
 
 from __future__ import annotations
@@ -13,19 +20,21 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import rng as _rng
 from .attacks import NO_ATTACK, AttackParams, make_strategy
-from .protocol import ProtocolConfig, Tallies, run_round_bb84, run_round_lm05, tally
+from .protocol import ProtocolConfig, RoundRecord, Tallies, run_round_bb84, run_round_lm05, tally
 
-CHUNK_ROUNDS = 1 << 16
 RATE_NAMES = ("q1", "q_ab", "q_ae", "q_be")
+ENGINE = "leaf-multinomial"
 
 _GATE_Z = 5.0   # verdict band
 _CI_Z = 1.959963984540054  # two-sided 95%
+_WEIGHT_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,8 @@ class BatchReport:
     tallies: Tallies
     rates: tuple[RateReport, ...]
     elapsed_s: float
+    engine: str = ENGINE
+    leaves: int = 0
 
 
 def wilson_interval(errors: int, trials: int, z: float = _CI_Z) -> tuple[float, float]:
@@ -61,7 +72,8 @@ def wilson_interval(errors: int, trials: int, z: float = _CI_Z) -> tuple[float, 
     denom = 1.0 + z2n
     center = (p + z2n / 2.0) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z2n / (4.0 * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    # the interval always holds p; rounding can leave e.g. lo = 5.6e-17 at p = 0
+    return max(0.0, min(p, center - half)), min(1.0, max(p, center + half))
 
 
 def predicted_rates(protocol: str, attack: AttackParams) -> dict[str, Optional[float]]:
@@ -100,34 +112,61 @@ def predicted_rates(protocol: str, attack: AttackParams) -> dict[str, Optional[f
             "q_ae": 0.0 if guessed else None, "q_be": 0.0 if guessed else None}
 
 
-def _run_chunk(config: ProtocolConfig, attack: AttackParams,
-               chunk_index: int, count: int, seed: int) -> Tallies:
-    stream = _rng.stream(seed, chunk_index)
+@dataclass(frozen=True)
+class LeafTable:
+    """Every outcome path of one round: probability, record and tally counters.
+
+    ``counts`` has one row per leaf holding the eight counters of
+    ``tally([record])`` in (errors, trials) pairs, in RATE_NAMES order.
+    """
+
+    weights: np.ndarray
+    records: tuple[RoundRecord, ...]
+    counts: np.ndarray
+
+    def exact_rates(self) -> dict[str, Optional[float]]:
+        """Expected errors / expected trials per rate; None where no round is a trial."""
+        expected = (self.weights @ self.counts).tolist()
+        return {name: errors / trials if trials > 0 else None
+                for name, errors, trials in zip(RATE_NAMES, expected[0::2], expected[1::2])}
+
+
+def _counters(t: Tallies) -> tuple[int, ...]:
+    return tuple(c for name in RATE_NAMES for c in getattr(t, name))
+
+
+def enumerate_round(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> LeafTable:
+    """Exact outcome distribution of one round, by running it once per coin path."""
     strategy = make_strategy(attack)
     round_fn = run_round_lm05 if config.protocol == "lm05" else run_round_bb84
-    return tally(round_fn(config, strategy, stream) for _ in range(count))
+    weights, records = zip(*_rng.enumerate_paths(lambda branch: round_fn(config, strategy, branch)))
+    total = math.fsum(weights)
+    if abs(total - 1.0) > _WEIGHT_ATOL:
+        raise ValueError(f"leaf weights sum to {total!r}, not 1")
+    counts = np.array([_counters(tally([r])) for r in records], dtype=np.int64)
+    return LeafTable(np.array(weights), records, counts)
 
 
 def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK,
               n: Optional[int] = None, seed: Optional[int] = None,
               workers: int = 1) -> BatchReport:
-    """Run n rounds under the attack and gate the tallies against predictions."""
+    """Sample n rounds from the exact leaf table and gate the tallies against predictions.
+
+    ``workers`` is validated and recorded only: one multinomial draw needs no
+    parallelism, and the tallies depend on (config, attack, n, seed) alone.
+    """
     n = config.rounds if n is None else n
     seed = config.seed if seed is None else seed
     if n < 1:
         raise ValueError("n must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     predictions = predicted_rates(config.protocol, attack)  # validates the combo
     started = time.perf_counter()
-    chunks = [(i, min(CHUNK_ROUNDS, n - i * CHUNK_ROUNDS))
-              for i in range((n + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, *zip(*[(config, attack, i, c, seed) for i, c in chunks])))
-    else:
-        parts = [_run_chunk(config, attack, i, c, seed) for i, c in chunks]
-    total = Tallies()
-    for part in parts:
-        total = total + part
+    table = enumerate_round(config, attack)
+    hits = _rng.stream(seed).multinomial(n, table.weights)
+    counters = (hits @ table.counts).tolist()
+    total = Tallies(*zip(counters[0::2], counters[1::2]))
     elapsed = time.perf_counter() - started
 
     rates = []
@@ -144,7 +183,8 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK,
             verdict = "PASS" if glo - 1e-15 <= prediction <= ghi + 1e-15 else "FAIL"
         rates.append(RateReport(name, errors, trials, errors / trials, lo95, hi95, prediction, verdict))
     return BatchReport(config=config, attack=attack, rounds=n, seed=seed, workers=workers,
-                       tallies=total, rates=tuple(rates), elapsed_s=elapsed)
+                       tallies=total, rates=tuple(rates), elapsed_s=elapsed,
+                       leaves=len(table.weights))
 
 
 def failures(report: BatchReport) -> list[str]:
@@ -186,6 +226,7 @@ def write_report(report: BatchReport, file, fmt: str = "csv") -> None:
         meta = {"record": "meta", "protocol": report.config.protocol,
                 "attack": asdict(report.attack), "rounds": report.rounds,
                 "seed": report.seed, "workers": report.workers,
+                "engine": report.engine, "leaves": report.leaves,
                 "elapsed_s": report.elapsed_s}
         file.write(json.dumps(meta) + "\n")
         for row in rows:

@@ -35,6 +35,7 @@ from typing import Iterable, Optional, Sequence
 from . import rng as _rng
 from .attacks import NO_ATTACK, AttackParams, AttackStrategy, make_strategy
 from .qsim import Basis, apply, measure, prepare, spin_flip
+from .rng import coin
 
 LOST = None  # Bob's outcome when the qubit never returns
 
@@ -119,27 +120,27 @@ class Tallies:
 
 
 def _random_basis(rng) -> Basis:
-    return Basis.Z if rng.random() < 0.5 else Basis.X
+    return Basis.Z if coin(rng, 0.5) else Basis.X
 
 
 def run_round_lm05(config: ProtocolConfig, strategy: AttackStrategy, rng) -> RoundRecord:
     basis = _random_basis(rng)
-    bit = 0 if rng.random() < 0.5 else 1
+    bit = 0 if coin(rng, 0.5) else 1
     state = prepare(basis, bit)
     ctx = strategy.new_round(rng)
     state = ctx.forward(state, rng)
-    if rng.random() < config.control_prob:
+    if coin(rng, config.control_prob):
         cm_basis = _random_basis(rng)
         cm_outcome, _ = measure(state, 0, cm_basis, rng)
         return RoundRecord(mode="CM", bob_basis=basis, bob_bit=bit,
                            alice_cm_basis=cm_basis, alice_cm_outcome=cm_outcome,
                            bob_outcome=LOST, attacked=ctx.attacked)
-    op = 0 if rng.random() < 0.5 else 1
+    op = 0 if coin(rng, 0.5) else 1
     if op:
         state = apply(state, _SPIN_FLIP_0)
     state = ctx.backward(state, rng)
     outcome, state = measure(state, 0, basis, rng)
-    revealed = rng.random() < config.reveal_fraction
+    revealed = coin(rng, config.reveal_fraction)
     guess_a, guess_b = ctx.finalize(state, rng)
     return RoundRecord(mode="EM", bob_basis=basis, bob_bit=bit, alice_op=op,
                        bob_outcome=outcome, revealed=revealed,
@@ -152,7 +153,7 @@ def run_round_bb84(config: ProtocolConfig, strategy: AttackStrategy, rng) -> Rou
     if strategy.params.kind not in ("none", "ir"):
         raise ValueError(f"attack {strategy.params.kind!r} needs the two-way channel; BB84 supports none/ir")
     basis = _random_basis(rng)
-    bit = 0 if rng.random() < 0.5 else 1
+    bit = 0 if coin(rng, 0.5) else 1
     state = prepare(basis, bit)
     ctx = strategy.new_round(rng)
     state = ctx.forward(state, rng)

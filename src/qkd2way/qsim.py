@@ -33,6 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .rng import coin
+
 MAX_WIRES = 3
 NORM_ATOL = 1e-9
 
@@ -181,6 +183,12 @@ def _expanded_matrix(gate: Gate, num_wires: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _hadamard_on(num_wires: int, wire: int) -> np.ndarray:
+    # keyed by plain ints: cheaper per measurement than building and hashing a Gate
+    return _expanded_matrix(hadamard(wire), num_wires)
+
+
+@lru_cache(maxsize=None)
 def _wire_indices(num_wires: int, wire: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(2 ** num_wires)
     bit = (idx >> (num_wires - 1 - wire)) & 1
@@ -240,12 +248,12 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
     n = state.num_wires
     amps = state.amps
     if basis is Basis.X:
-        amps = _expanded_matrix(hadamard(wire), n) @ amps
+        amps = _hadamard_on(n, wire) @ amps
     idx0, idx1 = _wire_indices(n, wire)
     kept = amps[idx0]
     p0 = float(np.vdot(kept, kept).real)
     p0 = min(max(p0, 0.0), 1.0)
-    if rng.random() < p0:
+    if coin(rng, p0):
         outcome, keep, p_keep = 0, idx0, p0
     else:
         outcome, keep, p_keep = 1, idx1, 1.0 - p0
@@ -253,7 +261,7 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
     post = np.zeros_like(amps)
     post[keep] = kept / math.sqrt(p_keep)
     if basis is Basis.X:
-        post = _expanded_matrix(hadamard(wire), n) @ post
+        post = _hadamard_on(n, wire) @ post
     return outcome, _sv(post, n)
 
 

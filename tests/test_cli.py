@@ -41,6 +41,11 @@ def test_simulate_rejects_out_of_range_xi(capsys):
     assert "xi" in capsys.readouterr().err
 
 
+def test_simulate_rejects_zero_workers(capsys):
+    assert _run(["simulate", "--workers", "0", "--rounds", "100"]) == 2
+    assert "workers" in capsys.readouterr().err
+
+
 def test_simulate_rejects_two_way_attack_on_bb84(capsys):
     assert _run(["simulate", "--protocol", "bb84", "--attack", "dcnot",
                  "--rounds", "100"]) == 2

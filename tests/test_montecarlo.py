@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkd2way.attacks import AttackParams
+from qkd2way import montecarlo
 from qkd2way.montecarlo import (
-    CHUNK_ROUNDS,
+    ENGINE,
+    RATE_NAMES,
     BatchReport,
     RateReport,
     compare,
+    enumerate_round,
     failures,
     predicted_rates,
     report_text,
@@ -20,8 +23,8 @@ from qkd2way.montecarlo import (
     wilson_interval,
     write_report,
 )
-from qkd2way.protocol import ProtocolConfig, Tallies
-from qkd2way.rng import stream
+from qkd2way.protocol import ProtocolConfig, Tallies, run, tally
+from qkd2way.rng import coin, stream
 
 
 def test_predicted_rates_closed_forms():
@@ -91,24 +94,77 @@ def test_run_batch_is_reproducible():
 
 
 def test_run_batch_results_independent_of_worker_count():
-    # spans several chunks plus a partial one
-    n = 2 * CHUNK_ROUNDS + 1234
-    config = ProtocolConfig(protocol="lm05", rounds=n, seed=35)
-    serial = run_batch(config, workers=1)
-    parallel = run_batch(config, workers=2)
-    assert serial.tallies == parallel.tallies
+    config = ProtocolConfig(protocol="lm05", rounds=200_000, seed=35)
+    reports = [run_batch(config, workers=w) for w in (1, 2, 3)]
+    assert all(r.tallies == reports[0].tallies for r in reports)
+    assert [r.workers for r in reports] == [1, 2, 3]
+    assert run_batch(config, seed=36).tallies != reports[0].tallies
+    with pytest.raises(ValueError):
+        run_batch(config, workers=0)
 
 
-def test_run_batch_equals_merge_of_chunk_tallies():
-    from qkd2way.montecarlo import _run_chunk
-
-    config = ProtocolConfig(protocol="lm05", rounds=CHUNK_ROUNDS + 500, seed=36)
+def test_run_batch_equals_merge_of_leaf_tallies():
+    # the batch is every leaf's record, tallied as often as the seed's draw picked it
+    config = ProtocolConfig(protocol="lm05", rounds=70_000, seed=36)
     attack = AttackParams(kind="dcnot")
     report = run_batch(config, attack)
-    merged = _run_chunk(config, attack, 0, CHUNK_ROUNDS, 36) + _run_chunk(
-        config, attack, 1, 500, 36
-    )
+    table = enumerate_round(config, attack)
+    hits = stream(36).multinomial(config.rounds, table.weights)
+    merged = tally(record for record, count in zip(table.records, hits) for _ in range(count))
     assert report.tallies == merged
+    assert report.leaves == len(table.records) and report.engine == ENGINE
+
+
+# every mc_verify benchmark scenario, plus BB84 without an attack
+EXACT_SCENARIOS = [
+    ("lm05", AttackParams(kind="none")),
+    ("lm05", AttackParams(kind="ir", xi=1.0)),
+    ("lm05", AttackParams(kind="ir", xi=0.5)),
+    ("lm05", AttackParams(kind="nort", x=math.pi / 6)),
+    ("lm05", AttackParams(kind="nort", x=math.pi / 4)),
+    ("lm05", AttackParams(kind="nort", x=math.pi / 3)),
+    ("lm05", AttackParams(kind="dcnot")),
+    ("lm05", AttackParams(kind="dcnot_star", chi=0.1)),
+    ("lm05", AttackParams(kind="nort", x=0.7, x_prime=1.1)),
+    ("bb84", AttackParams(kind="ir", xi=1.0)),
+    ("bb84", AttackParams(kind="none")),
+]
+_EXACT_IDS = [f"{p}-{a.kind}-xi{a.xi:g}-x{a.x:.3g}-xp{a.x_prime:.3g}-chi{a.chi:g}"
+              for p, a in EXACT_SCENARIOS]
+
+
+@pytest.mark.parametrize("protocol,attack", EXACT_SCENARIOS, ids=_EXACT_IDS)
+def test_leaf_table_reproduces_closed_forms_exactly(protocol, attack):
+    table = enumerate_round(ProtocolConfig(protocol=protocol), attack)
+    assert abs(math.fsum(table.weights) - 1.0) <= 1e-12
+    assert (table.weights > 0.0).all()
+    exact = table.exact_rates()
+    for name, prediction in predicted_rates(protocol, attack).items():
+        if prediction is not None:
+            assert abs(exact[name] - prediction) <= 1e-12, name
+
+
+def test_enumerate_round_rejects_weights_not_summing_to_one(monkeypatch):
+    monkeypatch.setattr(montecarlo, "run_round_lm05", lambda config, strategy, rng: coin(rng, 1.5))
+    with pytest.raises(ValueError, match="sum to"):
+        enumerate_round(ProtocolConfig(protocol="lm05"))
+
+
+@pytest.mark.parametrize("protocol,attack", EXACT_SCENARIOS, ids=_EXACT_IDS)
+def test_per_round_engine_agrees_with_leaf_table(protocol, attack):
+    # differential oracle: the sampled round-by-round engine against the exact
+    # leaf rates, five-sigma gated for every rate, including those without a
+    # closed form
+    config = ProtocolConfig(protocol=protocol, rounds=20_000, seed=44)
+    observed = tally(run(config, attack))
+    exact = enumerate_round(config, attack).exact_rates()
+    for name in RATE_NAMES:
+        errors, trials = getattr(observed, name)
+        if exact[name] is None:
+            assert trials == 0, name
+            continue
+        lo, hi = wilson_interval(errors, trials, z=5.0)
+        assert lo <= exact[name] <= hi, (name, errors, trials, exact[name])
 
 
 def test_run_batch_verdicts_pass_for_calibrated_attack():
@@ -163,6 +219,7 @@ def test_write_report_formats():
     write_report(report, jsonl_buf, "jsonl")
     rows = [json.loads(line) for line in jsonl_buf.getvalue().splitlines()]
     assert rows[0]["record"] == "meta" and rows[0]["seed"] == 40
+    assert rows[0]["engine"] == ENGINE and rows[0]["leaves"] == report.leaves > 0
     assert {row["name"] for row in rows[1:]} == {"q1", "q_ab", "q_ae", "q_be"}
     with pytest.raises(ValueError):
         write_report(report, io.StringIO(), "xml")
