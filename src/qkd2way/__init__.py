@@ -10,15 +10,26 @@ The package has three layers:
 * ``photonics`` -- zero-QBER (beam-splitting / photon-number-splitting)
   analysis for weak coherent pulse sources.
 
-``montecarlo`` enumerates a round's exact outcome distribution, samples
-batches of rounds from it and gates the empirical error rates against the
-analytic predictions; ``cli`` exposes everything as a
-command line tool.
+``protocol`` also enumerates a round's exact outcome distribution and
+samples runs from it; ``montecarlo`` samples batches of tallies from the
+same distribution and gates the empirical error rates against the analytic
+predictions; ``cli`` exposes everything as a command line tool.
 """
 
 from .qsim import Basis, Gate, GateKind, StateVector, apply, attach_ancilla, discriminate, measure, prepare
 from .attacks import NO_ATTACK, AttackParams, AttackStrategy, make_strategy
-from .protocol import ProtocolConfig, RoundRecord, Tallies, run, run_round_bb84, run_round_lm05, tally, write_round_log
+from .protocol import (
+    LeafTable,
+    ProtocolConfig,
+    RoundRecord,
+    Tallies,
+    enumerate_round,
+    run,
+    run_round_bb84,
+    run_round_lm05,
+    tally,
+    write_round_log,
+)
 from .infotheory import (
     EVE_MODELS,
     IDENTIFIED,
@@ -46,6 +57,6 @@ from .photonics import (
     scan_distances,
     secure_gain,
 )
-from .montecarlo import BatchReport, LeafTable, RateReport, compare, enumerate_round, run_batch
+from .montecarlo import BatchReport, RateReport, compare, run_batch
 
 __version__ = "0.1.0"

@@ -247,6 +247,8 @@ def _cmd_thresholds(opts) -> int:
 
 def _distance_grid(opts) -> list[float]:
     lmin, lmax, lstep = opts["lmin"], opts["lmax"], opts["lstep"]
+    if not all(map(math.isfinite, (lmin, lmax, lstep))):
+        raise UsageError("lmin, lmax and lstep must be finite")
     if lstep <= 0 or lmax < lmin or lmin < 0:
         raise UsageError("need lmin >= 0, lmax >= lmin and lstep > 0")
     grid = []

@@ -1,14 +1,10 @@
 """Batch experiment runner with analytic-vs-empirical verification.
 
-Engine: every round is an independent, identically distributed draw from
-one finite distribution -- a fixed circuit whose only randomness is a
-sequence of coins (see :mod:`qkd2way.rng`).  :func:`enumerate_round` runs
-the round state machine once per outcome path, giving a leaf table of path
-probabilities and per-leaf tally counters, and a batch of n rounds is then
-one multinomial draw over the leaves.  This holds only while rounds are
-i.i.d.: an attack or protocol whose rounds share state (memory, drift,
-adaptive choices) cannot use it, and must run round by round as
-:func:`qkd2way.protocol.run` does.
+Engine: a batch of n rounds is one multinomial draw over the exact leaf
+table of :func:`qkd2way.protocol.enumerate_round`, multiplied by the
+per-leaf tally counters.  It is the draw :func:`qkd2way.protocol.run` makes
+for the same seed, so the batch tallies equal ``tally(run(...))``.  Like
+``run``, it holds only while rounds are i.i.d. (see :mod:`qkd2way.protocol`).
 
 Each tallied rate is reported with a 95% Wilson interval and, where a
 closed form exists, gated PASS/FAIL against the prediction using a 5-sigma
@@ -23,18 +19,13 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-import numpy as np
+from .attacks import NO_ATTACK, AttackParams
+from .protocol import RATE_NAMES, ProtocolConfig, Tallies, enumerate_round
 
-from . import rng as _rng
-from .attacks import NO_ATTACK, AttackParams, make_strategy
-from .protocol import ProtocolConfig, RoundRecord, Tallies, run_round_bb84, run_round_lm05, tally
-
-RATE_NAMES = ("q1", "q_ab", "q_ae", "q_be")
 ENGINE = "leaf-multinomial"
 
 _GATE_Z = 5.0   # verdict band
 _CI_Z = 1.959963984540054  # two-sided 95%
-_WEIGHT_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,41 +103,6 @@ def predicted_rates(protocol: str, attack: AttackParams) -> dict[str, Optional[f
             "q_ae": 0.0 if guessed else None, "q_be": 0.0 if guessed else None}
 
 
-@dataclass(frozen=True)
-class LeafTable:
-    """Every outcome path of one round: probability, record and tally counters.
-
-    ``counts`` has one row per leaf holding the eight counters of
-    ``tally([record])`` in (errors, trials) pairs, in RATE_NAMES order.
-    """
-
-    weights: np.ndarray
-    records: tuple[RoundRecord, ...]
-    counts: np.ndarray
-
-    def exact_rates(self) -> dict[str, Optional[float]]:
-        """Expected errors / expected trials per rate; None where no round is a trial."""
-        expected = (self.weights @ self.counts).tolist()
-        return {name: errors / trials if trials > 0 else None
-                for name, errors, trials in zip(RATE_NAMES, expected[0::2], expected[1::2])}
-
-
-def _counters(t: Tallies) -> tuple[int, ...]:
-    return tuple(c for name in RATE_NAMES for c in getattr(t, name))
-
-
-def enumerate_round(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> LeafTable:
-    """Exact outcome distribution of one round, by running it once per coin path."""
-    strategy = make_strategy(attack)
-    round_fn = run_round_lm05 if config.protocol == "lm05" else run_round_bb84
-    weights, records = zip(*_rng.enumerate_paths(lambda branch: round_fn(config, strategy, branch)))
-    total = math.fsum(weights)
-    if abs(total - 1.0) > _WEIGHT_ATOL:
-        raise ValueError(f"leaf weights sum to {total!r}, not 1")
-    counts = np.array([_counters(tally([r])) for r in records], dtype=np.int64)
-    return LeafTable(np.array(weights), records, counts)
-
-
 def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK,
               n: Optional[int] = None, seed: Optional[int] = None,
               workers: int = 1) -> BatchReport:
@@ -164,7 +120,7 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK,
     predictions = predicted_rates(config.protocol, attack)  # validates the combo
     started = time.perf_counter()
     table = enumerate_round(config, attack)
-    hits = _rng.stream(seed).multinomial(n, table.weights)
+    hits = table.draw(n, seed)
     counters = (hits @ table.counts).tolist()
     total = Tallies(*zip(counters[0::2], counters[1::2]))
     elapsed = time.perf_counter() - started

@@ -59,16 +59,17 @@ class LinkBudget:
     atten: float = DEFAULT_ATTEN
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError("mean photon number must be positive")
-        if self.length_km < 0.0:
-            raise ValueError("channel length must be >= 0")
+        # written so that NaN, which fails every comparison, is rejected too
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError("mean photon number must be positive and finite")
+        if not 0.0 <= self.length_km < math.inf:
+            raise ValueError("channel length must be finite and >= 0")
         for name in ("eta_d", "gamma_B", "gamma_A"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.atten < 0.0:
-            raise ValueError("attenuation coefficient must be >= 0")
+        if not 0.0 <= self.atten < math.inf:
+            raise ValueError("attenuation coefficient must be finite and >= 0")
 
     @property
     def channel_transmission(self) -> float:

@@ -21,16 +21,29 @@ Four error rates are tallied:
   (LM05 key bit = Bob's decoded operation; BB84 key bit = sender's bit).
 
 Round draws happen in a fixed order (preparation, attack, mode, encoding,
-attack, measurement, reveal coin, attack readout), so a run is fully
-reproducible from its seed.
+attack, measurement, reveal coin, attack readout), each through
+:func:`qkd2way.rng.coin`.
+
+Runs are sampled, not stepped: every round is an independent, identically
+distributed draw from one finite distribution, so :func:`enumerate_round`
+runs the round state machine once per coin path and gets a leaf table of
+path probabilities, records and tally counters.  A run of n rounds is one
+multinomial draw over the leaves (:meth:`LeafTable.draw`), the same draw
+``montecarlo.run_batch`` tallies, put in a uniformly shuffled order.  This
+holds only while rounds are i.i.d.: an attack or protocol whose rounds
+share state (memory, drift, adaptive choices) would have to step
+``run_round_*`` round by round on one stream.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import rng as _rng
 from .attacks import NO_ATTACK, AttackParams, AttackStrategy, make_strategy
@@ -38,6 +51,9 @@ from .qsim import Basis, apply, measure, prepare, spin_flip
 from .rng import coin
 
 LOST = None  # Bob's outcome when the qubit never returns
+RATE_NAMES = ("q1", "q_ab", "q_ae", "q_be")
+
+_WEIGHT_ATOL = 1e-12
 
 _SPIN_FLIP_0 = spin_flip(0)
 
@@ -103,7 +119,7 @@ class Tallies:
     q_be: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        for name in ("q1", "q_ab", "q_ae", "q_be"):
+        for name in RATE_NAMES:
             errors, trials = getattr(self, name)
             if errors < 0 or trials < 0 or errors > trials:
                 raise ValueError(f"bad counter {name}: {errors}/{trials}")
@@ -166,11 +182,18 @@ def run_round_bb84(config: ProtocolConfig, strategy: AttackStrategy, rng) -> Rou
 
 
 def run(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> list[RoundRecord]:
-    """Execute config.rounds rounds from config.seed; deterministic."""
-    stream = _rng.stream(config.seed)
-    strategy = make_strategy(attack)
-    round_fn = run_round_lm05 if config.protocol == "lm05" else run_round_bb84
-    return [round_fn(config, strategy, stream) for _ in range(config.rounds)]
+    """config.rounds i.i.d. rounds from config.seed, one record per round.
+
+    The leaf counts are the draw ``run_batch`` makes for the same seed, so
+    ``tally(run(c, a)) == run_batch(c, a).tallies``; a second stream of the
+    seed shuffles them into a uniformly random order.  Rounds that took the
+    same outcome path share one record object.
+    """
+    table = enumerate_round(config, attack)
+    hits = table.draw(config.rounds, config.seed)
+    order = _rng.stream(config.seed, 1).permutation(np.repeat(np.arange(len(hits)), hits))
+    records = table.records
+    return [records[i] for i in order.tolist()]
 
 
 def tally(records: Iterable[RoundRecord]) -> Tallies:
@@ -205,6 +228,45 @@ def tally(records: Iterable[RoundRecord]) -> Tallies:
     return Tallies((q1_e, q1_t), (ab_e, ab_t), (ae_e, ae_t), (be_e, be_t))
 
 
+@dataclass(frozen=True)
+class LeafTable:
+    """Every outcome path of one round: probability, record and tally counters.
+
+    ``counts`` has one row per leaf holding the eight counters of
+    ``tally([record])`` in (errors, trials) pairs, in RATE_NAMES order.
+    """
+
+    weights: np.ndarray
+    records: tuple[RoundRecord, ...]
+    counts: np.ndarray
+
+    def draw(self, rounds: int, seed: int) -> np.ndarray:
+        """How often each leaf occurs in `rounds` i.i.d. rounds from `seed`."""
+        return _rng.stream(seed).multinomial(rounds, self.weights)
+
+    def exact_rates(self) -> dict[str, Optional[float]]:
+        """Expected errors / expected trials per rate; None where no round is a trial."""
+        expected = (self.weights @ self.counts).tolist()
+        return {name: errors / trials if trials > 0 else None
+                for name, errors, trials in zip(RATE_NAMES, expected[0::2], expected[1::2])}
+
+
+def _counters(t: Tallies) -> tuple[int, ...]:
+    return tuple(c for name in RATE_NAMES for c in getattr(t, name))
+
+
+def enumerate_round(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> LeafTable:
+    """Exact outcome distribution of one round, by running it once per coin path."""
+    strategy = make_strategy(attack)
+    round_fn = run_round_lm05 if config.protocol == "lm05" else run_round_bb84
+    weights, records = zip(*_rng.enumerate_paths(lambda branch: round_fn(config, strategy, branch)))
+    total = math.fsum(weights)
+    if abs(total - 1.0) > _WEIGHT_ATOL:
+        raise ValueError(f"leaf weights sum to {total!r}, not 1")
+    counts = np.array([_counters(tally([r])) for r in records], dtype=np.int64)
+    return LeafTable(np.array(weights), records, counts)
+
+
 _CSV_FIELDS = [f.name for f in fields(RoundRecord)]
 
 
@@ -219,8 +281,22 @@ def _cell(value) -> str:
 
 
 def write_round_log(records: Sequence[RoundRecord], file: io.TextIOBase) -> None:
-    """Round log as CSV: one row per round, header mandatory, lost = empty cell."""
-    writer = csv.writer(file, lineterminator="\n")
+    """Round log as CSV: one row per round, header mandatory, lost = empty cell.
+
+    Each distinct record object is rendered once; a run repeats its leaf
+    records, so most rows are copies of a row already rendered.
+    """
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)
+    rows = [line.getvalue()]
+    rendered = {}  # id(record) -> (record, row); holding the record keeps its id unique
     for r in records:
-        writer.writerow([_cell(getattr(r, name)) for name in _CSV_FIELDS])
+        hit = rendered.get(id(r))
+        if hit is None:
+            line.seek(0)
+            line.truncate()
+            writer.writerow([_cell(getattr(r, name)) for name in _CSV_FIELDS])
+            hit = rendered[id(r)] = (r, line.getvalue())
+        rows.append(hit[1])
+    file.write("".join(rows))

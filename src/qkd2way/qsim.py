@@ -37,6 +37,7 @@ from .rng import coin
 
 MAX_WIRES = 3
 NORM_ATOL = 1e-9
+BORN_SNAP = 1e-12  # Born probabilities this close to 0 or 1 are rounding noise
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -252,7 +253,11 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
     idx0, idx1 = _wire_indices(n, wire)
     kept = amps[idx0]
     p0 = float(np.vdot(kept, kept).real)
-    p0 = min(max(p0, 0.0), 1.0)
+    # an impossible outcome must never be drawn or enumerated, nor renormalised
+    if p0 < BORN_SNAP:
+        p0 = 0.0
+    elif p0 > 1.0 - BORN_SNAP:
+        p0 = 1.0
     if coin(rng, p0):
         outcome, keep, p_keep = 0, idx0, p0
     else:

@@ -170,3 +170,15 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "11.9" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["gain", "--lstep", "nan"], ["gain", "--lmin", "nan"],
+                                  ["pns", "--lmax", "inf"]])
+def test_distance_scans_reject_non_finite_bounds(argv):
+    # these loops never ended before the bounds were checked
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkd2way", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "must be finite" in proc.stderr

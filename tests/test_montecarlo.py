@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkd2way.attacks import AttackParams
-from qkd2way import montecarlo
+from qkd2way.attacks import AttackParams, make_strategy
 from qkd2way.montecarlo import (
     ENGINE,
-    RATE_NAMES,
     BatchReport,
     RateReport,
     compare,
-    enumerate_round,
     failures,
     predicted_rates,
     report_text,
@@ -23,7 +20,16 @@ from qkd2way.montecarlo import (
     wilson_interval,
     write_report,
 )
-from qkd2way.protocol import ProtocolConfig, Tallies, run, tally
+from qkd2way.protocol import (
+    RATE_NAMES,
+    ProtocolConfig,
+    Tallies,
+    enumerate_round,
+    run,
+    run_round_bb84,
+    run_round_lm05,
+    tally,
+)
 from qkd2way.rng import coin, stream
 
 
@@ -137,26 +143,31 @@ _EXACT_IDS = [f"{p}-{a.kind}-xi{a.xi:g}-x{a.x:.3g}-xp{a.x_prime:.3g}-chi{a.chi:g
 def test_leaf_table_reproduces_closed_forms_exactly(protocol, attack):
     table = enumerate_round(ProtocolConfig(protocol=protocol), attack)
     assert abs(math.fsum(table.weights) - 1.0) <= 1e-12
-    assert (table.weights > 0.0).all()
+    # no leaf is a rounding-noise branch of an impossible Born outcome
+    assert (table.weights > 1e-12).all()
     exact = table.exact_rates()
     for name, prediction in predicted_rates(protocol, attack).items():
         if prediction is not None:
             assert abs(exact[name] - prediction) <= 1e-12, name
+    if (protocol, attack.kind) == ("lm05", "none"):
+        assert exact["q_ab"] == 0.0
 
 
 def test_enumerate_round_rejects_weights_not_summing_to_one(monkeypatch):
-    monkeypatch.setattr(montecarlo, "run_round_lm05", lambda config, strategy, rng: coin(rng, 1.5))
+    monkeypatch.setattr("qkd2way.protocol.run_round_lm05", lambda config, strategy, rng: coin(rng, 1.5))
     with pytest.raises(ValueError, match="sum to"):
         enumerate_round(ProtocolConfig(protocol="lm05"))
 
 
 @pytest.mark.parametrize("protocol,attack", EXACT_SCENARIOS, ids=_EXACT_IDS)
 def test_per_round_engine_agrees_with_leaf_table(protocol, attack):
-    # differential oracle: the sampled round-by-round engine against the exact
-    # leaf rates, five-sigma gated for every rate, including those without a
-    # closed form
+    # differential oracle: the round state machine stepped round by round on
+    # one sampled stream, against the exact leaf rates, five-sigma gated for
+    # every rate, including those without a closed form
     config = ProtocolConfig(protocol=protocol, rounds=20_000, seed=44)
-    observed = tally(run(config, attack))
+    round_fn = run_round_lm05 if protocol == "lm05" else run_round_bb84
+    strategy, rounds_stream = make_strategy(attack), stream(44)
+    observed = tally(round_fn(config, strategy, rounds_stream) for _ in range(config.rounds))
     exact = enumerate_round(config, attack).exact_rates()
     for name in RATE_NAMES:
         errors, trials = getattr(observed, name)
@@ -165,6 +176,13 @@ def test_per_round_engine_agrees_with_leaf_table(protocol, attack):
             continue
         lo, hi = wilson_interval(errors, trials, z=5.0)
         assert lo <= exact[name] <= hi, (name, errors, trials, exact[name])
+
+
+@pytest.mark.parametrize("protocol,attack", EXACT_SCENARIOS, ids=_EXACT_IDS)
+@pytest.mark.parametrize("seed", [45, 46])
+def test_run_and_run_batch_share_one_stream_layout(protocol, attack, seed):
+    config = ProtocolConfig(protocol=protocol, rounds=20_000, seed=seed)
+    assert tally(run(config, attack)) == run_batch(config, attack).tallies
 
 
 def test_run_batch_verdicts_pass_for_calibrated_attack():

@@ -35,6 +35,13 @@ def test_budget_validation():
     assert LinkBudget(mu=0.1, length_km=50.0).channel_transmission == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("field", ["mu", "length_km", "eta_d", "gamma_B", "gamma_A", "atten"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_budget_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError):
+        LinkBudget(**{"mu": 0.1, field: value})
+
+
 def test_poisson_pmf_values():
     assert poisson_pmf(0, 0.1) == pytest.approx(math.exp(-0.1), abs=1e-12)
     # frozen from the cumulative-series oracle below

@@ -1,13 +1,25 @@
+import csv
 import io
 import math
+from dataclasses import astuple
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from qkd2way.attacks import AttackParams
-from qkd2way.protocol import ProtocolConfig, RoundRecord, Tallies, run, tally, write_round_log
+from qkd2way.attacks import AttackParams, make_strategy
+from qkd2way.protocol import (
+    ProtocolConfig,
+    RoundRecord,
+    Tallies,
+    enumerate_round,
+    run,
+    run_round_lm05,
+    tally,
+    write_round_log,
+)
 from qkd2way.qsim import Basis, prepare
+from qkd2way.rng import stream
 
 
 def test_config_validation():
@@ -59,6 +71,17 @@ def test_control_mode_fraction_matches_probability():
     cm = sum(r.mode == "CM" for r in records)
     assert abs(cm / n - 0.25) <= 5.0 * math.sqrt(0.25 * 0.75 / n)
     assert all(r.bob_outcome is None for r in records if r.mode == "CM")
+
+
+def test_run_rounds_come_in_random_order():
+    # i.i.d. rounds repeat the previous round's outcome path with probability
+    # sum(w^2); run's shuffle must not leave same-path rounds side by side
+    n = 40_000
+    config = ProtocolConfig(protocol="lm05", rounds=n, seed=6)
+    records = run(config)
+    p = float((enumerate_round(config).weights ** 2).sum())
+    repeats = sum(a is b for a, b in zip(records, records[1:]))
+    assert abs(repeats - (n - 1) * p) <= 5.0 * math.sqrt((n - 1) * p * (1.0 - p))
 
 
 def test_same_seed_reproduces_round_sequence():
@@ -171,3 +194,34 @@ def test_round_log_csv_format():
             assert cells[3] == ""
         else:
             assert cells[6] == str(record.bob_outcome)
+    # byte for byte a plain per-row rendering, for run's shared leaf records
+    # and for distinct records stepped round by round; the stepped records
+    # arrive from a generator, so a freed record's id could come back
+    assert buffer.getvalue() == _plain_round_log(records)
+
+    def stepped():
+        strategy, rounds_stream = make_strategy(AttackParams(kind="ir", xi=0.5)), stream(8)
+        return (run_round_lm05(config, strategy, rounds_stream) for _ in range(config.rounds))
+
+    buffer = io.StringIO()
+    write_round_log(stepped(), buffer)
+    assert buffer.getvalue() == _plain_round_log(list(stepped()))
+
+
+def _plain_round_log(records):
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, Basis):
+            return value.value
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        return str(value)
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["mode", "bob_basis", "bob_bit", "alice_op", "alice_cm_basis", "alice_cm_outcome",
+                     "bob_outcome", "revealed", "eve_alice_guess", "eve_bob_guess", "attacked"])
+    for record in records:
+        writer.writerow([cell(value) for value in astuple(record)])
+    return buffer.getvalue()
