@@ -9,7 +9,8 @@ Writes into the output directory (default ./figure_data):
   secure_gain.csv        per-distance optimized beam-splitting gain
   pns_regions.csv        per-distance optimized PNS margins + crossover
 
-All files use the same schemas as the CLI subcommands.
+All files use the same schemas as the CLI subcommands.  The script stops
+with the exit status of the first subcommand that fails.
 """
 
 import argparse
@@ -29,22 +30,19 @@ def main() -> int:
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    for attack in CURVES:
-        path = args.out_dir / f"curve_{attack.replace('-', '_')}.csv"
-        cli_main(["curves", "--attack", attack, "--grid-step", str(args.grid_step),
-                  "--out", str(path)])
+    lengths = ["--lmax", str(args.lmax), "--lstep", str(args.lstep)]
+    jobs = [(f"curve_{attack.replace('-', '_')}.csv",
+             ["curves", "--attack", attack, "--grid-step", str(args.grid_step)])
+            for attack in CURVES]
+    jobs += [("thresholds.csv", ["thresholds"]),
+             ("secure_gain.csv", ["gain", *lengths]),
+             ("pns_regions.csv", ["pns", *lengths])]
+    for name, argv in jobs:
+        path = args.out_dir / name
+        status = cli_main([*argv, "--out", str(path)])
+        if status:
+            return status
         print("wrote", path)
-    path = args.out_dir / "thresholds.csv"
-    cli_main(["thresholds", "--out", str(path)])
-    print("wrote", path)
-    path = args.out_dir / "secure_gain.csv"
-    cli_main(["gain", "--lmax", str(args.lmax), "--lstep", str(args.lstep),
-              "--out", str(path)])
-    print("wrote", path)
-    path = args.out_dir / "pns_regions.csv"
-    cli_main(["pns", "--lmax", str(args.lmax), "--lstep", str(args.lstep),
-              "--out", str(path)])
-    print("wrote", path)
     return 0
 
 

@@ -23,7 +23,8 @@ import sys
 from contextlib import contextmanager
 
 from .attacks import AttackParams
-from .infotheory import IDENTIFIED, NoiseModel, curve_points, threshold, write_curves_csv
+from .infotheory import (IDENTIFIED, MAX_GRID_POINTS, NoiseModel, curve_points, threshold,
+                         write_curves_csv)
 from .montecarlo import compare, failures, run_batch, report_text, write_report
 from .photonics import crossover_distance, scan_distances, write_gain_csv
 from .protocol import ProtocolConfig
@@ -251,6 +252,8 @@ def _distance_grid(opts) -> list[float]:
         raise UsageError("lmin, lmax and lstep must be finite")
     if lstep <= 0 or lmax < lmin or lmin < 0:
         raise UsageError("need lmin >= 0, lmax >= lmin and lstep > 0")
+    if (lmax - lmin) / lstep >= MAX_GRID_POINTS:
+        raise UsageError(f"lmin, lmax and lstep give more than {MAX_GRID_POINTS} distances")
     grid = []
     i = 0
     while True:

@@ -52,6 +52,7 @@ _DOMAIN_MAX = {
     "bb84_opt": 0.5,
 }
 _DOMAIN_EPS = 1e-12
+MAX_GRID_POINTS = 1_000_000  # cap on the q1 and distance grids the CLI builds
 _CAPACITY_TOL = 1e-12
 _LOG2_3 = math.log2(3.0)
 
@@ -178,9 +179,12 @@ def generic_full_information_point(tol: float = 1e-9) -> float:
 def curve_points(attack: str, model: NoiseModel = IDENTIFIED,
                  grid_step: float = 0.001) -> list[InfoPoint]:
     """Information curve sampled on a q1 grid over the attack's domain."""
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
+    # written so that NaN, which fails every comparison, is rejected too
+    if not 0.0 < grid_step < math.inf:
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     dmax = _DOMAIN_MAX[attack]
+    if (dmax + _DOMAIN_EPS) / grid_step >= MAX_GRID_POINTS:
+        raise ValueError(f"grid_step {grid_step} gives more than {MAX_GRID_POINTS} q1 points")
     points = []
     i = 0
     while True:

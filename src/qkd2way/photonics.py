@@ -35,7 +35,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .numerics import golden_max
 
@@ -105,14 +105,31 @@ def bs_success_prob(r1: float, r2: float, mu: float) -> float:
     return (1.0 - math.exp(-r1 * mu)) * (1.0 - math.exp(-r2 * (1.0 - r1) * mu))
 
 
+_BS_EVE_INFO = {
+    "bb84": lambda mu: min(mu, 1.0),
+    "lm05": lambda mu: (1.0 - math.exp(-mu / 2.0)) ** 2,
+}
+_PNS_PROB = {
+    "bb84": lambda mu: 1.0 - math.exp(-mu) * (1.0 + mu),
+    # n >= 3 pulses, counted with the conclusive-measurement fraction 1/2 of P_3
+    "lm05": lambda mu: 1.0 - math.exp(-mu) * (1.0 + mu + mu ** 2 / 2.0 + mu ** 3 / 12.0),
+}
+
+
 def bs_eve_info(protocol: str, mu: float) -> float:
     """Eve's expected information fraction from beam splitting."""
     _check_protocol(protocol)
     if mu <= 0.0:
         raise ValueError("mean photon number must be positive")
-    if protocol == "bb84":
-        return min(mu, 1.0)
-    return (1.0 - math.exp(-mu / 2.0)) ** 2
+    return _BS_EVE_INFO[protocol](mu)
+
+
+def pns_multiphoton_prob(protocol: str, mu: float) -> float:
+    """Probability of a pulse whose photon number lets Eve attack without noise."""
+    _check_protocol(protocol)
+    if mu <= 0.0:
+        raise ValueError("mean photon number must be positive")
+    return _PNS_PROB[protocol](mu)
 
 
 def _total_transmission(protocol: str, budget: LinkBudget) -> float:
@@ -122,34 +139,43 @@ def _total_transmission(protocol: str, budget: LinkBudget) -> float:
     return g_qc * g_qc * budget.gamma_B * budget.gamma_A ** 2
 
 
+def _mu_objective(objective: str, protocol: str, budget: LinkBudget) -> Callable[[float], float]:
+    """The objective on this link as a function of mu alone; budget.mu is not read.
+
+    The dispatch and the link transmission are worked out once here, so the
+    mu optimizer's golden-section loop evaluates only the mu-dependent terms.
+    """
+    _check_protocol(protocol)
+    eta_d = budget.eta_d
+    t = _total_transmission(protocol, budget)
+
+    def raw(mu: float) -> float:
+        return -math.expm1(-mu * eta_d * t)
+
+    if objective == "raw_gain":
+        return raw
+    if objective == "secure_gain":
+        leak = _BS_EVE_INFO[protocol]
+        return lambda mu: raw(mu) * (1.0 - leak(mu))
+    if objective == "pns_margin":
+        dangerous = _PNS_PROB[protocol]
+        return lambda mu: raw(mu) - dangerous(mu)
+    raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+
+
 def raw_gain(protocol: str, budget: LinkBudget) -> float:
     """Detection probability per pulse: 1 - exp(-mu eta_d Gamma(L))."""
-    _check_protocol(protocol)
-    return -math.expm1(-budget.mu * budget.eta_d * _total_transmission(protocol, budget))
+    return _mu_objective("raw_gain", protocol, budget)(budget.mu)
 
 
 def secure_gain(protocol: str, budget: LinkBudget) -> float:
     """Raw gain times the fraction of the key not leaked through beam splitting."""
-    return raw_gain(protocol, budget) * (1.0 - bs_eve_info(protocol, budget.mu))
-
-
-def pns_multiphoton_prob(protocol: str, mu: float) -> float:
-    """Probability of a pulse whose photon number lets Eve attack without noise."""
-    _check_protocol(protocol)
-    if mu <= 0.0:
-        raise ValueError("mean photon number must be positive")
-    if protocol == "bb84":
-        return 1.0 - math.exp(-mu) * (1.0 + mu)
-    # n >= 3 pulses, counted with the conclusive-measurement fraction 1/2 of P_3
-    return 1.0 - math.exp(-mu) * (1.0 + mu + mu ** 2 / 2.0 + mu ** 3 / 12.0)
+    return _mu_objective("secure_gain", protocol, budget)(budget.mu)
 
 
 def pns_margin(protocol: str, budget: LinkBudget) -> float:
     """Security-region margin D = G_raw - P_PNS; positive means secure."""
-    return raw_gain(protocol, budget) - pns_multiphoton_prob(protocol, budget.mu)
-
-
-_OBJECTIVE_FN = {"secure_gain": secure_gain, "pns_margin": pns_margin}
+    return _mu_objective("pns_margin", protocol, budget)(budget.mu)
 
 
 def optimize_mu(objective: str, protocol: str, length_km: float, *,
@@ -161,18 +187,19 @@ def optimize_mu(objective: str, protocol: str, length_km: float, *,
 
     Returns (mu_star, value); a non-positive value means the link is
     insecure at this distance for every mean photon number in the bracket.
+    The bracket and the link are validated once, not per evaluation: every
+    point golden_max evaluates lies in [lo, hi].
     """
-    if objective not in _OBJECTIVE_FN:
+    if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    _check_protocol(protocol)
-    fn = _OBJECTIVE_FN[objective]
-
-    def value_at(mu: float) -> float:
-        budget = LinkBudget(mu=mu, length_km=length_km, eta_d=eta_d,
-                            gamma_B=gamma_B, gamma_A=gamma_A, atten=atten)
-        return fn(protocol, budget)
-
-    return golden_max(value_at, bracket[0], bracket[1], tol=tol)
+    lo, hi = bracket
+    # written so that NaN, which fails every comparison, is rejected too
+    if not 0.0 <= lo < hi < math.inf:
+        raise ValueError(f"mu bracket {bracket} must be finite with 0 <= lo < hi")
+    # mu=hi only passes the budget's own check; the objective takes mu as its argument
+    budget = LinkBudget(mu=hi, length_km=length_km, eta_d=eta_d,
+                        gamma_B=gamma_B, gamma_A=gamma_A, atten=atten)
+    return golden_max(_mu_objective(objective, protocol, budget), lo, hi, tol=tol)
 
 
 def scan_distances(objective: str, protocol: str, lengths_km: Sequence[float],

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +183,53 @@ def test_distance_scans_reject_non_finite_bounds(argv):
     )
     assert proc.returncode == 2
     assert "must be finite" in proc.stderr
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_curves_rejects_non_finite_grid_step(step, capsys):
+    assert _run(["curves", "--grid-step", step]) == 2
+    assert f"grid_step must be positive and finite, got {step}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["curves", "--grid-step", "1e-300"],
+                                  ["gain", "--lmax", "1e9", "--lstep", "1e-9"]])
+def test_oversized_grids_are_refused_before_they_are_built(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkd2way", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "more than 1000000" in proc.stderr
+
+
+FIGURE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_figure_data.py"
+
+
+def _run_figure_script(*args):
+    return subprocess.run([sys.executable, str(FIGURE_SCRIPT), *args],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_figure_script_matches_the_cli(tmp_path):
+    proc = _run_figure_script("--out-dir", str(tmp_path / "script"), "--lstep", "5")
+    assert proc.returncode == 0, proc.stderr
+    direct = tmp_path / "cli"
+    direct.mkdir()
+    runs = {f"curve_{attack.replace('-', '_')}.csv": ["curves", "--attack", attack]
+            for attack in ("ir", "nort", "dcnot-star", "generic", "bb84-ir", "bb84-opt")}
+    runs["thresholds.csv"] = ["thresholds"]
+    runs["secure_gain.csv"] = ["gain", "--lstep", "5"]
+    runs["pns_regions.csv"] = ["pns", "--lstep", "5"]
+    for name, argv in runs.items():
+        assert _run([*argv, "--out", str(direct / name)]) == 0
+    assert sorted(p.name for p in (tmp_path / "script").iterdir()) == sorted(runs)
+    for name in runs:
+        assert (tmp_path / "script" / name).read_bytes() == (direct / name).read_bytes()
+
+
+def test_figure_script_stops_at_a_failing_subcommand(tmp_path):
+    proc = _run_figure_script("--out-dir", str(tmp_path), "--grid-step", "nan")
+    assert proc.returncode == 2
+    assert "grid_step must be positive and finite" in proc.stderr
+    assert "wrote" not in proc.stdout
+    assert list(tmp_path.iterdir()) == []

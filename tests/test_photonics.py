@@ -4,8 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from qkd2way import photonics
 from qkd2way.numerics import golden_max
 from qkd2way.photonics import (
+    DEFAULT_ATTEN,
+    DEFAULT_ETA_D,
+    DEFAULT_GAMMA_A,
+    DEFAULT_GAMMA_B,
+    MU_BRACKET,
     GainPoint,
     LinkBudget,
     bs_eve_info,
@@ -120,6 +126,26 @@ def test_pns_probability_values():
         assert pns_multiphoton_prob("lm05", mu) < pns_multiphoton_prob("bb84", mu)
 
 
+def test_objectives_keep_their_float_expressions():
+    # the exact operations, in order, behind the byte-identical gain/pns CSVs
+    for length in (0.0, 2.64, 17.25, 50.0):
+        g_qc = 10.0 ** (-DEFAULT_ATTEN * length)
+        transmission = {"bb84": g_qc * DEFAULT_GAMMA_B,
+                        "lm05": g_qc * g_qc * DEFAULT_GAMMA_B * DEFAULT_GAMMA_A ** 2}
+        for mu in MU_GRID:
+            budget = LinkBudget(mu=mu, length_km=length)
+            raw = {p: -math.expm1(-mu * DEFAULT_ETA_D * t) for p, t in transmission.items()}
+            assert raw_gain("bb84", budget) == raw["bb84"]
+            assert raw_gain("lm05", budget) == raw["lm05"]
+            assert secure_gain("bb84", budget) == raw["bb84"] * (1.0 - min(mu, 1.0))
+            assert secure_gain("lm05", budget) == raw["lm05"] * (
+                1.0 - (1.0 - math.exp(-mu / 2.0)) ** 2)
+            assert pns_margin("bb84", budget) == raw["bb84"] - (
+                1.0 - math.exp(-mu) * (1.0 + mu))
+            assert pns_margin("lm05", budget) == raw["lm05"] - (
+                1.0 - math.exp(-mu) * (1.0 + mu + mu ** 2 / 2.0 + mu ** 3 / 12.0))
+
+
 def test_optimize_mu_agrees_with_grid_scan():
     for length in (0.0, 10.0, 50.0):
         mu_star, best = optimize_mu("secure_gain", "bb84", length)
@@ -129,6 +155,47 @@ def test_optimize_mu_agrees_with_grid_scan():
         )
         assert best == pytest.approx(grid_best, abs=1e-6)
         assert 1e-5 <= mu_star <= 2.0
+
+
+@pytest.mark.parametrize("bracket, expected", [
+    ((math.nan, 2.0), None),
+    ((1e-5, math.inf), None),
+    ((-1.0, 2.0), None),
+    # golden_max never evaluates an endpoint, so mu = 0 may bound the bracket;
+    # frozen from the implementation that built a LinkBudget per evaluation
+    ((0.0, 2.0), (0.04798731242760422, 0.00108209295643464)),
+])
+def test_optimize_mu_checks_the_bracket_once(bracket, expected):
+    if expected is None:
+        with pytest.raises(ValueError, match="bracket"):
+            optimize_mu("pns_margin", "bb84", 1.0, bracket=bracket)
+    else:
+        result = optimize_mu("pns_margin", "bb84", 1.0, bracket=bracket)
+        assert result == pytest.approx(expected, rel=1e-12)
+        assert result == _reference_optimize_mu("pns_margin", "bb84", 1.0, bracket=bracket)
+
+
+def _reference_optimize_mu(objective, protocol, length_km, bracket=MU_BRACKET, **link):
+    """optimize_mu as a maximization of the public objective over full link budgets."""
+    fn = {"secure_gain": secure_gain, "pns_margin": pns_margin}[objective]
+    return golden_max(lambda mu: fn(protocol, LinkBudget(mu=mu, length_km=length_km, **link)),
+                      *bracket, tol=1e-7)
+
+
+@pytest.mark.parametrize("objective", ["secure_gain", "pns_margin"])
+@pytest.mark.parametrize("protocol", ["bb84", "lm05"])
+def test_scan_equals_reference_exactly(objective, protocol):
+    # the CLI's default grid; == keeps the gain/pns CSVs byte-identical
+    lengths = [0.0 + i * 0.25 for i in range(201)]
+    points = scan_distances(objective, protocol, lengths)
+    assert [(p.mu_star, p.value) for p in points] == [
+        _reference_optimize_mu(objective, protocol, length) for length in lengths]
+
+
+def test_crossover_equals_reference_exactly(monkeypatch):
+    crossover = crossover_distance()
+    monkeypatch.setattr(photonics, "optimize_mu", _reference_optimize_mu)
+    assert crossover == crossover_distance()
 
 
 def test_pns_margin_small_mu_expansion():
