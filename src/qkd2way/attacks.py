@@ -149,14 +149,14 @@ class _NortRound(RoundAttack):
         if not self.attacked:
             return state
         s = self.strategy
-        return self._probe(state, s.rot_fwd, s.h_fwd)
+        return self._probe(state, s.rot_fwd, s.h)
 
     def backward(self, state, rng):
         if not self.attacked:
             return state
         self.done_backward = True
         s = self.strategy
-        return self._probe(state, s.rot_bwd, s.h_bwd)
+        return self._probe(state, s.rot_bwd, s.h)
 
     def finalize(self, state, rng):
         if not self.attacked or not self.done_backward:
@@ -224,8 +224,7 @@ class _NortStrategy(AttackStrategy):
         super().__init__(params)
         self.rot_fwd = ancilla_rotation(params.x, 0, 1)
         self.rot_bwd = ancilla_rotation(params.x_prime, 0, 2)
-        self.h_fwd = hadamard(0)
-        self.h_bwd = hadamard(0)
+        self.h = hadamard(0)
 
     def new_round(self, rng):
         return _NortRound(self, coin(rng, self.params.xi), rng)

@@ -8,8 +8,9 @@ thresholds  security-threshold table (LM05 DR/RR and BB84 columns)
 gain        beam-splitting secure gain vs distance (both protocols)
 pns         PNS security-region margins vs distance, with the crossover
 
-Every flag can also be given in a key=value config file (--config); an
-explicit flag wins over the file.  The default seed comes from the
+Every flag can also be given in a key=value config file (--config): each
+line is read as the flag --key=value, with the same type and choice checks,
+and an explicit flag wins over the file.  The default seed comes from the
 QKD2WAY_SEED environment variable when set.  Exit codes: 0 success or
 all-pass, 1 verification failure, 2 usage error.
 """
@@ -17,29 +18,26 @@ all-pass, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict, astuple
 
 from .attacks import AttackParams
-from .infotheory import (IDENTIFIED, MAX_GRID_POINTS, NoiseModel, curve_points, threshold,
-                         write_curves_csv)
-from .montecarlo import compare, failures, run_batch, report_text, write_report
-from .photonics import crossover_distance, scan_distances, write_gain_csv
+from .infotheory import IDENTIFIED, MAX_GRID_POINTS, NoiseModel, curve_points, threshold
+from .montecarlo import compare, failures, run_batch, report_text
+from .photonics import crossover_distance, scan_distances
 from .protocol import ProtocolConfig
 
 DEFAULT_SEED = 20050920
 
-_DEFAULTS = {
-    "simulate": dict(protocol="lm05", attack="none", xi=1.0, x=math.pi / 2,
-                     xprime=math.pi / 2, chi=0.0, rounds=100_000, c=0.25,
-                     reveal=0.1, workers=1, seed=None, out=None, format="csv"),
-    "curves": dict(attack="ir", model="identified", grid_step=0.001, out=None, format="csv"),
-    "thresholds": dict(model="identified", out=None, format="csv"),
-    "gain": dict(lmin=0.0, lmax=50.0, lstep=0.25, out=None, format="csv"),
-    "pns": dict(lmin=0.0, lmax=50.0, lstep=0.25, out=None, format="csv"),
-}
+CURVE_COLUMNS = ("q1", "I_AB", "I_AE", "I_BE", "C_DR", "C_RR")
+THRESHOLD_COLUMNS = ("attack", "lm05_dr", "lm05_rr", "bb84")
+SCAN_COLUMNS = ("L_km", "mu_star", "value", "log10_value", "protocol", "objective")
+REPORT_COLUMNS = ("rate", "errors", "trials", "estimate", "lo95", "hi95", "prediction", "verdict")
 
 _CURVE_ATTACKS = {"ir": "ir", "nort": "nort", "dcnot-star": "dcnot_star",
                   "generic": "generic", "bb84-ir": "bb84_ir", "bb84-opt": "bb84_opt"}
@@ -66,48 +64,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qkd2way", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_command(name, help_text):
+        # no abbreviations: a config-file key must name its flag exactly
+        return sub.add_parser(name, help=help_text, allow_abbrev=False)
+
     def add_common(p):
-        p.add_argument("--config", default=argparse.SUPPRESS, help="key=value defaults file")
-        p.add_argument("--out", default=argparse.SUPPRESS, help="output file path (default stdout)")
-        p.add_argument("--format", choices=("csv", "jsonl"), default=argparse.SUPPRESS)
+        p.add_argument("--config", help="key=value defaults file")
+        p.add_argument("--out", help="output file path (default stdout)")
+        p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
-    p = sub.add_parser("simulate", help="run rounds under an attack and verify QBERs")
-    p.add_argument("--protocol", choices=("lm05", "bb84"), default=argparse.SUPPRESS)
-    p.add_argument("--attack", choices=sorted(_SIM_ATTACKS), default=argparse.SUPPRESS)
-    p.add_argument("--xi", type=float, default=argparse.SUPPRESS, help="attacked fraction in [0,1]")
-    p.add_argument("--x", type=float, default=argparse.SUPPRESS, help="forward probe angle (nort)")
-    p.add_argument("--xprime", type=float, default=argparse.SUPPRESS, help="backward probe angle (nort)")
-    p.add_argument("--chi", type=float, default=argparse.SUPPRESS, help="flip probability (dcnot-star)")
-    p.add_argument("--rounds", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--c", type=float, default=argparse.SUPPRESS, help="control-mode probability")
-    p.add_argument("--reveal", type=float, default=argparse.SUPPRESS, help="revealed EM fraction")
-    p.add_argument("--workers", type=int, default=argparse.SUPPRESS)
+    p = add_command("simulate", "run rounds under an attack and verify QBERs")
+    p.add_argument("--protocol", choices=("lm05", "bb84"), default="lm05")
+    p.add_argument("--attack", choices=sorted(_SIM_ATTACKS), default="none")
+    p.add_argument("--xi", type=float, default=1.0, help="attacked fraction in [0,1]")
+    p.add_argument("--x", type=float, default=math.pi / 2, help="forward probe angle (nort)")
+    p.add_argument("--xprime", type=float, default=math.pi / 2, help="backward probe angle (nort)")
+    p.add_argument("--chi", type=float, default=0.0, help="flip probability (dcnot-star)")
+    p.add_argument("--rounds", type=int, default=100_000)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--c", type=float, default=0.25, help="control-mode probability")
+    p.add_argument("--reveal", type=float, default=0.1, help="revealed EM fraction")
+    p.add_argument("--workers", type=int, default=1)
     add_common(p)
 
-    p = sub.add_parser("curves", help="information curves vs q1")
-    p.add_argument("--attack", choices=sorted(_CURVE_ATTACKS), default=argparse.SUPPRESS)
-    p.add_argument("--model", default=argparse.SUPPRESS)
-    p.add_argument("--grid-step", dest="grid_step", type=float, default=argparse.SUPPRESS)
+    p = add_command("curves", "information curves vs q1")
+    p.add_argument("--attack", choices=sorted(_CURVE_ATTACKS), default="ir")
+    p.add_argument("--model", default="identified")
+    p.add_argument("--grid-step", dest="grid_step", type=float, default=0.001)
     add_common(p)
 
-    p = sub.add_parser("thresholds", help="security threshold table")
-    p.add_argument("--model", default=argparse.SUPPRESS)
+    p = add_command("thresholds", "security threshold table")
+    p.add_argument("--model", default="identified")
     add_common(p)
 
     for name, help_text in (("gain", "secure gain vs distance"),
                             ("pns", "PNS security regions vs distance")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--lmin", type=float, default=argparse.SUPPRESS)
-        p.add_argument("--lmax", type=float, default=argparse.SUPPRESS)
-        p.add_argument("--lstep", type=float, default=argparse.SUPPRESS)
+        p = add_command(name, help_text)
+        p.add_argument("--lmin", type=float, default=0.0)
+        p.add_argument("--lmax", type=float, default=50.0)
+        p.add_argument("--lstep", type=float, default=0.25)
         add_common(p)
 
     return parser
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+def _config_args(path: str) -> list[str]:
+    """The config file's key=value lines as --key=value arguments."""
+    args = []
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -117,36 +120,17 @@ def _load_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, value = (part.strip() for part in line.split("=", 1))
-                values[key.replace("-", "_")] = value
+                if key == "config":
+                    raise UsageError(f"{path}:{lineno}: a config file cannot name another")
+                args.append(f"--{key.replace('_', '-')}={value}")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _merge_options(command: str, namespace: argparse.Namespace) -> dict:
-    opts = dict(_DEFAULTS[command])
-    given = {k: v for k, v in vars(namespace).items() if k != "command"}
-    if "config" in given:
-        file_values = _load_config_file(given.pop("config"))
-        for key, text in file_values.items():
-            if key not in opts:
-                raise UsageError(f"config key {key!r} not valid for {command}")
-            current = opts[key]
-            if isinstance(current, bool):
-                opts[key] = text.lower() in ("1", "true", "yes")
-            elif isinstance(current, int) and not isinstance(current, bool):
-                opts[key] = int(text)
-            elif isinstance(current, float):
-                opts[key] = float(text)
-            else:
-                opts[key] = text
-    opts.update(given)
-    return opts
+    return args
 
 
 def _resolve_seed(value) -> int:
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("QKD2WAY_SEED")
     return int(env) if env else DEFAULT_SEED
 
@@ -160,35 +144,51 @@ def _open_out(path):
             yield fh
 
 
-def _cmd_simulate(opts) -> int:
-    attack = AttackParams(kind=_SIM_ATTACKS[opts["attack"]], xi=opts["xi"],
-                          x=opts["x"], x_prime=opts["xprime"], chi=opts["chi"])
-    config = ProtocolConfig(protocol=opts["protocol"], control_prob=opts["c"],
-                            rounds=opts["rounds"], seed=_resolve_seed(opts["seed"]),
-                            reveal_fraction=opts["reveal"])
-    report = run_batch(config, attack, workers=opts["workers"])
+def write_rows(file, fmt: str, columns, rows) -> None:
+    """One table: CSV (header, then one line per row) or one JSON object per row.
+
+    csv.writer writes a float as its repr and None as an empty cell; JSONL
+    keys are the CSV columns, with None as null.
+    """
+    if fmt == "jsonl":
+        for row in rows:
+            file.write(json.dumps(dict(zip(columns, row))) + "\n")
+        return
+    writer = csv.writer(file, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+
+
+def _cmd_simulate(args) -> int:
+    attack = AttackParams(kind=_SIM_ATTACKS[args.attack], xi=args.xi,
+                          x=args.x, x_prime=args.xprime, chi=args.chi)
+    config = ProtocolConfig(protocol=args.protocol, control_prob=args.c,
+                            rounds=args.rounds, seed=_resolve_seed(args.seed),
+                            reveal_fraction=args.reveal)
+    report = run_batch(config, attack, workers=args.workers)
     print(report_text(report))
-    if opts["out"]:
-        with _open_out(opts["out"]) as fh:
-            write_report(report, fh, opts["format"])
+    if args.out:
+        with _open_out(args.out) as fh:
+            if args.format == "jsonl":
+                meta = {"record": "meta", "protocol": config.protocol,
+                        "attack": asdict(attack), "rounds": report.rounds,
+                        "seed": report.seed, "workers": report.workers,
+                        "engine": report.engine, "leaves": report.leaves,
+                        "elapsed_s": report.elapsed_s}
+                fh.write(json.dumps(meta) + "\n")
+            write_rows(fh, args.format, REPORT_COLUMNS, map(astuple, report.rates))
     status = compare(report)
     if status:
         print(f"verification FAILED for: {', '.join(failures(report))}", file=sys.stderr)
     return status
 
 
-def _cmd_curves(opts) -> int:
-    attack = _CURVE_ATTACKS[opts["attack"]]
-    model = _parse_model(opts["model"])
-    points = curve_points(attack, model, grid_step=opts["grid_step"])
-    with _open_out(opts["out"]) as fh:
-        if opts["format"] == "jsonl":
-            import json
-            from dataclasses import asdict
-            for p in points:
-                fh.write(json.dumps(asdict(p)) + "\n")
-        else:
-            write_curves_csv(points, fh)
+def _cmd_curves(args) -> int:
+    points = curve_points(_CURVE_ATTACKS[args.attack], _parse_model(args.model),
+                          grid_step=args.grid_step)
+    with _open_out(args.out) as fh:
+        write_rows(fh, args.format, CURVE_COLUMNS,
+                   ((p.q1, p.i_ab, p.i_ae, p.i_be, p.c_dr, p.c_rr) for p in points))
     return 0
 
 
@@ -205,18 +205,18 @@ _NA_REASONS = {
 }
 
 
-def _cmd_thresholds(opts) -> int:
-    model = _parse_model(opts["model"])
+def _cmd_thresholds(args) -> int:
+    model = _parse_model(args.model)
     rows = []
     for label, lm05_curve, bb84_curve in _TABLE_ROWS:
-        cells = {}
+        row = [label]
         for column, curve, recon in (("dr", lm05_curve, "dr"), ("rr", lm05_curve, "rr"),
                                      ("bb84", bb84_curve, "dr")):
             if curve is None or (label, column) in _NA_REASONS:
-                cells[column] = None
-                continue
-            cells[column] = threshold(curve, recon, model)
-        rows.append((label, cells))
+                row.append(None)
+            else:
+                row.append(threshold(curve, recon, model))
+        rows.append(row)
 
     def render(value, label, column):
         if value is None:
@@ -225,29 +225,20 @@ def _cmd_thresholds(opts) -> int:
         return f"{100.0 * value:.1f}"
 
     table = [("attack", "LM05-DR (%)", "LM05-RR (%)", "BB84 (%)")]
-    for label, cells in rows:
-        table.append((label,) + tuple(render(cells[k], label, k) for k in ("dr", "rr", "bb84")))
+    for label, *values in rows:
+        cells = (render(v, label, k) for v, k in zip(values, ("dr", "rr", "bb84")))
+        table.append((label, *cells))
     widths = [max(len(row[i]) for row in table) + 2 for i in range(3)]
     for row in table:
         print("".join(cell.ljust(width) for cell, width in zip(row, widths)) + row[3])
-    if opts["out"]:
-        with _open_out(opts["out"]) as fh:
-            if opts["format"] == "jsonl":
-                import json
-                for label, cells in rows:
-                    fh.write(json.dumps({"attack": label, **cells}) + "\n")
-            else:
-                import csv
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["attack", "lm05_dr", "lm05_rr", "bb84"])
-                for label, cells in rows:
-                    writer.writerow([label] + ["" if cells[k] is None else repr(cells[k])
-                                               for k in ("dr", "rr", "bb84")])
+    if args.out:
+        with _open_out(args.out) as fh:
+            write_rows(fh, args.format, THRESHOLD_COLUMNS, rows)
     return 0
 
 
-def _distance_grid(opts) -> list[float]:
-    lmin, lmax, lstep = opts["lmin"], opts["lmax"], opts["lstep"]
+def _distance_grid(args) -> list[float]:
+    lmin, lmax, lstep = args.lmin, args.lmax, args.lstep
     if not all(map(math.isfinite, (lmin, lmax, lstep))):
         raise UsageError("lmin, lmax and lstep must be finite")
     if lstep <= 0 or lmax < lmin or lmin < 0:
@@ -265,53 +256,48 @@ def _distance_grid(opts) -> list[float]:
     return grid
 
 
-def _scan_command(opts, objective: str) -> int:
-    grid = _distance_grid(opts)
-    points = []
+def _scan_command(args, objective: str) -> int:
+    grid = _distance_grid(args)
+    rows = []
     for protocol in ("bb84", "lm05"):
-        points.extend(scan_distances(objective, protocol, grid))
-    crossover_km = None
-    note = None
+        for p in scan_distances(objective, protocol, grid):
+            log10 = math.log10(p.value) if p.value > 0.0 else None
+            rows.append((p.length_km, p.mu_star, p.value, log10, p.protocol, p.objective))
     if objective == "pns_margin":
+        # the crossover is the table's last row, marked protocol=crossover
         try:
-            crossover_km = crossover_distance(l_lo=opts["lmin"], l_hi=max(opts["lmax"], opts["lmin"] + 1e-9))
-            print(f"pns crossover: {crossover_km:.2f} km")
+            km = crossover_distance(l_lo=args.lmin, l_hi=max(args.lmax, args.lmin + 1e-9))
         except ValueError:
-            note = "none in range"
             print("pns crossover: none in range")
-    with _open_out(opts["out"]) as fh:
-        if opts["format"] == "jsonl":
-            import json
-            from dataclasses import asdict
-            for p in points:
-                fh.write(json.dumps(asdict(p)) + "\n")
-            if objective == "pns_margin":
-                fh.write(json.dumps({"record": "crossover", "L_km": crossover_km,
-                                     "note": note}) + "\n")
+            rows.append((None, None, None, None, "crossover", "none in range"))
         else:
-            write_gain_csv(points, fh,
-                           crossover_km=crossover_km,
-                           crossover_note=note if objective == "pns_margin" else None)
+            print(f"pns crossover: {km:.2f} km")
+            rows.append((km, None, None, None, "crossover", objective))
+    with _open_out(args.out) as fh:
+        write_rows(fh, args.format, SCAN_COLUMNS, rows)
     return 0
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        namespace = parser.parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            # file values go ahead of the command line's flags, so a flag wins
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_args(args.config), *argv[at:]])
+        if args.command == "simulate":
+            return _cmd_simulate(args)
+        if args.command == "curves":
+            return _cmd_curves(args)
+        if args.command == "thresholds":
+            return _cmd_thresholds(args)
+        if args.command == "gain":
+            return _scan_command(args, "secure_gain")
+        return _scan_command(args, "pns_margin")
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        opts = _merge_options(namespace.command, namespace)
-        if namespace.command == "simulate":
-            return _cmd_simulate(opts)
-        if namespace.command == "curves":
-            return _cmd_curves(opts)
-        if namespace.command == "thresholds":
-            return _cmd_thresholds(opts)
-        if namespace.command == "gain":
-            return _scan_command(opts, "secure_gain")
-        return _scan_command(opts, "pns_margin")
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

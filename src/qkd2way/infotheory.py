@@ -33,11 +33,9 @@ Eve curves (q1 domains in brackets):
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .numerics import bisect_first_zero
 
@@ -106,10 +104,14 @@ def generic_bound(q1: float, clamp: bool = True) -> float:
     return min(v, 1.0) if clamp else v
 
 
-def _check_domain(attack: str, q1: float) -> float:
+def _domain_max(attack: str) -> float:
     if attack not in EVE_MODELS:
         raise ValueError(f"unknown eve curve {attack!r}; expected one of {EVE_MODELS}")
-    dmax = _DOMAIN_MAX[attack]
+    return _DOMAIN_MAX[attack]
+
+
+def _check_domain(attack: str, q1: float) -> float:
+    dmax = _domain_max(attack)
     if not -_DOMAIN_EPS <= q1 <= dmax + _DOMAIN_EPS:
         raise ValueError(f"q1={q1!r} outside [0, {dmax}] for {attack}")
     return min(max(q1, 0.0), dmax)
@@ -158,7 +160,7 @@ def threshold(attack: str, reconciliation: str = "dr",
     """
     if reconciliation not in ("dr", "rr"):
         raise ValueError("reconciliation must be 'dr' or 'rr'")
-    dmax = _DOMAIN_MAX[attack]
+    dmax = _domain_max(attack)
 
     def capacity(q1: float) -> float:
         p = secrecy(q1, attack, model)
@@ -182,7 +184,7 @@ def curve_points(attack: str, model: NoiseModel = IDENTIFIED,
     # written so that NaN, which fails every comparison, is rejected too
     if not 0.0 < grid_step < math.inf:
         raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
-    dmax = _DOMAIN_MAX[attack]
+    dmax = _domain_max(attack)
     if (dmax + _DOMAIN_EPS) / grid_step >= MAX_GRID_POINTS:
         raise ValueError(f"grid_step {grid_step} gives more than {MAX_GRID_POINTS} q1 points")
     points = []
@@ -194,13 +196,3 @@ def curve_points(attack: str, model: NoiseModel = IDENTIFIED,
         points.append(secrecy(min(q1, dmax), attack, model))
         i += 1
     return points
-
-
-CURVE_COLUMNS = ("q1", "I_AB", "I_AE", "I_BE", "C_DR", "C_RR")
-
-
-def write_curves_csv(points: Sequence[InfoPoint], file: io.TextIOBase) -> None:
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(CURVE_COLUMNS)
-    for p in points:
-        writer.writerow([repr(v) for v in (p.q1, p.i_ab, p.i_ae, p.i_be, p.c_dr, p.c_rr)])

@@ -13,10 +13,9 @@ Wilson band (wide enough to be flake-free at a million rounds).
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from .attacks import NO_ATTACK, AttackParams
@@ -169,35 +168,3 @@ def report_text(report: BatchReport) -> str:
         lines.append(f"{r.name:<6} {r.errors:>9} {r.trials:>9} {est:>10} {ci:>23} "
                      f"{pred:>10} {r.verdict or 'skip'}")
     return "\n".join(lines)
-
-
-def report_rows(report: BatchReport) -> list[dict]:
-    return [asdict(r) for r in report.rates]
-
-
-def write_report(report: BatchReport, file, fmt: str = "csv") -> None:
-    """Machine-readable report: one record per rate (jsonl adds a meta record)."""
-    rows = report_rows(report)
-    if fmt == "jsonl":
-        meta = {"record": "meta", "protocol": report.config.protocol,
-                "attack": asdict(report.attack), "rounds": report.rounds,
-                "seed": report.seed, "workers": report.workers,
-                "engine": report.engine, "leaves": report.leaves,
-                "elapsed_s": report.elapsed_s}
-        file.write(json.dumps(meta) + "\n")
-        for row in rows:
-            file.write(json.dumps({"record": "rate", **row}) + "\n")
-        return
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
-    import csv as _csv
-
-    writer = _csv.writer(file, lineterminator="\n")
-    writer.writerow(["rate", "errors", "trials", "estimate", "lo95", "hi95", "prediction", "verdict"])
-    for row in rows:
-        writer.writerow([row["name"], row["errors"], row["trials"],
-                         "" if row["estimate"] is None else repr(row["estimate"]),
-                         "" if row["lo95"] is None else repr(row["lo95"]),
-                         "" if row["hi95"] is None else repr(row["hi95"]),
-                         "" if row["prediction"] is None else repr(row["prediction"]),
-                         row["verdict"] or ""])

@@ -31,11 +31,9 @@ optimized per distance.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .numerics import golden_max
 
@@ -222,6 +220,11 @@ def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float 
     to be broken) but decays faster with distance; raises ValueError when
     no crossing with LM05 initially on top exists in [l_lo, l_hi].
     """
+    # written so that NaN, which fails every comparison, is rejected too
+    if not 0.0 < tol_km < math.inf:
+        raise ValueError(f"tol_km must be positive and finite, got {tol_km}")
+    if not (math.isfinite(l_lo) and math.isfinite(l_hi) and l_lo <= l_hi):
+        raise ValueError(f"need finite l_lo <= l_hi, got [{l_lo}, {l_hi}]")
     kwargs = dict(eta_d=eta_d, gamma_B=gamma_B, gamma_A=gamma_A, atten=atten)
 
     def diff(length: float) -> float:
@@ -235,7 +238,8 @@ def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float 
     lo = l_lo
     hi = None
     length = l_lo + step
-    while length <= l_hi + 1e-12:
+    # lo < length ends the scan once a step no longer moves the distance
+    while lo < length <= l_hi + 1e-12:
         if diff(length) <= 0.0:
             hi = length
             break
@@ -245,30 +249,10 @@ def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float 
         raise ValueError(f"no PNS crossover found in [{l_lo}, {l_hi}] km; check the link parameters")
     while hi - lo > tol_km:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink further
+            break
         if diff(mid) > 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-GAIN_COLUMNS = ("L_km", "mu_star", "value", "log10_value", "protocol", "objective")
-
-
-def write_gain_csv(points: Sequence[GainPoint], file: io.TextIOBase,
-                   crossover_km: Optional[float] = None,
-                   crossover_note: Optional[str] = None) -> None:
-    """Distance-scan CSV; log10 of non-positive values is left empty.
-
-    When a crossover footer is requested the last row carries
-    protocol="crossover" with the distance in L_km (empty if none found).
-    """
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(GAIN_COLUMNS)
-    for p in points:
-        log10 = repr(math.log10(p.value)) if p.value > 0.0 else ""
-        writer.writerow([repr(p.length_km), repr(p.mu_star), repr(p.value),
-                         log10, p.protocol, p.objective])
-    if crossover_km is not None or crossover_note is not None:
-        cell = repr(crossover_km) if crossover_km is not None else ""
-        writer.writerow([cell, "", "", "", "crossover", crossover_note or "pns_margin"])

@@ -73,9 +73,6 @@ def _sv(amps: np.ndarray, num_wires: int) -> StateVector:
 
 
 class GateKind(Enum):
-    IDENTITY = "identity"
-    PAULI_X = "pauli_x"
-    PAULI_Z = "pauli_z"
     SPIN_FLIP = "spin_flip"
     HADAMARD = "hadamard"
     CNOT = "cnot"
@@ -97,18 +94,6 @@ class Gate:
         if self.kind is GateKind.ANCILLA_ROTATION:
             if self.angle is None or not -1e-12 <= self.angle <= math.pi / 2 + 1e-12:
                 raise ValueError("probe angle must lie in [0, pi/2]")
-
-
-def identity(wire: int = 0) -> Gate:
-    return Gate(GateKind.IDENTITY, (wire,))
-
-
-def pauli_x(wire: int = 0) -> Gate:
-    return Gate(GateKind.PAULI_X, (wire,))
-
-
-def pauli_z(wire: int = 0) -> Gate:
-    return Gate(GateKind.PAULI_Z, (wire,))
 
 
 def spin_flip(wire: int = 0) -> Gate:
@@ -135,12 +120,6 @@ def _rot2(theta: float) -> np.ndarray:
 def gate_matrix(gate: Gate) -> np.ndarray:
     """The gate's own unitary (2x2 for one wire, 4x4 for two)."""
     k = gate.kind
-    if k is GateKind.IDENTITY:
-        return np.eye(2, dtype=complex)
-    if k is GateKind.PAULI_X:
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if k is GateKind.PAULI_Z:
-        return np.array([[1, 0], [0, -1]], dtype=complex)
     if k is GateKind.SPIN_FLIP:
         # i*Y = Z@X: |0> -> -|1>, |1> -> |0>
         return np.array([[0, 1], [-1, 0]], dtype=complex)

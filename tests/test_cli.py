@@ -80,6 +80,36 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert _run(["simulate", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command, line, flag", [
+    ("simulate", "attack = bogus", "--attack"),
+    ("curves", "attack = bogus", "--attack"),
+    ("simulate", "format = xml", "--format"),
+    ("curves", "format = xml", "--format"),
+    ("thresholds", "format = xml", "--format"),
+    ("gain", "format = xml", "--format"),
+    ("simulate", "round = 5", "--round"),
+])
+def test_config_file_values_are_checked_like_flags(command, line, flag, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--rounds", "1000"]
+    assert _run(argv) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_config_file_cannot_name_another_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"config = {cfg}\n")
+    assert _run(["thresholds", "--config", str(cfg)]) == 2
+    assert "cannot name another" in capsys.readouterr().err
+
+
 def test_curves_csv_values(tmp_path):
     out = tmp_path / "ir.csv"
     assert _run(["curves", "--attack", "ir", "--grid-step", "0.005", "--out", str(out)]) == 0
@@ -113,7 +143,7 @@ def test_curves_jsonl_format(tmp_path):
     assert _run(["curves", "--attack", "dcnot-star", "--grid-step", "0.05",
                  "--format", "jsonl", "--out", str(out)]) == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
-    assert rows[-1]["i_ae"] == pytest.approx(1.0)
+    assert rows[-1]["I_AE"] == pytest.approx(1.0)
 
 
 def test_thresholds_table(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import io
 import math
 
 import pytest
@@ -16,8 +15,8 @@ from qkd2way.infotheory import (
     generic_full_information_point,
     secrecy,
     threshold,
-    write_curves_csv,
 )
+from qkd2way.cli import main as cli_main
 
 # exact binary-channel leak at a quarter error rate: 1 - H(1/4) = 0.75 log2(3) - 1
 I_BE_QUARTER = 1.0 - binary_entropy(0.25)
@@ -193,15 +192,23 @@ def test_capacity_identities_in_info_points():
     assert point.c_rr == pytest.approx(point.i_ab - point.i_be, abs=1e-15)
 
 
-def test_curve_points_grid_and_csv():
+def test_curve_points_grid_and_csv(tmp_path):
     points = curve_points("ir", grid_step=0.05)
     assert [round(p.q1, 6) for p in points] == [0.0, 0.05, 0.1, 0.15, 0.2, 0.25]
     assert points[0].i_ab == 1.0 and points[0].i_ae == 0.0
     assert points[-1].i_ae == pytest.approx(1.0, abs=1e-12)
-    buffer = io.StringIO()
-    write_curves_csv(points, buffer)
-    lines = buffer.getvalue().splitlines()
+    out = tmp_path / "ir.csv"
+    assert cli_main(["curves", "--attack", "ir", "--grid-step", "0.05", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
     assert lines[0] == "q1,I_AB,I_AE,I_BE,C_DR,C_RR"
     assert len(lines) == len(points) + 1
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 1.0
+
+
+@pytest.mark.parametrize("call", [lambda: threshold("bogus"), lambda: curve_points("bogus")],
+                         ids=["threshold", "curve_points"])
+def test_unknown_curve_raises_value_error_listing_the_models(call):
+    with pytest.raises(ValueError, match="expected one of") as info:
+        call()
+    assert all(name in str(info.value) for name in EVE_MODELS)

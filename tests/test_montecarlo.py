@@ -1,4 +1,4 @@
-import io
+import csv
 import json
 import math
 
@@ -18,7 +18,6 @@ from qkd2way.montecarlo import (
     report_text,
     run_batch,
     wilson_interval,
-    write_report,
 )
 from qkd2way.protocol import (
     RATE_NAMES,
@@ -225,19 +224,23 @@ def test_report_text_contains_verdicts():
     assert "q1" in text and "PASS" in text and "seed=39" in text
 
 
-def test_write_report_formats():
+def test_write_report_formats(tmp_path, capsys):
+    from qkd2way.cli import main as cli_main
+
     config = ProtocolConfig(protocol="lm05", rounds=2_000, seed=40)
     report = run_batch(config, AttackParams(kind="ir"))
-    csv_buf = io.StringIO()
-    write_report(report, csv_buf, "csv")
-    lines = csv_buf.getvalue().splitlines()
+    argv = ["simulate", "--attack", "ir", "--rounds", "2000", "--seed", "40"]
+    csv_out, jsonl_out = tmp_path / "report.csv", tmp_path / "report.jsonl"
+    assert cli_main([*argv, "--out", str(csv_out)]) == 0
+    lines = csv_out.read_text().splitlines()
     assert lines[0].startswith("rate,errors,trials")
     assert len(lines) == 5
-    jsonl_buf = io.StringIO()
-    write_report(report, jsonl_buf, "jsonl")
-    rows = [json.loads(line) for line in jsonl_buf.getvalue().splitlines()]
+    assert [row["errors"] for row in csv.DictReader(lines)] == [str(r.errors) for r in report.rates]
+    assert cli_main([*argv, "--format", "jsonl", "--out", str(jsonl_out)]) == 0
+    rows = [json.loads(line) for line in jsonl_out.read_text().splitlines()]
     assert rows[0]["record"] == "meta" and rows[0]["seed"] == 40
     assert rows[0]["engine"] == ENGINE and rows[0]["leaves"] == report.leaves > 0
-    assert {row["name"] for row in rows[1:]} == {"q1", "q_ab", "q_ae", "q_be"}
-    with pytest.raises(ValueError):
-        write_report(report, io.StringIO(), "xml")
+    assert [row["rate"] for row in rows[1:]] == ["q1", "q_ab", "q_ae", "q_be"]
+    capsys.readouterr()
+    assert cli_main([*argv, "--format", "xml", "--out", str(tmp_path / "x")]) == 2
+    assert "--format" in capsys.readouterr().err and not (tmp_path / "x").exists()

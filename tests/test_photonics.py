@@ -1,5 +1,6 @@
-import io
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from qkd2way.photonics import (
     DEFAULT_GAMMA_A,
     DEFAULT_GAMMA_B,
     MU_BRACKET,
-    GainPoint,
     LinkBudget,
     bs_eve_info,
     bs_success_prob,
@@ -24,8 +24,8 @@ from qkd2way.photonics import (
     raw_gain,
     scan_distances,
     secure_gain,
-    write_gain_csv,
 )
+from qkd2way.cli import main as cli_main
 from qkd2way.rng import stream
 
 MU_GRID = [0.01 * i for i in range(1, 201)]  # (0, 2]
@@ -240,22 +240,55 @@ def test_crossover_requires_distance_dependence():
         crossover_distance(l_lo=10.0, l_hi=50.0)  # LM05 already below at 10 km
 
 
-def test_scan_and_csv_export():
+def test_scan_and_csv_export(tmp_path, capsys):
     points = scan_distances("pns_margin", "lm05", [0.0, 5.0])
     assert [p.length_km for p in points] == [0.0, 5.0]
-    buffer = io.StringIO()
-    write_gain_csv(points, buffer, crossover_km=2.5)
-    lines = buffer.getvalue().splitlines()
+    out = tmp_path / "pns.csv"
+    assert cli_main(["pns", "--lmin", "0", "--lmax", "5", "--lstep", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
     assert lines[0] == "L_km,mu_star,value,log10_value,protocol,objective"
-    assert len(lines) == 4
-    assert lines[-1].split(",")[4] == "crossover"
+    assert len(lines) == 2 * len(points) + 2
+    footer = lines[-1].split(",")
+    assert footer[4:] == ["crossover", "pns_margin"] and 2.0 <= float(footer[0]) <= 3.0
     # positive margins carry their log10 for plotting parity
     first = lines[1].split(",")
     assert float(first[3]) == pytest.approx(math.log10(float(first[2])))
 
 
-def test_gain_csv_empty_log_for_nonpositive_values():
-    points = [GainPoint("lm05", "pns_margin", 200.0, 1e-5, -0.01)]
-    buffer = io.StringIO()
-    write_gain_csv(points, buffer)
-    assert buffer.getvalue().splitlines()[1].split(",")[3] == ""
+def test_gain_csv_empty_log_for_nonpositive_values(tmp_path, capsys):
+    # both protocols' PNS margins are negative at 1000 km
+    out = tmp_path / "pns.csv"
+    assert cli_main(["pns", "--lmin", "1000", "--lmax", "1000", "--lstep", "1",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:-1]]
+    assert [row[4] for row in rows] == ["bb84", "lm05"]
+    for row in rows:
+        assert float(row[2]) <= 0.0 and row[3] == ""
+
+
+@pytest.mark.parametrize("kwargs", ["tol_km=0.0", "tol_km=1e-300", "atten=0.0, l_hi=float('inf')",
+                                    "l_lo=1e17, l_hi=1e17 + 1e3"])
+def test_crossover_distance_returns_in_bounded_time(kwargs):
+    # each of these looped forever before: a bisection stalled on adjacent
+    # floats, or a distance scan that never reached l_hi
+    code = ("from qkd2way.photonics import crossover_distance\n"
+            "try:\n"
+            f"    print(crossover_distance({kwargs}))\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    if kwargs == "tol_km=1e-300":
+        assert float(proc.stdout) == pytest.approx(crossover_distance(), abs=0.01)
+    else:
+        assert proc.stdout.startswith("ValueError:")
+
+
+@pytest.mark.parametrize("kwargs", [dict(tol_km=-1.0), dict(tol_km=math.nan),
+                                    dict(tol_km=math.inf), dict(l_lo=math.nan),
+                                    dict(l_hi=math.inf), dict(l_lo=5.0, l_hi=1.0)])
+def test_crossover_distance_rejects_bad_bounds(kwargs):
+    with pytest.raises(ValueError, match="tol_km|l_lo <= l_hi"):
+        crossover_distance(**kwargs)

@@ -17,11 +17,8 @@ from qkd2way.qsim import (
     discriminate,
     gate_matrix,
     hadamard,
-    identity,
     measure,
     overlap,
-    pauli_x,
-    pauli_z,
     prepare,
     spin_flip,
     states_close,
@@ -31,9 +28,6 @@ from qkd2way.rng import stream
 SQ2 = 1.0 / math.sqrt(2.0)
 
 ALL_GATES = [
-    identity(0),
-    pauli_x(0),
-    pauli_z(0),
     spin_flip(0),
     hadamard(0),
     cnot(0, 1),
@@ -143,8 +137,7 @@ def _gates(num_wires):
     wires = st.integers(min_value=0, max_value=num_wires - 1)
     one_wire = st.builds(
         Gate,
-        st.sampled_from([GateKind.IDENTITY, GateKind.PAULI_X, GateKind.PAULI_Z,
-                         GateKind.SPIN_FLIP, GateKind.HADAMARD]),
+        st.sampled_from([GateKind.SPIN_FLIP, GateKind.HADAMARD]),
         wires.map(lambda w: (w,)),
     )
     if num_wires == 1:
