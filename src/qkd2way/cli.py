@@ -26,10 +26,13 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, astuple
 
+import numpy as np
+
+from . import __version__
 from .attacks import AttackParams
 from .infotheory import IDENTIFIED, MAX_GRID_POINTS, NoiseModel, curve_points, threshold
 from .montecarlo import compare, failures, run_batch, report_text
-from .photonics import crossover_distance, scan_distances
+from .photonics import NoCrossover, crossover_distance, scan_distances
 from .protocol import ProtocolConfig
 
 DEFAULT_SEED = 20050920
@@ -49,6 +52,19 @@ class UsageError(Exception):
     pass
 
 
+class _RaisingParser(argparse.ArgumentParser):
+    """Parser that raises UsageError where argparse would print usage and exit."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _out_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("needs a file path")
+    return text
+
+
 def _parse_model(text: str) -> NoiseModel:
     if text == "identified":
         return IDENTIFIED
@@ -60,8 +76,8 @@ def _parse_model(text: str) -> NoiseModel:
     raise UsageError(f"--model must be 'identified' or 'fixed:<value>', got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qkd2way", description=__doc__.split("\n")[0])
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(prog="qkd2way", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, help_text):
@@ -70,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="key=value defaults file")
-        p.add_argument("--out", help="output file path (default stdout)")
+        p.add_argument("--out", type=_out_path, help="output file path (default stdout)")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
     p = add_command("simulate", "run rounds under an attack and verify QBERs")
@@ -108,8 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_args(path: str) -> list[str]:
-    """The config file's key=value lines as --key=value arguments."""
+def _config_args(path: str, command: str) -> list[str]:
+    """The config file's key=value lines as --key=value arguments.
+
+    Each line is checked on its own as the command's only flag, so an error
+    names the file and line it came from.
+    """
+    checker = build_parser(_RaisingParser)
     args = []
     try:
         with open(path) as fh:
@@ -122,7 +143,12 @@ def _config_args(path: str) -> list[str]:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key == "config":
                     raise UsageError(f"{path}:{lineno}: a config file cannot name another")
-                args.append(f"--{key.replace('_', '-')}={value}")
+                arg = f"--{key.replace('_', '-')}={value}"
+                try:
+                    checker.parse_args([command, arg])
+                except UsageError as exc:
+                    raise UsageError(f"{path}:{lineno}: {line}: {exc}") from None
+                args.append(arg)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return args
@@ -139,9 +165,13 @@ def _resolve_seed(value) -> int:
 def _open_out(path):
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror}") from exc
+    with fh:
+        yield fh
 
 
 def write_rows(file, fmt: str, columns, rows) -> None:
@@ -174,7 +204,8 @@ def _cmd_simulate(args) -> int:
                         "attack": asdict(attack), "rounds": report.rounds,
                         "seed": report.seed, "workers": report.workers,
                         "engine": report.engine, "leaves": report.leaves,
-                        "elapsed_s": report.elapsed_s}
+                        "elapsed_s": report.elapsed_s, "enumerate_s": report.enumerate_s,
+                        "qkd2way": __version__, "numpy": np.__version__}
                 fh.write(json.dumps(meta) + "\n")
             write_rows(fh, args.format, REPORT_COLUMNS, map(astuple, report.rates))
     status = compare(report)
@@ -258,23 +289,25 @@ def _distance_grid(args) -> list[float]:
 
 def _scan_command(args, objective: str) -> int:
     grid = _distance_grid(args)
+    footer = []
+    if objective == "pns_margin":
+        # the crossover is the table's last row, marked protocol=crossover; it
+        # is found before the scan, so a span it refuses costs no scan
+        try:
+            km = crossover_distance(l_lo=args.lmin, l_hi=max(args.lmax, args.lmin + 1e-9))
+        except NoCrossover:
+            print("pns crossover: none in range")
+            footer.append((None, None, None, None, "crossover", "none in range"))
+        else:
+            print(f"pns crossover: {km:.2f} km")
+            footer.append((km, None, None, None, "crossover", objective))
     rows = []
     for protocol in ("bb84", "lm05"):
         for p in scan_distances(objective, protocol, grid):
             log10 = math.log10(p.value) if p.value > 0.0 else None
             rows.append((p.length_km, p.mu_star, p.value, log10, p.protocol, p.objective))
-    if objective == "pns_margin":
-        # the crossover is the table's last row, marked protocol=crossover
-        try:
-            km = crossover_distance(l_lo=args.lmin, l_hi=max(args.lmax, args.lmin + 1e-9))
-        except ValueError:
-            print("pns crossover: none in range")
-            rows.append((None, None, None, None, "crossover", "none in range"))
-        else:
-            print(f"pns crossover: {km:.2f} km")
-            rows.append((km, None, None, None, "crossover", objective))
     with _open_out(args.out) as fh:
-        write_rows(fh, args.format, SCAN_COLUMNS, rows)
+        write_rows(fh, args.format, SCAN_COLUMNS, rows + footer)
     return 0
 
 
@@ -286,7 +319,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             # file values go ahead of the command line's flags, so a flag wins
             at = argv.index(args.command) + 1
-            args = parser.parse_args([*argv[:at], *_config_args(args.config), *argv[at:]])
+            args = parser.parse_args([*argv[:at], *_config_args(args.config, args.command), *argv[at:]])
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "curves":

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .numerics import bisect_first_zero
+from .numerics import MAX_GRID_POINTS, bisect_first_zero
 
 EVE_MODELS = ("ir", "nort", "dcnot_star", "generic", "bb84_ir", "bb84_opt")
 
@@ -50,7 +50,6 @@ _DOMAIN_MAX = {
     "bb84_opt": 0.5,
 }
 _DOMAIN_EPS = 1e-12
-MAX_GRID_POINTS = 1_000_000  # cap on the q1 and distance grids the CLI builds
 _CAPACITY_TOL = 1e-12
 _LOG2_3 = math.log2(3.0)
 

@@ -51,6 +51,7 @@ class BatchReport:
     elapsed_s: float
     engine: str = ENGINE
     leaves: int = 0
+    enumerate_s: float = 0.0  # of elapsed_s, the time spent building the leaf table
 
 
 def wilson_interval(errors: int, trials: int, z: float = _CI_Z) -> tuple[float, float]:
@@ -89,14 +90,14 @@ def predicted_rates(protocol: str, attack: AttackParams) -> dict[str, Optional[f
         return {"q1": 0.25 * xi, "q_ab": 0.25 * xi,
                 "q_ae": 0.0 if guessed else None, "q_be": 0.25 if guessed else None}
     if kind == "nort":
+        # p, pp: Eve's error reading the forward / backward probe
         p = (1.0 - math.sin(attack.x)) / 2.0
         pp = (1.0 - math.sin(attack.x_prime)) / 2.0
-        copy_exact = abs(attack.x_prime - math.pi / 2) < 1e-9
+        q_ae = p * (1.0 - pp) + (1.0 - p) * pp
         return {"q1": xi * (1.0 - math.cos(attack.x)) / 4.0,
-                # misaligned backward copy fully scrambles Bob's outcome
-                "q_ab": 0.25 * xi if copy_exact else None,
-                "q_ae": (p * (1.0 - pp) + (1.0 - p) * pp) if guessed else None,
-                "q_be": (2.0 - math.sin(attack.x)) / 4.0 if (guessed and copy_exact) else None}
+                "q_ab": xi * (1.0 - math.cos(attack.x) * math.cos(attack.x_prime)) / 4.0,
+                "q_ae": q_ae if guessed else None,
+                "q_be": 0.25 + q_ae / 2.0 if guessed else None}
     chi = attack.chi if kind == "dcnot_star" else 0.0
     return {"q1": 0.25 * xi, "q_ab": chi * xi,
             "q_ae": 0.0 if guessed else None, "q_be": 0.0 if guessed else None}
@@ -119,6 +120,7 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK,
     predictions = predicted_rates(config.protocol, attack)  # validates the combo
     started = time.perf_counter()
     table = enumerate_round(config, attack)
+    enumerated = time.perf_counter()
     hits = table.draw(n, seed)
     counters = (hits @ table.counts).tolist()
     total = Tallies(*zip(counters[0::2], counters[1::2]))
@@ -139,7 +141,7 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK,
         rates.append(RateReport(name, errors, trials, errors / trials, lo95, hi95, prediction, verdict))
     return BatchReport(config=config, attack=attack, rounds=n, seed=seed, workers=workers,
                        tallies=total, rates=tuple(rates), elapsed_s=elapsed,
-                       leaves=len(table.weights))
+                       leaves=len(table.weights), enumerate_s=enumerated - started)
 
 
 def failures(report: BatchReport) -> list[str]:

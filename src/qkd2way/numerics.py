@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+MAX_GRID_POINTS = 1_000_000  # cap on the q1 and distance grids and on the steps of a scan
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .numerics import golden_max
+from .numerics import MAX_GRID_POINTS, golden_max
 
 PROTOCOLS = ("bb84", "lm05")
 OBJECTIVES = ("secure_gain", "pns_margin")
@@ -211,6 +211,10 @@ def scan_distances(objective: str, protocol: str, lengths_km: Sequence[float],
     return points
 
 
+class NoCrossover(ValueError):
+    """The PNS margins of LM05 and BB84 do not cross in the searched span."""
+
+
 def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float = 0.01,
                        eta_d: float = DEFAULT_ETA_D, gamma_B: float = DEFAULT_GAMMA_B,
                        gamma_A: float = DEFAULT_GAMMA_A, atten: float = DEFAULT_ATTEN) -> float:
@@ -218,13 +222,19 @@ def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float 
 
     LM05's margin is larger at short range (it needs three-photon pulses
     to be broken) but decays faster with distance; raises ValueError when
-    no crossing with LM05 initially on top exists in [l_lo, l_hi].
+    no crossing with LM05 initially on top exists in [l_lo, l_hi] (as
+    :class:`NoCrossover`), or when the scan of the span would take more than
+    MAX_GRID_POINTS steps.
     """
     # written so that NaN, which fails every comparison, is rejected too
     if not 0.0 < tol_km < math.inf:
         raise ValueError(f"tol_km must be positive and finite, got {tol_km}")
     if not (math.isfinite(l_lo) and math.isfinite(l_hi) and l_lo <= l_hi):
         raise ValueError(f"need finite l_lo <= l_hi, got [{l_lo}, {l_hi}]")
+    step = max(tol_km, min(1.0, (l_hi - l_lo) / 16.0))
+    if (l_hi - l_lo) / step > MAX_GRID_POINTS:
+        raise ValueError(f"[{l_lo}, {l_hi}] km takes more than {MAX_GRID_POINTS} scan steps "
+                         f"of {step} km")
     kwargs = dict(eta_d=eta_d, gamma_B=gamma_B, gamma_A=gamma_A, atten=atten)
 
     def diff(length: float) -> float:
@@ -233,8 +243,7 @@ def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float 
         return lm05 - bb84
 
     if diff(l_lo) <= 0.0:
-        raise ValueError(f"LM05 margin does not exceed BB84 at L = {l_lo} km; no crossover in range")
-    step = max(tol_km, min(1.0, (l_hi - l_lo) / 16.0))
+        raise NoCrossover(f"LM05 margin does not exceed BB84 at L = {l_lo} km; no crossover in range")
     lo = l_lo
     hi = None
     length = l_lo + step
@@ -246,7 +255,7 @@ def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float 
         lo = length
         length += step
     if hi is None:
-        raise ValueError(f"no PNS crossover found in [{l_lo}, {l_hi}] km; check the link parameters")
+        raise NoCrossover(f"no PNS crossover found in [{l_lo}, {l_hi}] km; check the link parameters")
     while hi - lo > tol_km:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink further

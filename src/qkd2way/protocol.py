@@ -47,7 +47,7 @@ import numpy as np
 
 from . import rng as _rng
 from .attacks import NO_ATTACK, AttackParams, AttackStrategy, make_strategy
-from .qsim import Basis, apply, measure, prepare, spin_flip
+from .qsim import Basis, apply, measure, prepare, shared_evolution, spin_flip
 from .rng import coin
 
 LOST = None  # Bob's outcome when the qubit never returns
@@ -259,7 +259,10 @@ def enumerate_round(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) ->
     """Exact outcome distribution of one round, by running it once per coin path."""
     strategy = make_strategy(attack)
     round_fn = run_round_lm05 if config.protocol == "lm05" else run_round_bb84
-    weights, records = zip(*_rng.enumerate_paths(lambda branch: round_fn(config, strategy, branch)))
+    # paths share their prefixes, so each distinct quantum step is computed
+    # once per call; the scope closes before the table is returned
+    with shared_evolution():
+        weights, records = zip(*_rng.enumerate_paths(lambda branch: round_fn(config, strategy, branch)))
     total = math.fsum(weights)
     if abs(total - 1.0) > _WEIGHT_ATOL:
         raise ValueError(f"leaf weights sum to {total!r}, not 1")

@@ -22,12 +22,28 @@ Conventions
   which makes the computational basis the minimum-error (Helstrom)
   measurement for every x, with error probability (1 - sin x)/2.  At
   x = pi/2 the gate acts on a fresh ancilla exactly like a CNOT copy.
+
+Shared evolution
+----------------
+Enumerating a round's outcome paths replays the round once per path, so
+the same state meets the same gate or measurement again and again.  Inside
+a :func:`shared_evolution` scope, :func:`apply`, :func:`attach_ancilla` and
+:func:`measure` compute each distinct (input state, gate / wire and basis)
+step once and hand back the stored result on every repeat, keyed by the
+input's identity.  A stored measurement keeps the snapped Born probability
+and both collapsed states, and still draws its outcome through
+:func:`qkd2way.rng.coin` with that probability, so streams see the same
+coins in the same order as outside the scope.  The memo lives only as long
+as the scope: ``protocol.enumerate_round`` opens one per call, and nothing
+is kept between calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -84,6 +100,8 @@ class Gate:
     kind: GateKind
     wires: tuple[int, ...]
     angle: float | None = None
+    # full-register matrix per register width, filled on first use
+    _full: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         two_wire = self.kind in (GateKind.CNOT, GateKind.ANCILLA_ROTATION)
@@ -162,17 +180,45 @@ def _expanded_matrix(gate: Gate, num_wires: int) -> np.ndarray:
     return full
 
 
-@lru_cache(maxsize=None)
-def _hadamard_on(num_wires: int, wire: int) -> np.ndarray:
-    # keyed by plain ints: cheaper per measurement than building and hashing a Gate
-    return _expanded_matrix(hadamard(wire), num_wires)
+def _full_matrix(gate: Gate, num_wires: int) -> np.ndarray:
+    """The gate's full-register matrix, kept on the gate itself.
+
+    The Gate dataclass is hashed (for _expanded_matrix's cache, which equal
+    gates built apart share) only on its first use at each register width.
+    """
+    full = gate._full.get(num_wires)
+    if full is None:
+        full = gate._full[num_wires] = _expanded_matrix(gate, num_wires)
+    return full
 
 
 @lru_cache(maxsize=None)
-def _wire_indices(num_wires: int, wire: int) -> tuple[np.ndarray, np.ndarray]:
+def _wire_table(num_wires: int, wire: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Hadamard on the wire, indices where the wire reads 0, where it reads 1).
+
+    Keyed by plain ints: cheaper per measurement than building and hashing a Gate.
+    """
     idx = np.arange(2 ** num_wires)
     bit = (idx >> (num_wires - 1 - wire)) & 1
-    return idx[bit == 0], idx[bit == 1]
+    return _expanded_matrix(hadamard(wire), num_wires), idx[bit == 0], idx[bit == 1]
+
+
+# the memo of the innermost open shared_evolution() scope, None outside one
+_SHARED: ContextVar[dict | None] = ContextVar("qsim_shared_evolution", default=None)
+
+
+@contextmanager
+def shared_evolution():
+    """Scope in which each distinct qsim step is computed once (see the module doc).
+
+    Every stored result holds its inputs, so no input's id is recycled
+    while the scope is open; the memo is dropped when the scope closes.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
 
 
 def _check_wires(state: StateVector, wires: tuple[int, ...]):
@@ -203,19 +249,75 @@ def prepare(basis: Basis, bit: int) -> StateVector:
     return _PREPARED[(basis, bit)]
 
 
+def _evolve(state: StateVector, gate: Gate) -> StateVector:
+    _check_wires(state, gate.wires)
+    return _sv(_full_matrix(gate, state.num_wires) @ state.amps, state.num_wires)
+
+
 def apply(state: StateVector, gate: Gate) -> StateVector:
     """U|state>; unitary gates keep the norm at machine precision."""
-    _check_wires(state, gate.wires)
-    return _sv(_expanded_matrix(gate, state.num_wires) @ state.amps, state.num_wires)
+    memo = _SHARED.get()
+    if memo is None:
+        return _evolve(state, gate)
+    key = (id(state), id(gate))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (state, gate, _evolve(state, gate))
+    return hit[2]
 
 
-def attach_ancilla(state: StateVector) -> StateVector:
-    """Tensor a fresh |0> wire onto the register (new wire = highest index)."""
+def _attach(state: StateVector) -> StateVector:
     if state.num_wires >= MAX_WIRES:
         raise ValueError(f"register already at maximum size {MAX_WIRES}")
     amps = np.zeros(2 * state.amps.shape[0], dtype=complex)
     amps[0::2] = state.amps
     return _sv(amps, state.num_wires + 1)
+
+
+def attach_ancilla(state: StateVector) -> StateVector:
+    """Tensor a fresh |0> wire onto the register (new wire = highest index)."""
+    memo = _SHARED.get()
+    if memo is None:
+        return _attach(state)
+    hit = memo.get(id(state))
+    if hit is None:
+        hit = memo[id(state)] = (state, _attach(state))
+    return hit[1]
+
+
+def _born(state: StateVector, table, basis: Basis) -> tuple[np.ndarray, float]:
+    """(amplitudes in the measured basis, snapped probability of outcome 0)."""
+    amps = state.amps
+    if basis is Basis.X:
+        amps = table[0] @ amps
+    kept = amps[table[1]]
+    p0 = float(np.vdot(kept, kept).real)
+    # an impossible outcome must never be drawn or enumerated, nor renormalised
+    if p0 < BORN_SNAP:
+        p0 = 0.0
+    elif p0 > 1.0 - BORN_SNAP:
+        p0 = 1.0
+    return amps, p0
+
+
+def _collapse(amps: np.ndarray, num_wires: int, table, basis: Basis,
+              outcome: int, p_keep: float) -> StateVector:
+    keep = table[1 + outcome]
+    post = np.zeros(amps.shape[0], dtype=complex)
+    post[keep] = amps[keep] / math.sqrt(p_keep)
+    if basis is Basis.X:
+        post = table[0] @ post
+    return _sv(post, num_wires)
+
+
+def _outcomes(state: StateVector, wire: int, basis: Basis):
+    """(p0, collapse on 0, collapse on 1); an impossible outcome, never drawn, has None."""
+    _check_wires(state, (wire,))
+    n = state.num_wires
+    table = _wire_table(n, wire)
+    amps, p0 = _born(state, table, basis)
+    return (p0, _collapse(amps, n, table, basis, 0, p0) if p0 > 0.0 else None,
+            _collapse(amps, n, table, basis, 1, 1.0 - p0) if p0 < 1.0 else None)
 
 
 def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, StateVector]:
@@ -224,29 +326,24 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
     Outcomes follow the Born rule; the returned state is the normalized
     post-measurement collapse (other wires keep their correlations).
     """
-    _check_wires(state, (wire,))
-    n = state.num_wires
-    amps = state.amps
-    if basis is Basis.X:
-        amps = _hadamard_on(n, wire) @ amps
-    idx0, idx1 = _wire_indices(n, wire)
-    kept = amps[idx0]
-    p0 = float(np.vdot(kept, kept).real)
-    # an impossible outcome must never be drawn or enumerated, nor renormalised
-    if p0 < BORN_SNAP:
-        p0 = 0.0
-    elif p0 > 1.0 - BORN_SNAP:
-        p0 = 1.0
-    if coin(rng, p0):
-        outcome, keep, p_keep = 0, idx0, p0
-    else:
-        outcome, keep, p_keep = 1, idx1, 1.0 - p0
-        kept = amps[idx1]
-    post = np.zeros_like(amps)
-    post[keep] = kept / math.sqrt(p_keep)
-    if basis is Basis.X:
-        post = _hadamard_on(n, wire) @ post
-    return outcome, _sv(post, n)
+    memo = _SHARED.get()
+    if memo is None:
+        _check_wires(state, (wire,))
+        n = state.num_wires
+        table = _wire_table(n, wire)
+        amps, p0 = _born(state, table, basis)
+        # only the drawn outcome is collapsed: a sampling loop never uses the other
+        if coin(rng, p0):
+            return 0, _collapse(amps, n, table, basis, 0, p0)
+        return 1, _collapse(amps, n, table, basis, 1, 1.0 - p0)
+    # keyed by a bool, not the Enum: an Enum hashes in Python, a bool in C
+    key = (id(state), wire, basis is Basis.X)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (state, *_outcomes(state, wire, basis))
+    if coin(rng, hit[1]):
+        return 0, hit[2]
+    return 1, hit[3]
 
 
 def discriminate(state: StateVector, wire: int, overlap_angle: float, rng) -> tuple[int, StateVector]:

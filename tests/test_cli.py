@@ -110,6 +110,35 @@ def test_config_file_cannot_name_another_config_file(tmp_path, capsys):
     assert "cannot name another" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["rounds = x", "bogus = 1"])
+def test_config_file_errors_name_the_file_and_line(line, tmp_path, capsys):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"seed = 5\n{line}\n")
+    assert _run(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {cfg}:2: {line}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["curves"], ["thresholds"], ["gain", "--lmax", "1"], ["pns", "--lmax", "1"],
+    ["simulate", "--rounds", "1000"],
+])
+@pytest.mark.parametrize("where", ["missing directory", "empty config line"])
+def test_bad_out_path_is_a_usage_error(argv, where, tmp_path, capsys):
+    # a bad path exits 2 with a message, never with an OSError traceback
+    if where == "missing directory":
+        argv = [*argv, "--out", str(tmp_path / "missing" / "out.csv")]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out =\n")
+        argv = [*argv, "--config", str(cfg)]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--out" in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_curves_csv_values(tmp_path):
     out = tmp_path / "ir.csv"
     assert _run(["curves", "--attack", "ir", "--grid-step", "0.005", "--out", str(out)]) == 0
@@ -222,7 +251,9 @@ def test_curves_rejects_non_finite_grid_step(step, capsys):
 
 
 @pytest.mark.parametrize("argv", [["curves", "--grid-step", "1e-300"],
-                                  ["gain", "--lmax", "1e9", "--lstep", "1e-9"]])
+                                  ["gain", "--lmax", "1e9", "--lstep", "1e-9"],
+                                  # a grid of 500,000 distances, but a crossover span of 2e6 km
+                                  ["pns", "--lmax", "2e6", "--lstep", "4"]])
 def test_oversized_grids_are_refused_before_they_are_built(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "qkd2way", *argv],

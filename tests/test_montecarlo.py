@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import io
 import json
 import math
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkd2way import qsim
 from qkd2way.attacks import AttackParams, make_strategy
 from qkd2way.montecarlo import (
     ENGINE,
@@ -28,8 +31,10 @@ from qkd2way.protocol import (
     run_round_bb84,
     run_round_lm05,
     tally,
+    write_round_log,
 )
-from qkd2way.rng import coin, stream
+from qkd2way.qsim import Basis, apply, measure, prepare, shared_evolution, spin_flip
+from qkd2way.rng import Branching, coin, enumerate_paths, stream
 
 
 def test_predicted_rates_closed_forms():
@@ -138,14 +143,30 @@ _EXACT_IDS = [f"{p}-{a.kind}-xi{a.xi:g}-x{a.x:.3g}-xp{a.x_prime:.3g}-chi{a.chi:g
               for p, a in EXACT_SCENARIOS]
 
 
-@pytest.mark.parametrize("protocol,attack", EXACT_SCENARIOS, ids=_EXACT_IDS)
-def test_leaf_table_reproduces_closed_forms_exactly(protocol, attack):
-    table = enumerate_round(ProtocolConfig(protocol=protocol), attack)
+# nort over forward and backward probe angles (ends included), attacked
+# fraction and control-mode probability: every rate has a closed form
+_NORT_GRID = [(AttackParams(kind="nort", xi=xi, x=x, x_prime=xp), c)
+              for x in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2)
+              for xp in (0.0, 0.7, 1.1, math.pi / 2)
+              for xi in (1.0, 0.3)
+              for c in (0.25, 0.6)]
+_CLOSED_FORM_CASES = ([(p, a, 0.25) for p, a in EXACT_SCENARIOS]
+                      + [("lm05", a, c) for a, c in _NORT_GRID])
+_CLOSED_FORM_IDS = _EXACT_IDS + [f"lm05-nort-xi{a.xi:g}-x{a.x:.3g}-xp{a.x_prime:.3g}-c{c:g}"
+                                 for a, c in _NORT_GRID]
+
+
+@pytest.mark.parametrize("protocol,attack,control_prob", _CLOSED_FORM_CASES, ids=_CLOSED_FORM_IDS)
+def test_leaf_table_reproduces_closed_forms_exactly(protocol, attack, control_prob):
+    table = enumerate_round(ProtocolConfig(protocol=protocol, control_prob=control_prob), attack)
     assert abs(math.fsum(table.weights) - 1.0) <= 1e-12
     # no leaf is a rounding-noise branch of an impossible Born outcome
     assert (table.weights > 1e-12).all()
     exact = table.exact_rates()
-    for name, prediction in predicted_rates(protocol, attack).items():
+    predictions = predicted_rates(protocol, attack)
+    if protocol == "lm05" and attack.kind != "none" and attack.xi > 0:
+        assert None not in predictions.values()  # every rate of an LM05 attack is gated
+    for name, prediction in predictions.items():
         if prediction is not None:
             assert abs(exact[name] - prediction) <= 1e-12, name
     if (protocol, attack.kind) == ("lm05", "none"):
@@ -156,6 +177,91 @@ def test_enumerate_round_rejects_weights_not_summing_to_one(monkeypatch):
     monkeypatch.setattr("qkd2way.protocol.run_round_lm05", lambda config, strategy, rng: coin(rng, 1.5))
     with pytest.raises(ValueError, match="sum to"):
         enumerate_round(ProtocolConfig(protocol="lm05"))
+
+
+_IDENTITY_SCENARIOS = EXACT_SCENARIOS + [("lm05", AttackParams(kind="nort", x=0.0, x_prime=0.0))]
+
+
+@pytest.mark.parametrize("protocol,attack", _IDENTITY_SCENARIOS,
+                         ids=_EXACT_IDS + ["lm05-nort-xi1-x0-xp0-chi0"])
+def test_shared_evolution_keeps_the_leaf_table_bit_identical(protocol, attack):
+    # reference: the same replay with every quantum step recomputed, outside any scope
+    config = ProtocolConfig(protocol=protocol)
+    round_fn = run_round_lm05 if protocol == "lm05" else run_round_bb84
+    strategy = make_strategy(attack)
+    weights, records = zip(*enumerate_paths(lambda branch: round_fn(config, strategy, branch)))
+    table = enumerate_round(config, attack)
+    assert np.array_equal(table.weights, np.array(weights))
+    assert table.records == records
+
+
+# run_batch tallies (seed 11, 20,000 rounds) and the round log's sha256
+# prefix (seed 12, 3,000 rounds), recorded before shared evolution existed
+_PINNED = [
+    ("lm05", AttackParams(kind="ir", xi=0.5),
+     ((291, 2380), (198, 1531), (0, 7469), (1891, 7469)), "3b1cef4d400e5e62"),
+    ("lm05", AttackParams(kind="nort", x=math.pi / 4),
+     ((195, 2525), (361, 1521), (2179, 15040), (4827, 15040)), "82846a1b58ddc76f"),
+    ("lm05", AttackParams(kind="nort", x=0.7, x_prime=1.1),
+     ((128, 2513), (285, 1509), (3218, 15041), (5364, 15041)), "51c8122779089422"),
+    ("lm05", AttackParams(kind="dcnot_star", chi=0.1),
+     ((637, 2506), (139, 1468), (0, 14991), (0, 14991)), "0999706d38669cc8"),
+    ("bb84", AttackParams(kind="ir"),
+     ((2382, 9801), (0, 0), (0, 0), (2447, 9801)), "475b0472f2779610"),
+]
+
+
+@pytest.mark.parametrize("protocol,attack,tallies,log_digest", _PINNED,
+                         ids=[f"{p}-{a.kind}" for p, a, _, _ in _PINNED])
+def test_seeded_tallies_and_round_logs_are_pinned(protocol, attack, tallies, log_digest):
+    report = run_batch(ProtocolConfig(protocol=protocol, rounds=20_000, seed=11), attack)
+    assert report.tallies == Tallies(*tallies)
+    log = io.StringIO()
+    write_round_log(run(ProtocolConfig(protocol=protocol, rounds=3_000, seed=12), attack), log)
+    assert hashlib.sha256(log.getvalue().encode()).hexdigest()[:16] == log_digest
+
+
+def _memo_is_open() -> bool:
+    state, gate = prepare(Basis.X, 0), spin_flip(0)
+    return apply(state, gate) is apply(state, gate)
+
+
+def test_shared_evolution_memo_lives_for_one_call(monkeypatch):
+    state = prepare(Basis.X, 0)
+    with shared_evolution():
+        assert _memo_is_open()
+        zero = measure(state, 0, Basis.Z, Branching())
+        one = measure(state, 0, Basis.Z, Branching((False,)))
+        assert (zero[0], one[0]) == (0, 1)
+        assert measure(state, 0, Basis.Z, Branching())[1] is zero[1]
+    assert not _memo_is_open()
+    computed = []
+    for name in ("_evolve", "_attach", "_born"):
+        kernel = getattr(qsim, name)
+        monkeypatch.setattr(qsim, name, lambda *args, kernel=kernel: computed.append(kernel) or kernel(*args))
+    config, attack = ProtocolConfig(), AttackParams(kind="nort", x=0.7, x_prime=1.1)
+    enumerate_round(config, attack)
+    once = len(computed)
+    # no memo survives the call: a repeat computes every step again
+    enumerate_round(config, attack)
+    assert len(computed) == 2 * once > 0
+    assert not _memo_is_open()
+    # within a call, paths share their prefixes' steps: a replay outside
+    # the scope computes several times as many
+    strategy = make_strategy(attack)
+    list(enumerate_paths(lambda branch: run_round_lm05(config, strategy, branch)))
+    assert len(computed) - 2 * once > 5 * once
+
+
+@pytest.mark.parametrize("round_fn", [
+    lambda config, strategy, rng: coin(rng, 1.5),  # weights do not sum to 1
+    lambda config, strategy, rng: apply(prepare(Basis.Z, 0), spin_flip(1)),  # raises mid-round
+], ids=["weights-sum", "round-raises"])
+def test_shared_evolution_memo_closes_when_enumerate_round_raises(round_fn, monkeypatch):
+    monkeypatch.setattr("qkd2way.protocol.run_round_lm05", round_fn)
+    with pytest.raises(ValueError):
+        enumerate_round(ProtocolConfig(protocol="lm05"))
+    assert not _memo_is_open()
 
 
 @pytest.mark.parametrize("protocol,attack", EXACT_SCENARIOS, ids=_EXACT_IDS)
@@ -190,7 +296,7 @@ def test_run_batch_verdicts_pass_for_calibrated_attack():
     verdicts = {r.name: r.verdict for r in report.rates}
     assert verdicts == {"q1": "PASS", "q_ab": "PASS", "q_ae": "PASS", "q_be": "PASS"}
     assert compare(report) == 0
-    assert report.elapsed_s > 0.0
+    assert 0.0 < report.enumerate_s <= report.elapsed_s
 
 
 def test_no_attack_report_skips_eve_rates():

@@ -12,8 +12,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+import qkd2way
 from qkd2way.attacks import AttackParams
 from qkd2way.cli import main
 from qkd2way.infotheory import curve_points, threshold
@@ -116,8 +118,10 @@ def test_jsonl_records_carry_the_csv_columns_and_cells(case, tmp_path, capsys):
         meta = records.pop(0)
         assert meta["record"] == "meta"
         assert set(meta) == {"record", "protocol", "attack", "rounds", "seed", "workers",
-                             "engine", "leaves", "elapsed_s"}
+                             "engine", "leaves", "elapsed_s", "enumerate_s", "qkd2way", "numpy"}
         assert (meta["rounds"], meta["seed"], meta["attack"]["x"]) == (20_000, 7, 0.7)
+        assert (meta["qkd2way"], meta["numpy"]) == (qkd2way.__version__, np.__version__)
+        assert 0.0 < meta["enumerate_s"] <= meta["elapsed_s"]
     assert len(records) == len(cells)
     for record, row in zip(records, cells):
         assert list(record) == header

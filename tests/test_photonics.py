@@ -14,6 +14,7 @@ from qkd2way.photonics import (
     DEFAULT_GAMMA_B,
     MU_BRACKET,
     LinkBudget,
+    NoCrossover,
     bs_eve_info,
     bs_success_prob,
     crossover_distance,
@@ -269,10 +270,10 @@ def test_gain_csv_empty_log_for_nonpositive_values(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kwargs", ["tol_km=0.0", "tol_km=1e-300", "atten=0.0, l_hi=float('inf')",
-                                    "l_lo=1e17, l_hi=1e17 + 1e3"])
+                                    "l_lo=1e17, l_hi=1e17 + 1e3", "atten=0.0, l_hi=1e12"])
 def test_crossover_distance_returns_in_bounded_time(kwargs):
     # each of these looped forever before: a bisection stalled on adjacent
-    # floats, or a distance scan that never reached l_hi
+    # floats, or a distance scan that never reached l_hi (or took 1e12 steps)
     code = ("from qkd2way.photonics import crossover_distance\n"
             "try:\n"
             f"    print(crossover_distance({kwargs}))\n"
@@ -284,6 +285,17 @@ def test_crossover_distance_returns_in_bounded_time(kwargs):
         assert float(proc.stdout) == pytest.approx(crossover_distance(), abs=0.01)
     else:
         assert proc.stdout.startswith("ValueError:")
+    if kwargs == "atten=0.0, l_hi=1e12":  # refused before the first step
+        assert "scan steps" in proc.stdout
+
+
+def test_crossover_distance_tells_no_crossing_from_a_refused_span():
+    # the pns table reports NoCrossover as "none in range"; a refused span is an error
+    with pytest.raises(NoCrossover):
+        crossover_distance(l_lo=10.0, l_hi=50.0)
+    with pytest.raises(ValueError, match="scan steps") as refused:
+        crossover_distance(l_hi=2e6)  # the crossing at 2.64 km is in range
+    assert not isinstance(refused.value, NoCrossover)
 
 
 @pytest.mark.parametrize("kwargs", [dict(tol_km=-1.0), dict(tol_km=math.nan),
