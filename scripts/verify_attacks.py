@@ -33,13 +33,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rounds", type=int, default=1_000_000)
     parser.add_argument("--seed", type=int, default=20050920)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     status = 0
     for protocol, attack in SCENARIOS:
         config = ProtocolConfig(protocol=protocol, rounds=args.rounds, seed=args.seed)
-        report = run_batch(config, attack, workers=args.workers)
+        report = run_batch(config, attack)
         print(report_text(report))
         print()
         status = max(status, compare(report))

@@ -10,9 +10,11 @@ pns         PNS security-region margins vs distance, with the crossover
 
 Every flag can also be given in a key=value config file (--config): each
 line is read as the flag --key=value, with the same type and choice checks,
-and an explicit flag wins over the file.  The default seed comes from the
-QKD2WAY_SEED environment variable when set.  Exit codes: 0 success or
-all-pass, 1 verification failure, 2 usage error.
+and an explicit flag wins over the file.  --out is opened once the inputs
+are checked and before anything is printed, so a bad path exits 2 with
+nothing on stdout and a rejected input creates no file.  The default seed
+comes from the QKD2WAY_SEED environment variable when set.  Exit codes: 0
+success or all-pass, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -100,7 +102,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--seed", type=int)
     p.add_argument("--c", type=float, default=0.25, help="control-mode probability")
     p.add_argument("--reveal", type=float, default=0.1, help="revealed EM fraction")
-    p.add_argument("--workers", type=int, default=1)
     add_common(p)
 
     p = add_command("curves", "information curves vs q1")
@@ -195,10 +196,12 @@ def _cmd_simulate(args) -> int:
     config = ProtocolConfig(protocol=args.protocol, control_prob=args.c,
                             rounds=args.rounds, seed=_resolve_seed(args.seed),
                             reveal_fraction=args.reveal)
-    report = run_batch(config, attack, workers=args.workers)
-    print(report_text(report))
-    if args.out:
-        with _open_out(args.out) as fh:
+    # the run is where the protocol checks the attack, so it comes first;
+    # it takes milliseconds, and nothing is printed before --out is open
+    report = run_batch(config, attack)
+    with _open_out(args.out) as fh:
+        print(report_text(report))
+        if args.out:
             if args.format == "jsonl":
                 meta = {"record": "meta", "protocol": config.protocol,
                         "attack": asdict(attack), "rounds": report.rounds,
@@ -238,32 +241,32 @@ _NA_REASONS = {
 
 def _cmd_thresholds(args) -> int:
     model = _parse_model(args.model)
-    rows = []
-    for label, lm05_curve, bb84_curve in _TABLE_ROWS:
-        row = [label]
-        for column, curve, recon in (("dr", lm05_curve, "dr"), ("rr", lm05_curve, "rr"),
-                                     ("bb84", bb84_curve, "dr")):
-            if curve is None or (label, column) in _NA_REASONS:
-                row.append(None)
-            else:
-                row.append(threshold(curve, recon, model))
-        rows.append(row)
+    with _open_out(args.out) as fh:
+        rows = []
+        for label, lm05_curve, bb84_curve in _TABLE_ROWS:
+            row = [label]
+            for column, curve, recon in (("dr", lm05_curve, "dr"), ("rr", lm05_curve, "rr"),
+                                         ("bb84", bb84_curve, "dr")):
+                if curve is None or (label, column) in _NA_REASONS:
+                    row.append(None)
+                else:
+                    row.append(threshold(curve, recon, model))
+            rows.append(row)
 
-    def render(value, label, column):
-        if value is None:
-            reason = _NA_REASONS.get((label, column))
-            return f"n/a ({reason})" if reason else "secure everywhere"
-        return f"{100.0 * value:.1f}"
+        def render(value, label, column):
+            if value is None:
+                reason = _NA_REASONS.get((label, column))
+                return f"n/a ({reason})" if reason else "secure everywhere"
+            return f"{100.0 * value:.1f}"
 
-    table = [("attack", "LM05-DR (%)", "LM05-RR (%)", "BB84 (%)")]
-    for label, *values in rows:
-        cells = (render(v, label, k) for v, k in zip(values, ("dr", "rr", "bb84")))
-        table.append((label, *cells))
-    widths = [max(len(row[i]) for row in table) + 2 for i in range(3)]
-    for row in table:
-        print("".join(cell.ljust(width) for cell, width in zip(row, widths)) + row[3])
-    if args.out:
-        with _open_out(args.out) as fh:
+        table = [("attack", "LM05-DR (%)", "LM05-RR (%)", "BB84 (%)")]
+        for label, *values in rows:
+            cells = (render(v, label, k) for v, k in zip(values, ("dr", "rr", "bb84")))
+            table.append((label, *cells))
+        widths = [max(len(row[i]) for row in table) + 2 for i in range(3)]
+        for row in table:
+            print("".join(cell.ljust(width) for cell, width in zip(row, widths)) + row[3])
+        if args.out:
             write_rows(fh, args.format, THRESHOLD_COLUMNS, rows)
     return 0
 
@@ -289,24 +292,24 @@ def _distance_grid(args) -> list[float]:
 
 def _scan_command(args, objective: str) -> int:
     grid = _distance_grid(args)
-    footer = []
-    if objective == "pns_margin":
-        # the crossover is the table's last row, marked protocol=crossover; it
-        # is found before the scan, so a span it refuses costs no scan
-        try:
-            km = crossover_distance(l_lo=args.lmin, l_hi=max(args.lmax, args.lmin + 1e-9))
-        except NoCrossover:
-            print("pns crossover: none in range")
-            footer.append((None, None, None, None, "crossover", "none in range"))
-        else:
-            print(f"pns crossover: {km:.2f} km")
-            footer.append((km, None, None, None, "crossover", objective))
-    rows = []
-    for protocol in ("bb84", "lm05"):
-        for p in scan_distances(objective, protocol, grid):
-            log10 = math.log10(p.value) if p.value > 0.0 else None
-            rows.append((p.length_km, p.mu_star, p.value, log10, p.protocol, p.objective))
     with _open_out(args.out) as fh:
+        footer = []
+        if objective == "pns_margin":
+            # the crossover is the table's last row, marked protocol=crossover; it
+            # is found before the scan, so a span it refuses costs no scan
+            try:
+                km = crossover_distance(l_lo=args.lmin, l_hi=max(args.lmax, args.lmin + 1e-9))
+            except NoCrossover:
+                print("pns crossover: none in range")
+                footer.append((None, None, None, None, "crossover", "none in range"))
+            else:
+                print(f"pns crossover: {km:.2f} km")
+                footer.append((km, None, None, None, "crossover", objective))
+        rows = []
+        for protocol in ("bb84", "lm05"):
+            for p in scan_distances(objective, protocol, grid):
+                log10 = math.log10(p.value) if p.value > 0.0 else None
+                rows.append((p.length_km, p.mu_star, p.value, log10, p.protocol, p.objective))
         write_rows(fh, args.format, SCAN_COLUMNS, rows + footer)
     return 0
 

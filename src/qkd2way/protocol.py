@@ -47,7 +47,7 @@ import numpy as np
 
 from . import rng as _rng
 from .attacks import NO_ATTACK, AttackParams, AttackStrategy, make_strategy
-from .qsim import Basis, apply, measure, prepare, shared_evolution, spin_flip
+from .qsim import Basis, apply, measure, prepare, spin_flip
 from .rng import coin
 
 LOST = None  # Bob's outcome when the qubit never returns
@@ -111,7 +111,7 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class Tallies:
-    """(errors, trials) counters for the four QBERs; merged by addition."""
+    """(errors, trials) counters for the four QBERs."""
 
     q1: tuple[int, int] = (0, 0)
     q_ab: tuple[int, int] = (0, 0)
@@ -123,12 +123,6 @@ class Tallies:
             errors, trials = getattr(self, name)
             if errors < 0 or trials < 0 or errors > trials:
                 raise ValueError(f"bad counter {name}: {errors}/{trials}")
-
-    def __add__(self, other: "Tallies") -> "Tallies":
-        def merge(a, b):
-            return (a[0] + b[0], a[1] + b[1])
-        return Tallies(merge(self.q1, other.q1), merge(self.q_ab, other.q_ab),
-                       merge(self.q_ae, other.q_ae), merge(self.q_be, other.q_be))
 
     def rate(self, name: str) -> Optional[float]:
         errors, trials = getattr(self, name)
@@ -259,10 +253,7 @@ def enumerate_round(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) ->
     """Exact outcome distribution of one round, by running it once per coin path."""
     strategy = make_strategy(attack)
     round_fn = run_round_lm05 if config.protocol == "lm05" else run_round_bb84
-    # paths share their prefixes, so each distinct quantum step is computed
-    # once per call; the scope closes before the table is returned
-    with shared_evolution():
-        weights, records = zip(*_rng.enumerate_paths(lambda branch: round_fn(config, strategy, branch)))
+    weights, records = zip(*_rng.enumerate_paths(lambda branch: round_fn(config, strategy, branch)))
     total = math.fsum(weights)
     if abs(total - 1.0) > _WEIGHT_ATOL:
         raise ValueError(f"leaf weights sum to {total!r}, not 1")

@@ -23,27 +23,25 @@ Conventions
   measurement for every x, with error probability (1 - sin x)/2.  At
   x = pi/2 the gate acts on a fresh ancilla exactly like a CNOT copy.
 
-Shared evolution
-----------------
-Enumerating a round's outcome paths replays the round once per path, so
-the same state meets the same gate or measurement again and again.  Inside
-a :func:`shared_evolution` scope, :func:`apply`, :func:`attach_ancilla` and
-:func:`measure` compute each distinct (input state, gate / wire and basis)
-step once and hand back the stored result on every repeat, keyed by the
-input's identity.  A stored measurement keeps the snapped Born probability
-and both collapsed states, and still draws its outcome through
-:func:`qkd2way.rng.coin` with that probability, so streams see the same
-coins in the same order as outside the scope.  The memo lives only as long
-as the scope: ``protocol.enumerate_round`` opens one per call, and nothing
-is kept between calls.
+Kernel cache
+------------
+:func:`apply`, :func:`attach_ancilla` and the Born-rule kernel behind
+:func:`measure` are pure, so each keeps its ``_STEPS`` (256) most recently
+used results in a ``functools.lru_cache``, as do the gate-matrix tables.
+States and gates hash and compare by identity, and a cache entry holds its
+key objects, so no id is reused while the entry lives and a hit is always
+the very input it was computed from.  Results are shared by every caller,
+so their amplitudes are read-only.  Enumerating
+a round's outcome paths replays the same state through the same step again
+and again; those repeats are hits.  :func:`measure` draws its outcome with
+:func:`qkd2way.rng.coin` on every call, hit or miss, so streams see the same
+coins in the same order.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -54,6 +52,9 @@ from .rng import coin
 MAX_WIRES = 3
 NORM_ATOL = 1e-9
 BORN_SNAP = 1e-12  # Born probabilities this close to 0 or 1 are rounding noise
+# entries per kernel cache: one round's enumeration meets at most 104 distinct
+# steps per kernel (nort's measurements), and 256 keeps each cache small
+_STEPS = 256
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -81,7 +82,9 @@ class StateVector:
 
 
 def _sv(amps: np.ndarray, num_wires: int) -> StateVector:
-    # trusted constructor for operations that preserve normalization
+    # trusted constructor for operations that preserve normalization; the
+    # kernel caches hand one result to every caller, so it is read-only
+    amps.setflags(write=False)
     state = object.__new__(StateVector)
     object.__setattr__(state, "amps", amps)
     object.__setattr__(state, "num_wires", num_wires)
@@ -95,13 +98,11 @@ class GateKind(Enum):
     ANCILLA_ROTATION = "ancilla_rotation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
     kind: GateKind
     wires: tuple[int, ...]
     angle: float | None = None
-    # full-register matrix per register width, filled on first use
-    _full: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         two_wire = self.kind in (GateKind.CNOT, GateKind.ANCILLA_ROTATION)
@@ -153,72 +154,24 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"unknown gate kind {k}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_STEPS)
 def _expanded_matrix(gate: Gate, num_wires: int) -> np.ndarray:
     """Gate unitary embedded into the full register (wire 0 = MSB)."""
-    local = gate_matrix(gate)
-    wires = gate.wires
-    dim = 2 ** num_wires
-    full = np.zeros((dim, dim), dtype=complex)
-    k = len(wires)
-    for col in range(dim):
-        bits = [(col >> (num_wires - 1 - w)) & 1 for w in range(num_wires)]
-        lcol = 0
-        for w in wires:
-            lcol = (lcol << 1) | bits[w]
-        for lrow in range(2 ** k):
-            a = local[lrow, lcol]
-            if a == 0:
-                continue
-            newbits = list(bits)
-            for i, w in enumerate(wires):
-                newbits[w] = (lrow >> (k - 1 - i)) & 1
-            row = 0
-            for b in newbits:
-                row = (row << 1) | b
-            full[row, col] = a
-    return full
+    k = len(gate.wires)
+    local = gate_matrix(gate).reshape((2,) * 2 * k)
+    # the gate acting on the identity: contract its inputs with the register
+    # axes of its wires, then move its outputs back to those wires
+    eye = np.eye(2 ** num_wires, dtype=complex).reshape((2,) * 2 * num_wires)
+    full = np.tensordot(local, eye, axes=(range(k, 2 * k), gate.wires))
+    return np.moveaxis(full, range(k), gate.wires).reshape(2 ** num_wires, 2 ** num_wires)
 
 
-def _full_matrix(gate: Gate, num_wires: int) -> np.ndarray:
-    """The gate's full-register matrix, kept on the gate itself.
-
-    The Gate dataclass is hashed (for _expanded_matrix's cache, which equal
-    gates built apart share) only on its first use at each register width.
-    """
-    full = gate._full.get(num_wires)
-    if full is None:
-        full = gate._full[num_wires] = _expanded_matrix(gate, num_wires)
-    return full
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_STEPS)
 def _wire_table(num_wires: int, wire: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Hadamard on the wire, indices where the wire reads 0, where it reads 1).
-
-    Keyed by plain ints: cheaper per measurement than building and hashing a Gate.
-    """
+    """(Hadamard on the wire, indices where the wire reads 0, where it reads 1)."""
     idx = np.arange(2 ** num_wires)
     bit = (idx >> (num_wires - 1 - wire)) & 1
     return _expanded_matrix(hadamard(wire), num_wires), idx[bit == 0], idx[bit == 1]
-
-
-# the memo of the innermost open shared_evolution() scope, None outside one
-_SHARED: ContextVar[dict | None] = ContextVar("qsim_shared_evolution", default=None)
-
-
-@contextmanager
-def shared_evolution():
-    """Scope in which each distinct qsim step is computed once (see the module doc).
-
-    Every stored result holds its inputs, so no input's id is recycled
-    while the scope is open; the memo is dropped when the scope closes.
-    """
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
 
 
 def _check_wires(state: StateVector, wires: tuple[int, ...]):
@@ -249,24 +202,16 @@ def prepare(basis: Basis, bit: int) -> StateVector:
     return _PREPARED[(basis, bit)]
 
 
-def _evolve(state: StateVector, gate: Gate) -> StateVector:
-    _check_wires(state, gate.wires)
-    return _sv(_full_matrix(gate, state.num_wires) @ state.amps, state.num_wires)
-
-
+@lru_cache(maxsize=_STEPS)
 def apply(state: StateVector, gate: Gate) -> StateVector:
     """U|state>; unitary gates keep the norm at machine precision."""
-    memo = _SHARED.get()
-    if memo is None:
-        return _evolve(state, gate)
-    key = (id(state), id(gate))
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = (state, gate, _evolve(state, gate))
-    return hit[2]
+    _check_wires(state, gate.wires)
+    return _sv(_expanded_matrix(gate, state.num_wires) @ state.amps, state.num_wires)
 
 
-def _attach(state: StateVector) -> StateVector:
+@lru_cache(maxsize=_STEPS)
+def attach_ancilla(state: StateVector) -> StateVector:
+    """Tensor a fresh |0> wire onto the register (new wire = highest index)."""
     if state.num_wires >= MAX_WIRES:
         raise ValueError(f"register already at maximum size {MAX_WIRES}")
     amps = np.zeros(2 * state.amps.shape[0], dtype=complex)
@@ -274,50 +219,32 @@ def _attach(state: StateVector) -> StateVector:
     return _sv(amps, state.num_wires + 1)
 
 
-def attach_ancilla(state: StateVector) -> StateVector:
-    """Tensor a fresh |0> wire onto the register (new wire = highest index)."""
-    memo = _SHARED.get()
-    if memo is None:
-        return _attach(state)
-    hit = memo.get(id(state))
-    if hit is None:
-        hit = memo[id(state)] = (state, _attach(state))
-    return hit[1]
+@lru_cache(maxsize=_STEPS)
+def _outcomes(state: StateVector, wire: int, x_basis: bool):
+    """(p0, collapse on 0, collapse on 1); an impossible outcome, never drawn, has None.
 
-
-def _born(state: StateVector, table, basis: Basis) -> tuple[np.ndarray, float]:
-    """(amplitudes in the measured basis, snapped probability of outcome 0)."""
-    amps = state.amps
-    if basis is Basis.X:
-        amps = table[0] @ amps
-    kept = amps[table[1]]
-    p0 = float(np.vdot(kept, kept).real)
+    Keyed by a bool, not the Basis: an Enum hashes in Python, a bool in C.
+    """
+    _check_wires(state, (wire,))
+    n = state.num_wires
+    hadamard_full, *kept = _wire_table(n, wire)
+    amps = hadamard_full @ state.amps if x_basis else state.amps
+    zero = amps[kept[0]]
+    p0 = float(np.vdot(zero, zero).real)
     # an impossible outcome must never be drawn or enumerated, nor renormalised
     if p0 < BORN_SNAP:
         p0 = 0.0
     elif p0 > 1.0 - BORN_SNAP:
         p0 = 1.0
-    return amps, p0
-
-
-def _collapse(amps: np.ndarray, num_wires: int, table, basis: Basis,
-              outcome: int, p_keep: float) -> StateVector:
-    keep = table[1 + outcome]
-    post = np.zeros(amps.shape[0], dtype=complex)
-    post[keep] = amps[keep] / math.sqrt(p_keep)
-    if basis is Basis.X:
-        post = table[0] @ post
-    return _sv(post, num_wires)
-
-
-def _outcomes(state: StateVector, wire: int, basis: Basis):
-    """(p0, collapse on 0, collapse on 1); an impossible outcome, never drawn, has None."""
-    _check_wires(state, (wire,))
-    n = state.num_wires
-    table = _wire_table(n, wire)
-    amps, p0 = _born(state, table, basis)
-    return (p0, _collapse(amps, n, table, basis, 0, p0) if p0 > 0.0 else None,
-            _collapse(amps, n, table, basis, 1, 1.0 - p0) if p0 < 1.0 else None)
+    collapsed = []
+    for keep, p in zip(kept, (p0, 1.0 - p0)):
+        if p == 0.0:
+            collapsed.append(None)
+            continue
+        post = np.zeros(amps.shape[0], dtype=complex)
+        post[keep] = amps[keep] / math.sqrt(p)
+        collapsed.append(_sv(hadamard_full @ post if x_basis else post, n))
+    return p0, *collapsed
 
 
 def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, StateVector]:
@@ -326,24 +253,10 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
     Outcomes follow the Born rule; the returned state is the normalized
     post-measurement collapse (other wires keep their correlations).
     """
-    memo = _SHARED.get()
-    if memo is None:
-        _check_wires(state, (wire,))
-        n = state.num_wires
-        table = _wire_table(n, wire)
-        amps, p0 = _born(state, table, basis)
-        # only the drawn outcome is collapsed: a sampling loop never uses the other
-        if coin(rng, p0):
-            return 0, _collapse(amps, n, table, basis, 0, p0)
-        return 1, _collapse(amps, n, table, basis, 1, 1.0 - p0)
-    # keyed by a bool, not the Enum: an Enum hashes in Python, a bool in C
-    key = (id(state), wire, basis is Basis.X)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = (state, *_outcomes(state, wire, basis))
-    if coin(rng, hit[1]):
-        return 0, hit[2]
-    return 1, hit[3]
+    p0, zero, one = _outcomes(state, wire, basis is Basis.X)
+    if coin(rng, p0):
+        return 0, zero
+    return 1, one
 
 
 def discriminate(state: StateVector, wire: int, overlap_angle: float, rng) -> tuple[int, StateVector]:

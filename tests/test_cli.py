@@ -42,11 +42,6 @@ def test_simulate_rejects_out_of_range_xi(capsys):
     assert "xi" in capsys.readouterr().err
 
 
-def test_simulate_rejects_zero_workers(capsys):
-    assert _run(["simulate", "--workers", "0", "--rounds", "100"]) == 2
-    assert "workers" in capsys.readouterr().err
-
-
 def test_simulate_rejects_two_way_attack_on_bb84(capsys):
     assert _run(["simulate", "--protocol", "bb84", "--attack", "dcnot",
                  "--rounds", "100"]) == 2
@@ -120,23 +115,32 @@ def test_config_file_errors_name_the_file_and_line(line, tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["curves"], ["thresholds"], ["gain", "--lmax", "1"], ["pns", "--lmax", "1"],
-    ["simulate", "--rounds", "1000"],
-])
-@pytest.mark.parametrize("where", ["missing directory", "empty config line"])
-def test_bad_out_path_is_a_usage_error(argv, where, tmp_path, capsys):
-    # a bad path exits 2 with a message, never with an OSError traceback
+# each command, then one of its inputs that is rejected only after parsing
+@pytest.mark.parametrize("argv,rejected", [
+    (["curves"], ["--grid-step", "0"]),
+    (["thresholds"], ["--model", "bogus"]),
+    (["gain", "--lmax", "1"], ["--lstep", "0"]),
+    (["pns", "--lmax", "1"], ["--lstep", "0"]),
+    (["simulate", "--rounds", "1000"], ["--protocol", "bb84", "--attack", "nort"]),
+], ids=["curves", "thresholds", "gain", "pns", "simulate"])
+@pytest.mark.parametrize("where", ["missing directory", "empty config line", "rejected input"])
+def test_bad_out_path_is_a_usage_error(argv, rejected, where, tmp_path, capsys):
+    # a bad path exits 2 with a message and nothing printed, never with an
+    # OSError traceback; a rejected input leaves a good path uncreated
+    out = tmp_path / "out.csv"
     if where == "missing directory":
         argv = [*argv, "--out", str(tmp_path / "missing" / "out.csv")]
-    else:
+    elif where == "empty config line":
         cfg = tmp_path / "run.cfg"
         cfg.write_text("out =\n")
         argv = [*argv, "--config", str(cfg)]
+    else:
+        argv = [*argv, *rejected, "--out", str(out)]
     assert _run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--out" in err
-    assert not (tmp_path / "missing").exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert ("--out" in captured.err) == (where != "rejected input")
+    assert not (tmp_path / "missing").exists() and not out.exists()
 
 
 def test_curves_csv_values(tmp_path):

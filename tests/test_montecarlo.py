@@ -33,8 +33,7 @@ from qkd2way.protocol import (
     tally,
     write_round_log,
 )
-from qkd2way.qsim import Basis, apply, measure, prepare, shared_evolution, spin_flip
-from qkd2way.rng import Branching, coin, enumerate_paths, stream
+from qkd2way.rng import coin, enumerate_paths, stream
 
 
 def test_predicted_rates_closed_forms():
@@ -78,20 +77,6 @@ def test_wilson_interval_coverage_self_test():
     draws = rng.binomial(n, p, size=reps)
     covered = sum(lo <= p <= hi for lo, hi in (wilson_interval(int(k), n) for k in draws))
     assert covered >= 0.93 * reps
-
-
-_COUNTERS = st.tuples(st.integers(0, 50), st.integers(0, 50)).map(
-    lambda t: (min(t), max(t))
-)
-_TALLIES = st.builds(Tallies, q1=_COUNTERS, q_ab=_COUNTERS, q_ae=_COUNTERS, q_be=_COUNTERS)
-
-
-@given(a=_TALLIES, b=_TALLIES, c=_TALLIES)
-@settings(max_examples=100, deadline=None)
-def test_tally_merge_is_associative_and_commutative(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-    assert a + Tallies() == a
 
 
 def test_run_batch_is_reproducible():
@@ -182,21 +167,55 @@ def test_enumerate_round_rejects_weights_not_summing_to_one(monkeypatch):
 _IDENTITY_SCENARIOS = EXACT_SCENARIOS + [("lm05", AttackParams(kind="nort", x=0.0, x_prime=0.0))]
 
 
+def _qsim_caches():
+    return [f for f in vars(qsim).values() if hasattr(f, "cache_info")]
+
+
+def _clear_qsim_caches():
+    for cache in _qsim_caches():
+        cache.cache_clear()
+
+
 @pytest.mark.parametrize("protocol,attack", _IDENTITY_SCENARIOS,
                          ids=_EXACT_IDS + ["lm05-nort-xi1-x0-xp0-chi0"])
-def test_shared_evolution_keeps_the_leaf_table_bit_identical(protocol, attack):
-    # reference: the same replay with every quantum step recomputed, outside any scope
+def test_kernel_cache_keeps_the_leaf_table_bit_identical(protocol, attack):
+    # reference: the same replay with every path started from cleared caches,
+    # so no path reuses a quantum step that another path computed
     config = ProtocolConfig(protocol=protocol)
     round_fn = run_round_lm05 if protocol == "lm05" else run_round_bb84
     strategy = make_strategy(attack)
-    weights, records = zip(*enumerate_paths(lambda branch: round_fn(config, strategy, branch)))
-    table = enumerate_round(config, attack)
-    assert np.array_equal(table.weights, np.array(weights))
-    assert table.records == records
+
+    def cold_path(branch):
+        _clear_qsim_caches()
+        return round_fn(config, strategy, branch)
+
+    weights, records = zip(*enumerate_paths(cold_path))
+    _clear_qsim_caches()
+    cold = enumerate_round(config, attack)
+    warm = enumerate_round(config, attack)
+    for table in (cold, warm):
+        assert np.array_equal(table.weights, np.array(weights))
+        assert table.records == records
+        assert np.array_equal(table.counts, cold.counts)
+
+
+def test_qsim_caches_stay_bounded():
+    caches = _qsim_caches()
+    assert {f.__name__ for f in caches} >= {"apply", "attach_ancilla", "_outcomes", "_expanded_matrix"}
+    _clear_qsim_caches()
+    for x in np.linspace(0.0, math.pi / 2, 60):
+        enumerate_round(ProtocolConfig(), AttackParams(kind="nort", x=float(x), x_prime=1.1))
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, cache.__name__
+    # the enumerations met more distinct steps than one cache holds, and
+    # their paths shared them: most measurements were hits
+    assert qsim.apply.cache_info().misses > qsim.apply.cache_info().maxsize
+    assert qsim._outcomes.cache_info().hits > 2 * qsim._outcomes.cache_info().misses
 
 
 # run_batch tallies (seed 11, 20,000 rounds) and the round log's sha256
-# prefix (seed 12, 3,000 rounds), recorded before shared evolution existed
+# prefix (seed 12, 3,000 rounds), recorded before the qsim kernels were cached
 _PINNED = [
     ("lm05", AttackParams(kind="ir", xi=0.5),
      ((291, 2380), (198, 1531), (0, 7469), (1891, 7469)), "3b1cef4d400e5e62"),
@@ -219,49 +238,6 @@ def test_seeded_tallies_and_round_logs_are_pinned(protocol, attack, tallies, log
     log = io.StringIO()
     write_round_log(run(ProtocolConfig(protocol=protocol, rounds=3_000, seed=12), attack), log)
     assert hashlib.sha256(log.getvalue().encode()).hexdigest()[:16] == log_digest
-
-
-def _memo_is_open() -> bool:
-    state, gate = prepare(Basis.X, 0), spin_flip(0)
-    return apply(state, gate) is apply(state, gate)
-
-
-def test_shared_evolution_memo_lives_for_one_call(monkeypatch):
-    state = prepare(Basis.X, 0)
-    with shared_evolution():
-        assert _memo_is_open()
-        zero = measure(state, 0, Basis.Z, Branching())
-        one = measure(state, 0, Basis.Z, Branching((False,)))
-        assert (zero[0], one[0]) == (0, 1)
-        assert measure(state, 0, Basis.Z, Branching())[1] is zero[1]
-    assert not _memo_is_open()
-    computed = []
-    for name in ("_evolve", "_attach", "_born"):
-        kernel = getattr(qsim, name)
-        monkeypatch.setattr(qsim, name, lambda *args, kernel=kernel: computed.append(kernel) or kernel(*args))
-    config, attack = ProtocolConfig(), AttackParams(kind="nort", x=0.7, x_prime=1.1)
-    enumerate_round(config, attack)
-    once = len(computed)
-    # no memo survives the call: a repeat computes every step again
-    enumerate_round(config, attack)
-    assert len(computed) == 2 * once > 0
-    assert not _memo_is_open()
-    # within a call, paths share their prefixes' steps: a replay outside
-    # the scope computes several times as many
-    strategy = make_strategy(attack)
-    list(enumerate_paths(lambda branch: run_round_lm05(config, strategy, branch)))
-    assert len(computed) - 2 * once > 5 * once
-
-
-@pytest.mark.parametrize("round_fn", [
-    lambda config, strategy, rng: coin(rng, 1.5),  # weights do not sum to 1
-    lambda config, strategy, rng: apply(prepare(Basis.Z, 0), spin_flip(1)),  # raises mid-round
-], ids=["weights-sum", "round-raises"])
-def test_shared_evolution_memo_closes_when_enumerate_round_raises(round_fn, monkeypatch):
-    monkeypatch.setattr("qkd2way.protocol.run_round_lm05", round_fn)
-    with pytest.raises(ValueError):
-        enumerate_round(ProtocolConfig(protocol="lm05"))
-    assert not _memo_is_open()
 
 
 @pytest.mark.parametrize("protocol,attack", EXACT_SCENARIOS, ids=_EXACT_IDS)

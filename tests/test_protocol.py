@@ -140,13 +140,9 @@ def test_tally_empty_input():
     assert t.rate("q1") is None
 
 
-def test_tallies_validation_and_merge():
+def test_tallies_validation():
     with pytest.raises(ValueError):
         Tallies(q1=(2, 1))
-    a = Tallies(q1=(1, 10), q_ab=(0, 5))
-    b = Tallies(q1=(2, 20), q_be=(3, 7))
-    merged = a + b
-    assert merged.q1 == (3, 30) and merged.q_ab == (0, 5) and merged.q_be == (3, 7)
 
 
 def test_bb84_noiseless_sifting():

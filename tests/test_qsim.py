@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkd2way import qsim
 from qkd2way.qsim import (
     Basis,
     Gate,
@@ -23,7 +24,7 @@ from qkd2way.qsim import (
     spin_flip,
     states_close,
 )
-from qkd2way.rng import stream
+from qkd2way.rng import Branching, stream
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -202,6 +203,26 @@ def test_measurement_collapse_keeps_bell_correlations():
         first, collapsed = measure(bell, 0, Basis.Z, rng)
         second, _ = measure(collapsed, 1, Basis.Z, rng)
         assert first == second
+
+
+def test_kernel_caches_never_confuse_recycled_ids():
+    # each state is dropped right after use, so a later one may reuse its id:
+    # a cache keyed by id() alone would hand back the dropped state's result
+    rng = np.random.default_rng(17)
+    gate = ancilla_rotation(0.7, 0, 1)
+    for _ in range(1000):
+        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+        state = StateVector(amps / np.linalg.norm(amps), 1)
+        pair = attach_ancilla(state)
+        assert np.array_equal(pair.amps, attach_ancilla.__wrapped__(state).amps)
+        assert np.array_equal(apply(pair, gate).amps, apply.__wrapped__(pair, gate).amps)
+        for basis in Basis:
+            _, *collapsed = qsim._outcomes.__wrapped__(state, 0, basis is Basis.X)
+            for outcome, path in enumerate([(), (False,)]):
+                got, post = measure(state, 0, basis, Branching(path))
+                assert got == outcome
+                assert np.array_equal(post.amps, collapsed[outcome].amps)
+        del state, pair
 
 
 def test_discriminate_rejects_bad_angle():
