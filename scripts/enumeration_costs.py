@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Print what building each verification scenario's leaf table costs.
+
+For every scenario of verify_attacks.py, plus lm05 nort with a misaligned
+backward probe (x, x') = (0.7, 1.1), prints the leaf count of
+``protocol.enumerate_round``, the coins its enumeration flips, and its
+first-call time: each call comes after ``cache_clear()`` on every qsim
+kernel cache, and the time is the minimum over --calls calls in each of
+--processes fresh processes, run one after another.  The last row sums the
+scenarios, which is one pass of the ``mc_verify`` benchmark workload.
+
+    python scripts/enumeration_costs.py --calls 15 --processes 3
+"""
+
+import argparse
+import json
+import math
+import subprocess
+import sys
+import time
+
+from verify_attacks import SCENARIOS
+
+from qkd2way import qsim, rng
+from qkd2way.attacks import AttackParams
+from qkd2way.protocol import ProtocolConfig, enumerate_round
+
+ALL_SCENARIOS = [*SCENARIOS, ("lm05", AttackParams(kind="nort", x=0.7, x_prime=1.1))]
+
+
+def label(protocol: str, attack: AttackParams) -> str:
+    knobs = {"ir": ("xi",), "nort": ("xi", "x", "x_prime"), "dcnot": ("xi",),
+             "dcnot_star": ("xi", "chi")}.get(attack.kind, ())
+    return " ".join([protocol, attack.kind, *(f"{k}={getattr(attack, k):.4g}" for k in knobs)])
+
+
+def count_coins(config: ProtocolConfig, attack: AttackParams) -> tuple[int, int]:
+    """(leaves, coins flipped) of one enumeration."""
+    flips = 0
+    plain = rng.Branching.coin
+
+    def counted(self, p):
+        nonlocal flips
+        flips += 1
+        return plain(self, p)
+
+    rng.Branching.coin = counted
+    try:
+        leaves = len(enumerate_round(config, attack).weights)
+    finally:
+        rng.Branching.coin = plain
+    return leaves, flips
+
+
+def first_call_seconds(calls: int) -> list[float]:
+    """Per scenario, the fastest of `calls` enumerations, each from emptied qsim caches."""
+    caches = [f for f in vars(qsim).values() if hasattr(f, "cache_clear")]
+    best = [math.inf] * len(ALL_SCENARIOS)
+    for _ in range(calls):
+        for i, (protocol, attack) in enumerate(ALL_SCENARIOS):
+            config = ProtocolConfig(protocol=protocol)
+            for cache in caches:
+                cache.cache_clear()
+            started = time.perf_counter()
+            enumerate_round(config, attack)
+            best[i] = min(best[i], time.perf_counter() - started)
+    return best
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--calls", type=int, default=15, help="timed calls per scenario and process")
+    parser.add_argument("--processes", type=int, default=3, help="fresh processes, run in turn")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.calls < 1 or args.processes < 1:
+        parser.error("--calls and --processes must be >= 1")
+    if args.worker:
+        print(json.dumps(first_call_seconds(args.calls)))
+        return 0
+
+    best = [math.inf] * len(ALL_SCENARIOS)
+    for _ in range(args.processes):
+        out = subprocess.run([sys.executable, __file__, "--worker", "--calls", str(args.calls)],
+                             check=True, capture_output=True, text=True).stdout
+        best = [min(a, b) for a, b in zip(best, json.loads(out))]
+
+    rows = []
+    for (protocol, attack), seconds in zip(ALL_SCENARIOS, best):
+        leaves, coins = count_coins(ProtocolConfig(protocol=protocol), attack)
+        rows.append((label(protocol, attack), leaves, coins, seconds))
+    rows.append(("total (one mc_verify pass)", *(sum(col) for col in list(zip(*rows))[1:])))
+    width = max(len(row[0]) for row in rows)
+    print(f"{'scenario':<{width}} {'leaves':>6} {'coins':>6} {'first call (ms)':>15}")
+    for name, leaves, coins, seconds in rows:
+        print(f"{name:<{width}} {leaves:>6} {coins:>6} {1e3 * seconds:>15.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

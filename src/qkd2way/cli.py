@@ -208,6 +208,7 @@ def _cmd_simulate(args) -> int:
                         "seed": report.seed, "workers": report.workers,
                         "engine": report.engine, "leaves": report.leaves,
                         "elapsed_s": report.elapsed_s, "enumerate_s": report.enumerate_s,
+                        "draw_s": report.draw_s, "rounds_per_s": report.rounds / report.elapsed_s,
                         "qkd2way": __version__, "numpy": np.__version__}
                 fh.write(json.dumps(meta) + "\n")
             write_rows(fh, args.format, REPORT_COLUMNS, map(astuple, report.rates))
@@ -277,7 +278,8 @@ def _distance_grid(args) -> list[float]:
         raise UsageError("lmin, lmax and lstep must be finite")
     if lstep <= 0 or lmax < lmin or lmin < 0:
         raise UsageError("need lmin >= 0, lmax >= lmin and lstep > 0")
-    if (lmax - lmin) / lstep >= MAX_GRID_POINTS:
+    # the grid runs to lmax + 1e-9, and a step that rounds away against lmin never ends it
+    if (lmax + 1e-9 - lmin) / lstep >= MAX_GRID_POINTS or lmin + lstep == lmin:
         raise UsageError(f"lmin, lmax and lstep give more than {MAX_GRID_POINTS} distances")
     grid = []
     i = 0

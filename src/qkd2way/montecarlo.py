@@ -52,6 +52,7 @@ class BatchReport:
     engine: str = ENGINE
     leaves: int = 0
     enumerate_s: float = 0.0  # of elapsed_s, the time spent building the leaf table
+    draw_s: float = 0.0  # of elapsed_s, the multinomial draw and the counter product
 
 
 def wilson_interval(errors: int, trials: int, z: float = _CI_Z) -> tuple[float, float]:
@@ -123,6 +124,7 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK,
     enumerated = time.perf_counter()
     hits = table.draw(n, seed)
     counters = (hits @ table.counts).tolist()
+    drawn = time.perf_counter()
     total = Tallies(*zip(counters[0::2], counters[1::2]))
     elapsed = time.perf_counter() - started
 
@@ -141,7 +143,8 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK,
         rates.append(RateReport(name, errors, trials, errors / trials, lo95, hi95, prediction, verdict))
     return BatchReport(config=config, attack=attack, rounds=n, seed=seed, workers=workers,
                        tallies=total, rates=tuple(rates), elapsed_s=elapsed,
-                       leaves=len(table.weights), enumerate_s=enumerated - started)
+                       leaves=len(table.weights), enumerate_s=enumerated - started,
+                       draw_s=drawn - enumerated)
 
 
 def failures(report: BatchReport) -> list[str]:

@@ -22,12 +22,26 @@ Four error rates are tallied:
 
 Round draws happen in a fixed order (preparation, attack, mode, encoding,
 attack, measurement, reveal coin, attack readout), each through
-:func:`qkd2way.rng.coin`.
+:func:`qkd2way.rng.coin`.  A round is a chain of three stages cut at its
+physical seams: the forward leg (preparation, Eve's set-up, the forward
+pass; shared by both protocols), Alice and the way back (LM05: her mode,
+operation, the backward pass and Bob's measurement; BB84: the receiver's
+basis and measurement), and the readout (the reveal coin, Eve's readout
+and the :class:`RoundRecord`).  ``run_round_lm05``/``run_round_bb84``
+run the stages in order on one stream, so they are the one physics path,
+and :func:`enumerate_round` hands the same stages to
+:func:`qkd2way.rng.enumerate_paths`.  No stage changes the value it was
+given, because its other paths read that value again: the attack context
+is copied before the backward pass writes to it.
 
 Runs are sampled, not stepped: every round is an independent, identically
 distributed draw from one finite distribution, so :func:`enumerate_round`
-runs the round state machine once per coin path and gets a leaf table of
-path probabilities, records and tally counters.  A run of n rounds is one
+lists every coin path of the round and gets a leaf table of path
+probabilities, records and tally counters.  Each stage reruns once per
+coin path of its own, starting from its parent stage's result, so a coin
+prefix shared by many leaves runs once rather than once per leaf; the
+leaves come out in the order, and with the bit-identical weights, of the
+whole round replayed from the root per leaf.  A run of n rounds is one
 multinomial draw over the leaves (:meth:`LeafTable.draw`), the same draw
 ``montecarlo.run_batch`` tallies, put in a uniformly shuffled order.  This
 holds only while rounds are i.i.d.: an attack or protocol whose rounds
@@ -40,7 +54,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from copy import copy
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -133,46 +149,88 @@ def _random_basis(rng) -> Basis:
     return Basis.Z if coin(rng, 0.5) else Basis.X
 
 
-def run_round_lm05(config: ProtocolConfig, strategy: AttackStrategy, rng) -> RoundRecord:
+def _forward_leg(strategy: AttackStrategy, rng):
+    """Stage 1, shared by LM05 and BB84: preparation, Eve's round set-up, the forward pass."""
     basis = _random_basis(rng)
     bit = 0 if coin(rng, 0.5) else 1
-    state = prepare(basis, bit)
     ctx = strategy.new_round(rng)
-    state = ctx.forward(state, rng)
+    return basis, bit, ctx, ctx.forward(prepare(basis, bit), rng)
+
+
+def _alice_lm05(config: ProtocolConfig, leg, rng):
+    """Stage 2 of LM05: Alice's mode, then her measurement (CM) or operation, the way back
+    and Bob's measurement (EM).  Returns (record fields, attack context, state)."""
+    basis, bit, ctx, state = leg
     if coin(rng, config.control_prob):
         cm_basis = _random_basis(rng)
         cm_outcome, _ = measure(state, 0, cm_basis, rng)
-        return RoundRecord(mode="CM", bob_basis=basis, bob_bit=bit,
-                           alice_cm_basis=cm_basis, alice_cm_outcome=cm_outcome,
-                           bob_outcome=LOST, attacked=ctx.attacked)
+        return {"mode": "CM", "bob_basis": basis, "bob_bit": bit, "alice_cm_basis": cm_basis,
+                "alice_cm_outcome": cm_outcome, "bob_outcome": LOST}, ctx, None
     op = 0 if coin(rng, 0.5) else 1
     if op:
         state = apply(state, _SPIN_FLIP_0)
+    # backward may write to the context, and the other paths of this stage
+    # start from the same forward leg, so it writes to a copy
+    ctx = copy(ctx)
     state = ctx.backward(state, rng)
     outcome, state = measure(state, 0, basis, rng)
+    return {"mode": "EM", "bob_basis": basis, "bob_bit": bit, "alice_op": op,
+            "bob_outcome": outcome}, ctx, state
+
+
+def _readout_lm05(config: ProtocolConfig, back, rng) -> RoundRecord:
+    """Stage 3 of LM05: the reveal coin and Eve's readout of an EM round, and the record."""
+    recorded, ctx, state = back
+    if recorded["mode"] == "CM":
+        return RoundRecord(**recorded, attacked=ctx.attacked)
     revealed = coin(rng, config.reveal_fraction)
     guess_a, guess_b = ctx.finalize(state, rng)
-    return RoundRecord(mode="EM", bob_basis=basis, bob_bit=bit, alice_op=op,
-                       bob_outcome=outcome, revealed=revealed,
-                       eve_alice_guess=guess_a, eve_bob_guess=guess_b,
-                       attacked=ctx.attacked)
+    return RoundRecord(**recorded, revealed=revealed, eve_alice_guess=guess_a,
+                       eve_bob_guess=guess_b, attacked=ctx.attacked)
+
+
+def _receiver_bb84(leg, rng):
+    """Stage 2 of BB84: the receiver's basis and measurement, in Control-Mode form."""
+    basis, bit, ctx, state = leg
+    recv_basis = _random_basis(rng)
+    recv_outcome, state = measure(state, 0, recv_basis, rng)
+    return {"mode": "CM", "bob_basis": basis, "bob_bit": bit, "alice_cm_basis": recv_basis,
+            "alice_cm_outcome": recv_outcome, "bob_outcome": LOST}, ctx, state
+
+
+def _readout_bb84(back, rng) -> RoundRecord:
+    """Stage 3 of BB84: Eve's readout and the record."""
+    recorded, ctx, state = back
+    _, guess_b = ctx.finalize(state, rng)
+    return RoundRecord(**recorded, eve_bob_guess=guess_b, attacked=ctx.attacked)
+
+
+def _lm05_stages(config: ProtocolConfig, strategy: AttackStrategy):
+    return partial(_forward_leg, strategy), partial(_alice_lm05, config), partial(_readout_lm05, config)
+
+
+def _bb84_stages(strategy: AttackStrategy):
+    if strategy.params.kind not in ("none", "ir"):
+        raise ValueError(f"attack {strategy.params.kind!r} needs the two-way channel; BB84 supports none/ir")
+    return partial(_forward_leg, strategy), _receiver_bb84, _readout_bb84
+
+
+def _step(stages, rng) -> RoundRecord:
+    """One round on one stream: each stage continues from the value of the one before."""
+    first, *rest = stages
+    value = first(rng)
+    for stage in rest:
+        value = stage(value, rng)
+    return value
+
+
+def run_round_lm05(config: ProtocolConfig, strategy: AttackStrategy, rng) -> RoundRecord:
+    return _step(_lm05_stages(config, strategy), rng)
 
 
 def run_round_bb84(config: ProtocolConfig, strategy: AttackStrategy, rng) -> RoundRecord:
     """One BB84 round, recorded in Control-Mode form (receiver consumes the qubit)."""
-    if strategy.params.kind not in ("none", "ir"):
-        raise ValueError(f"attack {strategy.params.kind!r} needs the two-way channel; BB84 supports none/ir")
-    basis = _random_basis(rng)
-    bit = 0 if coin(rng, 0.5) else 1
-    state = prepare(basis, bit)
-    ctx = strategy.new_round(rng)
-    state = ctx.forward(state, rng)
-    recv_basis = _random_basis(rng)
-    recv_outcome, state = measure(state, 0, recv_basis, rng)
-    _, guess_b = ctx.finalize(state, rng)
-    return RoundRecord(mode="CM", bob_basis=basis, bob_bit=bit,
-                       alice_cm_basis=recv_basis, alice_cm_outcome=recv_outcome,
-                       bob_outcome=LOST, eve_bob_guess=guess_b, attacked=ctx.attacked)
+    return _step(_bb84_stages(strategy), rng)
 
 
 def run(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> list[RoundRecord]:
@@ -190,44 +248,55 @@ def run(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> list[RoundR
     return [records[i] for i in order.tolist()]
 
 
-def tally(records: Iterable[RoundRecord]) -> Tallies:
-    """Aggregate QBER counters from round records (lost pulses never count)."""
-    q1_e = q1_t = ab_e = ab_t = ae_e = ae_t = be_e = be_t = 0
-    for r in records:
-        if r.mode == "CM":
-            if r.alice_cm_basis is r.bob_basis:
-                q1_t += 1
-                if r.alice_cm_outcome != r.bob_bit:
-                    q1_e += 1
-                if r.eve_bob_guess is not None:  # BB84: Eve vs the sifted sender bit
-                    be_t += 1
-                    if r.eve_bob_guess != r.bob_bit:
-                        be_e += 1
-        else:
-            decoded = r.decoded_op
-            if decoded is None:
-                continue
+def _counters(r: RoundRecord) -> tuple[int, ...]:
+    """The eight tally counters of one record: (errors, trials) per rate, in RATE_NAMES order.
+
+    Lost pulses and mismatched bases never count.
+    """
+    q1 = ab = ae = be = (0, 0)
+    if r.mode == "CM":
+        if r.alice_cm_basis is r.bob_basis:
+            q1 = (int(r.alice_cm_outcome != r.bob_bit), 1)
+            if r.eve_bob_guess is not None:  # BB84: Eve vs the sifted sender bit
+                be = (int(r.eve_bob_guess != r.bob_bit), 1)
+    else:
+        decoded = r.decoded_op
+        if decoded is not None:
             if r.revealed:
-                ab_t += 1
-                if decoded != r.alice_op:
-                    ab_e += 1
+                ab = (int(decoded != r.alice_op), 1)
             if r.eve_alice_guess is not None:
-                ae_t += 1
-                if r.eve_alice_guess != r.alice_op:
-                    ae_e += 1
+                ae = (int(r.eve_alice_guess != r.alice_op), 1)
             if r.eve_bob_guess is not None:
-                be_t += 1
-                if r.eve_bob_guess != decoded:
-                    be_e += 1
-    return Tallies((q1_e, q1_t), (ab_e, ab_t), (ae_e, ae_t), (be_e, be_t))
+                be = (int(r.eve_bob_guess != decoded), 1)
+    return (*q1, *ab, *ae, *be)
+
+
+def tally(records: Iterable[RoundRecord]) -> Tallies:
+    """Aggregate QBER counters from round records.
+
+    Each distinct record object is counted once, by :func:`_counters`, and
+    weighted by how often it occurs; a run repeats its leaf records.
+    """
+    seen = {}  # id(record) -> [record, occurrences]; holding the record keeps its id unique
+    for r in records:
+        hit = seen.get(id(r))
+        if hit is None:
+            seen[id(r)] = [r, 1]
+        else:
+            hit[1] += 1
+    totals = [0] * 2 * len(RATE_NAMES)
+    for r, occurrences in seen.values():
+        for i, c in enumerate(_counters(r)):
+            totals[i] += occurrences * c
+    return Tallies(*zip(totals[0::2], totals[1::2]))
 
 
 @dataclass(frozen=True)
 class LeafTable:
     """Every outcome path of one round: probability, record and tally counters.
 
-    ``counts`` has one row per leaf holding the eight counters of
-    ``tally([record])`` in (errors, trials) pairs, in RATE_NAMES order.
+    ``counts`` has one row per leaf holding the eight tally counters of its
+    record in (errors, trials) pairs, in RATE_NAMES order.
     """
 
     weights: np.ndarray
@@ -245,19 +314,15 @@ class LeafTable:
                 for name, errors, trials in zip(RATE_NAMES, expected[0::2], expected[1::2])}
 
 
-def _counters(t: Tallies) -> tuple[int, ...]:
-    return tuple(c for name in RATE_NAMES for c in getattr(t, name))
-
-
 def enumerate_round(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> LeafTable:
-    """Exact outcome distribution of one round, by running it once per coin path."""
+    """Exact outcome distribution of one round: its stages run once per coin path of their own."""
     strategy = make_strategy(attack)
-    round_fn = run_round_lm05 if config.protocol == "lm05" else run_round_bb84
-    weights, records = zip(*_rng.enumerate_paths(lambda branch: round_fn(config, strategy, branch)))
+    stages = _lm05_stages(config, strategy) if config.protocol == "lm05" else _bb84_stages(strategy)
+    weights, records = zip(*_rng.enumerate_paths(*stages))
     total = math.fsum(weights)
     if abs(total - 1.0) > _WEIGHT_ATOL:
         raise ValueError(f"leaf weights sum to {total!r}, not 1")
-    counts = np.array([_counters(tally([r])) for r in records], dtype=np.int64)
+    counts = np.array([_counters(r) for r in records], dtype=np.int64)
     return LeafTable(np.array(weights), records, counts)
 
 

@@ -10,6 +10,15 @@ Every random decision of the protocol, the attacks and the Born rule is a
 a generator makes each coin fork rather than sample, which is how
 :func:`enumerate_paths` lists every outcome of a round with its exact
 probability.
+
+A function is enumerated by rerunning it once per path of coin outcomes, so
+coins early in a deep tree are replayed for every leaf below them.  Split
+into a chain of stages, each stage reruns only once per path of its own
+coins, from the value its parent stage returned: a coin prefix shared by
+many leaves runs once.  Each stage's :class:`Branching` starts at its
+parent's path weight and multiplies its own coins onto it, so every leaf
+weight is the same product, taken in the same order, as one function
+replayed from the root: the weights are bit-identical.
 """
 
 from __future__ import annotations
@@ -30,15 +39,16 @@ class Branching:
 
     Coins beyond the forced ``path`` come up True when that is possible;
     each coin whose other outcome is also possible queues that other path
-    in ``forks``.  ``weight`` is the probability of the path taken so far.
+    in ``forks``.  ``weight`` is the probability of the path taken so far,
+    times the ``weight`` the stream starts from.
     """
 
     __slots__ = ("_path", "_taken", "weight", "forks")
 
-    def __init__(self, path: tuple[bool, ...] = ()):
+    def __init__(self, path: tuple[bool, ...] = (), weight: float = 1.0):
         self._path = path
         self._taken: list[bool] = []
-        self.weight = 1.0
+        self.weight = weight
         self.forks: list[tuple[bool, ...]] = []
 
     def coin(self, p: float) -> bool:
@@ -65,16 +75,30 @@ def coin(stream, p: float) -> bool:
     return stream.random() < p
 
 
-def enumerate_paths(fn):
-    """Call fn(stream) once per possible path of coin outcomes.
+def enumerate_paths(*stages):
+    """Run a chain of stages once per possible path of coin outcomes.
 
-    Yields (probability, result) per path; outcomes of probability 0 are
-    never followed.  fn must draw only through :func:`coin` and be
-    deterministic given the outcomes.
+    ``stages[0](stream)`` starts a path and each later ``stage(value, stream)``
+    continues it from the value the stage before returned; a single function
+    of the stream is the one-stage chain.  Yields (probability, result of
+    the last stage) per path, depth first with True before False, which is
+    the order of one function replayed from the root.  Outcomes of
+    probability 0 are never followed.  A stage must draw only through
+    :func:`coin`, be deterministic given its value and outcomes, and leave
+    its value unchanged: its sibling paths read that value again.
     """
-    pending = [()]
+    last = len(stages) - 1
+    # (stage index, its input, weight so far, forced coins); the first stage
+    # takes the stream alone.  A stage's forks go below its child, so the
+    # child's whole subtree is walked before the stage's next path.
+    pending = [(0, (), 1.0, ())]
     while pending:
-        branch = Branching(pending.pop())
-        result = fn(branch)
-        pending.extend(branch.forks)
-        yield branch.weight, result
+        depth, args, weight, path = pending.pop()
+        branch = Branching(path, weight)
+        value = stages[depth](*args, branch)
+        for fork in branch.forks:
+            pending.append((depth, args, weight, fork))
+        if depth == last:
+            yield branch.weight, value
+        else:
+            pending.append((depth + 1, (value,), branch.weight, ()))

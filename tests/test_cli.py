@@ -1,11 +1,18 @@
 import csv
+import io
 import json
 import math
+import os
+import resource
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkd2way.cli import main
 
@@ -254,17 +261,81 @@ def test_curves_rejects_non_finite_grid_step(step, capsys):
     assert f"grid_step must be positive and finite, got {step}" in capsys.readouterr().err
 
 
+def _cap_address_space():
+    # a grid that outgrows its cap fails here with MemoryError, not on the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
 @pytest.mark.parametrize("argv", [["curves", "--grid-step", "1e-300"],
                                   ["gain", "--lmax", "1e9", "--lstep", "1e-9"],
                                   # a grid of 500,000 distances, but a crossover span of 2e6 km
-                                  ["pns", "--lmax", "2e6", "--lstep", "4"]])
+                                  ["pns", "--lmax", "2e6", "--lstep", "4"],
+                                  # lmax - lmin is 0, but the end point's 1e-9 km
+                                  # tolerance holds 1e291 steps
+                                  ["gain", "--lmax", "0", "--lstep", "1e-300"],
+                                  # lmin + i * lstep rounds back to lmin for every i
+                                  ["pns", "--lmin", "1e300", "--lmax", "1e300"]])
 def test_oversized_grids_are_refused_before_they_are_built(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "qkd2way", *argv],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},  # per-thread buffers count against the cap
     )
     assert proc.returncode == 2
     assert "more than 1000000" in proc.stderr
+
+
+_EXTREME_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
+_FLOAT_FLAGS = {"curves": ("--grid-step",),
+                "gain": ("--lmin", "--lmax", "--lstep"),
+                "pns": ("--lmin", "--lmax", "--lstep"),
+                "simulate": ("--xi", "--x", "--xprime", "--chi", "--c", "--reveal")}
+_EXAMPLE_BUDGET_S = 2.0  # a pass of the slowest command takes about 25 ms
+
+
+class _OverBudget(Exception):
+    pass
+
+
+@contextmanager
+def _budget(seconds):
+    def expire(signum, frame):
+        raise _OverBudget(f"example ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def _float_flag_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLOAT_FLAGS)))
+    values = draw(st.dictionaries(st.sampled_from(_FLOAT_FLAGS[command]), st.sampled_from(_EXTREME_FLOATS)))
+    argv = [command, *(f"{flag}={value}" for flag, value in values.items())]
+    if command == "simulate":
+        argv += ["--protocol", draw(st.sampled_from(("lm05", "bb84"))),
+                 "--attack", draw(st.sampled_from(("none", "ir", "nort", "dcnot", "dcnot-star")))]
+    return argv
+
+
+# derandomized: a simulate example runs the five-sigma gates, which a fresh
+# draw of examples on every run could fail (exit 1) once in a long while
+@given(argv=_float_flag_argv())
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_extreme_float_flags_work_or_exit_2(argv):
+    # every float a user can type either runs or is refused with a message,
+    # within the budget; no value reaches past the grid or span caps
+    out, err = io.StringIO(), io.StringIO()
+    with _budget(_EXAMPLE_BUDGET_S), redirect_stdout(out), redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 2), (argv, status, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if status == 2:
+        assert "error: " in err.getvalue()
 
 
 FIGURE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_figure_data.py"

@@ -33,7 +33,7 @@ from qkd2way.protocol import (
     tally,
     write_round_log,
 )
-from qkd2way.rng import coin, enumerate_paths, stream
+from qkd2way.rng import Branching, coin, enumerate_paths, stream
 
 
 def test_predicted_rates_closed_forms():
@@ -159,9 +159,48 @@ def test_leaf_table_reproduces_closed_forms_exactly(protocol, attack, control_pr
 
 
 def test_enumerate_round_rejects_weights_not_summing_to_one(monkeypatch):
-    monkeypatch.setattr("qkd2way.protocol.run_round_lm05", lambda config, strategy, rng: coin(rng, 1.5))
+    # a last stage whose coin has "probability" 1.5 scales every leaf weight by 1.5
+    monkeypatch.setattr("qkd2way.protocol._readout_lm05", lambda config, back, rng: coin(rng, 1.5))
     with pytest.raises(ValueError, match="sum to"):
         enumerate_round(ProtocolConfig(protocol="lm05"))
+
+
+# every attack kind, with nort at its probe-angle ends and dcnot* at two flip
+# probabilities (the flip is the context write a sibling path must not see)
+_STAGED_ATTACKS = ([("lm05", AttackParams(kind=kind)) for kind in ("none", "dcnot")]
+                   + [("lm05", AttackParams(kind="ir", xi=xi)) for xi in (1.0, 0.5)]
+                   + [("lm05", AttackParams(kind="dcnot_star", chi=chi)) for chi in (0.1, 0.5)]
+                   + [("lm05", AttackParams(kind="nort", x=x, x_prime=xp))
+                      for x in (0.0, math.pi / 4, math.pi / 2) for xp in (0.0, 1.1, math.pi / 2)]
+                   + [("bb84", AttackParams(kind=kind)) for kind in ("none", "ir")])
+
+
+@pytest.mark.parametrize("protocol,attack", _STAGED_ATTACKS,
+                         ids=[f"{p}-{a.kind}-xi{a.xi:g}-x{a.x:.3g}-xp{a.x_prime:.3g}-chi{a.chi:g}"
+                              for p, a in _STAGED_ATTACKS])
+def test_staged_enumeration_equals_the_replay_from_the_root(protocol, attack):
+    round_fn = run_round_lm05 if protocol == "lm05" else run_round_bb84
+    for control_prob in (0.0, 0.25, 1.0):
+        for reveal_fraction in (0.1, 1.0):
+            config = ProtocolConfig(protocol=protocol, control_prob=control_prob,
+                                    reveal_fraction=reveal_fraction)
+            strategy = make_strategy(attack)
+            weights, records = zip(*enumerate_paths(lambda branch: round_fn(config, strategy, branch)))
+            table = enumerate_round(config, attack)
+            assert np.array_equal(table.weights, np.array(weights))
+            assert table.records == records
+            assert table.counts.tolist() == [
+                [c for name in RATE_NAMES for c in getattr(tally([r]), name)] for r in records]
+
+
+def test_enumeration_flips_each_coin_prefix_once(monkeypatch):
+    # the one-function replay flips 1,796 coins for this table
+    flips = []
+    plain = Branching.coin
+    monkeypatch.setattr(Branching, "coin", lambda self, p: flips.append(p) or plain(self, p))
+    table = enumerate_round(ProtocolConfig(), AttackParams(kind="nort", x=math.pi / 4))
+    assert len(table.records) == 188
+    assert len(flips) <= 668
 
 
 _IDENTITY_SCENARIOS = EXACT_SCENARIOS + [("lm05", AttackParams(kind="nort", x=0.0, x_prime=0.0))]
@@ -273,6 +312,7 @@ def test_run_batch_verdicts_pass_for_calibrated_attack():
     assert verdicts == {"q1": "PASS", "q_ab": "PASS", "q_ae": "PASS", "q_be": "PASS"}
     assert compare(report) == 0
     assert 0.0 < report.enumerate_s <= report.elapsed_s
+    assert 0.0 < report.draw_s <= report.elapsed_s - report.enumerate_s
 
 
 def test_no_attack_report_skips_eve_rates():

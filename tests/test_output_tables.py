@@ -118,10 +118,13 @@ def test_jsonl_records_carry_the_csv_columns_and_cells(case, tmp_path, capsys):
         meta = records.pop(0)
         assert meta["record"] == "meta"
         assert set(meta) == {"record", "protocol", "attack", "rounds", "seed", "workers",
-                             "engine", "leaves", "elapsed_s", "enumerate_s", "qkd2way", "numpy"}
+                             "engine", "leaves", "elapsed_s", "enumerate_s", "draw_s",
+                             "rounds_per_s", "qkd2way", "numpy"}
         assert (meta["rounds"], meta["seed"], meta["attack"]["x"]) == (20_000, 7, 0.7)
         assert (meta["qkd2way"], meta["numpy"]) == (qkd2way.__version__, np.__version__)
         assert 0.0 < meta["enumerate_s"] <= meta["elapsed_s"]
+        assert 0.0 < meta["draw_s"] <= meta["elapsed_s"] - meta["enumerate_s"]
+        assert meta["rounds_per_s"] == meta["rounds"] / meta["elapsed_s"]
     assert len(records) == len(cells)
     for record, row in zip(records, cells):
         assert list(record) == header

@@ -19,6 +19,27 @@ def test_enumerate_paths_lists_every_possible_outcome_with_its_probability():
     assert math.fsum(leaves.values()) == pytest.approx(1.0, abs=1e-15)
 
 
+def _ladder_head(rng):
+    return [coin(rng, 0.1), coin(rng, 1.0 / 3.0)]
+
+
+def _ladder_tail(taken, rng):
+    # the tail's coins depend on the head's outcomes; its value is a new list
+    p = 0.37 if taken[0] else 0.0
+    return [*taken, coin(rng, p), coin(rng, 0.7 if taken[1] else 0.29)]
+
+
+def _ladder(rng):
+    return _ladder_tail(_ladder_head(rng), rng)
+
+
+def test_a_chain_of_stages_lists_the_paths_of_one_function_bit_for_bit():
+    one_stage = list(enumerate_paths(_ladder))
+    two_stages = list(enumerate_paths(_ladder_head, _ladder_tail))
+    assert len(one_stage) == 12
+    assert two_stages == one_stage  # weights with ==, in the same order
+
+
 def test_branching_stream_follows_its_forced_path():
     branch = Branching((False,))
     assert _two_coins(branch) == (False, True)
