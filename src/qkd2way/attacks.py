@@ -40,7 +40,6 @@ from .qsim import Basis, ancilla_rotation, apply, attach_ancilla, cnot, discrimi
 from .rng import coin
 
 ATTACK_KINDS = ("none", "ir", "nort", "dcnot", "dcnot_star")
-TWO_WAY_KINDS = ("nort", "dcnot", "dcnot_star")
 
 
 @dataclass(frozen=True)
@@ -58,10 +57,9 @@ class AttackParams:
             raise ValueError(f"unknown attack kind {self.kind!r}; expected one of {ATTACK_KINDS}")
         if not 0.0 <= self.xi <= 1.0:
             raise ValueError("xi must lie in [0, 1]")
-        if not -1e-12 <= self.x <= math.pi / 2 + 1e-12:
-            raise ValueError("x must lie in [0, pi/2]")
-        if not -1e-12 <= self.x_prime <= math.pi / 2 + 1e-12:
-            raise ValueError("x_prime must lie in [0, pi/2]")
+        for name in ("x", "x_prime"):
+            if not -1e-12 <= getattr(self, name) <= math.pi / 2 + 1e-12:
+                raise ValueError(f"{name} must lie in [0, pi/2]")
         if not 0.0 <= self.chi <= 0.5:
             raise ValueError("chi must lie in [0, 0.5]")
 
@@ -86,10 +84,6 @@ class RoundAttack:
     def finalize(self, state, rng):
         """Eve's (alice_guess, key_bit_guess); None where she has nothing."""
         return None, None
-
-
-class _IdleRound(RoundAttack):
-    pass
 
 
 class _IRRound(RoundAttack):
@@ -211,7 +205,7 @@ class AttackStrategy:
         self.params = params
 
     def new_round(self, rng) -> RoundAttack:
-        return _IdleRound(False)
+        return RoundAttack(False)
 
 
 class _IRStrategy(AttackStrategy):

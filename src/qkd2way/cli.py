@@ -27,15 +27,12 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, astuple
-
-import numpy as np
+from functools import cache
 
 from . import __version__
-from .attacks import AttackParams
 from .infotheory import IDENTIFIED, MAX_GRID_POINTS, NoiseModel, curve_points, threshold
-from .montecarlo import compare, failures, run_batch, report_text
+from .numerics import grid
 from .photonics import NoCrossover, crossover_distance, scan_distances
-from .protocol import ProtocolConfig
 
 DEFAULT_SEED = 20050920
 
@@ -78,7 +75,9 @@ def _parse_model(text: str) -> NoiseModel:
     raise UsageError(f"--model must be 'identified' or 'fixed:<value>', got {text!r}")
 
 
+@cache
 def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The parser tree, built once per parser class and shared: callers only parse with it."""
     parser = parser_class(prog="qkd2way", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -191,6 +190,13 @@ def write_rows(file, fmt: str, columns, rows) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    # the simulator (and numpy) load here, so the closed-form commands start without them
+    import numpy as np
+
+    from .attacks import AttackParams
+    from .montecarlo import compare, failure_text, report_text, run_batch
+    from .protocol import ProtocolConfig
+
     attack = AttackParams(kind=_SIM_ATTACKS[args.attack], xi=args.xi,
                           x=args.x, x_prime=args.xprime, chi=args.chi)
     config = ProtocolConfig(protocol=args.protocol, control_prob=args.c,
@@ -214,7 +220,7 @@ def _cmd_simulate(args) -> int:
             write_rows(fh, args.format, REPORT_COLUMNS, map(astuple, report.rates))
     status = compare(report)
     if status:
-        print(f"verification FAILED for: {', '.join(failures(report))}", file=sys.stderr)
+        print(failure_text(report), file=sys.stderr)
     return status
 
 
@@ -281,15 +287,7 @@ def _distance_grid(args) -> list[float]:
     # the grid runs to lmax + 1e-9, and a step that rounds away against lmin never ends it
     if (lmax + 1e-9 - lmin) / lstep >= MAX_GRID_POINTS or lmin + lstep == lmin:
         raise UsageError(f"lmin, lmax and lstep give more than {MAX_GRID_POINTS} distances")
-    grid = []
-    i = 0
-    while True:
-        length = lmin + i * lstep
-        if length > lmax + 1e-9:
-            break
-        grid.append(length)
-        i += 1
-    return grid
+    return grid(lmin, lstep, lmax + 1e-9)
 
 
 def _scan_command(args, objective: str) -> int:
@@ -316,6 +314,11 @@ def _scan_command(args, objective: str) -> int:
     return 0
 
 
+_COMMANDS = {"simulate": _cmd_simulate, "curves": _cmd_curves, "thresholds": _cmd_thresholds,
+             "gain": lambda args: _scan_command(args, "secure_gain"),
+             "pns": lambda args: _scan_command(args, "pns_margin")}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -325,15 +328,7 @@ def main(argv=None) -> int:
             # file values go ahead of the command line's flags, so a flag wins
             at = argv.index(args.command) + 1
             args = parser.parse_args([*argv[:at], *_config_args(args.config, args.command), *argv[at:]])
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "curves":
-            return _cmd_curves(args)
-        if args.command == "thresholds":
-            return _cmd_thresholds(args)
-        if args.command == "gain":
-            return _scan_command(args, "secure_gain")
-        return _scan_command(args, "pns_margin")
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (UsageError, ValueError) as exc:

@@ -37,18 +37,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .numerics import MAX_GRID_POINTS, bisect_first_zero
+from .numerics import MAX_GRID_POINTS, bisect_first_zero, grid
 
-EVE_MODELS = ("ir", "nort", "dcnot_star", "generic", "bb84_ir", "bb84_opt")
-
-_DOMAIN_MAX = {
-    "ir": 0.25,
-    "nort": 0.25,
-    "dcnot_star": 0.25,
-    "generic": 0.5,
-    "bb84_ir": 0.25,
-    "bb84_opt": 0.5,
-}
+_DOMAIN_MAX = {"ir": 0.25, "nort": 0.25, "dcnot_star": 0.25,
+               "generic": 0.5, "bb84_ir": 0.25, "bb84_opt": 0.5}
+EVE_MODELS = tuple(_DOMAIN_MAX)
 _DOMAIN_EPS = 1e-12
 _CAPACITY_TOL = 1e-12
 _LOG2_3 = math.log2(3.0)
@@ -186,12 +179,4 @@ def curve_points(attack: str, model: NoiseModel = IDENTIFIED,
     dmax = _domain_max(attack)
     if (dmax + _DOMAIN_EPS) / grid_step >= MAX_GRID_POINTS:
         raise ValueError(f"grid_step {grid_step} gives more than {MAX_GRID_POINTS} q1 points")
-    points = []
-    i = 0
-    while True:
-        q1 = i * grid_step
-        if q1 > dmax + _DOMAIN_EPS:
-            break
-        points.append(secrecy(min(q1, dmax), attack, model))
-        i += 1
-    return points
+    return [secrecy(min(q1, dmax), attack, model) for q1 in grid(0.0, grid_step, dmax + _DOMAIN_EPS)]

@@ -151,6 +151,35 @@ def failures(report: BatchReport) -> list[str]:
     return [r.name for r in report.rates if r.verdict == "FAIL"]
 
 
+def gate_miss(rate: RateReport) -> tuple[float, float]:
+    """(z, distance): how far a gated rate's estimate is from its prediction.
+
+    z is the score statistic (estimate - prediction) / sqrt(p (1 - p) / trials)
+    at p = prediction, the one the Wilson band inverts, so the gate passes
+    iff |z| <= 5; distance is how far the prediction lies outside the
+    five-sigma band (0 inside it).
+    """
+    p, diff = rate.prediction, rate.estimate - rate.prediction
+    sd = math.sqrt(p * (1.0 - p)) / math.sqrt(rate.trials)  # no underflow at subnormal p
+    if sd > 0.0:
+        z = diff / sd
+    else:  # a prediction of 0 or 1: any miss at all is infinitely unlikely
+        z = math.copysign(math.inf, diff) if diff else 0.0
+    glo, ghi = wilson_interval(rate.errors, rate.trials, z=_GATE_Z)
+    return z, max(glo - p, p - ghi, 0.0)
+
+
+def failure_text(report: BatchReport) -> str:
+    """One line naming each failed rate with its z-score and distance to the band."""
+    parts = []
+    for r in report.rates:
+        if r.verdict == "FAIL":
+            z, distance = gate_miss(r)
+            parts.append(f"{r.name} (estimate {r.estimate:.6f}, predicted {r.prediction:.6f}, "
+                         f"z={z:+.2f}, {distance:.6f} outside the {_GATE_Z:g}-sigma band)")
+    return f"verification FAILED for: {'; '.join(parts)}"
+
+
 def compare(report: BatchReport) -> int:
     """Exit status: 0 iff every gated rate passed (skipped rates do not fail)."""
     return 1 if failures(report) else 0

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import math
+from itertools import count, takewhile
 from typing import Callable
 
 MAX_GRID_POINTS = 1_000_000  # cap on the q1 and distance grids and on the steps of a scan
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def grid(start: float, step: float, stop: float) -> list[float]:
+    """start + i * step for i = 0, 1, ... while the point is <= stop; the caller caps the count."""
+    return list(takewhile(lambda v: v <= stop, (start + i * step for i in count())))
 
 
 def bisect_first_zero(f: Callable[[float], float], lo: float, hi: float,

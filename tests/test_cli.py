@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -11,10 +12,15 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qkd2way.cli import main
+import qkd2way
+from qkd2way import montecarlo
+from qkd2way.attacks import AttackParams
+from qkd2way.cli import REPORT_COLUMNS, build_parser, main
+from qkd2way.montecarlo import RateReport, gate_miss, predicted_rates, run_batch, wilson_interval
+from qkd2way.protocol import ProtocolConfig
 
 
 def _run(argv):
@@ -369,3 +375,81 @@ def test_figure_script_stops_at_a_failing_subcommand(tmp_path):
     assert "grid_step must be positive and finite" in proc.stderr
     assert "wrote" not in proc.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
+    assert build_parser() is build_parser()
+    outs = {name: tmp_path / f"{name}.csv" for name in ("nort", "plain", "ir", "cfg", "after")}
+    assert _run(["curves", "--attack", "nort", "--out", str(outs["nort"])]) == 0
+    assert _run(["curves", "--out", str(outs["plain"])]) == 0
+    assert _run(["curves", "--attack", "ir", "--out", str(outs["ir"])]) == 0
+    assert outs["plain"].read_bytes() == outs["ir"].read_bytes() != outs["nort"].read_bytes()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_step = 0.05\nattack = nort\n")
+    assert _run(["curves", "--config", str(cfg), "--out", str(outs["cfg"])]) == 0
+    assert _run(["curves", "--out", str(outs["after"])]) == 0
+    assert len(outs["cfg"].read_text().splitlines()) == 7
+    assert outs["after"].read_bytes() == outs["ir"].read_bytes()
+
+
+def test_failed_gate_says_by_how_much(tmp_path, monkeypatch, capsys):
+    wrong = {**predicted_rates("lm05", AttackParams(kind="ir")), "q_ab": 0.1}
+    monkeypatch.setattr(montecarlo, "predicted_rates", lambda protocol, attack: wrong)
+    out = tmp_path / "report.csv"
+    assert _run(["simulate", "--attack", "ir", "--rounds", "20000", "--seed", "3",
+                 "--reveal", "0.5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("verification FAILED for: q_ab (estimate 0.2")
+    assert "predicted 0.100000" in err and "outside the 5-sigma band" in err
+    assert "q1" not in err and "\n" not in err
+    rows = {row["rate"]: row for row in csv.DictReader(out.open())}
+    assert list(rows["q_ab"]) == list(REPORT_COLUMNS) and rows["q_ab"]["verdict"] == "FAIL"
+    rate = next(r for r in run_batch(ProtocolConfig(rounds=20000, seed=3, reveal_fraction=0.5),
+                                     AttackParams(kind="ir")).rates if r.name == "q_ab")
+    z, distance = gate_miss(rate)
+    assert f"z={z:+.2f}, {distance:.6f} outside" in err
+    assert z > 5.0 and 0.0 < distance < rate.estimate - 0.1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10_000), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_gate_miss_agrees_with_the_gate(trials, share, prediction):
+    errors = round(share * trials)
+    glo, ghi = wilson_interval(errors, trials, z=5.0)
+    rate = RateReport("q1", errors, trials, errors / trials, None, None, prediction, None)
+    z, distance = gate_miss(rate)
+    assume(abs(abs(z) - 5.0) > 1e-6)
+    # the Wilson band is the set of predictions whose score z is at most 5
+    assert (abs(z) <= 5.0) == (distance == 0.0) == (glo <= prediction <= ghi)
+    assert distance == pytest.approx(max(glo - prediction, prediction - ghi, 0.0))
+
+
+_SIMULATOR_MODULES = ("numpy", "qkd2way.qsim", "qkd2way.attacks", "qkd2way.protocol",
+                      "qkd2way.montecarlo", "qkd2way.rng")
+
+
+def test_closed_form_commands_load_neither_numpy_nor_the_simulator(tmp_path):
+    script = f"""
+import sys
+from qkd2way.cli import main
+for argv in (["thresholds"], ["curves"], ["gain", "--lstep", "5"], ["pns", "--lstep", "5"]):
+    assert main([*argv, "--out", {str(tmp_path / "out.csv")!r}]) == 0, argv
+    loaded = [name for name in {_SIMULATOR_MODULES!r} if name in sys.modules]
+    assert not loaded, (argv, loaded)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_names_resolve_to_their_home_modules():
+    for name in qkd2way.__all__:
+        if name != "__version__":
+            home = importlib.import_module(f"qkd2way.{qkd2way._HOME[name]}")
+            assert getattr(qkd2way, name) is getattr(home, name), name
+    assert set(qkd2way.__all__) <= set(dir(qkd2way))
+    assert qkd2way.rng is importlib.import_module("qkd2way.rng")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qkd2way.no_such_name
+    with pytest.raises(ImportError):
+        from qkd2way import no_such_name  # noqa: F401
