@@ -51,7 +51,3 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
     return value
-
-
-def __dir__():
-    return sorted({*globals(), *_HOME, *_SUBMODULES})

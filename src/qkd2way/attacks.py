@@ -57,9 +57,10 @@ class AttackParams:
             raise ValueError(f"unknown attack kind {self.kind!r}; expected one of {ATTACK_KINDS}")
         if not 0.0 <= self.xi <= 1.0:
             raise ValueError("xi must lie in [0, 1]")
-        for name in ("x", "x_prime"):
-            if not -1e-12 <= getattr(self, name) <= math.pi / 2 + 1e-12:
-                raise ValueError(f"{name} must lie in [0, pi/2]")
+        if not -1e-12 <= self.x <= math.pi / 2 + 1e-12:
+            raise ValueError("x must lie in [0, pi/2]")
+        if not -1e-12 <= self.x_prime <= math.pi / 2 + 1e-12:
+            raise ValueError("x_prime must lie in [0, pi/2]")
         if not 0.0 <= self.chi <= 0.5:
             raise ValueError("chi must lie in [0, 0.5]")
 

@@ -291,7 +291,7 @@ def _distance_grid(args) -> list[float]:
 
 
 def _scan_command(args, objective: str) -> int:
-    grid = _distance_grid(args)
+    lengths = _distance_grid(args)
     with _open_out(args.out) as fh:
         footer = []
         if objective == "pns_margin":
@@ -307,16 +307,11 @@ def _scan_command(args, objective: str) -> int:
                 footer.append((km, None, None, None, "crossover", objective))
         rows = []
         for protocol in ("bb84", "lm05"):
-            for p in scan_distances(objective, protocol, grid):
+            for p in scan_distances(objective, protocol, lengths):
                 log10 = math.log10(p.value) if p.value > 0.0 else None
                 rows.append((p.length_km, p.mu_star, p.value, log10, p.protocol, p.objective))
         write_rows(fh, args.format, SCAN_COLUMNS, rows + footer)
     return 0
-
-
-_COMMANDS = {"simulate": _cmd_simulate, "curves": _cmd_curves, "thresholds": _cmd_thresholds,
-             "gain": lambda args: _scan_command(args, "secure_gain"),
-             "pns": lambda args: _scan_command(args, "pns_margin")}
 
 
 def main(argv=None) -> int:
@@ -328,7 +323,15 @@ def main(argv=None) -> int:
             # file values go ahead of the command line's flags, so a flag wins
             at = argv.index(args.command) + 1
             args = parser.parse_args([*argv[:at], *_config_args(args.config, args.command), *argv[at:]])
-        return _COMMANDS[args.command](args)
+        if args.command == "simulate":
+            return _cmd_simulate(args)
+        if args.command == "curves":
+            return _cmd_curves(args)
+        if args.command == "thresholds":
+            return _cmd_thresholds(args)
+        if args.command == "gain":
+            return _scan_command(args, "secure_gain")
+        return _scan_command(args, "pns_margin")
     except SystemExit as exc:
         return int(exc.code or 0)
     except (UsageError, ValueError) as exc:

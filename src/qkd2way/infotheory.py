@@ -39,9 +39,16 @@ from typing import Optional
 
 from .numerics import MAX_GRID_POINTS, bisect_first_zero, grid
 
-_DOMAIN_MAX = {"ir": 0.25, "nort": 0.25, "dcnot_star": 0.25,
-               "generic": 0.5, "bb84_ir": 0.25, "bb84_opt": 0.5}
-EVE_MODELS = tuple(_DOMAIN_MAX)
+EVE_MODELS = ("ir", "nort", "dcnot_star", "generic", "bb84_ir", "bb84_opt")
+
+_DOMAIN_MAX = {
+    "ir": 0.25,
+    "nort": 0.25,
+    "dcnot_star": 0.25,
+    "generic": 0.5,
+    "bb84_ir": 0.25,
+    "bb84_opt": 0.5,
+}
 _DOMAIN_EPS = 1e-12
 _CAPACITY_TOL = 1e-12
 _LOG2_3 = math.log2(3.0)

@@ -104,6 +104,12 @@ def predicted_rates(protocol: str, attack: AttackParams) -> dict[str, Optional[f
             "q_ae": 0.0 if guessed else None, "q_be": 0.0 if guessed else None}
 
 
+def _band_distance(errors: int, trials: int, prediction: float) -> float:
+    """How far the prediction lies outside the five-sigma Wilson band of errors/trials (0 inside)."""
+    glo, ghi = wilson_interval(errors, trials, z=_GATE_Z)
+    return max(glo - prediction, prediction - ghi, 0.0)
+
+
 def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK,
               n: Optional[int] = None, seed: Optional[int] = None,
               workers: int = 1) -> BatchReport:
@@ -138,8 +144,7 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK,
         lo95, hi95 = wilson_interval(errors, trials)
         verdict = None
         if prediction is not None:
-            glo, ghi = wilson_interval(errors, trials, z=_GATE_Z)
-            verdict = "PASS" if glo - 1e-15 <= prediction <= ghi + 1e-15 else "FAIL"
+            verdict = "PASS" if _band_distance(errors, trials, prediction) <= 1e-15 else "FAIL"
         rates.append(RateReport(name, errors, trials, errors / trials, lo95, hi95, prediction, verdict))
     return BatchReport(config=config, attack=attack, rounds=n, seed=seed, workers=workers,
                        tallies=total, rates=tuple(rates), elapsed_s=elapsed,
@@ -165,8 +170,7 @@ def gate_miss(rate: RateReport) -> tuple[float, float]:
         z = diff / sd
     else:  # a prediction of 0 or 1: any miss at all is infinitely unlikely
         z = math.copysign(math.inf, diff) if diff else 0.0
-    glo, ghi = wilson_interval(rate.errors, rate.trials, z=_GATE_Z)
-    return z, max(glo - p, p - ghi, 0.0)
+    return z, _band_distance(rate.errors, rate.trials, p)
 
 
 def failure_text(report: BatchReport) -> str:

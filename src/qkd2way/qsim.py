@@ -27,8 +27,7 @@ Kernel cache
 ------------
 :func:`apply`, :func:`attach_ancilla` and the Born-rule kernel behind
 :func:`measure` are pure, so each keeps its ``_STEPS`` (256) most recently
-used results in a ``functools.lru_cache``, as do the gate-matrix tables and
-the gate factories, which return one object per distinct gate.
+used results in a ``functools.lru_cache``, as do the gate-matrix tables.
 States and gates hash and compare by identity, and a cache entry holds its
 key objects, so no id is reused while the entry lives and a hit is always
 the very input it was computed from.  Results are shared by every caller,
@@ -116,23 +115,20 @@ class Gate:
                 raise ValueError("probe angle must lie in [0, pi/2]")
 
 
-_gate = lru_cache(maxsize=_STEPS)(Gate)  # one object per distinct gate: see "Kernel cache"
-
-
 def spin_flip(wire: int = 0) -> Gate:
-    return _gate(GateKind.SPIN_FLIP, (wire,), None)
+    return Gate(GateKind.SPIN_FLIP, (wire,))
 
 
 def hadamard(wire: int = 0) -> Gate:
-    return _gate(GateKind.HADAMARD, (wire,), None)
+    return Gate(GateKind.HADAMARD, (wire,))
 
 
 def cnot(control: int, target: int) -> Gate:
-    return _gate(GateKind.CNOT, (control, target), None)
+    return Gate(GateKind.CNOT, (control, target))
 
 
 def ancilla_rotation(angle: float, control: int, target: int) -> Gate:
-    return _gate(GateKind.ANCILLA_ROTATION, (control, target), angle)
+    return Gate(GateKind.ANCILLA_ROTATION, (control, target), angle)
 
 
 def _rot2(theta: float) -> np.ndarray:
@@ -184,9 +180,19 @@ def _check_wires(state: StateVector, wires: tuple[int, ...]):
             raise ValueError(f"wire {w} out of range for {state.num_wires}-wire register")
 
 
-_PREPARED = {key: _sv(np.array(amps, dtype=complex), 1) for key, amps in {
-    (Basis.Z, 0): (1.0, 0.0), (Basis.Z, 1): (0.0, 1.0),
-    (Basis.X, 0): (_SQRT1_2, _SQRT1_2), (Basis.X, 1): (_SQRT1_2, -_SQRT1_2)}.items()}
+def _make_prepared() -> dict[tuple[Basis, int], StateVector]:
+    table = {
+        (Basis.Z, 0): np.array([1.0, 0.0], dtype=complex),
+        (Basis.Z, 1): np.array([0.0, 1.0], dtype=complex),
+        (Basis.X, 0): np.array([_SQRT1_2, _SQRT1_2], dtype=complex),
+        (Basis.X, 1): np.array([_SQRT1_2, -_SQRT1_2], dtype=complex),
+    }
+    for amps in table.values():
+        amps.setflags(write=False)
+    return {key: StateVector(amps, 1) for key, amps in table.items()}
+
+
+_PREPARED = _make_prepared()
 
 
 def prepare(basis: Basis, bit: int) -> StateVector:

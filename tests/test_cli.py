@@ -447,7 +447,6 @@ def test_package_names_resolve_to_their_home_modules():
         if name != "__version__":
             home = importlib.import_module(f"qkd2way.{qkd2way._HOME[name]}")
             assert getattr(qkd2way, name) is getattr(home, name), name
-    assert set(qkd2way.__all__) <= set(dir(qkd2way))
     assert qkd2way.rng is importlib.import_module("qkd2way.rng")
     with pytest.raises(AttributeError, match="no_such_name"):
         qkd2way.no_such_name

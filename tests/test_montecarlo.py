@@ -253,34 +253,6 @@ def test_qsim_caches_stay_bounded():
     assert qsim._outcomes.cache_info().hits > 2 * qsim._outcomes.cache_info().misses
 
 
-def test_strategies_share_equal_gates():
-    p = AttackParams(kind="nort", x=0.7, x_prime=1.1)
-    assert make_strategy(p).rot_fwd is make_strategy(p).rot_fwd
-    assert make_strategy(p).h is qsim.hadamard(0) is not qsim.spin_flip(0)
-    dcnot_star = make_strategy(AttackParams(kind="dcnot_star", chi=0.2))
-    assert make_strategy(AttackParams(kind="dcnot")).copy_gate is dcnot_star.copy_gate
-
-
-def _kernel_misses():
-    return sum(f.cache_info().misses for f in (qsim.apply, qsim.attach_ancilla, qsim._outcomes))
-
-
-@pytest.mark.parametrize("first,later", [
-    (AttackParams(kind="nort", x=0.7, x_prime=1.1), AttackParams(kind="nort", x=0.7, x_prime=0.9)),
-    (AttackParams(kind="dcnot"), AttackParams(kind="dcnot_star", chi=0.2)),
-], ids=["nort-same-x", "dcnot-then-dcnot-star"])
-def test_equal_gates_share_kernel_results_across_enumerations(first, later):
-    _clear_qsim_caches()
-    enumerate_round(ProtocolConfig(), later)
-    cold = _kernel_misses()
-    _clear_qsim_caches()
-    enumerate_round(ProtocolConfig(), first)
-    before = _kernel_misses()
-    enumerate_round(ProtocolConfig(), later)
-    # the later enumeration finds the steps it shares with the first in the caches
-    assert 3 * (_kernel_misses() - before) <= 2 * cold
-
-
 # run_batch tallies (seed 11, 20,000 rounds) and the round log's sha256
 # prefix (seed 12, 3,000 rounds), recorded before the qsim kernels were cached
 _PINNED = [
