@@ -3,11 +3,13 @@
 
 For every scenario of verify_attacks.py, plus lm05 nort with a misaligned
 backward probe (x, x') = (0.7, 1.1), prints the leaf count of
-``protocol.enumerate_round``, the coins its enumeration flips, and its
-first-call time: each call comes after ``cache_clear()`` on every qsim
-kernel cache, and the time is the minimum over --calls calls in each of
---processes fresh processes, run one after another.  The last row sums the
-scenarios, which is one pass of the ``mc_verify`` benchmark workload.
+``protocol.enumerate_round``, the coins its enumeration flips, its
+first-call time (the call comes after ``cache_clear()`` on every qsim
+kernel cache) and its repeat-call time (the same call again at once, with
+the caches kept, which is what a second call gains from them).  Each time
+is the minimum over --calls calls in each of --processes fresh processes,
+run one after another.  The last row sums the scenarios, which is one
+pass of the ``mc_verify`` benchmark workload.
 
     python scripts/enumeration_costs.py --calls 15 --processes 3
 """
@@ -52,19 +54,22 @@ def count_coins(config: ProtocolConfig, attack: AttackParams) -> tuple[int, int]
     return leaves, flips
 
 
-def first_call_seconds(calls: int) -> list[float]:
-    """Per scenario, the fastest of `calls` enumerations, each from emptied qsim caches."""
+def call_seconds(calls: int) -> tuple[list[float], list[float]]:
+    """Per scenario, the fastest of `calls` first calls, each from emptied qsim caches,
+    and the fastest of the repeat calls made right after them."""
     caches = [f for f in vars(qsim).values() if hasattr(f, "cache_clear")]
-    best = [math.inf] * len(ALL_SCENARIOS)
+    first = [math.inf] * len(ALL_SCENARIOS)
+    repeat = [math.inf] * len(ALL_SCENARIOS)
     for _ in range(calls):
         for i, (protocol, attack) in enumerate(ALL_SCENARIOS):
             config = ProtocolConfig(protocol=protocol)
             for cache in caches:
                 cache.cache_clear()
-            started = time.perf_counter()
-            enumerate_round(config, attack)
-            best[i] = min(best[i], time.perf_counter() - started)
-    return best
+            for best in (first, repeat):
+                started = time.perf_counter()
+                enumerate_round(config, attack)
+                best[i] = min(best[i], time.perf_counter() - started)
+    return first, repeat
 
 
 def main() -> int:
@@ -76,24 +81,28 @@ def main() -> int:
     if args.calls < 1 or args.processes < 1:
         parser.error("--calls and --processes must be >= 1")
     if args.worker:
-        print(json.dumps(first_call_seconds(args.calls)))
+        print(json.dumps(call_seconds(args.calls)))
         return 0
 
-    best = [math.inf] * len(ALL_SCENARIOS)
+    first = [math.inf] * len(ALL_SCENARIOS)
+    repeat = [math.inf] * len(ALL_SCENARIOS)
     for _ in range(args.processes):
         out = subprocess.run([sys.executable, __file__, "--worker", "--calls", str(args.calls)],
                              check=True, capture_output=True, text=True).stdout
-        best = [min(a, b) for a, b in zip(best, json.loads(out))]
+        worker_first, worker_repeat = json.loads(out)
+        first = [min(a, b) for a, b in zip(first, worker_first)]
+        repeat = [min(a, b) for a, b in zip(repeat, worker_repeat)]
 
     rows = []
-    for (protocol, attack), seconds in zip(ALL_SCENARIOS, best):
+    for (protocol, attack), first_s, repeat_s in zip(ALL_SCENARIOS, first, repeat):
         leaves, coins = count_coins(ProtocolConfig(protocol=protocol), attack)
-        rows.append((label(protocol, attack), leaves, coins, seconds))
+        rows.append((label(protocol, attack), leaves, coins, first_s, repeat_s))
     rows.append(("total (one mc_verify pass)", *(sum(col) for col in list(zip(*rows))[1:])))
     width = max(len(row[0]) for row in rows)
-    print(f"{'scenario':<{width}} {'leaves':>6} {'coins':>6} {'first call (ms)':>15}")
-    for name, leaves, coins, seconds in rows:
-        print(f"{name:<{width}} {leaves:>6} {coins:>6} {1e3 * seconds:>15.2f}")
+    print(f"{'scenario':<{width}} {'leaves':>6} {'coins':>6} {'first call (ms)':>15} "
+          f"{'repeat call (ms)':>16}")
+    for name, leaves, coins, first_s, repeat_s in rows:
+        print(f"{name:<{width}} {leaves:>6} {coins:>6} {1e3 * first_s:>15.2f} {1e3 * repeat_s:>16.2f}")
     return 0
 
 

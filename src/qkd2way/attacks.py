@@ -7,6 +7,15 @@ produces Eve's guesses for Alice's encoding bit and for the sifted key
 bit.  Hooks receive only the state vector plus Eve's own ancilla wires,
 never the preparation basis or bit, and never Alice's operation.
 
+Eve's memory of a round is an immutable value, handed from hook to hook
+like the state.  ``start(rng)`` returns it, or None when she leaves the
+round alone, and then no other hook runs; ``forward`` and ``backward``
+(memory, state, rng) return a new ``(memory, state)``, and ``finalize``
+(memory, state, rng) returns her guesses.  No hook changes the memory it
+was given, so the leaf enumerator can rerun a stage from one value once
+per coin path.  A new attack is one :class:`AttackStrategy` subclass,
+named in ``ATTACK_KINDS`` and ``_STRATEGIES``.
+
 Implemented strategies:
 
 ``ir``
@@ -36,7 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .qsim import Basis, ancilla_rotation, apply, attach_ancilla, cnot, discriminate, hadamard, measure, spin_flip
+from .qsim import (Basis, ancilla_rotation, apply, attach_ancilla, cnot, discriminate, hadamard, measure,
+                   random_basis, spin_flip)
 from .rng import coin
 
 ATTACK_KINDS = ("none", "ir", "nort", "dcnot", "dcnot_star")
@@ -67,180 +77,118 @@ class AttackParams:
 
 NO_ATTACK = AttackParams()
 
+_HADAMARD = hadamard(0)
+_COPY = cnot(0, 1)
+_FLIP = spin_flip(0)
 
-class RoundAttack:
-    """Per-round attack context: scratch state for one protocol round."""
 
-    __slots__ = ("attacked",)
+class AttackStrategy:
+    """One attack's hooks; this base class is no attack, leaving every round alone."""
 
-    def __init__(self, attacked: bool):
-        self.attacked = attacked
+    def __init__(self, params: AttackParams):
+        self.params = params
 
-    def forward(self, state, rng):
-        return state
+    def start(self, rng):
+        """Eve's memory of a new round, or None when she leaves the round alone."""
+        return None
 
-    def backward(self, state, rng):
-        return state
+    def forward(self, memory, state, rng):
+        """The forward pass: a new (memory, state)."""
+        raise NotImplementedError
 
-    def finalize(self, state, rng):
+    def backward(self, memory, state, rng):
+        """The backward pass: a new (memory, state)."""
+        raise NotImplementedError
+
+    def finalize(self, memory, state, rng):
         """Eve's (alice_guess, key_bit_guess); None where she has nothing."""
-        return None, None
+        raise NotImplementedError
 
 
-class _IRRound(RoundAttack):
-    __slots__ = ("basis", "fwd", "bwd")
+class _IRStrategy(AttackStrategy):
+    """Memory: (basis, forward outcome, backward outcome), filled in as she measures."""
 
-    def __init__(self, attacked, rng):
-        super().__init__(attacked)
-        self.basis = None
-        self.fwd = None
-        self.bwd = None
-        if attacked:
-            self.basis = Basis.Z if coin(rng, 0.5) else Basis.X
+    def start(self, rng):
+        if not coin(rng, self.params.xi):
+            return None
+        return (random_basis(rng),)
 
-    def forward(self, state, rng):
-        if not self.attacked:
-            return state
-        self.fwd, state = measure(state, 0, self.basis, rng)
-        return state
+    def forward(self, memory, state, rng):
+        outcome, state = measure(state, 0, memory[0], rng)
+        return (*memory, outcome), state
 
-    def backward(self, state, rng):
-        if not self.attacked:
-            return state
-        self.bwd, state = measure(state, 0, self.basis, rng)
-        return state
+    backward = forward
 
-    def finalize(self, state, rng):
-        if not self.attacked or self.fwd is None:
-            return None, None
-        if self.bwd is None:
+    def finalize(self, memory, state, rng):
+        if len(memory) == 2:
             # one-way round (BB84): the forward outcome is her bit guess
-            return None, self.fwd
-        guess = self.fwd ^ self.bwd
+            return None, memory[1]
+        _, fwd, bwd = memory
+        guess = fwd ^ bwd
         return guess, guess
 
 
-class _NortRound(RoundAttack):
-    __slots__ = ("strategy", "align", "done_backward")
+class _NortStrategy(AttackStrategy):
+    """Memory: her alignment, Z or X."""
 
-    def __init__(self, strategy, attacked, rng):
-        super().__init__(attacked)
-        self.strategy = strategy
-        self.align = None
-        self.done_backward = False
-        if attacked:
-            self.align = Basis.Z if coin(rng, 0.5) else Basis.X
+    def __init__(self, params):
+        super().__init__(params)
+        self.rot_fwd = ancilla_rotation(params.x, 0, 1)
+        self.rot_bwd = ancilla_rotation(params.x_prime, 0, 2)
 
-    def _probe(self, state, rotation, h_gate):
+    def start(self, rng):
+        if not coin(rng, self.params.xi):
+            return None
+        return random_basis(rng)
+
+    def _probe(self, align, state, rotation):
         state = attach_ancilla(state)
-        if self.align is Basis.X:
-            state = apply(state, h_gate)
+        if align is Basis.X:
+            state = apply(state, _HADAMARD)
         state = apply(state, rotation)
-        if self.align is Basis.X:
-            state = apply(state, h_gate)
-        return state
+        if align is Basis.X:
+            state = apply(state, _HADAMARD)
+        return align, state
 
-    def forward(self, state, rng):
-        if not self.attacked:
-            return state
-        s = self.strategy
-        return self._probe(state, s.rot_fwd, s.h)
+    def forward(self, align, state, rng):
+        return self._probe(align, state, self.rot_fwd)
 
-    def backward(self, state, rng):
-        if not self.attacked:
-            return state
-        self.done_backward = True
-        s = self.strategy
-        return self._probe(state, s.rot_bwd, s.h)
+    def backward(self, align, state, rng):
+        return self._probe(align, state, self.rot_bwd)
 
-    def finalize(self, state, rng):
-        if not self.attacked or not self.done_backward:
-            return None, None
-        s = self.strategy
-        g, state = discriminate(state, 1, s.params.x, rng)
-        r, state = discriminate(state, 2, s.params.x_prime, rng)
+    def finalize(self, align, state, rng):
+        g, state = discriminate(state, 1, self.params.x, rng)
+        r, state = discriminate(state, 2, self.params.x_prime, rng)
         # forward read = bit before Alice (in Eve's frame), backward read =
         # bit after; the XOR estimates the flip, which is also the key bit
         guess = g ^ r
         return guess, guess
 
 
-class _DcnotRound(RoundAttack):
-    __slots__ = ("strategy", "engaged", "flip")
+class _DcnotStrategy(AttackStrategy):
+    """Memory: the flip she injected on the way back, 0 or 1."""
 
-    def __init__(self, strategy, attacked):
-        super().__init__(attacked)
-        self.strategy = strategy
-        self.engaged = False
-        self.flip = 0
+    def start(self, rng):
+        return 0 if coin(rng, self.params.xi) else None
 
-    def forward(self, state, rng):
-        if not self.attacked:
-            return state
-        self.engaged = True
-        state = attach_ancilla(state)
-        return apply(state, self.strategy.copy_gate)
+    def forward(self, flip, state, rng):
+        return flip, apply(attach_ancilla(state), _COPY)
 
-    def backward(self, state, rng):
-        if not self.attacked:
-            return state
-        s = self.strategy
-        state = apply(state, s.copy_gate)
-        if s.star and coin(rng, s.params.chi):
-            self.flip = 1
-            state = apply(state, s.flip_gate)
-        return state
+    def backward(self, flip, state, rng):
+        state = apply(state, _COPY)
+        if self.params.kind == "dcnot_star" and coin(rng, self.params.chi):
+            return 1, apply(state, _FLIP)
+        return flip, state
 
-    def finalize(self, state, rng):
-        if not self.attacked or not self.engaged:
-            return None, None
+    def finalize(self, flip, state, rng):
         bit, state = measure(state, 1, Basis.Z, rng)
         # Eve knows her own injected flip, so her key-bit prediction folds it in
-        return bit, bit ^ self.flip
+        return bit, bit ^ flip
 
 
-class AttackStrategy:
-    """Factory handing out a fresh per-round context (Bernoulli-xi attacked flag)."""
-
-    def __init__(self, params: AttackParams):
-        self.params = params
-
-    def new_round(self, rng) -> RoundAttack:
-        return RoundAttack(False)
-
-
-class _IRStrategy(AttackStrategy):
-    def new_round(self, rng):
-        return _IRRound(coin(rng, self.params.xi), rng)
-
-
-class _NortStrategy(AttackStrategy):
-    def __init__(self, params):
-        super().__init__(params)
-        self.rot_fwd = ancilla_rotation(params.x, 0, 1)
-        self.rot_bwd = ancilla_rotation(params.x_prime, 0, 2)
-        self.h = hadamard(0)
-
-    def new_round(self, rng):
-        return _NortRound(self, coin(rng, self.params.xi), rng)
-
-
-class _DcnotStrategy(AttackStrategy):
-    def __init__(self, params):
-        super().__init__(params)
-        self.star = params.kind == "dcnot_star"
-        self.copy_gate = cnot(0, 1)
-        self.flip_gate = spin_flip(0)
-
-    def new_round(self, rng):
-        return _DcnotRound(self, coin(rng, self.params.xi))
+_STRATEGIES = {"none": AttackStrategy, "ir": _IRStrategy, "nort": _NortStrategy,
+               "dcnot": _DcnotStrategy, "dcnot_star": _DcnotStrategy}
 
 
 def make_strategy(params: AttackParams) -> AttackStrategy:
-    if params.kind == "none":
-        return AttackStrategy(params)
-    if params.kind == "ir":
-        return _IRStrategy(params)
-    if params.kind == "nort":
-        return _NortStrategy(params)
-    return _DcnotStrategy(params)
+    return _STRATEGIES[params.kind](params)

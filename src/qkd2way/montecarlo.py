@@ -110,25 +110,20 @@ def _band_distance(errors: int, trials: int, prediction: float) -> float:
     return max(glo - prediction, prediction - ghi, 0.0)
 
 
-def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK,
-              n: Optional[int] = None, seed: Optional[int] = None,
+def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK, *,
               workers: int = 1) -> BatchReport:
-    """Sample n rounds from the exact leaf table and gate the tallies against predictions.
+    """Sample config.rounds rounds from the exact leaf table; gate the tallies against predictions.
 
     ``workers`` is validated and recorded only: one multinomial draw needs no
-    parallelism, and the tallies depend on (config, attack, n, seed) alone.
+    parallelism, and the tallies depend on (config, attack) alone.
     """
-    n = config.rounds if n is None else n
-    seed = config.seed if seed is None else seed
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     predictions = predicted_rates(config.protocol, attack)  # validates the combo
     started = time.perf_counter()
     table = enumerate_round(config, attack)
     enumerated = time.perf_counter()
-    hits = table.draw(n, seed)
+    hits = table.draw(config.rounds, config.seed)
     counters = (hits @ table.counts).tolist()
     drawn = time.perf_counter()
     total = Tallies(*zip(counters[0::2], counters[1::2]))
@@ -146,8 +141,8 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK,
         if prediction is not None:
             verdict = "PASS" if _band_distance(errors, trials, prediction) <= 1e-15 else "FAIL"
         rates.append(RateReport(name, errors, trials, errors / trials, lo95, hi95, prediction, verdict))
-    return BatchReport(config=config, attack=attack, rounds=n, seed=seed, workers=workers,
-                       tallies=total, rates=tuple(rates), elapsed_s=elapsed,
+    return BatchReport(config=config, attack=attack, rounds=config.rounds, seed=config.seed,
+                       workers=workers, tallies=total, rates=tuple(rates), elapsed_s=elapsed,
                        leaves=len(table.weights), enumerate_s=enumerated - started,
                        draw_s=drawn - enumerated)
 

@@ -25,14 +25,15 @@ attack, measurement, reveal coin, attack readout), each through
 :func:`qkd2way.rng.coin`.  A round is a chain of three stages cut at its
 physical seams: the forward leg (preparation, Eve's set-up, the forward
 pass; shared by both protocols), Alice and the way back (LM05: her mode,
-operation, the backward pass and Bob's measurement; BB84: the receiver's
-basis and measurement), and the readout (the reveal coin, Eve's readout
-and the :class:`RoundRecord`).  ``run_round_lm05``/``run_round_bb84``
-run the stages in order on one stream, so they are the one physics path,
-and :func:`enumerate_round` hands the same stages to
-:func:`qkd2way.rng.enumerate_paths`.  No stage changes the value it was
-given, because its other paths read that value again: the attack context
-is copied before the backward pass writes to it.
+then Control Mode, or her operation, the backward pass and Bob's
+measurement; BB84: Control Mode, the receiver's measurement), and the
+readout (the reveal coin, Eve's readout and the :class:`RoundRecord`).
+``run_round_lm05``/``run_round_bb84`` run the stages in order on one
+stream, so they are the one physics path, and :func:`enumerate_round`
+hands the same stages to :func:`qkd2way.rng.enumerate_paths`.  No stage
+changes the value it was given, because its other paths read that value
+again; Eve's memory of the round is such a value too (see
+:mod:`qkd2way.attacks`).
 
 Runs are sampled, not stepped: every round is an independent, identically
 distributed draw from one finite distribution, so :func:`enumerate_round`
@@ -54,7 +55,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from copy import copy
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Iterable, Optional, Sequence
@@ -63,13 +63,14 @@ import numpy as np
 
 from . import rng as _rng
 from .attacks import NO_ATTACK, AttackParams, AttackStrategy, make_strategy
-from .qsim import Basis, apply, measure, prepare, spin_flip
+from .qsim import Basis, apply, measure, prepare, random_basis, spin_flip
 from .rng import coin
 
 LOST = None  # Bob's outcome when the qubit never returns
 RATE_NAMES = ("q1", "q_ab", "q_ae", "q_be")
 
 _WEIGHT_ATOL = 1e-12
+_MAX_ROUNDS = 2**63 - 1  # numpy's multinomial draws counts as int64
 
 _SPIN_FLIP_0 = spin_flip(0)
 
@@ -87,8 +88,8 @@ class ProtocolConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if not 0.0 <= self.control_prob <= 1.0:
             raise ValueError("control_prob must lie in [0, 1]")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        if not 1 <= self.rounds <= _MAX_ROUNDS:
+            raise ValueError(f"rounds must lie in [1, {_MAX_ROUNDS}]")
         if not 0.0 < self.reveal_fraction <= 1.0:
             raise ValueError("reveal_fraction must lie in (0, 1]")
 
@@ -145,74 +146,74 @@ class Tallies:
         return errors / trials if trials > 0 else None
 
 
-def _random_basis(rng) -> Basis:
-    return Basis.Z if coin(rng, 0.5) else Basis.X
-
-
 def _forward_leg(strategy: AttackStrategy, rng):
     """Stage 1, shared by LM05 and BB84: preparation, Eve's round set-up, the forward pass."""
-    basis = _random_basis(rng)
+    basis = random_basis(rng)
     bit = 0 if coin(rng, 0.5) else 1
-    ctx = strategy.new_round(rng)
-    return basis, bit, ctx, ctx.forward(prepare(basis, bit), rng)
+    state = prepare(basis, bit)
+    memory = strategy.start(rng)
+    if memory is not None:
+        memory, state = strategy.forward(memory, state, rng)
+    return basis, bit, memory, state
 
 
-def _alice_lm05(config: ProtocolConfig, leg, rng):
-    """Stage 2 of LM05: Alice's mode, then her measurement (CM) or operation, the way back
-    and Bob's measurement (EM).  Returns (record fields, attack context, state)."""
-    basis, bit, ctx, state = leg
+def _control_mode(leg, rng):
+    """Control Mode, Alice's (LM05) or the receiver's (BB84): a random-basis measurement."""
+    basis, bit, memory, state = leg
+    cm_basis = random_basis(rng)
+    cm_outcome, state = measure(state, 0, cm_basis, rng)
+    return {"mode": "CM", "bob_basis": basis, "bob_bit": bit, "alice_cm_basis": cm_basis,
+            "alice_cm_outcome": cm_outcome, "bob_outcome": LOST}, memory, state
+
+
+def _alice_lm05(config: ProtocolConfig, strategy: AttackStrategy, leg, rng):
+    """Stage 2 of LM05: Alice's mode, then Control Mode, or her operation, the way back
+    and Bob's measurement.  Returns (record fields, Eve's memory, state)."""
     if coin(rng, config.control_prob):
-        cm_basis = _random_basis(rng)
-        cm_outcome, _ = measure(state, 0, cm_basis, rng)
-        return {"mode": "CM", "bob_basis": basis, "bob_bit": bit, "alice_cm_basis": cm_basis,
-                "alice_cm_outcome": cm_outcome, "bob_outcome": LOST}, ctx, None
+        return _control_mode(leg, rng)
+    basis, bit, memory, state = leg
     op = 0 if coin(rng, 0.5) else 1
     if op:
         state = apply(state, _SPIN_FLIP_0)
-    # backward may write to the context, and the other paths of this stage
-    # start from the same forward leg, so it writes to a copy
-    ctx = copy(ctx)
-    state = ctx.backward(state, rng)
+    if memory is not None:
+        memory, state = strategy.backward(memory, state, rng)
     outcome, state = measure(state, 0, basis, rng)
     return {"mode": "EM", "bob_basis": basis, "bob_bit": bit, "alice_op": op,
-            "bob_outcome": outcome}, ctx, state
+            "bob_outcome": outcome}, memory, state
 
 
-def _readout_lm05(config: ProtocolConfig, back, rng) -> RoundRecord:
+def _guesses(strategy: AttackStrategy, memory, state, rng):
+    """Eve's (alice_guess, key_bit_guess); (None, None) in a round she left alone."""
+    return (None, None) if memory is None else strategy.finalize(memory, state, rng)
+
+
+def _readout_lm05(config: ProtocolConfig, strategy: AttackStrategy, back, rng) -> RoundRecord:
     """Stage 3 of LM05: the reveal coin and Eve's readout of an EM round, and the record."""
-    recorded, ctx, state = back
+    recorded, memory, state = back
     if recorded["mode"] == "CM":
-        return RoundRecord(**recorded, attacked=ctx.attacked)
+        return RoundRecord(**recorded, attacked=memory is not None)
     revealed = coin(rng, config.reveal_fraction)
-    guess_a, guess_b = ctx.finalize(state, rng)
+    guess_a, guess_b = _guesses(strategy, memory, state, rng)
     return RoundRecord(**recorded, revealed=revealed, eve_alice_guess=guess_a,
-                       eve_bob_guess=guess_b, attacked=ctx.attacked)
+                       eve_bob_guess=guess_b, attacked=memory is not None)
 
 
-def _receiver_bb84(leg, rng):
-    """Stage 2 of BB84: the receiver's basis and measurement, in Control-Mode form."""
-    basis, bit, ctx, state = leg
-    recv_basis = _random_basis(rng)
-    recv_outcome, state = measure(state, 0, recv_basis, rng)
-    return {"mode": "CM", "bob_basis": basis, "bob_bit": bit, "alice_cm_basis": recv_basis,
-            "alice_cm_outcome": recv_outcome, "bob_outcome": LOST}, ctx, state
-
-
-def _readout_bb84(back, rng) -> RoundRecord:
+def _readout_bb84(strategy: AttackStrategy, back, rng) -> RoundRecord:
     """Stage 3 of BB84: Eve's readout and the record."""
-    recorded, ctx, state = back
-    _, guess_b = ctx.finalize(state, rng)
-    return RoundRecord(**recorded, eve_bob_guess=guess_b, attacked=ctx.attacked)
+    recorded, memory, state = back
+    _, guess_b = _guesses(strategy, memory, state, rng)
+    return RoundRecord(**recorded, eve_bob_guess=guess_b, attacked=memory is not None)
 
 
 def _lm05_stages(config: ProtocolConfig, strategy: AttackStrategy):
-    return partial(_forward_leg, strategy), partial(_alice_lm05, config), partial(_readout_lm05, config)
+    return (partial(_forward_leg, strategy), partial(_alice_lm05, config, strategy),
+            partial(_readout_lm05, config, strategy))
 
 
 def _bb84_stages(strategy: AttackStrategy):
     if strategy.params.kind not in ("none", "ir"):
         raise ValueError(f"attack {strategy.params.kind!r} needs the two-way channel; BB84 supports none/ir")
-    return partial(_forward_leg, strategy), _receiver_bb84, _readout_bb84
+    return partial(_forward_leg, strategy), _control_mode, partial(_readout_bb84, strategy)
 
 
 def _step(stages, rng) -> RoundRecord:

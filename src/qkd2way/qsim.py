@@ -64,6 +64,11 @@ class Basis(Enum):
     X = "X"
 
 
+def random_basis(rng) -> Basis:
+    """Z or X with probability 1/2 each, from one coin."""
+    return Basis.Z if coin(rng, 0.5) else Basis.X
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitudes over a wire register; always unit norm."""

@@ -4,7 +4,7 @@ from functools import lru_cache
 import pytest
 
 from qkd2way.attacks import AttackParams, make_strategy
-from qkd2way.protocol import ProtocolConfig, run, tally
+from qkd2way.protocol import ProtocolConfig, enumerate_round, run, tally
 from qkd2way.qsim import Basis
 from qkd2way.rng import stream
 
@@ -145,10 +145,17 @@ def test_symmetric_attacks_disturb_both_bases_equally(kind, x):
     assert abs(rz - rx) <= 5.0 * sigma
 
 
-def test_strategy_contexts_are_independent_between_rounds():
-    strategy = make_strategy(AttackParams(kind="ir", xi=1.0))
+@pytest.mark.parametrize("kind", ["ir", "nort", "dcnot", "dcnot_star"])
+def test_a_round_left_alone_calls_no_hook_after_start(kind, monkeypatch):
+    params = AttackParams(kind=kind, xi=0.0, chi=0.5)
+    strategy = make_strategy(params)
     rng = stream(3)
-    a = strategy.new_round(rng)
-    b = strategy.new_round(rng)
-    assert a is not b
-    assert a.fwd is None and b.fwd is None
+    assert all(strategy.start(rng) is None for _ in range(50))
+
+    def refuse(*args):
+        raise AssertionError("hook called in a round Eve left alone")
+
+    for hook in ("forward", "backward", "finalize"):
+        monkeypatch.setattr(type(strategy), hook, refuse)
+    table = enumerate_round(ProtocolConfig(protocol="lm05"), params)
+    assert not any(r.attacked or r.eve_bob_guess is not None for r in table.records)

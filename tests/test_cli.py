@@ -60,6 +60,19 @@ def test_simulate_rejects_two_way_attack_on_bb84(capsys):
                  "--rounds", "100"]) == 2
 
 
+@pytest.mark.parametrize("where", ["flag", "config file"])
+def test_simulate_rejects_more_rounds_than_a_draw_can_count(where, tmp_path, capsys):
+    # numpy's multinomial counts in int64; one past its range used to raise OverflowError (exit 1)
+    argv = ["simulate", "--rounds", "100000000000000000000"]
+    if where == "config file":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rounds = 100000000000000000000\n")
+        argv = ["simulate", "--config", str(cfg)]
+    assert _run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: rounds must lie in") and captured.out == ""
+
+
 def test_unknown_flag_is_usage_error():
     assert _run(["simulate", "--bogus", "1"]) == 2
 

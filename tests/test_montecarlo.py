@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -93,7 +94,7 @@ def test_run_batch_results_independent_of_worker_count():
     reports = [run_batch(config, workers=w) for w in (1, 2, 3)]
     assert all(r.tallies == reports[0].tallies for r in reports)
     assert [r.workers for r in reports] == [1, 2, 3]
-    assert run_batch(config, seed=36).tallies != reports[0].tallies
+    assert run_batch(dataclasses.replace(config, seed=36)).tallies != reports[0].tallies
     with pytest.raises(ValueError):
         run_batch(config, workers=0)
 
@@ -160,13 +161,13 @@ def test_leaf_table_reproduces_closed_forms_exactly(protocol, attack, control_pr
 
 def test_enumerate_round_rejects_weights_not_summing_to_one(monkeypatch):
     # a last stage whose coin has "probability" 1.5 scales every leaf weight by 1.5
-    monkeypatch.setattr("qkd2way.protocol._readout_lm05", lambda config, back, rng: coin(rng, 1.5))
+    monkeypatch.setattr("qkd2way.protocol._readout_lm05", lambda config, strategy, back, rng: coin(rng, 1.5))
     with pytest.raises(ValueError, match="sum to"):
         enumerate_round(ProtocolConfig(protocol="lm05"))
 
 
 # every attack kind, with nort at its probe-angle ends and dcnot* at two flip
-# probabilities (the flip is the context write a sibling path must not see)
+# probabilities (the flip is the memory a sibling path must not see)
 _STAGED_ATTACKS = ([("lm05", AttackParams(kind=kind)) for kind in ("none", "dcnot")]
                    + [("lm05", AttackParams(kind="ir", xi=xi)) for xi in (1.0, 0.5)]
                    + [("lm05", AttackParams(kind="dcnot_star", chi=chi)) for chi in (0.1, 0.5)]
