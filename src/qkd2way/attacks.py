@@ -45,8 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .qsim import (Basis, ancilla_rotation, apply, attach_ancilla, cnot, discriminate, hadamard, measure,
-                   random_basis, spin_flip)
+from .qsim import (Basis, ancilla_rotation, apply, attach_ancilla, cnot, hadamard, measure, random_basis,
+                   spin_flip)
 from .rng import coin
 
 ATTACK_KINDS = ("none", "ir", "nort", "dcnot", "dcnot_star")
@@ -157,8 +157,9 @@ class _NortStrategy(AttackStrategy):
         return self._probe(align, state, self.rot_bwd)
 
     def finalize(self, align, state, rng):
-        g, state = discriminate(state, 1, self.params.x, rng)
-        r, state = discriminate(state, 2, self.params.x_prime, rng)
+        # Z is the minimum-error (Helstrom) readout of either probe pair, for every angle
+        g, state = measure(state, 1, Basis.Z, rng)
+        r, state = measure(state, 2, Basis.Z, rng)
         # forward read = bit before Alice (in Eve's frame), backward read =
         # bit after; the XOR estimates the flip, which is also the key bit
         guess = g ^ r

@@ -21,18 +21,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, astuple
 from functools import cache
 
 from . import __version__
-from .infotheory import IDENTIFIED, MAX_GRID_POINTS, NoiseModel, curve_points, threshold
-from .numerics import grid
-from .photonics import NoCrossover, crossover_distance, scan_distances
+from .infotheory import IDENTIFIED, NoiseModel, curve_points, threshold
+from .numerics import MAX_GRID_POINTS, grid
 
 DEFAULT_SEED = 20050920
 
@@ -181,6 +178,8 @@ def write_rows(file, fmt: str, columns, rows) -> None:
     keys are the CSV columns, with None as null.
     """
     if fmt == "jsonl":
+        import json
+
         for row in rows:
             file.write(json.dumps(dict(zip(columns, row))) + "\n")
         return
@@ -191,6 +190,9 @@ def write_rows(file, fmt: str, columns, rows) -> None:
 
 def _cmd_simulate(args) -> int:
     # the simulator (and numpy) load here, so the closed-form commands start without them
+    import json
+    from dataclasses import asdict, astuple
+
     import numpy as np
 
     from .attacks import AttackParams
@@ -214,7 +216,8 @@ def _cmd_simulate(args) -> int:
                         "seed": report.seed, "workers": report.workers,
                         "engine": report.engine, "leaves": report.leaves,
                         "elapsed_s": report.elapsed_s, "enumerate_s": report.enumerate_s,
-                        "draw_s": report.draw_s, "rounds_per_s": report.rounds / report.elapsed_s,
+                        "draw_s": report.draw_s, "gate_s": report.gate_s,
+                        "rounds_per_s": report.rounds / report.elapsed_s,
                         "qkd2way": __version__, "numpy": np.__version__}
                 fh.write(json.dumps(meta) + "\n")
             write_rows(fh, args.format, REPORT_COLUMNS, map(astuple, report.rates))
@@ -228,8 +231,7 @@ def _cmd_curves(args) -> int:
     points = curve_points(_CURVE_ATTACKS[args.attack], _parse_model(args.model),
                           grid_step=args.grid_step)
     with _open_out(args.out) as fh:
-        write_rows(fh, args.format, CURVE_COLUMNS,
-                   ((p.q1, p.i_ab, p.i_ae, p.i_be, p.c_dr, p.c_rr) for p in points))
+        write_rows(fh, args.format, CURVE_COLUMNS, points)  # InfoPoint fields are these columns
     return 0
 
 
@@ -291,6 +293,8 @@ def _distance_grid(args) -> list[float]:
 
 
 def _scan_command(args, objective: str) -> int:
+    from .photonics import NoCrossover, crossover_distance, scan_distances  # only gain/pns load it
+
     lengths = _distance_grid(args)
     with _open_out(args.out) as fh:
         footer = []

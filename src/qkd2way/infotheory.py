@@ -34,8 +34,7 @@ Eve curves (q1 domains in brackets):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .numerics import MAX_GRID_POINTS, bisect_first_zero, grid
 
@@ -54,18 +53,22 @@ _CAPACITY_TOL = 1e-12
 _LOG2_3 = math.log2(3.0)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Relation between the announced-round QBER Q_AB and the control QBER q1."""
+class NoiseModel(namedtuple("NoiseModel", "kind value", defaults=("identified", 0.0))):
+    """Relation between the announced-round QBER Q_AB and the control QBER q1.
 
-    kind: str = "identified"   # "identified": Q_AB = q1; "fixed": Q_AB = value
-    value: float = 0.0
+    kind "identified": Q_AB = q1; kind "fixed": Q_AB = value.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("identified", "fixed"):
             raise ValueError(f"unknown noise model kind {self.kind!r}")
         if self.kind == "fixed" and not 0.0 <= self.value <= 0.5:
             raise ValueError("fixed Q_AB must lie in [0, 0.5]")
+        return self
 
     def q_ab(self, q1: float) -> float:
         return q1 if self.kind == "identified" else self.value
@@ -74,14 +77,7 @@ class NoiseModel:
 IDENTIFIED = NoiseModel("identified")
 
 
-@dataclass(frozen=True)
-class InfoPoint:
-    q1: float
-    i_ab: float
-    i_ae: float
-    i_be: float
-    c_dr: float
-    c_rr: float
+InfoPoint = namedtuple("InfoPoint", "q1 i_ab i_ae i_be c_dr c_rr")
 
 
 def binary_entropy(p: float) -> float:
@@ -150,7 +146,7 @@ def secrecy(q1: float, attack: str, model: NoiseModel = IDENTIFIED) -> InfoPoint
 
 
 def threshold(attack: str, reconciliation: str = "dr",
-              model: NoiseModel = IDENTIFIED, tol: float = 1e-6) -> Optional[float]:
+              model: NoiseModel = IDENTIFIED, tol: float = 1e-6) -> float | None:
     """q1 where the chosen secrecy capacity first reaches zero.
 
     Returns None when the capacity stays strictly positive over the whole

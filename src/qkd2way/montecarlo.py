@@ -53,6 +53,7 @@ class BatchReport:
     leaves: int = 0
     enumerate_s: float = 0.0  # of elapsed_s, the time spent building the leaf table
     draw_s: float = 0.0  # of elapsed_s, the multinomial draw and the counter product
+    gate_s: float = 0.0  # after elapsed_s, the Wilson intervals and verdicts of the rates
 
 
 def wilson_interval(errors: int, trials: int, z: float = _CI_Z) -> tuple[float, float]:
@@ -127,7 +128,7 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK, *,
     counters = (hits @ table.counts).tolist()
     drawn = time.perf_counter()
     total = Tallies(*zip(counters[0::2], counters[1::2]))
-    elapsed = time.perf_counter() - started
+    tallied = time.perf_counter()
 
     rates = []
     for name in RATE_NAMES:
@@ -142,9 +143,10 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK, *,
             verdict = "PASS" if _band_distance(errors, trials, prediction) <= 1e-15 else "FAIL"
         rates.append(RateReport(name, errors, trials, errors / trials, lo95, hi95, prediction, verdict))
     return BatchReport(config=config, attack=attack, rounds=config.rounds, seed=config.seed,
-                       workers=workers, tallies=total, rates=tuple(rates), elapsed_s=elapsed,
-                       leaves=len(table.weights), enumerate_s=enumerated - started,
-                       draw_s=drawn - enumerated)
+                       workers=workers, tallies=total, rates=tuple(rates),
+                       elapsed_s=tallied - started, leaves=len(table.weights),
+                       enumerate_s=enumerated - started, draw_s=drawn - enumerated,
+                       gate_s=time.perf_counter() - tallied)
 
 
 def failures(report: BatchReport) -> list[str]:

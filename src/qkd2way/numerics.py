@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from itertools import count, takewhile
-from typing import Callable
 
 MAX_GRID_POINTS = 1_000_000  # cap on the q1 and distance grids and on the steps of a scan
 

@@ -32,8 +32,8 @@ optimized per distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .numerics import MAX_GRID_POINTS, golden_max
 
@@ -47,16 +47,14 @@ DEFAULT_ATTEN = 0.02     # fiber attenuation, decades per km
 MU_BRACKET = (1e-5, 2.0)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    mu: float
-    length_km: float = 0.0
-    eta_d: float = DEFAULT_ETA_D
-    gamma_B: float = DEFAULT_GAMMA_B
-    gamma_A: float = DEFAULT_GAMMA_A
-    atten: float = DEFAULT_ATTEN
+class LinkBudget(namedtuple("LinkBudget", "mu length_km eta_d gamma_B gamma_A atten",
+                            defaults=(0.0, DEFAULT_ETA_D, DEFAULT_GAMMA_B, DEFAULT_GAMMA_A,
+                                      DEFAULT_ATTEN))):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # written so that NaN, which fails every comparison, is rejected too
         if not 0.0 < self.mu < math.inf:
             raise ValueError("mean photon number must be positive and finite")
@@ -68,6 +66,7 @@ class LinkBudget:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not 0.0 <= self.atten < math.inf:
             raise ValueError("attenuation coefficient must be finite and >= 0")
+        return self
 
     @property
     def channel_transmission(self) -> float:
@@ -75,13 +74,7 @@ class LinkBudget:
         return 10.0 ** (-self.atten * self.length_km)
 
 
-@dataclass(frozen=True)
-class GainPoint:
-    protocol: str
-    objective: str
-    length_km: float
-    mu_star: float
-    value: float
+GainPoint = namedtuple("GainPoint", "protocol objective length_km mu_star value")
 
 
 def _check_protocol(protocol: str):

@@ -264,20 +264,6 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
     return 1, one
 
 
-def discriminate(state: StateVector, wire: int, overlap_angle: float, rng) -> tuple[int, StateVector]:
-    """Minimum-error readout of an AncillaRotation probe pair with overlap cos(x).
-
-    Under the probe convention above, the two candidate states sit
-    symmetrically about the diagonal, so the optimal (Helstrom) measurement
-    is the projective computational-basis measurement for every x; the
-    outcome is the guess, wrong with probability (1 - sin x)/2 per input.
-    Returns (guess, collapsed state) so further ancillae can be read out.
-    """
-    if not -1e-12 <= overlap_angle <= math.pi / 2 + 1e-12:
-        raise ValueError("overlap angle must lie in [0, pi/2]")
-    return measure(state, wire, Basis.Z, rng)
-
-
 def overlap(a: StateVector, b: StateVector) -> complex:
     if a.num_wires != b.num_wires:
         raise ValueError("states live on different registers")

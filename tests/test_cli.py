@@ -439,15 +439,24 @@ def test_gate_miss_agrees_with_the_gate(trials, share, prediction):
 
 _SIMULATOR_MODULES = ("numpy", "qkd2way.qsim", "qkd2way.attacks", "qkd2way.protocol",
                       "qkd2way.montecarlo", "qkd2way.rng")
+# dataclasses imports inspect; json serves only simulate and --format jsonl
+_UNUSED_BY_CLOSED_FORMS = (*_SIMULATOR_MODULES, "dataclasses", "inspect", "json")
+# each command in the order one process runs them, with what must still be unloaded after it
+_COMMAND_LOADS = (
+    (["thresholds"], (*_UNUSED_BY_CLOSED_FORMS, "qkd2way.photonics")),
+    (["curves"], (*_UNUSED_BY_CLOSED_FORMS, "qkd2way.photonics")),
+    (["gain", "--lstep", "5"], _UNUSED_BY_CLOSED_FORMS),
+    (["pns", "--lstep", "5"], _UNUSED_BY_CLOSED_FORMS),
+)
 
 
 def test_closed_form_commands_load_neither_numpy_nor_the_simulator(tmp_path):
     script = f"""
 import sys
 from qkd2way.cli import main
-for argv in (["thresholds"], ["curves"], ["gain", "--lstep", "5"], ["pns", "--lstep", "5"]):
+for argv, unused in {_COMMAND_LOADS!r}:
     assert main([*argv, "--out", {str(tmp_path / "out.csv")!r}]) == 0, argv
-    loaded = [name for name in {_SIMULATOR_MODULES!r} if name in sys.modules]
+    loaded = [name for name in unused if name in sys.modules]
     assert not loaded, (argv, loaded)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qkd2way.infotheory import (
     EVE_MODELS,
     IDENTIFIED,
+    InfoPoint,
     NoiseModel,
     binary_entropy,
     curve_points,
@@ -16,6 +17,7 @@ from qkd2way.infotheory import (
     secrecy,
     threshold,
 )
+from qkd2way.cli import CURVE_COLUMNS
 from qkd2way.cli import main as cli_main
 
 # exact binary-channel leak at a quarter error rate: 1 - H(1/4) = 0.75 log2(3) - 1
@@ -42,6 +44,24 @@ def test_noise_model_validation():
         NoiseModel("fixed", 0.7)
     assert NoiseModel("fixed", 0.1).q_ab(0.03) == 0.1
     assert IDENTIFIED.q_ab(0.03) == 0.03
+
+
+def test_noise_model_and_info_point_are_immutable_values():
+    assert NoiseModel() == NoiseModel(kind="identified", value=0.0) == IDENTIFIED
+    model = NoiseModel(kind="fixed", value=0.1)
+    point = InfoPoint(q1=0.1, i_ab=0.5, i_ae=0.4, i_be=0.3, c_dr=0.1, c_rr=0.2)
+    for value, same, other in ((model, NoiseModel("fixed", 0.1), NoiseModel("fixed", 0.2)),
+                               (point, InfoPoint(0.1, 0.5, 0.4, 0.3, 0.1, 0.2),
+                                point._replace(c_rr=0.3))):
+        assert value == same and hash(value) == hash(same) and value != other
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[-1], 0.0)
+        with pytest.raises(AttributeError):
+            value.note = "no per-instance attributes"
+    with pytest.raises(ValueError, match=r"fixed Q_AB must lie in \[0, 0.5\]"):
+        model._replace(value=0.7)
+    # the curves command writes InfoPoints as its rows
+    assert InfoPoint._fields == tuple(column.lower() for column in CURVE_COLUMNS)
 
 
 def test_ir_curve_endpoint():

@@ -314,6 +314,7 @@ def test_run_batch_verdicts_pass_for_calibrated_attack():
     assert compare(report) == 0
     assert 0.0 < report.enumerate_s <= report.elapsed_s
     assert 0.0 < report.draw_s <= report.elapsed_s - report.enumerate_s
+    assert report.gate_s >= 0.0
 
 
 def test_no_attack_report_skips_eve_rates():

@@ -119,11 +119,12 @@ def test_jsonl_records_carry_the_csv_columns_and_cells(case, tmp_path, capsys):
         assert meta["record"] == "meta"
         assert set(meta) == {"record", "protocol", "attack", "rounds", "seed", "workers",
                              "engine", "leaves", "elapsed_s", "enumerate_s", "draw_s",
-                             "rounds_per_s", "qkd2way", "numpy"}
+                             "gate_s", "rounds_per_s", "qkd2way", "numpy"}
         assert (meta["rounds"], meta["seed"], meta["attack"]["x"]) == (20_000, 7, 0.7)
         assert (meta["qkd2way"], meta["numpy"]) == (qkd2way.__version__, np.__version__)
         assert 0.0 < meta["enumerate_s"] <= meta["elapsed_s"]
         assert 0.0 < meta["draw_s"] <= meta["elapsed_s"] - meta["enumerate_s"]
+        assert meta["gate_s"] >= 0.0
         assert meta["rounds_per_s"] == meta["rounds"] / meta["elapsed_s"]
     assert len(records) == len(cells)
     for record, row in zip(records, cells):

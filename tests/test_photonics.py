@@ -13,6 +13,7 @@ from qkd2way.photonics import (
     DEFAULT_GAMMA_A,
     DEFAULT_GAMMA_B,
     MU_BRACKET,
+    GainPoint,
     LinkBudget,
     NoCrossover,
     bs_eve_info,
@@ -40,6 +41,24 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         LinkBudget(mu=0.1, eta_d=1.2)
     assert LinkBudget(mu=0.1, length_km=50.0).channel_transmission == pytest.approx(0.1)
+
+
+def test_budget_and_gain_point_are_immutable_values():
+    budget = LinkBudget(mu=0.1, length_km=5.0)
+    assert budget == LinkBudget(0.1, 5.0, DEFAULT_ETA_D, DEFAULT_GAMMA_B, DEFAULT_GAMMA_A,
+                                DEFAULT_ATTEN)
+    point = GainPoint(protocol="lm05", objective="pns_margin", length_km=5.0, mu_star=0.3,
+                      value=0.01)
+    for value, same, other in ((budget, LinkBudget(mu=0.1, length_km=5.0), LinkBudget(mu=0.2)),
+                               (point, GainPoint("lm05", "pns_margin", 5.0, 0.3, 0.01),
+                                point._replace(protocol="bb84"))):
+        assert value == same and hash(value) == hash(same) and value != other
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[-1], 0.0)
+        with pytest.raises(AttributeError):
+            value.note = "no per-instance attributes"
+    with pytest.raises(ValueError, match=r"eta_d must lie in \[0, 1\]"):
+        budget._replace(eta_d=1.2)
 
 
 @pytest.mark.parametrize("field", ["mu", "length_km", "eta_d", "gamma_B", "gamma_A", "atten"])

@@ -15,7 +15,6 @@ from qkd2way.qsim import (
     apply,
     attach_ancilla,
     cnot,
-    discriminate,
     gate_matrix,
     hadamard,
     measure,
@@ -225,14 +224,8 @@ def test_kernel_caches_never_confuse_recycled_ids():
         del state, pair
 
 
-def test_discriminate_rejects_bad_angle():
-    state = attach_ancilla(prepare(Basis.Z, 0))
-    with pytest.raises(ValueError):
-        discriminate(state, 1, 3.0, stream(0))
-
-
 @pytest.mark.parametrize("x", [0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2])
-def test_discriminate_error_rate(x):
+def test_measure_probe_pair_error_rate(x):
     rng = stream(5, int(x * 1e6))
     probes = {
         bit: apply(attach_ancilla(prepare(Basis.Z, bit)), ancilla_rotation(x, 0, 1))
@@ -242,7 +235,7 @@ def test_discriminate_error_rate(x):
     errors = 0
     for _ in range(n):
         bit = 0 if rng.random() < 0.5 else 1
-        guess, _ = discriminate(probes[bit], 1, x, rng)
+        guess, _ = measure(probes[bit], 1, Basis.Z, rng)
         errors += guess != bit
     p = (1.0 - math.sin(x)) / 2.0
     if x == math.pi / 2:
@@ -251,7 +244,7 @@ def test_discriminate_error_rate(x):
         assert abs(errors / n - p) <= 5.0 * math.sqrt(p * (1 - p) / n)
 
 
-def test_discriminate_error_rate_pi_third_large_sample():
+def test_measure_probe_pair_error_rate_pi_third_large_sample():
     # closed form (1 - sin x)/2 ~ 0.0670 at x = pi/3, brute-force sampled
     x = math.pi / 3
     rng = stream(6)
@@ -263,7 +256,7 @@ def test_discriminate_error_rate_pi_third_large_sample():
     errors = 0
     for _ in range(n):
         bit = 0 if rng.random() < 0.5 else 1
-        guess, _ = discriminate(probes[bit], 1, x, rng)
+        guess, _ = measure(probes[bit], 1, Basis.Z, rng)
         errors += guess != bit
     p = (1.0 - math.sin(x)) / 2.0
     assert abs(errors / n - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
