@@ -60,7 +60,9 @@ class NoiseModel(namedtuple("NoiseModel", "kind value", defaults=("identified", 
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+    @classmethod
+    def _make(cls, iterable):  # the stock length check, then __new__: _replace validates too
+        return cls(*super()._make(iterable))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

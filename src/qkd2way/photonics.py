@@ -51,7 +51,9 @@ class LinkBudget(namedtuple("LinkBudget", "mu length_km eta_d gamma_B gamma_A at
                             defaults=(0.0, DEFAULT_ETA_D, DEFAULT_GAMMA_B, DEFAULT_GAMMA_A,
                                       DEFAULT_ATTEN))):
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+    @classmethod
+    def _make(cls, iterable):  # the stock length check, then __new__: _replace validates too
+        return cls(*super()._make(iterable))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -60,6 +60,8 @@ def test_noise_model_and_info_point_are_immutable_values():
             value.note = "no per-instance attributes"
     with pytest.raises(ValueError, match=r"fixed Q_AB must lie in \[0, 0.5\]"):
         model._replace(value=0.7)
+    with pytest.raises(TypeError, match="Expected 2 arguments, got 1"):
+        NoiseModel._make(["fixed"])
     # the curves command writes InfoPoints as its rows
     assert InfoPoint._fields == tuple(column.lower() for column in CURVE_COLUMNS)
 

@@ -59,6 +59,8 @@ def test_budget_and_gain_point_are_immutable_values():
             value.note = "no per-instance attributes"
     with pytest.raises(ValueError, match=r"eta_d must lie in \[0, 1\]"):
         budget._replace(eta_d=1.2)
+    with pytest.raises(TypeError, match="Expected 6 arguments, got 1"):
+        LinkBudget._make([0.1])
 
 
 @pytest.mark.parametrize("field", ["mu", "length_km", "eta_d", "gamma_B", "gamma_A", "atten"])
