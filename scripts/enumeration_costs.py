@@ -9,12 +9,16 @@ kernel cache) and its repeat-call time (the same call again at once, with
 the caches kept, which is what a second call gains from them).  Each time
 is the minimum over --calls calls in each of --processes fresh processes,
 run one after another.  The last row sums the scenarios, which is one
-pass of the ``mc_verify`` benchmark workload.
+pass of the ``mc_verify`` benchmark workload.  The digest column is the
+first 12 hex digits of a sha256 over the table's weights bytes, counts
+and records, taken once outside the timed calls: two trees that print the
+same digests build bit-identical leaf tables.
 
     python scripts/enumeration_costs.py --calls 15 --processes 3
 """
 
 import argparse
+import hashlib
 import json
 import math
 import subprocess
@@ -25,7 +29,7 @@ from verify_attacks import SCENARIOS
 
 from qkd2way import qsim, rng
 from qkd2way.attacks import AttackParams
-from qkd2way.protocol import ProtocolConfig, enumerate_round
+from qkd2way.protocol import LeafTable, ProtocolConfig, enumerate_round
 
 ALL_SCENARIOS = [*SCENARIOS, ("lm05", AttackParams(kind="nort", x=0.7, x_prime=1.1))]
 
@@ -36,8 +40,16 @@ def label(protocol: str, attack: AttackParams) -> str:
     return " ".join([protocol, attack.kind, *(f"{k}={getattr(attack, k):.4g}" for k in knobs)])
 
 
-def count_coins(config: ProtocolConfig, attack: AttackParams) -> tuple[int, int]:
-    """(leaves, coins flipped) of one enumeration."""
+def digest(table: LeafTable) -> str:
+    """12-hex sha256 prefix of the table's weights bytes, counts and records."""
+    h = hashlib.sha256(table.weights.tobytes())
+    h.update(table.counts.tobytes())
+    h.update(repr(table.records).encode())
+    return h.hexdigest()[:12]
+
+
+def count_coins(config: ProtocolConfig, attack: AttackParams) -> tuple[LeafTable, int]:
+    """(leaf table, coins flipped) of one enumeration."""
     flips = 0
     plain = rng.Branching.coin
 
@@ -48,10 +60,10 @@ def count_coins(config: ProtocolConfig, attack: AttackParams) -> tuple[int, int]
 
     rng.Branching.coin = counted
     try:
-        leaves = len(enumerate_round(config, attack).weights)
+        table = enumerate_round(config, attack)
     finally:
         rng.Branching.coin = plain
-    return leaves, flips
+    return table, flips
 
 
 def call_seconds(calls: int) -> tuple[list[float], list[float]]:
@@ -95,14 +107,16 @@ def main() -> int:
 
     rows = []
     for (protocol, attack), first_s, repeat_s in zip(ALL_SCENARIOS, first, repeat):
-        leaves, coins = count_coins(ProtocolConfig(protocol=protocol), attack)
-        rows.append((label(protocol, attack), leaves, coins, first_s, repeat_s))
-    rows.append(("total (one mc_verify pass)", *(sum(col) for col in list(zip(*rows))[1:])))
+        table, coins = count_coins(ProtocolConfig(protocol=protocol), attack)
+        rows.append((label(protocol, attack), len(table.weights), coins, first_s, repeat_s,
+                     digest(table)))
+    rows.append(("total (one mc_verify pass)", *(sum(col) for col in list(zip(*rows))[1:-1]), ""))
     width = max(len(row[0]) for row in rows)
     print(f"{'scenario':<{width}} {'leaves':>6} {'coins':>6} {'first call (ms)':>15} "
-          f"{'repeat call (ms)':>16}")
-    for name, leaves, coins, first_s, repeat_s in rows:
-        print(f"{name:<{width}} {leaves:>6} {coins:>6} {1e3 * first_s:>15.2f} {1e3 * repeat_s:>16.2f}")
+          f"{'repeat call (ms)':>16} digest")
+    for name, leaves, coins, first_s, repeat_s, table_digest in rows:
+        print(f"{name:<{width}} {leaves:>6} {coins:>6} {1e3 * first_s:>15.2f} {1e3 * repeat_s:>16.2f} "
+              f"{table_digest}")
     return 0
 
 

@@ -26,7 +26,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _HOMES = {
-    "qsim": "Basis Gate GateKind StateVector apply attach_ancilla measure prepare",
+    "qsim": "Basis Gate StateVector apply attach_ancilla measure prepare",
     "attacks": "NO_ATTACK AttackParams AttackStrategy make_strategy",
     "protocol": "LeafTable ProtocolConfig RoundRecord Tallies enumerate_round run run_round_bb84 "
                 "run_round_lm05 tally write_round_log",

@@ -213,7 +213,7 @@ def _cmd_simulate(args) -> int:
             if args.format == "jsonl":
                 meta = {"record": "meta", "protocol": config.protocol,
                         "attack": asdict(attack), "rounds": report.rounds,
-                        "seed": report.seed, "workers": report.workers,
+                        "seed": config.seed, "workers": report.workers,
                         "engine": report.engine, "leaves": report.leaves,
                         "elapsed_s": report.elapsed_s, "enumerate_s": report.enumerate_s,
                         "draw_s": report.draw_s, "gate_s": report.gate_s,

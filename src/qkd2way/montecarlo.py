@@ -44,7 +44,6 @@ class BatchReport:
     config: ProtocolConfig
     attack: AttackParams
     rounds: int
-    seed: int
     workers: int
     tallies: Tallies
     rates: tuple[RateReport, ...]
@@ -142,11 +141,10 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK, *,
         if prediction is not None:
             verdict = "PASS" if _band_distance(errors, trials, prediction) <= 1e-15 else "FAIL"
         rates.append(RateReport(name, errors, trials, errors / trials, lo95, hi95, prediction, verdict))
-    return BatchReport(config=config, attack=attack, rounds=config.rounds, seed=config.seed,
-                       workers=workers, tallies=total, rates=tuple(rates),
-                       elapsed_s=tallied - started, leaves=len(table.weights),
-                       enumerate_s=enumerated - started, draw_s=drawn - enumerated,
-                       gate_s=time.perf_counter() - tallied)
+    return BatchReport(config=config, attack=attack, rounds=config.rounds, workers=workers,
+                       tallies=total, rates=tuple(rates), elapsed_s=tallied - started,
+                       leaves=len(table.weights), enumerate_s=enumerated - started,
+                       draw_s=drawn - enumerated, gate_s=time.perf_counter() - tallied)
 
 
 def failures(report: BatchReport) -> list[str]:
@@ -191,7 +189,7 @@ def report_text(report: BatchReport) -> str:
     lines = [
         f"protocol={cfg.protocol} attack={atk.kind} xi={atk.xi:g} x={atk.x:g} "
         f"x_prime={atk.x_prime:g} chi={atk.chi:g}",
-        f"rounds={report.rounds} seed={report.seed} workers={report.workers} "
+        f"rounds={report.rounds} seed={cfg.seed} workers={report.workers} "
         f"c={cfg.control_prob:g} reveal={cfg.reveal_fraction:g} elapsed={report.elapsed_s:.2f}s",
         f"{'rate':<6} {'errors':>9} {'trials':>9} {'estimate':>10} {'95% interval':>23} "
         f"{'predicted':>10} verdict",

@@ -75,6 +75,10 @@ _MAX_ROUNDS = 2**63 - 1  # numpy's multinomial draws counts as int64
 _SPIN_FLIP_0 = spin_flip(0)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     protocol: str = "lm05"        # "lm05" | "bb84"
@@ -88,8 +92,10 @@ class ProtocolConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if not 0.0 <= self.control_prob <= 1.0:
             raise ValueError("control_prob must lie in [0, 1]")
-        if not 1 <= self.rounds <= _MAX_ROUNDS:
-            raise ValueError(f"rounds must lie in [1, {_MAX_ROUNDS}]")
+        if not (_is_integer(self.rounds) and 1 <= self.rounds <= _MAX_ROUNDS):
+            raise ValueError(f"rounds must lie in [1, {_MAX_ROUNDS}] and be an integer, got {self.rounds!r}")
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0.0 < self.reveal_fraction <= 1.0:
             raise ValueError("reveal_fraction must lie in (0, 1]")
 

@@ -8,11 +8,13 @@ explicit generator, so runs are reproducible bit for bit.
 
 Conventions
 -----------
-* Global phase is ignored throughout; use :func:`states_close` to compare
-  states up to phase.
-* ``SpinFlip`` is i*Y = Z@X, the encoding operation that maps each of the
+* Global phase is ignored throughout.
+* A :class:`Gate` is a unitary matrix plus the wires it acts on; the first
+  listed wire is the high bit of the matrix's row and column index.  Each
+  gate has a factory that returns ``Gate(matrix, wires)``.
+* ``spin_flip`` is i*Y = Z@X, the encoding operation that maps each of the
   four protocol states |0>, |1>, |+>, |-> to an orthogonal state.
-* ``AncillaRotation(x, control, target)`` writes one of two real probe
+* ``ancilla_rotation(x, control, target)`` writes one of two real probe
   states onto a fresh |0> target, conditioned on the control bit::
 
       |0>|0>  ->  |0>|e0>,   |e0> at angle pi/4 - x/2 in the (|0>,|1>) plane
@@ -31,11 +33,12 @@ used results in a ``functools.lru_cache``, as do the gate-matrix tables.
 States and gates hash and compare by identity, and a cache entry holds its
 key objects, so no id is reused while the entry lives and a hit is always
 the very input it was computed from.  Results are shared by every caller,
-so their amplitudes are read-only.  Enumerating
-a round's outcome paths replays the same state through the same step again
-and again; those repeats are hits.  :func:`measure` draws its outcome with
-:func:`qkd2way.rng.coin` on every call, hit or miss, so streams see the same
-coins in the same order.
+so their amplitudes are read-only, and so is a gate's matrix, so that the
+expansion cached for a gate stays its own.  Enumerating a round's outcome
+paths replays the same state through the same step again and again; those
+repeats are hits.  :func:`measure` draws its outcome with
+:func:`qkd2way.rng.coin` on every call, hit or miss, so streams see the
+same coins in the same order.
 """
 
 from __future__ import annotations
@@ -96,44 +99,47 @@ def _sv(amps: np.ndarray, num_wires: int) -> StateVector:
     return state
 
 
-class GateKind(Enum):
-    SPIN_FLIP = "spin_flip"
-    HADAMARD = "hadamard"
-    CNOT = "cnot"
-    ANCILLA_ROTATION = "ancilla_rotation"
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.setflags(write=False)
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    kind: GateKind
+    """A unitary on distinct wires; it keeps a read-only copy of its matrix."""
+
+    matrix: np.ndarray
     wires: tuple[int, ...]
-    angle: float | None = None
 
     def __post_init__(self):
-        two_wire = self.kind in (GateKind.CNOT, GateKind.ANCILLA_ROTATION)
-        if len(self.wires) != (2 if two_wire else 1):
-            raise ValueError(f"{self.kind.value} takes {2 if two_wire else 1} wire(s)")
-        if two_wire and self.wires[0] == self.wires[1]:
-            raise ValueError("control and target must differ")
-        if self.kind is GateKind.ANCILLA_ROTATION:
-            if self.angle is None or not -1e-12 <= self.angle <= math.pi / 2 + 1e-12:
-                raise ValueError("probe angle must lie in [0, pi/2]")
+        if len(set(self.wires)) != len(self.wires):
+            raise ValueError(f"gate wires must be distinct, got {self.wires}")
+        dim = 2 ** len(self.wires)
+        matrix = _read_only(np.array(self.matrix, dtype=complex))
+        if matrix.shape != (dim, dim):
+            raise ValueError(f"a gate on {len(self.wires)} wire(s) needs a {dim}x{dim} matrix, "
+                             f"got shape {matrix.shape}")
+        # `not <=` so that a NaN entry fails too
+        if not np.abs(matrix.conj().T @ matrix - np.eye(dim)).max() <= NORM_ATOL:
+            raise ValueError("gate matrix is not unitary")
+        object.__setattr__(self, "matrix", matrix)
+
+
+_SPIN_FLIP = _read_only(np.array([[0, 1], [-1, 0]], dtype=complex))  # i*Y: |0> -> -|1>, |1> -> |0>
+_HADAMARD = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT1_2)
+_CNOT = _read_only(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex))
 
 
 def spin_flip(wire: int = 0) -> Gate:
-    return Gate(GateKind.SPIN_FLIP, (wire,))
+    return Gate(_SPIN_FLIP, (wire,))
 
 
 def hadamard(wire: int = 0) -> Gate:
-    return Gate(GateKind.HADAMARD, (wire,))
+    return Gate(_HADAMARD, (wire,))
 
 
 def cnot(control: int, target: int) -> Gate:
-    return Gate(GateKind.CNOT, (control, target))
-
-
-def ancilla_rotation(angle: float, control: int, target: int) -> Gate:
-    return Gate(GateKind.ANCILLA_ROTATION, (control, target), angle)
+    return Gate(_CNOT, (control, target))
 
 
 def _rot2(theta: float) -> np.ndarray:
@@ -141,29 +147,20 @@ def _rot2(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """The gate's own unitary (2x2 for one wire, 4x4 for two)."""
-    k = gate.kind
-    if k is GateKind.SPIN_FLIP:
-        # i*Y = Z@X: |0> -> -|1>, |1> -> |0>
-        return np.array([[0, 1], [-1, 0]], dtype=complex)
-    if k is GateKind.HADAMARD:
-        return np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT1_2
-    if k is GateKind.CNOT:
-        return np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    if k is GateKind.ANCILLA_ROTATION:
-        u = np.zeros((4, 4), dtype=complex)
-        u[:2, :2] = _rot2(math.pi / 4 - gate.angle / 2)
-        u[2:, 2:] = _rot2(math.pi / 4 + gate.angle / 2)
-        return u
-    raise ValueError(f"unknown gate kind {k}")
+def ancilla_rotation(angle: float, control: int, target: int) -> Gate:
+    if not -1e-12 <= angle <= math.pi / 2 + 1e-12:
+        raise ValueError("probe angle must lie in [0, pi/2]")
+    u = np.zeros((4, 4), dtype=complex)
+    u[:2, :2] = _rot2(math.pi / 4 - angle / 2)
+    u[2:, 2:] = _rot2(math.pi / 4 + angle / 2)
+    return Gate(u, (control, target))
 
 
 @lru_cache(maxsize=_STEPS)
 def _expanded_matrix(gate: Gate, num_wires: int) -> np.ndarray:
     """Gate unitary embedded into the full register (wire 0 = MSB)."""
     k = len(gate.wires)
-    local = gate_matrix(gate).reshape((2,) * 2 * k)
+    local = gate.matrix.reshape((2,) * 2 * k)
     # the gate acting on the identity: contract its inputs with the register
     # axes of its wires, then move its outputs back to those wires
     eye = np.eye(2 ** num_wires, dtype=complex).reshape((2,) * 2 * num_wires)
@@ -263,13 +260,3 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
         return 0, zero
     return 1, one
 
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    if a.num_wires != b.num_wires:
-        raise ValueError("states live on different registers")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def states_close(a: StateVector, b: StateVector, atol: float = NORM_ATOL) -> bool:
-    """Equality up to global phase: |<a|b>| = 1 within atol."""
-    return abs(abs(overlap(a, b)) - 1.0) <= atol

@@ -332,7 +332,7 @@ def _doctored_report(verdicts):
         for name, verdict in verdicts.items()
     )
     return BatchReport(config=ProtocolConfig(), attack=AttackParams(), rounds=10,
-                       seed=0, workers=1, tallies=Tallies(), rates=rates, elapsed_s=0.1)
+                       workers=1, tallies=Tallies(), rates=rates, elapsed_s=0.1)
 
 
 def test_compare_flags_failures_by_name():

@@ -33,6 +33,18 @@ def test_config_validation():
         ProtocolConfig(reveal_fraction=0.0)
 
 
+@pytest.mark.parametrize("field,value", [("rounds", 1000.7), ("rounds", 1000.0), ("rounds", True),
+                                         ("seed", 1.5), ("seed", None), ("seed", "7")])
+def test_config_refuses_non_integer_rounds_and_seed(field, value):
+    # a float count would run int(rounds) rounds but report the float
+    with pytest.raises(ValueError, match=field):
+        ProtocolConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    assert len(run(ProtocolConfig(rounds=np.int64(10), seed=np.uint64(2**64 - 1)))) == 10
+
+
 def test_record_mode_invariants():
     with pytest.raises(ValueError):
         RoundRecord(mode="EM", bob_basis=Basis.Z, bob_bit=0)  # missing alice_op

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,40 +10,80 @@ from qkd2way import qsim
 from qkd2way.qsim import (
     Basis,
     Gate,
-    GateKind,
     StateVector,
     ancilla_rotation,
     apply,
     attach_ancilla,
     cnot,
-    gate_matrix,
     hadamard,
     measure,
-    overlap,
     prepare,
     spin_flip,
-    states_close,
 )
 from qkd2way.rng import Branching, stream
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
-ALL_GATES = [
-    spin_flip(0),
-    hadamard(0),
-    cnot(0, 1),
-    cnot(1, 0),
-    ancilla_rotation(0.0, 0, 1),
-    ancilla_rotation(math.pi / 6, 0, 1),
-    ancilla_rotation(math.pi / 3, 1, 0),
-    ancilla_rotation(math.pi / 2, 0, 1),
-]
+ALL_GATES = {
+    "spin_flip-0": spin_flip(0),
+    "hadamard-0": hadamard(0),
+    "cnot-0-1": cnot(0, 1),
+    "cnot-1-0": cnot(1, 0),
+    "rotation-0-0-1": ancilla_rotation(0.0, 0, 1),
+    "rotation-pi/6-0-1": ancilla_rotation(math.pi / 6, 0, 1),
+    "rotation-pi/3-1-0": ancilla_rotation(math.pi / 3, 1, 0),
+    "rotation-pi/2-0-1": ancilla_rotation(math.pi / 2, 0, 1),
+}
 
 
-@pytest.mark.parametrize("gate", ALL_GATES, ids=lambda g: f"{g.kind.value}-{g.angle}")
+def overlap(a: StateVector, b: StateVector) -> complex:
+    assert a.num_wires == b.num_wires
+    return complex(np.vdot(a.amps, b.amps))
+
+
+def states_close(a: StateVector, b: StateVector, atol: float = qsim.NORM_ATOL) -> bool:
+    """Equality up to global phase: |<a|b>| = 1 within atol."""
+    return abs(abs(overlap(a, b)) - 1.0) <= atol
+
+
+@pytest.mark.parametrize("gate", ALL_GATES.values(), ids=ALL_GATES.keys())
 def test_gate_unitarity(gate):
-    u = gate_matrix(gate)
+    u = gate.matrix
     assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-12
+
+
+@pytest.mark.parametrize("matrix,wires", [
+    (np.eye(4), (1, 1)),
+    (np.eye(2), (0, 1)),
+    (np.eye(4), (0,)),
+    (np.eye(4)[:, :2], (0, 1)),
+    (np.ones((2, 2)), (0,)),
+    (np.diag([1.0, 1.0 + 1e-6]), (0,)),
+    (np.diag([1.0, np.nan]), (0,)),
+], ids=["repeated-wire", "2x2-on-two-wires", "4x4-on-one-wire", "not-square", "not-unitary",
+        "off-by-1e-6", "nan"])
+def test_gate_refuses_bad_construction(matrix, wires):
+    with pytest.raises(ValueError):
+        Gate(matrix, wires)
+
+
+def test_gate_keeps_a_read_only_copy_of_its_matrix():
+    matrix = np.eye(2, dtype=complex)
+    gate = Gate(matrix, (0,))
+    matrix[0, 0] = -1.0
+    assert gate.matrix[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        gate.matrix[0, 0] = -1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gate.matrix = matrix
+    assert [f.name for f in dataclasses.fields(Gate)] == ["matrix", "wires"]
+
+
+def test_gate_matrix_takes_first_wire_as_high_bit():
+    # X on the first listed wire, which is register wire 1, the low bit of two
+    x_then_identity = np.kron([[0, 1], [1, 0]], np.eye(2))
+    out = apply(attach_ancilla(prepare(Basis.Z, 0)), Gate(x_then_identity, (1, 0)))
+    assert np.array_equal(out.amps, [0, 1, 0, 0])
 
 
 def test_prepare_protocol_states():
@@ -93,7 +134,7 @@ def test_statevector_validation():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 0.0, 0.0], dtype=complex), 1)  # bad length
     with pytest.raises(ValueError):
-        Gate(GateKind.CNOT, (0, 0))
+        cnot(0, 0)
     with pytest.raises(ValueError):
         ancilla_rotation(2.0, 0, 1)
 
@@ -135,11 +176,7 @@ def _normalized_states(num_wires):
 
 def _gates(num_wires):
     wires = st.integers(min_value=0, max_value=num_wires - 1)
-    one_wire = st.builds(
-        Gate,
-        st.sampled_from([GateKind.SPIN_FLIP, GateKind.HADAMARD]),
-        wires.map(lambda w: (w,)),
-    )
+    one_wire = st.builds(lambda factory, wire: factory(wire), st.sampled_from([spin_flip, hadamard]), wires)
     if num_wires == 1:
         return one_wire
     pairs = st.tuples(wires, wires).filter(lambda p: p[0] != p[1])
@@ -261,9 +298,3 @@ def test_measure_probe_pair_error_rate_pi_third_large_sample():
     p = (1.0 - math.sin(x)) / 2.0
     assert abs(errors / n - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
 
-
-def test_states_close_ignores_global_phase():
-    state = prepare(Basis.X, 1)
-    flipped = StateVector(-state.amps, 1)
-    assert states_close(state, flipped)
-    assert not states_close(state, prepare(Basis.X, 0))
