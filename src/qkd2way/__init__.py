@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 _HOMES = {
     "qsim": "Basis Gate StateVector apply attach_ancilla measure prepare",
     "attacks": "NO_ATTACK AttackParams AttackStrategy make_strategy",
-    "protocol": "LeafTable ProtocolConfig RoundRecord Tallies enumerate_round run run_round_bb84 "
-                "run_round_lm05 tally write_round_log",
+    "protocol": "LeafTable ProtocolConfig RoundRecord Tallies enumerate_round run run_round tally "
+                "write_round_log",
     "infotheory": "EVE_MODELS IDENTIFIED InfoPoint NoiseModel binary_entropy curve_points eve_curves "
                   "generic_bound generic_full_information_point secrecy threshold",
     "photonics": "GainPoint LinkBudget bs_eve_info bs_success_prob crossover_distance optimize_mu "

@@ -43,6 +43,7 @@ Implemented strategies:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .qsim import (Basis, ancilla_rotation, apply, attach_ancilla, cnot, hadamard, measure, random_basis,
@@ -50,6 +51,16 @@ from .qsim import (Basis, ancilla_rotation, apply, attach_ancilla, cnot, hadamar
 from .rng import coin
 
 ATTACK_KINDS = ("none", "ir", "nort", "dcnot", "dcnot_star")
+
+
+def store_floats(owner, *names: str) -> None:
+    """Store each named field of a frozen owner as a float (a np.float32 would make coin
+    weights float32); refuse by name a value that is a bool or not a real number."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        object.__setattr__(owner, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -65,6 +76,7 @@ class AttackParams:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}; expected one of {ATTACK_KINDS}")
+        store_floats(self, "xi", "x", "x_prime", "chi")
         if not 0.0 <= self.xi <= 1.0:
             raise ValueError("xi must lie in [0, 1]")
         if not -1e-12 <= self.x <= math.pi / 2 + 1e-12:

@@ -152,8 +152,9 @@ def threshold(attack: str, reconciliation: str = "dr",
     """q1 where the chosen secrecy capacity first reaches zero.
 
     Returns None when the capacity stays strictly positive over the whole
-    attack domain (secure everywhere).  The capacity must be positive at
-    q1 = 0 and is assumed monotone, so plain bisection suffices.
+    attack domain (secure everywhere), and 0.0 when it is not positive even
+    at q1 = 0 (no q1 is secure, e.g. a fixed Q_AB of 1/2 gives I_AB = 0).
+    The capacity is assumed monotone, so plain bisection suffices.
     """
     if reconciliation not in ("dr", "rr"):
         raise ValueError("reconciliation must be 'dr' or 'rr'")
@@ -164,7 +165,7 @@ def threshold(attack: str, reconciliation: str = "dr",
         return p.c_dr if reconciliation == "dr" else p.c_rr
 
     if capacity(0.0) <= 0.0:
-        raise ValueError("capacity not positive at q1 = 0; nothing to bound")
+        return 0.0
     if capacity(dmax) > _CAPACITY_TOL:
         return None
     return bisect_first_zero(capacity, 0.0, dmax, tol=tol)

@@ -29,6 +29,8 @@ def bisect_first_zero(f: Callable[[float], float], lo: float, hi: float,
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink further
+            break
         if f(mid) > 0.0:
             lo = mid
         else:

@@ -35,7 +35,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .numerics import MAX_GRID_POINTS, golden_max
+from .numerics import MAX_GRID_POINTS, bisect_first_zero, golden_max
 
 PROTOCOLS = ("bb84", "lm05")
 OBJECTIVES = ("secure_gain", "pns_margin")
@@ -239,24 +239,15 @@ def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float 
 
     if diff(l_lo) <= 0.0:
         raise NoCrossover(f"LM05 margin does not exceed BB84 at L = {l_lo} km; no crossover in range")
-    lo = l_lo
-    hi = None
-    length = l_lo + step
+    lo, length = l_lo, l_lo + step
     # lo < length ends the scan once a step no longer moves the distance
     while lo < length <= l_hi + 1e-12:
         if diff(length) <= 0.0:
-            hi = length
             break
         lo = length
         length += step
-    if hi is None:
-        raise NoCrossover(f"no PNS crossover found in [{l_lo}, {l_hi}] km; check the link parameters")
-    while hi - lo > tol_km:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink further
-            break
-        if diff(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    else:  # the steps missed l_hi, so it is the scan's last point
+        length = l_hi
+        if not (lo < l_hi and diff(l_hi) <= 0.0):
+            raise NoCrossover(f"no PNS crossover found in [{l_lo}, {l_hi}] km; check the link parameters")
+    return bisect_first_zero(diff, lo, length, tol=tol_km)

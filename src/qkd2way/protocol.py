@@ -28,12 +28,12 @@ pass; shared by both protocols), Alice and the way back (LM05: her mode,
 then Control Mode, or her operation, the backward pass and Bob's
 measurement; BB84: Control Mode, the receiver's measurement), and the
 readout (the reveal coin, Eve's readout and the :class:`RoundRecord`).
-``run_round_lm05``/``run_round_bb84`` run the stages in order on one
-stream, so they are the one physics path, and :func:`enumerate_round`
-hands the same stages to :func:`qkd2way.rng.enumerate_paths`.  No stage
-changes the value it was given, because its other paths read that value
-again; Eve's memory of the round is such a value too (see
-:mod:`qkd2way.attacks`).
+``_stages`` picks the chain from ``config.protocol``, once for both
+uses: :func:`run_round` runs it in order on one stream, so it is the one
+physics path, and :func:`enumerate_round` hands it to
+:func:`qkd2way.rng.enumerate_paths`.  No stage changes the value it was
+given, because its other paths read that value again; Eve's memory of
+the round is such a value too (see :mod:`qkd2way.attacks`).
 
 Runs are sampled, not stepped: every round is an independent, identically
 distributed draw from one finite distribution, so :func:`enumerate_round`
@@ -47,7 +47,7 @@ multinomial draw over the leaves (:meth:`LeafTable.draw`), the same draw
 ``montecarlo.run_batch`` tallies, put in a uniformly shuffled order.  This
 holds only while rounds are i.i.d.: an attack or protocol whose rounds
 share state (memory, drift, adaptive choices) would have to step
-``run_round_*`` round by round on one stream.
+:func:`run_round` round by round on one stream.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .attacks import NO_ATTACK, AttackParams, AttackStrategy, make_strategy
+from .attacks import NO_ATTACK, AttackParams, AttackStrategy, make_strategy, store_floats
 from .qsim import Basis, apply, measure, prepare, random_basis, spin_flip
 from .rng import coin
 
@@ -90,6 +90,7 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.protocol not in ("lm05", "bb84"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        store_floats(self, "control_prob", "reveal_fraction")
         if not 0.0 <= self.control_prob <= 1.0:
             raise ValueError("control_prob must lie in [0, 1]")
         if not (_is_integer(self.rounds) and 1 <= self.rounds <= _MAX_ROUNDS):
@@ -211,33 +212,23 @@ def _readout_bb84(strategy: AttackStrategy, back, rng) -> RoundRecord:
     return RoundRecord(**recorded, eve_bob_guess=guess_b, attacked=memory is not None)
 
 
-def _lm05_stages(config: ProtocolConfig, strategy: AttackStrategy):
-    return (partial(_forward_leg, strategy), partial(_alice_lm05, config, strategy),
-            partial(_readout_lm05, config, strategy))
-
-
-def _bb84_stages(strategy: AttackStrategy):
+def _stages(config: ProtocolConfig, strategy: AttackStrategy):
+    """The round's chain of three stages, as ``config.protocol`` picks it."""
+    if config.protocol == "lm05":
+        return (partial(_forward_leg, strategy), partial(_alice_lm05, config, strategy),
+                partial(_readout_lm05, config, strategy))
     if strategy.params.kind not in ("none", "ir"):
         raise ValueError(f"attack {strategy.params.kind!r} needs the two-way channel; BB84 supports none/ir")
     return partial(_forward_leg, strategy), _control_mode, partial(_readout_bb84, strategy)
 
 
-def _step(stages, rng) -> RoundRecord:
+def run_round(config: ProtocolConfig, strategy: AttackStrategy, rng) -> RoundRecord:
     """One round on one stream: each stage continues from the value of the one before."""
-    first, *rest = stages
+    first, *rest = _stages(config, strategy)
     value = first(rng)
     for stage in rest:
         value = stage(value, rng)
     return value
-
-
-def run_round_lm05(config: ProtocolConfig, strategy: AttackStrategy, rng) -> RoundRecord:
-    return _step(_lm05_stages(config, strategy), rng)
-
-
-def run_round_bb84(config: ProtocolConfig, strategy: AttackStrategy, rng) -> RoundRecord:
-    """One BB84 round, recorded in Control-Mode form (receiver consumes the qubit)."""
-    return _step(_bb84_stages(strategy), rng)
 
 
 def run(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> list[RoundRecord]:
@@ -324,8 +315,7 @@ class LeafTable:
 def enumerate_round(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> LeafTable:
     """Exact outcome distribution of one round: its stages run once per coin path of their own."""
     strategy = make_strategy(attack)
-    stages = _lm05_stages(config, strategy) if config.protocol == "lm05" else _bb84_stages(strategy)
-    weights, records = zip(*_rng.enumerate_paths(*stages))
+    weights, records = zip(*_rng.enumerate_paths(*_stages(config, strategy)))
     total = math.fsum(weights)
     if abs(total - 1.0) > _WEIGHT_ATOL:
         raise ValueError(f"leaf weights sum to {total!r}, not 1")

@@ -1,6 +1,7 @@
 import math
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from qkd2way.attacks import AttackParams, make_strategy
@@ -18,6 +19,18 @@ def test_params_validation():
         AttackParams(kind="nort", x=-0.5)
     with pytest.raises(ValueError):
         AttackParams(kind="dcnot_star", chi=0.7)
+
+
+@pytest.mark.parametrize("field,value", [("xi", None), ("x", "1"), ("x_prime", None), ("chi", "0"),
+                                         ("xi", True)])
+def test_params_refuse_non_numeric_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        AttackParams(kind="nort", **{field: value})
+
+
+def test_params_accept_numpy_floats():
+    params = AttackParams(kind="nort", xi=np.float32(0.5), x=np.float64(0.7), x_prime=np.float32(1.1))
+    assert enumerate_round(ProtocolConfig(), params).exact_rates()["q1"] > 0.0
 
 
 @lru_cache(maxsize=None)

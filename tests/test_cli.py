@@ -219,6 +219,58 @@ def test_thresholds_table(tmp_path, capsys):
     assert by_attack["Generic"]["lm05_rr"] == ""
 
 
+def test_thresholds_fixed_model(tmp_path, capsys):
+    out = tmp_path / "thresholds.csv"
+    assert _run(["thresholds", "--model", "fixed:0.05", "--out", str(out)]) == 0
+    assert "secure everywhere" in capsys.readouterr().out
+    by_attack = {row["attack"]: row for row in csv.DictReader(out.open())}
+    assert by_attack["IR"]["lm05_rr"] == ""  # secure everywhere
+    assert float(by_attack["IR"]["lm05_dr"]) == pytest.approx(0.178, abs=5e-4)
+
+
+def test_thresholds_fixed_model_at_one_half_secures_nothing(tmp_path):
+    # Q_AB = 1/2 gives I_AB = 0: every threshold is 0, not an error
+    out = tmp_path / "thresholds.csv"
+    assert _run(["thresholds", "--model", "fixed:0.5", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    cells = [row[column] for row in rows for column in ("lm05_dr", "lm05_rr", "bb84")]
+    assert {cell for cell in cells if cell} == {"0.0"}
+
+
+def test_curves_fixed_model_holds_i_ab_constant(tmp_path):
+    out = tmp_path / "ir.csv"
+    assert _run(["curves", "--model", "fixed:0.1", "--grid-step", "0.05", "--out", str(out)]) == 0
+    assert {row["I_AB"] for row in csv.DictReader(out.open())} == {"0.5310044064107188"}
+
+
+@pytest.mark.parametrize("model", ["fixed:abc", "fixed:0.7"])
+def test_bad_fixed_model_is_a_usage_error(model, capsys):
+    assert _run(["curves", "--model", model]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: bad fixed noise model {model!r}") and captured.out == ""
+
+
+def test_config_file_skips_comment_and_blank_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# curve settings\n\n   \nattack = dcnot-star\n  # grid\ngrid_step = 0.25\n")
+    assert _run(["curves", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["0.0,1.0,0.0,0.0,1.0,1.0",
+                                                        "0.25,0.18872187554086717,1.0,1.0,"
+                                                        "-0.8112781244591328,-0.8112781244591328"]
+
+
+@pytest.mark.parametrize("where, message", [("line without =", "expected key=value"),
+                                            ("unreadable path", "cannot read config file")])
+def test_config_file_read_errors_are_usage_errors(where, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if where == "line without =":
+        cfg.write_text("grid_step = 0.05\nattack nort\n")
+        message = f"{cfg}:2: {message}"
+    assert _run(["curves", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_gain_curves_bb84_dominates(tmp_path):
     out = tmp_path / "gain.csv"
     assert _run(["gain", "--lmin", "0", "--lmax", "20", "--lstep", "5",

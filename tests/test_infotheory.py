@@ -185,6 +185,13 @@ def test_secure_everywhere_returns_none():
     assert threshold("ir", "rr", NoiseModel("fixed", 0.0)) is None
 
 
+def test_threshold_is_zero_when_no_q1_is_secure():
+    # a fixed Q_AB of 1/2 gives I_AB = 0, so the capacity is not positive at q1 = 0
+    for attack in ("ir", "nort", "dcnot_star", "generic", "bb84_ir", "bb84_opt"):
+        assert threshold(attack, "dr", NoiseModel("fixed", 0.5)) == 0.0
+    assert threshold("ir", "rr", NoiseModel("fixed", 0.5)) == 0.0
+
+
 def test_boundary_threshold_under_fixed_model():
     # I_AE = I_BE = 4 q1 meets I_AB = 1 exactly at the domain edge
     value = threshold("dcnot_star", "rr", NoiseModel("fixed", 0.0))

@@ -29,8 +29,7 @@ from qkd2way.protocol import (
     Tallies,
     enumerate_round,
     run,
-    run_round_bb84,
-    run_round_lm05,
+    run_round,
     tally,
     write_round_log,
 )
@@ -180,13 +179,12 @@ _STAGED_ATTACKS = ([("lm05", AttackParams(kind=kind)) for kind in ("none", "dcno
                          ids=[f"{p}-{a.kind}-xi{a.xi:g}-x{a.x:.3g}-xp{a.x_prime:.3g}-chi{a.chi:g}"
                               for p, a in _STAGED_ATTACKS])
 def test_staged_enumeration_equals_the_replay_from_the_root(protocol, attack):
-    round_fn = run_round_lm05 if protocol == "lm05" else run_round_bb84
     for control_prob in (0.0, 0.25, 1.0):
         for reveal_fraction in (0.1, 1.0):
             config = ProtocolConfig(protocol=protocol, control_prob=control_prob,
                                     reveal_fraction=reveal_fraction)
             strategy = make_strategy(attack)
-            weights, records = zip(*enumerate_paths(lambda branch: round_fn(config, strategy, branch)))
+            weights, records = zip(*enumerate_paths(lambda branch: run_round(config, strategy, branch)))
             table = enumerate_round(config, attack)
             assert np.array_equal(table.weights, np.array(weights))
             assert table.records == records
@@ -222,12 +220,11 @@ def test_kernel_cache_keeps_the_leaf_table_bit_identical(protocol, attack):
     # reference: the same replay with every path started from cleared caches,
     # so no path reuses a quantum step that another path computed
     config = ProtocolConfig(protocol=protocol)
-    round_fn = run_round_lm05 if protocol == "lm05" else run_round_bb84
     strategy = make_strategy(attack)
 
     def cold_path(branch):
         _clear_qsim_caches()
-        return round_fn(config, strategy, branch)
+        return run_round(config, strategy, branch)
 
     weights, records = zip(*enumerate_paths(cold_path))
     _clear_qsim_caches()
@@ -286,9 +283,8 @@ def test_per_round_engine_agrees_with_leaf_table(protocol, attack):
     # one sampled stream, against the exact leaf rates, five-sigma gated for
     # every rate, including those without a closed form
     config = ProtocolConfig(protocol=protocol, rounds=20_000, seed=44)
-    round_fn = run_round_lm05 if protocol == "lm05" else run_round_bb84
     strategy, rounds_stream = make_strategy(attack), stream(44)
-    observed = tally(round_fn(config, strategy, rounds_stream) for _ in range(config.rounds))
+    observed = tally(run_round(config, strategy, rounds_stream) for _ in range(config.rounds))
     exact = enumerate_round(config, attack).exact_rates()
     for name in RATE_NAMES:
         errors, trials = getattr(observed, name)

@@ -310,6 +310,14 @@ def test_crossover_distance_returns_in_bounded_time(kwargs):
         assert "scan steps" in proc.stdout
 
 
+def test_crossover_scan_checks_the_last_partial_step():
+    # a span over 16 km is scanned in 1 km steps from l_lo; the crossing at
+    # 17.6 km lies in the last, partial step [17, 17.9], so l_hi is scanned too
+    whole = crossover_distance(atten=0.003, l_hi=100.0)
+    assert 17.0 < whole < 17.9
+    assert crossover_distance(atten=0.003, l_hi=17.9) == pytest.approx(whole, abs=0.01)
+
+
 def test_crossover_distance_tells_no_crossing_from_a_refused_span():
     # the pns table reports NoCrossover as "none in range"; a refused span is an error
     with pytest.raises(NoCrossover):

@@ -14,7 +14,7 @@ from qkd2way.protocol import (
     Tallies,
     enumerate_round,
     run,
-    run_round_lm05,
+    run_round,
     tally,
     write_round_log,
 )
@@ -39,6 +39,20 @@ def test_config_refuses_non_integer_rounds_and_seed(field, value):
     # a float count would run int(rounds) rounds but report the float
     with pytest.raises(ValueError, match=field):
         ProtocolConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [("control_prob", None), ("reveal_fraction", "0.1"),
+                                         ("control_prob", False)])
+def test_config_refuses_non_numeric_probabilities(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        ProtocolConfig(**{field: value})
+
+
+def test_config_accepts_numpy_floats():
+    # kept as float32, these would make float32 leaf weights that do not sum to 1
+    config = ProtocolConfig(control_prob=np.float32(0.3), reveal_fraction=np.float32(0.1), rounds=10)
+    assert config.control_prob == float(np.float32(0.3)) and type(config.reveal_fraction) is float
+    assert len(run(config)) == 10
 
 
 def test_config_accepts_numpy_integers():
@@ -183,6 +197,9 @@ def test_bb84_rejects_two_way_attacks():
     for kind in ("nort", "dcnot", "dcnot_star"):
         with pytest.raises(ValueError):
             run(config, AttackParams(kind=kind))
+        # the stepper reads config.protocol too: no two-way attack on a BB84 round
+        with pytest.raises(ValueError, match="BB84 supports none/ir"):
+            run_round(config, make_strategy(AttackParams(kind=kind)), stream(1))
 
 
 def test_round_log_csv_format():
@@ -209,7 +226,7 @@ def test_round_log_csv_format():
 
     def stepped():
         strategy, rounds_stream = make_strategy(AttackParams(kind="ir", xi=0.5)), stream(8)
-        return (run_round_lm05(config, strategy, rounds_stream) for _ in range(config.rounds))
+        return (run_round(config, strategy, rounds_stream) for _ in range(config.rounds))
 
     buffer = io.StringIO()
     write_round_log(stepped(), buffer)
