@@ -43,24 +43,14 @@ Implemented strategies:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
+from .numerics import real
 from .qsim import (Basis, ancilla_rotation, apply, attach_ancilla, cnot, hadamard, measure, random_basis,
                    spin_flip)
 from .rng import coin
 
 ATTACK_KINDS = ("none", "ir", "nort", "dcnot", "dcnot_star")
-
-
-def store_floats(owner, *names: str) -> None:
-    """Store each named field of a frozen owner as a float (a np.float32 would make coin
-    weights float32); refuse by name a value that is a bool or not a real number."""
-    for name in names:
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-        object.__setattr__(owner, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -76,15 +66,10 @@ class AttackParams:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}; expected one of {ATTACK_KINDS}")
-        store_floats(self, "xi", "x", "x_prime", "chi")
-        if not 0.0 <= self.xi <= 1.0:
-            raise ValueError("xi must lie in [0, 1]")
-        if not -1e-12 <= self.x <= math.pi / 2 + 1e-12:
-            raise ValueError("x must lie in [0, pi/2]")
-        if not -1e-12 <= self.x_prime <= math.pi / 2 + 1e-12:
-            raise ValueError("x_prime must lie in [0, pi/2]")
-        if not 0.0 <= self.chi <= 0.5:
-            raise ValueError("chi must lie in [0, 0.5]")
+        # probe angles get 1e-12 of slack against rounding at the ends of [0, pi/2]
+        for name, lo, hi in (("xi", 0.0, 1.0), ("x", -1e-12, math.pi / 2 + 1e-12),
+                             ("x_prime", -1e-12, math.pi / 2 + 1e-12), ("chi", 0.0, 0.5)):
+            object.__setattr__(self, name, real(name, getattr(self, name), lo, hi))
 
 
 NO_ATTACK = AttackParams()

@@ -12,8 +12,7 @@ Every flag can also be given in a key=value config file (--config): each
 line is read as the flag --key=value, with the same type and choice checks,
 and an explicit flag wins over the file.  --out is opened once the inputs
 are checked and before anything is printed, so a bad path exits 2 with
-nothing on stdout and a rejected input creates no file.  The default seed
-comes from the QKD2WAY_SEED environment variable when set.  Exit codes: 0
+nothing on stdout and a rejected input creates no file.  Exit codes: 0
 success or all-pass, 1 verification failure, 2 usage error.
 """
 
@@ -22,14 +21,13 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from contextlib import contextmanager
 from functools import cache
 
 from . import __version__
 from .infotheory import IDENTIFIED, NoiseModel, curve_points, threshold
-from .numerics import MAX_GRID_POINTS, grid
+from .numerics import grid, real
 
 DEFAULT_SEED = 20050920
 
@@ -49,7 +47,7 @@ class UsageError(Exception):
 
 
 class _RaisingParser(argparse.ArgumentParser):
-    """Parser that raises UsageError where argparse would print usage and exit."""
+    """Parser that raises UsageError where argparse would print usage and exit: one error line."""
 
     def error(self, message):
         raise UsageError(message)
@@ -68,14 +66,14 @@ def _parse_model(text: str) -> NoiseModel:
         try:
             return NoiseModel("fixed", float(text.split(":", 1)[1]))
         except ValueError as exc:
-            raise UsageError(f"bad fixed noise model {text!r}: {exc}") from exc
-    raise UsageError(f"--model must be 'identified' or 'fixed:<value>', got {text!r}")
+            raise argparse.ArgumentTypeError(f"bad fixed noise model {text!r}: {exc}") from exc
+    raise argparse.ArgumentTypeError(f"must be 'identified' or 'fixed:<value>', got {text!r}")
 
 
 @cache
-def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The parser tree, built once per parser class and shared: callers only parse with it."""
-    parser = parser_class(prog="qkd2way", description=__doc__.split("\n")[0])
+def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once and shared: callers only parse with it."""
+    parser = _RaisingParser(prog="qkd2way", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, help_text):
@@ -95,19 +93,19 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--xprime", type=float, default=math.pi / 2, help="backward probe angle (nort)")
     p.add_argument("--chi", type=float, default=0.0, help="flip probability (dcnot-star)")
     p.add_argument("--rounds", type=int, default=100_000)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--c", type=float, default=0.25, help="control-mode probability")
     p.add_argument("--reveal", type=float, default=0.1, help="revealed EM fraction")
     add_common(p)
 
     p = add_command("curves", "information curves vs q1")
     p.add_argument("--attack", choices=sorted(_CURVE_ATTACKS), default="ir")
-    p.add_argument("--model", default="identified")
+    p.add_argument("--model", type=_parse_model, default="identified")
     p.add_argument("--grid-step", dest="grid_step", type=float, default=0.001)
     add_common(p)
 
     p = add_command("thresholds", "security threshold table")
-    p.add_argument("--model", default="identified")
+    p.add_argument("--model", type=_parse_model, default="identified")
     add_common(p)
 
     for name, help_text in (("gain", "secure gain vs distance"),
@@ -127,7 +125,7 @@ def _config_args(path: str, command: str) -> list[str]:
     Each line is checked on its own as the command's only flag, so an error
     names the file and line it came from.
     """
-    checker = build_parser(_RaisingParser)
+    checker = build_parser()
     args = []
     try:
         with open(path) as fh:
@@ -149,13 +147,6 @@ def _config_args(path: str, command: str) -> list[str]:
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return args
-
-
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("QKD2WAY_SEED")
-    return int(env) if env else DEFAULT_SEED
 
 
 @contextmanager
@@ -202,7 +193,7 @@ def _cmd_simulate(args) -> int:
     attack = AttackParams(kind=_SIM_ATTACKS[args.attack], xi=args.xi,
                           x=args.x, x_prime=args.xprime, chi=args.chi)
     config = ProtocolConfig(protocol=args.protocol, control_prob=args.c,
-                            rounds=args.rounds, seed=_resolve_seed(args.seed),
+                            rounds=args.rounds, seed=args.seed,
                             reveal_fraction=args.reveal)
     # the run is where the protocol checks the attack, so it comes first;
     # it takes milliseconds, and nothing is printed before --out is open
@@ -228,8 +219,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    points = curve_points(_CURVE_ATTACKS[args.attack], _parse_model(args.model),
-                          grid_step=args.grid_step)
+    points = curve_points(_CURVE_ATTACKS[args.attack], args.model, grid_step=args.grid_step)
     with _open_out(args.out) as fh:
         write_rows(fh, args.format, CURVE_COLUMNS, points)  # InfoPoint fields are these columns
     return 0
@@ -249,7 +239,6 @@ _NA_REASONS = {
 
 
 def _cmd_thresholds(args) -> int:
-    model = _parse_model(args.model)
     with _open_out(args.out) as fh:
         rows = []
         for label, lm05_curve, bb84_curve in _TABLE_ROWS:
@@ -259,7 +248,7 @@ def _cmd_thresholds(args) -> int:
                 if curve is None or (label, column) in _NA_REASONS:
                     row.append(None)
                 else:
-                    row.append(threshold(curve, recon, model))
+                    row.append(threshold(curve, recon, args.model))
             rows.append(row)
 
         def render(value, label, column):
@@ -281,15 +270,8 @@ def _cmd_thresholds(args) -> int:
 
 
 def _distance_grid(args) -> list[float]:
-    lmin, lmax, lstep = args.lmin, args.lmax, args.lstep
-    if not all(map(math.isfinite, (lmin, lmax, lstep))):
-        raise UsageError("lmin, lmax and lstep must be finite")
-    if lstep <= 0 or lmax < lmin or lmin < 0:
-        raise UsageError("need lmin >= 0, lmax >= lmin and lstep > 0")
-    # the grid runs to lmax + 1e-9, and a step that rounds away against lmin never ends it
-    if (lmax + 1e-9 - lmin) / lstep >= MAX_GRID_POINTS or lmin + lstep == lmin:
-        raise UsageError(f"lmin, lmax and lstep give more than {MAX_GRID_POINTS} distances")
-    return grid(lmin, lstep, lmax + 1e-9)
+    lmin = real("lmin", args.lmin, 0.0)
+    return grid(lmin, args.lstep, real("lmax", args.lmax, lmin) + 1e-9, "lstep")
 
 
 def _scan_command(args, objective: str) -> int:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .numerics import MAX_GRID_POINTS, bisect_first_zero, grid
+from .numerics import bisect_first_zero, grid, real
 
 EVE_MODELS = ("ir", "nort", "dcnot_star", "generic", "bb84_ir", "bb84_opt")
 
@@ -53,7 +53,7 @@ _CAPACITY_TOL = 1e-12
 _LOG2_3 = math.log2(3.0)
 
 
-class NoiseModel(namedtuple("NoiseModel", "kind value", defaults=("identified", 0.0))):
+class NoiseModel(namedtuple("NoiseModel", "kind value")):
     """Relation between the announced-round QBER Q_AB and the control QBER q1.
 
     kind "identified": Q_AB = q1; kind "fixed": Q_AB = value.
@@ -64,13 +64,12 @@ class NoiseModel(namedtuple("NoiseModel", "kind value", defaults=("identified", 
     def _make(cls, iterable):  # the stock length check, then __new__: _replace validates too
         return cls(*super()._make(iterable))
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in ("identified", "fixed"):
-            raise ValueError(f"unknown noise model kind {self.kind!r}")
-        if self.kind == "fixed" and not 0.0 <= self.value <= 0.5:
-            raise ValueError("fixed Q_AB must lie in [0, 0.5]")
-        return self
+    def __new__(cls, kind: str = "identified", value: float = 0.0):
+        if kind not in ("identified", "fixed"):
+            raise ValueError(f"unknown noise model kind {kind!r}")
+        if kind == "fixed":
+            value = real("fixed Q_AB", value, 0.0, 0.5)
+        return super().__new__(cls, kind, value)
 
     def q_ab(self, q1: float) -> float:
         return q1 if self.kind == "identified" else self.value
@@ -179,10 +178,6 @@ def generic_full_information_point(tol: float = 1e-9) -> float:
 def curve_points(attack: str, model: NoiseModel = IDENTIFIED,
                  grid_step: float = 0.001) -> list[InfoPoint]:
     """Information curve sampled on a q1 grid over the attack's domain."""
-    # written so that NaN, which fails every comparison, is rejected too
-    if not 0.0 < grid_step < math.inf:
-        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
     dmax = _domain_max(attack)
-    if (dmax + _DOMAIN_EPS) / grid_step >= MAX_GRID_POINTS:
-        raise ValueError(f"grid_step {grid_step} gives more than {MAX_GRID_POINTS} q1 points")
-    return [secrecy(min(q1, dmax), attack, model) for q1 in grid(0.0, grid_step, dmax + _DOMAIN_EPS)]
+    return [secrecy(min(q1, dmax), attack, model)
+            for q1 in grid(0.0, grid_step, dmax + _DOMAIN_EPS, "grid_step")]

@@ -26,7 +26,7 @@ Raw gains follow the link budget: G_raw = 1 - exp(-mu eta_d Gamma(L))
 with Gamma^BB84 = Gamma_QC Gamma_B and, because the LM05 channel is
 traversed twice and Alice's box twice, Gamma^LM05 = Gamma_QC^2 Gamma_B
 Gamma_A^2, where Gamma_QC(L) = 10^(-atten L).  The mean photon number is
-optimized per distance.
+optimized per distance; a scan over distances checks its link once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .numerics import MAX_GRID_POINTS, bisect_first_zero, golden_max
+from .numerics import MAX_GRID_POINTS, bisect_first_zero, golden_max, real
 
 PROTOCOLS = ("bb84", "lm05")
 OBJECTIVES = ("secure_gain", "pns_margin")
@@ -47,28 +47,18 @@ DEFAULT_ATTEN = 0.02     # fiber attenuation, decades per km
 MU_BRACKET = (1e-5, 2.0)
 
 
-class LinkBudget(namedtuple("LinkBudget", "mu length_km eta_d gamma_B gamma_A atten",
-                            defaults=(0.0, DEFAULT_ETA_D, DEFAULT_GAMMA_B, DEFAULT_GAMMA_A,
-                                      DEFAULT_ATTEN))):
+class LinkBudget(namedtuple("LinkBudget", "mu length_km eta_d gamma_B gamma_A atten")):
     __slots__ = ()
     @classmethod
     def _make(cls, iterable):  # the stock length check, then __new__: _replace validates too
         return cls(*super()._make(iterable))
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        # written so that NaN, which fails every comparison, is rejected too
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError("mean photon number must be positive and finite")
-        if not 0.0 <= self.length_km < math.inf:
-            raise ValueError("channel length must be finite and >= 0")
-        for name in ("eta_d", "gamma_B", "gamma_A"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if not 0.0 <= self.atten < math.inf:
-            raise ValueError("attenuation coefficient must be finite and >= 0")
-        return self
+    def __new__(cls, mu: float, length_km: float = 0.0, eta_d: float = DEFAULT_ETA_D,
+                gamma_B: float = DEFAULT_GAMMA_B, gamma_A: float = DEFAULT_GAMMA_A,
+                atten: float = DEFAULT_ATTEN):
+        return super().__new__(cls, real("mu", mu, 0.0, lo_open=True), real("length_km", length_km, 0.0),
+                               real("eta_d", eta_d, 0.0, 1.0), real("gamma_B", gamma_B, 0.0, 1.0),
+                               real("gamma_A", gamma_A, 0.0, 1.0), real("atten", atten, 0.0))
 
     @property
     def channel_transmission(self) -> float:
@@ -86,10 +76,9 @@ def _check_protocol(protocol: str):
 
 def poisson_pmf(n: int, mu: float) -> float:
     """Probability of n photons in one pulse of mean photon number mu."""
-    if n < 0:
-        raise ValueError("photon count must be >= 0")
-    if mu <= 0.0:
-        raise ValueError("mean photon number must be positive")
+    if isinstance(n, bool) or not hasattr(n, "__index__") or n < 0:
+        raise ValueError(f"photon count n must be an integer >= 0, got {n!r}")
+    mu = real("mu", mu, 0.0, lo_open=True)
     return mu ** n * math.exp(-mu) / math.factorial(n)
 
 
@@ -112,35 +101,30 @@ _PNS_PROB = {
 def bs_eve_info(protocol: str, mu: float) -> float:
     """Eve's expected information fraction from beam splitting."""
     _check_protocol(protocol)
-    if mu <= 0.0:
-        raise ValueError("mean photon number must be positive")
-    return _BS_EVE_INFO[protocol](mu)
+    return _BS_EVE_INFO[protocol](real("mu", mu, 0.0, lo_open=True))
 
 
 def pns_multiphoton_prob(protocol: str, mu: float) -> float:
     """Probability of a pulse whose photon number lets Eve attack without noise."""
     _check_protocol(protocol)
-    if mu <= 0.0:
-        raise ValueError("mean photon number must be positive")
-    return _PNS_PROB[protocol](mu)
+    return _PNS_PROB[protocol](real("mu", mu, 0.0, lo_open=True))
 
 
-def _total_transmission(protocol: str, budget: LinkBudget) -> float:
-    g_qc = budget.channel_transmission
-    if protocol == "bb84":
-        return g_qc * budget.gamma_B
-    return g_qc * g_qc * budget.gamma_B * budget.gamma_A ** 2
+def _mu_objective(objective: str, protocol: str, link: LinkBudget,
+                  length_km: float) -> Callable[[float], float]:
+    """The objective on a checked link at a checked distance, as a function of mu alone.
 
-
-def _mu_objective(objective: str, protocol: str, budget: LinkBudget) -> Callable[[float], float]:
-    """The objective on this link as a function of mu alone; budget.mu is not read.
-
-    The dispatch and the link transmission are worked out once here, so the
-    mu optimizer's golden-section loop evaluates only the mu-dependent terms.
+    Neither link.mu nor link.length_km is read.  The dispatch and the link
+    transmission are worked out once here, so the mu optimizer's
+    golden-section loop evaluates only the mu-dependent terms.
     """
     _check_protocol(protocol)
-    eta_d = budget.eta_d
-    t = _total_transmission(protocol, budget)
+    eta_d = link.eta_d
+    g_qc = 10.0 ** (-link.atten * length_km)
+    if protocol == "bb84":
+        t = g_qc * link.gamma_B
+    else:
+        t = g_qc * g_qc * link.gamma_B * link.gamma_A ** 2
 
     def raw(mu: float) -> float:
         return -math.expm1(-mu * eta_d * t)
@@ -150,60 +134,68 @@ def _mu_objective(objective: str, protocol: str, budget: LinkBudget) -> Callable
     if objective == "secure_gain":
         leak = _BS_EVE_INFO[protocol]
         return lambda mu: raw(mu) * (1.0 - leak(mu))
-    if objective == "pns_margin":
-        dangerous = _PNS_PROB[protocol]
-        return lambda mu: raw(mu) - dangerous(mu)
-    raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+    dangerous = _PNS_PROB[protocol]
+    return lambda mu: raw(mu) - dangerous(mu)
 
 
 def raw_gain(protocol: str, budget: LinkBudget) -> float:
     """Detection probability per pulse: 1 - exp(-mu eta_d Gamma(L))."""
-    return _mu_objective("raw_gain", protocol, budget)(budget.mu)
+    return _mu_objective("raw_gain", protocol, budget, budget.length_km)(budget.mu)
 
 
 def secure_gain(protocol: str, budget: LinkBudget) -> float:
     """Raw gain times the fraction of the key not leaked through beam splitting."""
-    return _mu_objective("secure_gain", protocol, budget)(budget.mu)
+    return _mu_objective("secure_gain", protocol, budget, budget.length_km)(budget.mu)
 
 
 def pns_margin(protocol: str, budget: LinkBudget) -> float:
     """Security-region margin D = G_raw - P_PNS; positive means secure."""
-    return _mu_objective("pns_margin", protocol, budget)(budget.mu)
+    return _mu_objective("pns_margin", protocol, budget, budget.length_km)(budget.mu)
 
 
-def optimize_mu(objective: str, protocol: str, length_km: float, *,
-                eta_d: float = DEFAULT_ETA_D, gamma_B: float = DEFAULT_GAMMA_B,
-                gamma_A: float = DEFAULT_GAMMA_A, atten: float = DEFAULT_ATTEN,
-                bracket: tuple[float, float] = MU_BRACKET,
-                tol: float = 1e-7) -> tuple[float, float]:
-    """Golden-section maximization of the objective over the mu bracket.
+def _mu_optimizer(objective: str, protocol: str, bracket: tuple[float, float] = MU_BRACKET,
+                  tol: float = 1e-7, **link) -> Callable[[float], tuple[float, float]]:
+    """length_km -> (mu_star, value) on one link, for a scan of distances.
 
-    Returns (mu_star, value); a non-positive value means the link is
-    insecure at this distance for every mean photon number in the bracket.
-    The bracket and the link are validated once, not per evaluation: every
-    point golden_max evaluates lies in [lo, hi].
+    The objective, the bracket and the link are checked here, once; each
+    call checks only its distance.  Every point golden_max evaluates lies in
+    the bracket, so mu needs no check of its own.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
     lo, hi = bracket
-    # written so that NaN, which fails every comparison, is rejected too
-    if not 0.0 <= lo < hi < math.inf:
-        raise ValueError(f"mu bracket {bracket} must be finite with 0 <= lo < hi")
-    # mu=hi only passes the budget's own check; the objective takes mu as its argument
-    budget = LinkBudget(mu=hi, length_km=length_km, eta_d=eta_d,
-                        gamma_B=gamma_B, gamma_A=gamma_A, atten=atten)
-    return golden_max(_mu_objective(objective, protocol, budget), lo, hi, tol=tol)
+    lo = real("mu bracket low end", lo, 0.0)
+    hi = real("mu bracket high end", hi, lo, lo_open=True)
+    # mu and the length only pass their checks: the objective takes mu, and each call its length
+    link = LinkBudget(hi, 0.0, **link)
+
+    def best(length_km: float) -> tuple[float, float]:
+        objective_at = _mu_objective(objective, protocol, link, real("length_km", length_km, 0.0))
+        return golden_max(objective_at, lo, hi, tol=tol)
+
+    return best
+
+
+def optimize_mu(objective: str, protocol: str, length_km: float,
+                **link_kwargs) -> tuple[float, float]:
+    """Golden-section maximization of the objective over the mu bracket at one distance.
+
+    link_kwargs are LinkBudget's eta_d, gamma_B, gamma_A and atten, and the
+    mu ``bracket`` (default MU_BRACKET) and ``tol`` (1e-7) of the search.
+    Returns (mu_star, value); a non-positive value means the link is
+    insecure at this distance for every mean photon number in the bracket.
+    The bracket and the link are checked once per call, not per evaluation;
+    a scan over many distances (:func:`scan_distances`,
+    :func:`crossover_distance`) checks them once per scan.
+    """
+    return _mu_optimizer(objective, protocol, **link_kwargs)(length_km)
 
 
 def scan_distances(objective: str, protocol: str, lengths_km: Sequence[float],
                    **link_kwargs) -> list[GainPoint]:
-    """Per-distance optimized curve, one GainPoint per length."""
-    points = []
-    for length in lengths_km:
-        mu_star, value = optimize_mu(objective, protocol, length, **link_kwargs)
-        points.append(GainPoint(protocol=protocol, objective=objective,
-                                length_km=length, mu_star=mu_star, value=value))
-    return points
+    """One optimized GainPoint per length, on a link checked once; link_kwargs as for optimize_mu."""
+    best = _mu_optimizer(objective, protocol, **link_kwargs)
+    return [GainPoint(protocol, objective, length, *best(length)) for length in lengths_km]
 
 
 class NoCrossover(ValueError):
@@ -219,23 +211,21 @@ def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float 
     to be broken) but decays faster with distance; raises ValueError when
     no crossing with LM05 initially on top exists in [l_lo, l_hi] (as
     :class:`NoCrossover`), or when the scan of the span would take more than
-    MAX_GRID_POINTS steps.
+    MAX_GRID_POINTS steps.  The link is checked once, not per distance.
     """
-    # written so that NaN, which fails every comparison, is rejected too
-    if not 0.0 < tol_km < math.inf:
-        raise ValueError(f"tol_km must be positive and finite, got {tol_km}")
-    if not (math.isfinite(l_lo) and math.isfinite(l_hi) and l_lo <= l_hi):
-        raise ValueError(f"need finite l_lo <= l_hi, got [{l_lo}, {l_hi}]")
+    tol_km = real("tol_km", tol_km, 0.0, lo_open=True)
+    l_lo = real("l_lo", l_lo, 0.0)
+    l_hi = real("l_hi", l_hi, l_lo)
     step = max(tol_km, min(1.0, (l_hi - l_lo) / 16.0))
     if (l_hi - l_lo) / step > MAX_GRID_POINTS:
         raise ValueError(f"[{l_lo}, {l_hi}] km takes more than {MAX_GRID_POINTS} scan steps "
                          f"of {step} km")
-    kwargs = dict(eta_d=eta_d, gamma_B=gamma_B, gamma_A=gamma_A, atten=atten)
+    link = dict(eta_d=eta_d, gamma_B=gamma_B, gamma_A=gamma_A, atten=atten)
+    lm05 = _mu_optimizer("pns_margin", "lm05", **link)
+    bb84 = _mu_optimizer("pns_margin", "bb84", **link)
 
     def diff(length: float) -> float:
-        lm05 = optimize_mu("pns_margin", "lm05", length, **kwargs)[1]
-        bb84 = optimize_mu("pns_margin", "bb84", length, **kwargs)[1]
-        return lm05 - bb84
+        return lm05(length)[1] - bb84(length)[1]
 
     if diff(l_lo) <= 0.0:
         raise NoCrossover(f"LM05 margin does not exceed BB84 at L = {l_lo} km; no crossover in range")

@@ -62,7 +62,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .attacks import NO_ATTACK, AttackParams, AttackStrategy, make_strategy, store_floats
+from .attacks import NO_ATTACK, AttackParams, AttackStrategy, make_strategy
+from .numerics import real
 from .qsim import Basis, apply, measure, prepare, random_basis, spin_flip
 from .rng import coin
 
@@ -90,15 +91,12 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.protocol not in ("lm05", "bb84"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        store_floats(self, "control_prob", "reveal_fraction")
-        if not 0.0 <= self.control_prob <= 1.0:
-            raise ValueError("control_prob must lie in [0, 1]")
+        for name, lo_open in (("control_prob", False), ("reveal_fraction", True)):
+            object.__setattr__(self, name, real(name, getattr(self, name), 0.0, 1.0, lo_open=lo_open))
         if not (_is_integer(self.rounds) and 1 <= self.rounds <= _MAX_ROUNDS):
             raise ValueError(f"rounds must lie in [1, {_MAX_ROUNDS}] and be an integer, got {self.rounds!r}")
         if not _is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not 0.0 < self.reveal_fraction <= 1.0:
-            raise ValueError("reveal_fraction must lie in (0, 1]")
 
 
 @dataclass(frozen=True, slots=True)

@@ -50,6 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .numerics import real
 from .rng import coin
 
 MAX_WIRES = 3
@@ -148,8 +149,7 @@ def _rot2(theta: float) -> np.ndarray:
 
 
 def ancilla_rotation(angle: float, control: int, target: int) -> Gate:
-    if not -1e-12 <= angle <= math.pi / 2 + 1e-12:
-        raise ValueError("probe angle must lie in [0, pi/2]")
+    angle = real("probe angle", angle, -1e-12, math.pi / 2 + 1e-12)
     u = np.zeros((4, 4), dtype=complex)
     u[:2, :2] = _rot2(math.pi / 4 - angle / 2)
     u[2:, 2:] = _rot2(math.pi / 4 + angle / 2)

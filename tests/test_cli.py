@@ -77,11 +77,9 @@ def test_unknown_flag_is_usage_error():
     assert _run(["simulate", "--bogus", "1"]) == 2
 
 
-def test_seed_env_var_is_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QKD2WAY_SEED", "777")
-    status = _run(["simulate", "--rounds", "1000"])
-    assert status == 0
-    assert "seed=777" in capsys.readouterr().out
+def test_default_seed_is_reported(capsys):
+    assert _run(["simulate", "--rounds", "1000"]) == 0
+    assert "seed=20050920" in capsys.readouterr().out
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
@@ -247,7 +245,19 @@ def test_curves_fixed_model_holds_i_ab_constant(tmp_path):
 def test_bad_fixed_model_is_a_usage_error(model, capsys):
     assert _run(["curves", "--model", model]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: bad fixed noise model {model!r}") and captured.out == ""
+    assert captured.err.startswith(f"error: argument --model: bad fixed noise model {model!r}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["curves", "thresholds"])
+def test_bad_model_config_line_names_the_file_and_line(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = bogus\n")
+    assert _run([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {cfg}:1: model = bogus: argument --model: must be "
+                                   "'identified' or 'fixed:<value>', got 'bogus'")
+    assert captured.out == ""
 
 
 def test_config_file_skips_comment_and_blank_lines(tmp_path, capsys):
@@ -329,7 +339,7 @@ def test_distance_scans_reject_non_finite_bounds(argv):
 @pytest.mark.parametrize("step", ["nan", "inf"])
 def test_curves_rejects_non_finite_grid_step(step, capsys):
     assert _run(["curves", "--grid-step", step]) == 2
-    assert f"grid_step must be positive and finite, got {step}" in capsys.readouterr().err
+    assert f"grid_step must be finite, got {step}" in capsys.readouterr().err
 
 
 def _cap_address_space():
@@ -437,7 +447,7 @@ def test_figure_script_matches_the_cli(tmp_path):
 def test_figure_script_stops_at_a_failing_subcommand(tmp_path):
     proc = _run_figure_script("--out-dir", str(tmp_path), "--grid-step", "nan")
     assert proc.returncode == 2
-    assert "grid_step must be positive and finite" in proc.stderr
+    assert "grid_step must be finite" in proc.stderr
     assert "wrote" not in proc.stdout
     assert list(tmp_path.iterdir()) == []
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,20 @@ def test_noise_model_validation():
         NoiseModel("fixed", 0.7)
     assert NoiseModel("fixed", 0.1).q_ab(0.03) == 0.1
     assert IDENTIFIED.q_ab(0.03) == 0.03
+
+
+@pytest.mark.parametrize("value", [None, "0.1", False])
+def test_fixed_noise_model_refuses_a_non_numeric_value_by_name(value):
+    # None and "0.1" used to raise TypeError, and False passed as Q_AB = 0
+    with pytest.raises(ValueError, match="fixed Q_AB must be a real number"):
+        NoiseModel("fixed", value)
+    model = NoiseModel("fixed", np.float32(0.25))
+    assert model == NoiseModel("fixed", 0.25) and type(model.value) is float
+
+
+def test_curve_points_refuses_a_bool_grid_step():
+    with pytest.raises(ValueError, match="grid_step must be a real number, got True"):
+        curve_points("ir", grid_step=True)
 
 
 def test_noise_model_and_info_point_are_immutable_values():

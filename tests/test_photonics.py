@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -79,6 +80,36 @@ def test_poisson_pmf_values():
         poisson_pmf(-1, 0.1)
     with pytest.raises(ValueError):
         poisson_pmf(2, 0.0)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True, "2"])
+def test_poisson_pmf_refuses_a_non_integer_photon_count(n):
+    with pytest.raises(ValueError, match="photon count n must be an integer"):
+        poisson_pmf(n, 0.1)
+    assert poisson_pmf(np.int64(2), 0.1) == poisson_pmf(2, 0.1)
+
+
+@pytest.mark.parametrize("call", [partial(bs_eve_info, "bb84"), partial(bs_eve_info, "lm05"),
+                                  partial(pns_multiphoton_prob, "bb84"), partial(poisson_pmf, 1)],
+                         ids=["bs_bb84", "bs_lm05", "pns", "poisson"])
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_mu_functions_refuse_a_non_finite_mu_by_name(call, mu):
+    # bs_eve_info("bb84", nan) used to return nan
+    with pytest.raises(ValueError, match="mu must be finite"):
+        call(mu)
+
+
+@pytest.mark.parametrize("kwargs, field", [(dict(mu="1"), "mu"), (dict(mu=True), "mu"),
+                                           (dict(mu=0.1, eta_d=None), "eta_d")])
+def test_budget_refuses_non_numeric_fields_by_name(kwargs, field):
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        LinkBudget(**kwargs)
+
+
+def test_budget_stores_numpy_scalars_as_floats():
+    budget = LinkBudget(mu=np.float32(0.5), length_km=np.float64(5.0), atten=np.int64(0))
+    assert budget == LinkBudget(mu=0.5, length_km=5.0, atten=0.0)
+    assert all(type(field) is float for field in budget)
 
 
 def test_bs_eve_info_closed_forms():
@@ -216,8 +247,30 @@ def test_scan_equals_reference_exactly(objective, protocol):
 
 def test_crossover_equals_reference_exactly(monkeypatch):
     crossover = crossover_distance()
-    monkeypatch.setattr(photonics, "optimize_mu", _reference_optimize_mu)
+    # the crossover's per-distance optimizer, replaced by the reference maximization
+    monkeypatch.setattr(photonics, "_mu_optimizer", lambda objective, protocol, **link:
+                        partial(_reference_optimize_mu, objective, protocol, **link))
     assert crossover == crossover_distance()
+
+
+def test_a_scan_checks_its_link_once(monkeypatch):
+    built = []
+
+    class CountedBudget(LinkBudget):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(photonics, "LinkBudget", CountedBudget)
+    points = scan_distances("pns_margin", "lm05", [0.25 * i for i in range(201)])
+    assert len(points) == 201 and len(built) == 1
+    crossover_distance()  # one link per protocol
+    assert len(built) == 3
+    # inside the loop only the distance is checked
+    with pytest.raises(ValueError, match="length_km must lie in"):
+        scan_distances("pns_margin", "lm05", [0.0, -1.0])
 
 
 def test_pns_margin_small_mu_expansion():
@@ -329,7 +382,8 @@ def test_crossover_distance_tells_no_crossing_from_a_refused_span():
 
 @pytest.mark.parametrize("kwargs", [dict(tol_km=-1.0), dict(tol_km=math.nan),
                                     dict(tol_km=math.inf), dict(l_lo=math.nan),
-                                    dict(l_hi=math.inf), dict(l_lo=5.0, l_hi=1.0)])
+                                    dict(l_hi=math.inf), dict(l_lo=5.0, l_hi=1.0),
+                                    dict(l_lo=None), dict(tol_km="0.01")])
 def test_crossover_distance_rejects_bad_bounds(kwargs):
-    with pytest.raises(ValueError, match="tol_km|l_lo <= l_hi"):
+    with pytest.raises(ValueError, match=r"^(tol_km|l_lo|l_hi) must (be finite|lie in|be a real number)"):
         crossover_distance(**kwargs)
