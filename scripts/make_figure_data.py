@@ -17,8 +17,7 @@ import argparse
 from pathlib import Path
 
 from qkd2way.cli import main as cli_main
-
-CURVES = ("ir", "nort", "dcnot-star", "generic", "bb84-ir", "bb84-opt")
+from qkd2way.infotheory import EVE_MODELS
 
 
 def main() -> int:
@@ -31,9 +30,9 @@ def main() -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     lengths = ["--lmax", str(args.lmax), "--lstep", str(args.lstep)]
-    jobs = [(f"curve_{attack.replace('-', '_')}.csv",
-             ["curves", "--attack", attack, "--grid-step", str(args.grid_step)])
-            for attack in CURVES]
+    jobs = [(f"curve_{model}.csv",
+             ["curves", "--attack", model.replace("_", "-"), "--grid-step", str(args.grid_step)])
+            for model in EVE_MODELS]
     jobs += [("thresholds.csv", ["thresholds"]),
              ("secure_gain.csv", ["gain", *lengths]),
              ("pns_regions.csv", ["pns", *lengths])]

@@ -13,6 +13,7 @@ import math
 import sys
 
 from qkd2way.attacks import AttackParams
+from qkd2way.cli import DEFAULT_SEED
 from qkd2way.montecarlo import compare, report_text, run_batch
 from qkd2way.protocol import ProtocolConfig
 
@@ -32,7 +33,7 @@ SCENARIOS = [
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rounds", type=int, default=1_000_000)
-    parser.add_argument("--seed", type=int, default=20050920)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args()
 
     status = 0

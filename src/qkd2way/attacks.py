@@ -13,8 +13,8 @@ round alone, and then no other hook runs; ``forward`` and ``backward``
 (memory, state, rng) return a new ``(memory, state)``, and ``finalize``
 (memory, state, rng) returns her guesses.  No hook changes the memory it
 was given, so the leaf enumerator can rerun a stage from one value once
-per coin path.  A new attack is one :class:`AttackStrategy` subclass,
-named in ``ATTACK_KINDS`` and ``_STRATEGIES``.
+per coin path.  A new attack is one :class:`AttackStrategy` subclass, named
+in ``_STRATEGIES``, and in ``ONE_WAY_KINDS`` too if a BB84 round may carry it.
 
 Implemented strategies:
 
@@ -46,11 +46,9 @@ import math
 from dataclasses import dataclass
 
 from .numerics import real
-from .qsim import (Basis, ancilla_rotation, apply, attach_ancilla, cnot, hadamard, measure, random_basis,
-                   spin_flip)
+from .qsim import (PROBE_ANGLES, Basis, ancilla_rotation, apply, attach_ancilla, cnot, hadamard, measure,
+                   random_basis, spin_flip)
 from .rng import coin
-
-ATTACK_KINDS = ("none", "ir", "nort", "dcnot", "dcnot_star")
 
 
 @dataclass(frozen=True)
@@ -66,13 +64,10 @@ class AttackParams:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}; expected one of {ATTACK_KINDS}")
-        # probe angles get 1e-12 of slack against rounding at the ends of [0, pi/2]
-        for name, lo, hi in (("xi", 0.0, 1.0), ("x", -1e-12, math.pi / 2 + 1e-12),
-                             ("x_prime", -1e-12, math.pi / 2 + 1e-12), ("chi", 0.0, 0.5)):
+        for name, lo, hi in (("xi", 0.0, 1.0), ("x", *PROBE_ANGLES), ("x_prime", *PROBE_ANGLES),
+                             ("chi", 0.0, 0.5)):
             object.__setattr__(self, name, real(name, getattr(self, name), lo, hi))
 
-
-NO_ATTACK = AttackParams()
 
 _HADAMARD = hadamard(0)
 _COPY = cnot(0, 1)
@@ -186,6 +181,16 @@ class _DcnotStrategy(AttackStrategy):
 
 _STRATEGIES = {"none": AttackStrategy, "ir": _IRStrategy, "nort": _NortStrategy,
                "dcnot": _DcnotStrategy, "dcnot_star": _DcnotStrategy}
+ATTACK_KINDS = tuple(_STRATEGIES)
+ONE_WAY_KINDS = ("none", "ir")  # the attacks a BB84 round may carry; the rest need the two-way channel
+NO_ATTACK = AttackParams()
+
+
+def check_channel(protocol: str, params: AttackParams) -> None:
+    """Refuse an attack the protocol's channel cannot carry: BB84 takes only ONE_WAY_KINDS."""
+    if protocol == "bb84" and params.kind not in ONE_WAY_KINDS:
+        raise ValueError(f"attack {params.kind!r} needs the two-way channel; "
+                         f"BB84 supports {'/'.join(ONE_WAY_KINDS)}")
 
 
 def make_strategy(params: AttackParams) -> AttackStrategy:

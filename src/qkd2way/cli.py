@@ -23,10 +23,10 @@ import csv
 import math
 import sys
 from contextlib import contextmanager
-from functools import cache
+from functools import cache, partial
 
 from . import __version__
-from .infotheory import IDENTIFIED, NoiseModel, curve_points, threshold
+from .infotheory import EVE_MODELS, IDENTIFIED, NoiseModel, curve_points, threshold
 from .numerics import grid, real
 
 DEFAULT_SEED = 20050920
@@ -35,11 +35,8 @@ CURVE_COLUMNS = ("q1", "I_AB", "I_AE", "I_BE", "C_DR", "C_RR")
 THRESHOLD_COLUMNS = ("attack", "lm05_dr", "lm05_rr", "bb84")
 SCAN_COLUMNS = ("L_km", "mu_star", "value", "log10_value", "protocol", "objective")
 REPORT_COLUMNS = ("rate", "errors", "trials", "estimate", "lo95", "hi95", "prediction", "verdict")
-
-_CURVE_ATTACKS = {"ir": "ir", "nort": "nort", "dcnot-star": "dcnot_star",
-                  "generic": "generic", "bb84-ir": "bb84_ir", "bb84-opt": "bb84_opt"}
-_SIM_ATTACKS = {"none": "none", "ir": "ir", "nort": "nort",
-                "dcnot": "dcnot", "dcnot-star": "dcnot_star"}
+# attacks.ATTACK_KINDS with "-" for "_"; cli must not import attacks, which loads numpy
+_SIM_ATTACKS = ("dcnot", "dcnot-star", "ir", "none", "nort")
 
 
 class UsageError(Exception):
@@ -76,18 +73,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _RaisingParser(prog="qkd2way", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help_text):
+    def add_command(name, help_text, handler):
         # no abbreviations: a config-file key must name its flag exactly
-        return sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        return p
 
     def add_common(p):
         p.add_argument("--config", help="key=value defaults file")
         p.add_argument("--out", type=_out_path, help="output file path (default stdout)")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
-    p = add_command("simulate", "run rounds under an attack and verify QBERs")
+    p = add_command("simulate", "run rounds under an attack and verify QBERs", _cmd_simulate)
     p.add_argument("--protocol", choices=("lm05", "bb84"), default="lm05")
-    p.add_argument("--attack", choices=sorted(_SIM_ATTACKS), default="none")
+    p.add_argument("--attack", choices=_SIM_ATTACKS, default="none")
     p.add_argument("--xi", type=float, default=1.0, help="attacked fraction in [0,1]")
     p.add_argument("--x", type=float, default=math.pi / 2, help="forward probe angle (nort)")
     p.add_argument("--xprime", type=float, default=math.pi / 2, help="backward probe angle (nort)")
@@ -98,19 +97,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reveal", type=float, default=0.1, help="revealed EM fraction")
     add_common(p)
 
-    p = add_command("curves", "information curves vs q1")
-    p.add_argument("--attack", choices=sorted(_CURVE_ATTACKS), default="ir")
+    p = add_command("curves", "information curves vs q1", _cmd_curves)
+    p.add_argument("--attack", choices=sorted(m.replace("_", "-") for m in EVE_MODELS), default="ir")
     p.add_argument("--model", type=_parse_model, default="identified")
     p.add_argument("--grid-step", dest="grid_step", type=float, default=0.001)
     add_common(p)
 
-    p = add_command("thresholds", "security threshold table")
+    p = add_command("thresholds", "security threshold table", _cmd_thresholds)
     p.add_argument("--model", type=_parse_model, default="identified")
     add_common(p)
 
-    for name, help_text in (("gain", "secure gain vs distance"),
-                            ("pns", "PNS security regions vs distance")):
-        p = add_command(name, help_text)
+    for name, help_text, objective in (("gain", "secure gain vs distance", "secure_gain"),
+                                       ("pns", "PNS security regions vs distance", "pns_margin")):
+        p = add_command(name, help_text, partial(_scan_command, objective=objective))
         p.add_argument("--lmin", type=float, default=0.0)
         p.add_argument("--lmax", type=float, default=50.0)
         p.add_argument("--lstep", type=float, default=0.25)
@@ -190,7 +189,7 @@ def _cmd_simulate(args) -> int:
     from .montecarlo import compare, failure_text, report_text, run_batch
     from .protocol import ProtocolConfig
 
-    attack = AttackParams(kind=_SIM_ATTACKS[args.attack], xi=args.xi,
+    attack = AttackParams(kind=args.attack.replace("-", "_"), xi=args.xi,
                           x=args.x, x_prime=args.xprime, chi=args.chi)
     config = ProtocolConfig(protocol=args.protocol, control_prob=args.c,
                             rounds=args.rounds, seed=args.seed,
@@ -219,14 +218,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    points = curve_points(_CURVE_ATTACKS[args.attack], args.model, grid_step=args.grid_step)
+    points = curve_points(args.attack.replace("-", "_"), args.model, grid_step=args.grid_step)
     with _open_out(args.out) as fh:
         write_rows(fh, args.format, CURVE_COLUMNS, points)  # InfoPoint fields are these columns
     return 0
 
 
 _TABLE_ROWS = (
-    # label, LM05 curve, BB84 curve (None = attack undefined for that column)
+    # label, LM05 curve, BB84 curve; _NA_REASONS names the cells left undefined
     ("IR", "ir", "bb84_ir"),
     ("NORT", "nort", "bb84_opt"),
     ("DCNOT*", "dcnot_star", None),
@@ -240,27 +239,20 @@ _NA_REASONS = {
 
 def _cmd_thresholds(args) -> int:
     with _open_out(args.out) as fh:
-        rows = []
+        rows, table = [], [("attack", "LM05-DR (%)", "LM05-RR (%)", "BB84 (%)")]
         for label, lm05_curve, bb84_curve in _TABLE_ROWS:
-            row = [label]
+            row, cells = [label], [label]
             for column, curve, recon in (("dr", lm05_curve, "dr"), ("rr", lm05_curve, "rr"),
                                          ("bb84", bb84_curve, "dr")):
-                if curve is None or (label, column) in _NA_REASONS:
-                    row.append(None)
-                else:
-                    row.append(threshold(curve, recon, args.model))
-            rows.append(row)
-
-        def render(value, label, column):
-            if value is None:
                 reason = _NA_REASONS.get((label, column))
-                return f"n/a ({reason})" if reason else "secure everywhere"
-            return f"{100.0 * value:.1f}"
-
-        table = [("attack", "LM05-DR (%)", "LM05-RR (%)", "BB84 (%)")]
-        for label, *values in rows:
-            cells = (render(v, label, k) for v, k in zip(values, ("dr", "rr", "bb84")))
-            table.append((label, *cells))
+                value = None if reason else threshold(curve, recon, args.model)
+                row.append(value)
+                if value is None:
+                    cells.append(f"n/a ({reason})" if reason else "secure everywhere")
+                else:
+                    cells.append(f"{100.0 * value:.1f}")
+            rows.append(row)
+            table.append(cells)
         widths = [max(len(row[i]) for row in table) + 2 for i in range(3)]
         for row in table:
             print("".join(cell.ljust(width) for cell, width in zip(row, widths)) + row[3])
@@ -275,7 +267,7 @@ def _distance_grid(args) -> list[float]:
 
 
 def _scan_command(args, objective: str) -> int:
-    from .photonics import NoCrossover, crossover_distance, scan_distances  # only gain/pns load it
+    from .photonics import PROTOCOLS, NoCrossover, crossover_distance, scan_distances  # only gain/pns load it
 
     lengths = _distance_grid(args)
     with _open_out(args.out) as fh:
@@ -292,7 +284,7 @@ def _scan_command(args, objective: str) -> int:
                 print(f"pns crossover: {km:.2f} km")
                 footer.append((km, None, None, None, "crossover", objective))
         rows = []
-        for protocol in ("bb84", "lm05"):
+        for protocol in PROTOCOLS:
             for p in scan_distances(objective, protocol, lengths):
                 log10 = math.log10(p.value) if p.value > 0.0 else None
                 rows.append((p.length_km, p.mu_star, p.value, log10, p.protocol, p.objective))
@@ -309,15 +301,7 @@ def main(argv=None) -> int:
             # file values go ahead of the command line's flags, so a flag wins
             at = argv.index(args.command) + 1
             args = parser.parse_args([*argv[:at], *_config_args(args.config, args.command), *argv[at:]])
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "curves":
-            return _cmd_curves(args)
-        if args.command == "thresholds":
-            return _cmd_thresholds(args)
-        if args.command == "gain":
-            return _scan_command(args, "secure_gain")
-        return _scan_command(args, "pns_margin")
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (UsageError, ValueError) as exc:

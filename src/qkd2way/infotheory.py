@@ -38,8 +38,6 @@ from collections import namedtuple
 
 from .numerics import bisect_first_zero, grid, real
 
-EVE_MODELS = ("ir", "nort", "dcnot_star", "generic", "bb84_ir", "bb84_opt")
-
 _DOMAIN_MAX = {
     "ir": 0.25,
     "nort": 0.25,
@@ -48,15 +46,18 @@ _DOMAIN_MAX = {
     "bb84_ir": 0.25,
     "bb84_opt": 0.5,
 }
+EVE_MODELS = tuple(_DOMAIN_MAX)
 _DOMAIN_EPS = 1e-12
 _CAPACITY_TOL = 1e-12
+_THRESHOLD_TOL = 1e-6  # bisection bracket width of a threshold
+_FULL_INFO_TOL = 1e-9  # and of the generic bound's full-information point
 _LOG2_3 = math.log2(3.0)
 
 
 class NoiseModel(namedtuple("NoiseModel", "kind value")):
     """Relation between the announced-round QBER Q_AB and the control QBER q1.
 
-    kind "identified": Q_AB = q1; kind "fixed": Q_AB = value.
+    kind "identified": Q_AB = q1, and value is 0; kind "fixed": Q_AB = value.
     """
 
     __slots__ = ()
@@ -69,6 +70,8 @@ class NoiseModel(namedtuple("NoiseModel", "kind value")):
             raise ValueError(f"unknown noise model kind {kind!r}")
         if kind == "fixed":
             value = real("fixed Q_AB", value, 0.0, 0.5)
+        else:  # the kind reads no value, so 0 is the one it takes
+            value = real("identified model value", value, 0.0, 0.0)
         return super().__new__(cls, kind, value)
 
     def q_ab(self, q1: float) -> float:
@@ -147,7 +150,7 @@ def secrecy(q1: float, attack: str, model: NoiseModel = IDENTIFIED) -> InfoPoint
 
 
 def threshold(attack: str, reconciliation: str = "dr",
-              model: NoiseModel = IDENTIFIED, tol: float = 1e-6) -> float | None:
+              model: NoiseModel = IDENTIFIED) -> float | None:
     """q1 where the chosen secrecy capacity first reaches zero.
 
     Returns None when the capacity stays strictly positive over the whole
@@ -167,12 +170,12 @@ def threshold(attack: str, reconciliation: str = "dr",
         return 0.0
     if capacity(dmax) > _CAPACITY_TOL:
         return None
-    return bisect_first_zero(capacity, 0.0, dmax, tol=tol)
+    return bisect_first_zero(capacity, 0.0, dmax, tol=_THRESHOLD_TOL)
 
 
-def generic_full_information_point(tol: float = 1e-9) -> float:
+def generic_full_information_point() -> float:
     """q1 above which the unclamped generic bound exceeds one bit."""
-    return bisect_first_zero(lambda q: 1.0 - generic_bound(q, clamp=False), 1e-12, 0.5, tol=tol)
+    return bisect_first_zero(lambda q: 1.0 - generic_bound(q, clamp=False), 1e-12, 0.5, tol=_FULL_INFO_TOL)
 
 
 def curve_points(attack: str, model: NoiseModel = IDENTIFIED,

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .attacks import NO_ATTACK, AttackParams
+from .attacks import NO_ATTACK, AttackParams, check_channel
 from .protocol import RATE_NAMES, ProtocolConfig, Tallies, enumerate_round
 
 ENGINE = "leaf-multinomial"
@@ -75,15 +75,14 @@ def predicted_rates(protocol: str, attack: AttackParams) -> dict[str, Optional[f
     with the attacked fraction xi; q_ae and q_be are conditioned on the
     rounds where Eve actually guessed, so they do not.
     """
+    check_channel(protocol, attack)
     kind = attack.kind
     xi = attack.xi
     none = {name: None for name in RATE_NAMES}
     if protocol == "bb84":
         if kind == "none":
             return {**none, "q1": 0.0}
-        if kind == "ir":
-            return {**none, "q1": 0.25 * xi, "q_be": 0.25 if xi > 0 else None}
-        raise ValueError(f"attack {kind!r} is not defined for bb84")
+        return {**none, "q1": 0.25 * xi, "q_be": 0.25 if xi > 0 else None}  # ir, the other one-way kind
     if kind == "none":
         return {**none, "q1": 0.0, "q_ab": 0.0}
     guessed = xi > 0

@@ -45,6 +45,7 @@ DEFAULT_GAMMA_B = 0.4    # Bob-box transmission
 DEFAULT_GAMMA_A = 0.45   # Alice-box transmission
 DEFAULT_ATTEN = 0.02     # fiber attenuation, decades per km
 MU_BRACKET = (1e-5, 2.0)
+_MU_TOL = 1e-7  # bracket width at which the golden-section search over mu stops
 
 
 class LinkBudget(namedtuple("LinkBudget", "mu length_km eta_d gamma_B gamma_A atten")):
@@ -154,7 +155,7 @@ def pns_margin(protocol: str, budget: LinkBudget) -> float:
 
 
 def _mu_optimizer(objective: str, protocol: str, bracket: tuple[float, float] = MU_BRACKET,
-                  tol: float = 1e-7, **link) -> Callable[[float], tuple[float, float]]:
+                  **link) -> Callable[[float], tuple[float, float]]:
     """length_km -> (mu_star, value) on one link, for a scan of distances.
 
     The objective, the bracket and the link are checked here, once; each
@@ -171,30 +172,29 @@ def _mu_optimizer(objective: str, protocol: str, bracket: tuple[float, float] = 
 
     def best(length_km: float) -> tuple[float, float]:
         objective_at = _mu_objective(objective, protocol, link, real("length_km", length_km, 0.0))
-        return golden_max(objective_at, lo, hi, tol=tol)
+        return golden_max(objective_at, lo, hi, tol=_MU_TOL)
 
     return best
 
 
-def optimize_mu(objective: str, protocol: str, length_km: float,
-                **link_kwargs) -> tuple[float, float]:
+def optimize_mu(objective: str, protocol: str, length_km: float, **link) -> tuple[float, float]:
     """Golden-section maximization of the objective over the mu bracket at one distance.
 
-    link_kwargs are LinkBudget's eta_d, gamma_B, gamma_A and atten, and the
-    mu ``bracket`` (default MU_BRACKET) and ``tol`` (1e-7) of the search.
+    link is LinkBudget's eta_d, gamma_B, gamma_A and atten, and the mu
+    ``bracket`` (default MU_BRACKET) of the search, which stops at a width of 1e-7.
     Returns (mu_star, value); a non-positive value means the link is
     insecure at this distance for every mean photon number in the bracket.
     The bracket and the link are checked once per call, not per evaluation;
     a scan over many distances (:func:`scan_distances`,
     :func:`crossover_distance`) checks them once per scan.
     """
-    return _mu_optimizer(objective, protocol, **link_kwargs)(length_km)
+    return _mu_optimizer(objective, protocol, **link)(length_km)
 
 
 def scan_distances(objective: str, protocol: str, lengths_km: Sequence[float],
-                   **link_kwargs) -> list[GainPoint]:
-    """One optimized GainPoint per length, on a link checked once; link_kwargs as for optimize_mu."""
-    best = _mu_optimizer(objective, protocol, **link_kwargs)
+                   **link) -> list[GainPoint]:
+    """One optimized GainPoint per length, on a link checked once; link as for optimize_mu."""
+    best = _mu_optimizer(objective, protocol, **link)
     return [GainPoint(protocol, objective, length, *best(length)) for length in lengths_km]
 
 
@@ -202,16 +202,15 @@ class NoCrossover(ValueError):
     """The PNS margins of LM05 and BB84 do not cross in the searched span."""
 
 
-def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float = 0.01,
-                       eta_d: float = DEFAULT_ETA_D, gamma_B: float = DEFAULT_GAMMA_B,
-                       gamma_A: float = DEFAULT_GAMMA_A, atten: float = DEFAULT_ATTEN) -> float:
+def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float = 0.01, **link) -> float:
     """Distance where the optimized PNS margins of LM05 and BB84 cross.
 
     LM05's margin is larger at short range (it needs three-photon pulses
     to be broken) but decays faster with distance; raises ValueError when
     no crossing with LM05 initially on top exists in [l_lo, l_hi] (as
     :class:`NoCrossover`), or when the scan of the span would take more than
-    MAX_GRID_POINTS steps.  The link is checked once, not per distance.
+    MAX_GRID_POINTS steps.  link is as for :func:`optimize_mu`, and is
+    checked once, not per distance.
     """
     tol_km = real("tol_km", tol_km, 0.0, lo_open=True)
     l_lo = real("l_lo", l_lo, 0.0)
@@ -220,7 +219,6 @@ def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float 
     if (l_hi - l_lo) / step > MAX_GRID_POINTS:
         raise ValueError(f"[{l_lo}, {l_hi}] km takes more than {MAX_GRID_POINTS} scan steps "
                          f"of {step} km")
-    link = dict(eta_d=eta_d, gamma_B=gamma_B, gamma_A=gamma_A, atten=atten)
     lm05 = _mu_optimizer("pns_margin", "lm05", **link)
     bb84 = _mu_optimizer("pns_margin", "bb84", **link)
 

@@ -62,7 +62,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .attacks import NO_ATTACK, AttackParams, AttackStrategy, make_strategy
+from .attacks import NO_ATTACK, AttackParams, AttackStrategy, check_channel, make_strategy
 from .numerics import real
 from .qsim import Basis, apply, measure, prepare, random_basis, spin_flip
 from .rng import coin
@@ -212,11 +212,10 @@ def _readout_bb84(strategy: AttackStrategy, back, rng) -> RoundRecord:
 
 def _stages(config: ProtocolConfig, strategy: AttackStrategy):
     """The round's chain of three stages, as ``config.protocol`` picks it."""
+    check_channel(config.protocol, strategy.params)
     if config.protocol == "lm05":
         return (partial(_forward_leg, strategy), partial(_alice_lm05, config, strategy),
                 partial(_readout_lm05, config, strategy))
-    if strategy.params.kind not in ("none", "ir"):
-        raise ValueError(f"attack {strategy.params.kind!r} needs the two-way channel; BB84 supports none/ir")
     return partial(_forward_leg, strategy), _control_mode, partial(_readout_bb84, strategy)
 
 

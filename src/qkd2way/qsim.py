@@ -56,6 +56,7 @@ from .rng import coin
 MAX_WIRES = 3
 NORM_ATOL = 1e-9
 BORN_SNAP = 1e-12  # Born probabilities this close to 0 or 1 are rounding noise
+PROBE_ANGLES = (-1e-12, math.pi / 2 + 1e-12)  # [0, pi/2], with 1e-12 of slack against rounding
 # entries per kernel cache: one round's enumeration meets at most 104 distinct
 # steps per kernel (nort's measurements), and 256 keeps each cache small
 _STEPS = 256
@@ -149,7 +150,7 @@ def _rot2(theta: float) -> np.ndarray:
 
 
 def ancilla_rotation(angle: float, control: int, target: int) -> Gate:
-    angle = real("probe angle", angle, -1e-12, math.pi / 2 + 1e-12)
+    angle = real("probe angle", angle, *PROBE_ANGLES)
     u = np.zeros((4, 4), dtype=complex)
     u[:2, :2] = _rot2(math.pi / 4 - angle / 2)
     u[2:, 2:] = _rot2(math.pi / 4 + angle / 2)

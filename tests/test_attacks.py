@@ -1,11 +1,14 @@
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from qkd2way.attacks import AttackParams, make_strategy
-from qkd2way.protocol import ProtocolConfig, enumerate_round, run, tally
+from qkd2way import cli
+from qkd2way.attacks import ATTACK_KINDS, NO_ATTACK, ONE_WAY_KINDS, AttackParams, make_strategy
+from qkd2way.montecarlo import predicted_rates, run_batch
+from qkd2way.protocol import ProtocolConfig, enumerate_round, run, run_round, tally
 from qkd2way.qsim import Basis
 from qkd2way.rng import stream
 
@@ -172,3 +175,37 @@ def test_a_round_left_alone_calls_no_hook_after_start(kind, monkeypatch):
         monkeypatch.setattr(type(strategy), hook, refuse)
     table = enumerate_round(ProtocolConfig(protocol="lm05"), params)
     assert not any(r.attacked or r.eve_bob_guess is not None for r in table.records)
+
+
+_TWO_WAY_ONLY = ("nort", "dcnot", "dcnot_star")
+
+
+@pytest.mark.parametrize("kind", _TWO_WAY_ONLY)
+@pytest.mark.parametrize("entry", ["simulate", "run", "run_round", "enumerate_round", "run_batch",
+                                   "predicted_rates"])
+def test_every_entry_point_refuses_a_two_way_attack_on_bb84_alike(entry, kind, capsys):
+    # the one-way list in attacks is the one check; the CLI and run_batch used to
+    # say "is not defined for bb84" where run and enumerate_round said this
+    message = f"attack {kind!r} needs the two-way channel; BB84 supports none/ir"
+    config, params = ProtocolConfig(protocol="bb84", rounds=100), AttackParams(kind=kind)
+    if entry == "simulate":
+        argv = ["simulate", "--protocol", "bb84", "--attack", kind.replace("_", "-"), "--rounds", "100"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        return
+    calls = {"run": lambda: run(config, params),
+             "run_round": lambda: run_round(config, make_strategy(params), stream(0)),
+             "enumerate_round": lambda: enumerate_round(config, params),
+             "run_batch": lambda: run_batch(config, params),
+             "predicted_rates": lambda: predicted_rates("bb84", params)}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        calls[entry]()
+
+
+def test_attack_kinds_are_the_strategy_table():
+    assert ATTACK_KINDS == ("none", "ir", "nort", "dcnot", "dcnot_star")
+    # the CLI spells each kind with "-" for "_" in a literal tuple, as it may not import attacks
+    assert cli._SIM_ATTACKS == tuple(sorted(kind.replace("_", "-") for kind in ATTACK_KINDS))
+    assert set(ONE_WAY_KINDS) | set(_TWO_WAY_ONLY) == set(ATTACK_KINDS)
+    assert NO_ATTACK == AttackParams(kind="none")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,19 @@ def test_fixed_noise_model_refuses_a_non_numeric_value_by_name(value):
         NoiseModel("fixed", value)
     model = NoiseModel("fixed", np.float32(0.25))
     assert model == NoiseModel("fixed", 0.25) and type(model.value) is float
+
+
+@pytest.mark.parametrize("value", ["junk", None, 0.1, -0.1, math.nan, True])
+def test_identified_noise_model_takes_only_zero(value):
+    # the kind ignores its value, so any other value used to be stored, and
+    # NoiseModel("identified", None) compared unequal to IDENTIFIED
+    with pytest.raises(ValueError, match=f"identified model value .*got {re.escape(repr(value))}$"):
+        NoiseModel("identified", value)
+    with pytest.raises(ValueError, match="identified model value"):
+        IDENTIFIED._replace(value=value)
+    for zero in (0, np.float64(0.0), np.int64(0)):
+        model = NoiseModel("identified", zero)
+        assert model == IDENTIFIED and hash(model) == hash(IDENTIFIED) and type(model.value) is float
 
 
 def test_curve_points_refuses_a_bool_grid_step():
