@@ -12,7 +12,10 @@ run one after another.  The last row sums the scenarios, which is one
 pass of the ``mc_verify`` benchmark workload.  The digest column is the
 first 12 hex digits of a sha256 over the table's weights bytes, counts
 and records, taken once outside the timed calls: two trees that print the
-same digests build bit-identical leaf tables.
+same digests build bit-identical leaf tables.  The last line is the
+stepped-round digest: the first 16 hex digits of a sha256 over the records
+of 300 rounds stepped by ``protocol.run_round`` per scenario and control
+probability, so two trees that print it step bit-identical rounds.
 
     python scripts/enumeration_costs.py --calls 15 --processes 3
 """
@@ -28,8 +31,8 @@ import time
 from verify_attacks import SCENARIOS
 
 from qkd2way import qsim, rng
-from qkd2way.attacks import AttackParams
-from qkd2way.protocol import LeafTable, ProtocolConfig, enumerate_round
+from qkd2way.attacks import AttackParams, make_strategy
+from qkd2way.protocol import LeafTable, ProtocolConfig, enumerate_round, run_round
 
 ALL_SCENARIOS = [*SCENARIOS, ("lm05", AttackParams(kind="nort", x=0.7, x_prime=1.1))]
 
@@ -46,6 +49,20 @@ def digest(table: LeafTable) -> str:
     h.update(table.counts.tobytes())
     h.update(repr(table.records).encode())
     return h.hexdigest()[:12]
+
+
+def stepped_digest() -> str:
+    """16-hex sha256 prefix of the records' reprs of 300 rounds per scenario and c in {0.25, 0.6},
+    each run stepped on rng.stream(1234, scenario index, 100 c)."""
+    h = hashlib.sha256()
+    for i, (protocol, attack) in enumerate(ALL_SCENARIOS):
+        strategy = make_strategy(attack)
+        for c in (0.25, 0.6):
+            config = ProtocolConfig(protocol=protocol, control_prob=c)
+            stream = rng.stream(1234, i, int(100 * c))
+            for _ in range(300):
+                h.update(repr(run_round(config, strategy, stream)).encode())
+    return h.hexdigest()[:16]
 
 
 def count_coins(config: ProtocolConfig, attack: AttackParams) -> tuple[LeafTable, int]:
@@ -117,6 +134,7 @@ def main() -> int:
     for name, leaves, coins, first_s, repeat_s, table_digest in rows:
         print(f"{name:<{width}} {leaves:>6} {coins:>6} {1e3 * first_s:>15.2f} {1e3 * repeat_s:>16.2f} "
               f"{table_digest}")
+    print(f"stepped-round digest {stepped_digest()}")
     return 0
 
 

@@ -182,12 +182,16 @@ class _DcnotStrategy(AttackStrategy):
 _STRATEGIES = {"none": AttackStrategy, "ir": _IRStrategy, "nort": _NortStrategy,
                "dcnot": _DcnotStrategy, "dcnot_star": _DcnotStrategy}
 ATTACK_KINDS = tuple(_STRATEGIES)
+PROTOCOLS = ("lm05", "bb84")  # the simulator's protocols; BB84 is the one-way one
 ONE_WAY_KINDS = ("none", "ir")  # the attacks a BB84 round may carry; the rest need the two-way channel
 NO_ATTACK = AttackParams()
 
 
 def check_channel(protocol: str, params: AttackParams) -> None:
-    """Refuse an attack the protocol's channel cannot carry: BB84 takes only ONE_WAY_KINDS."""
+    """Refuse a protocol not in PROTOCOLS, and an attack its channel cannot carry: BB84 takes
+    only ONE_WAY_KINDS."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "bb84" and params.kind not in ONE_WAY_KINDS:
         raise ValueError(f"attack {params.kind!r} needs the two-way channel; "
                          f"BB84 supports {'/'.join(ONE_WAY_KINDS)}")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .attacks import NO_ATTACK, AttackParams, check_channel
+from .numerics import integer
 from .protocol import RATE_NAMES, ProtocolConfig, Tallies, enumerate_round
 
 ENGINE = "leaf-multinomial"
@@ -57,8 +58,8 @@ class BatchReport:
 
 def wilson_interval(errors: int, trials: int, z: float = _CI_Z) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion; always inside [0, 1]."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    trials = integer("trials", trials, 1)
+    errors = integer("errors", errors, 0, trials)
     p = errors / trials
     z2n = z * z / trials
     denom = 1.0 + z2n
@@ -116,8 +117,7 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK, *,
     ``workers`` is validated and recorded only: one multinomial draw needs no
     parallelism, and the tallies depend on (config, attack) alone.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = integer("workers", workers, 1)
     predictions = predicted_rates(config.protocol, attack)  # validates the combo
     started = time.perf_counter()
     table = enumerate_round(config, attack)

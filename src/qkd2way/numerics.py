@@ -32,6 +32,20 @@ def real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
     return value
 
 
+def integer(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """value as a Python int, once it is an integer in [lo, hi].
+
+    A bool, a non-integer (a float, None, a string) or a value out of range is refused by name.
+    """
+    if type(value) is not int:
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = value.__index__()  # a numpy integer becomes an int
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}{')' if hi == math.inf else ']'}, got {value!r}")
+    return value
+
+
 def grid(start: float, step: float, stop: float, step_name: str = "step") -> list[float]:
     """start + i * step for i = 0, 1, ... while the point is <= stop.
 

@@ -35,7 +35,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .numerics import MAX_GRID_POINTS, bisect_first_zero, golden_max, real
+from .numerics import MAX_GRID_POINTS, bisect_first_zero, golden_max, integer, real
 
 PROTOCOLS = ("bb84", "lm05")
 OBJECTIVES = ("secure_gain", "pns_margin")
@@ -77,8 +77,7 @@ def _check_protocol(protocol: str):
 
 def poisson_pmf(n: int, mu: float) -> float:
     """Probability of n photons in one pulse of mean photon number mu."""
-    if isinstance(n, bool) or not hasattr(n, "__index__") or n < 0:
-        raise ValueError(f"photon count n must be an integer >= 0, got {n!r}")
+    n = integer("photon count n", n, 0)
     mu = real("mu", mu, 0.0, lo_open=True)
     return mu ** n * math.exp(-mu) / math.factorial(n)
 

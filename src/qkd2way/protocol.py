@@ -7,8 +7,9 @@ and Bob registers a lost pulse), otherwise Encoding Mode (identity for
 bit 0, spin-flip i*Y for bit 1, qubit returned).  Bob measures returning
 qubits in his own preparation basis, which in a clean Encoding-Mode round
 recovers Alice's operation deterministically.  A BB84 round is the one-way
-half of this: the receiver measures in a random basis and mismatched-basis
-rounds are discarded at sifting.
+half of this: it is always in Control Mode, so the receiver is Alice's
+station and the record's ``alice_cm_*`` fields hold the receiver's basis
+and outcome; mismatched-basis rounds are discarded at sifting.
 
 Four error rates are tallied:
 
@@ -22,18 +23,19 @@ Four error rates are tallied:
 
 Round draws happen in a fixed order (preparation, attack, mode, encoding,
 attack, measurement, reveal coin, attack readout), each through
-:func:`qkd2way.rng.coin`.  A round is a chain of three stages cut at its
-physical seams: the forward leg (preparation, Eve's set-up, the forward
-pass; shared by both protocols), Alice and the way back (LM05: her mode,
-then Control Mode, or her operation, the backward pass and Bob's
-measurement; BB84: Control Mode, the receiver's measurement), and the
-readout (the reveal coin, Eve's readout and the :class:`RoundRecord`).
-``_stages`` picks the chain from ``config.protocol``, once for both
-uses: :func:`run_round` runs it in order on one stream, so it is the one
-physics path, and :func:`enumerate_round` hands it to
+:func:`qkd2way.rng.coin`.  A round is one chain of three stages for both
+protocols, cut at its physical seams: the forward leg (preparation, Eve's
+set-up, the forward pass), Alice's station (Control Mode, always in BB84,
+which draws no mode coin, and in LM05 on the mode coin; or else her
+operation, the backward pass and Bob's measurement), and the readout: on
+a round that carries a key bit (LM05's Encoding-Mode rounds, every BB84
+round), the reveal coin of an Encoding-Mode round and Eve's readout, then
+the :class:`RoundRecord`.  ``_stages`` builds the chain for both uses:
+:func:`run_round` runs it in order on one stream, so it is the one physics
+path, and :func:`enumerate_round` hands it to
 :func:`qkd2way.rng.enumerate_paths`.  No stage changes the value it was
-given, because its other paths read that value again; Eve's memory of
-the round is such a value too (see :mod:`qkd2way.attacks`).
+given, because its other paths read that value again; Eve's memory of the
+round is such a value too (see :mod:`qkd2way.attacks`).
 
 Runs are sampled, not stepped: every round is an independent, identically
 distributed draw from one finite distribution, so :func:`enumerate_round`
@@ -62,8 +64,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .attacks import NO_ATTACK, AttackParams, AttackStrategy, check_channel, make_strategy
-from .numerics import real
+from .attacks import NO_ATTACK, PROTOCOLS, AttackParams, AttackStrategy, check_channel, make_strategy
+from .numerics import integer, real
 from .qsim import Basis, apply, measure, prepare, random_basis, spin_flip
 from .rng import coin
 
@@ -76,27 +78,21 @@ _MAX_ROUNDS = 2**63 - 1  # numpy's multinomial draws counts as int64
 _SPIN_FLIP_0 = spin_flip(0)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
-    protocol: str = "lm05"        # "lm05" | "bb84"
+    protocol: str = "lm05"        # one of PROTOCOLS
     control_prob: float = 0.25    # LM05 only
     rounds: int = 100_000
     seed: int = 0
     reveal_fraction: float = 0.1  # fraction of EM rounds sacrificed for q_ab
 
     def __post_init__(self):
-        if self.protocol not in ("lm05", "bb84"):
+        if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         for name, lo_open in (("control_prob", False), ("reveal_fraction", True)):
             object.__setattr__(self, name, real(name, getattr(self, name), 0.0, 1.0, lo_open=lo_open))
-        if not (_is_integer(self.rounds) and 1 <= self.rounds <= _MAX_ROUNDS):
-            raise ValueError(f"rounds must lie in [1, {_MAX_ROUNDS}] and be an integer, got {self.rounds!r}")
-        if not _is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "rounds", integer("rounds", self.rounds, 1, _MAX_ROUNDS))
+        object.__setattr__(self, "seed", integer("seed", self.seed))
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,9 +138,11 @@ class Tallies:
 
     def __post_init__(self):
         for name in RATE_NAMES:
-            errors, trials = getattr(self, name)
-            if errors < 0 or trials < 0 or errors > trials:
-                raise ValueError(f"bad counter {name}: {errors}/{trials}")
+            pair = getattr(self, name)
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                raise ValueError(f"{name} must be an (errors, trials) pair, got {pair!r}")
+            trials = integer(f"{name} trials", pair[1], 0)
+            object.__setattr__(self, name, (integer(f"{name} errors", pair[0], 0, trials), trials))
 
     def rate(self, name: str) -> Optional[float]:
         errors, trials = getattr(self, name)
@@ -152,7 +150,7 @@ class Tallies:
 
 
 def _forward_leg(strategy: AttackStrategy, rng):
-    """Stage 1, shared by LM05 and BB84: preparation, Eve's round set-up, the forward pass."""
+    """Stage 1: preparation, Eve's round set-up, the forward pass."""
     basis = random_basis(rng)
     bit = 0 if coin(rng, 0.5) else 1
     state = prepare(basis, bit)
@@ -162,21 +160,16 @@ def _forward_leg(strategy: AttackStrategy, rng):
     return basis, bit, memory, state
 
 
-def _control_mode(leg, rng):
-    """Control Mode, Alice's (LM05) or the receiver's (BB84): a random-basis measurement."""
+def _alice(config: ProtocolConfig, strategy: AttackStrategy, leg, rng):
+    """Stage 2, Alice's station: Control Mode (a random-basis measurement), always in BB84 and
+    on LM05's mode coin, or else her operation, the way back and Bob's measurement.
+    Returns (record fields, Eve's memory, state)."""
     basis, bit, memory, state = leg
-    cm_basis = random_basis(rng)
-    cm_outcome, state = measure(state, 0, cm_basis, rng)
-    return {"mode": "CM", "bob_basis": basis, "bob_bit": bit, "alice_cm_basis": cm_basis,
-            "alice_cm_outcome": cm_outcome, "bob_outcome": LOST}, memory, state
-
-
-def _alice_lm05(config: ProtocolConfig, strategy: AttackStrategy, leg, rng):
-    """Stage 2 of LM05: Alice's mode, then Control Mode, or her operation, the way back
-    and Bob's measurement.  Returns (record fields, Eve's memory, state)."""
-    if coin(rng, config.control_prob):
-        return _control_mode(leg, rng)
-    basis, bit, memory, state = leg
+    if config.protocol == "bb84" or coin(rng, config.control_prob):
+        cm_basis = random_basis(rng)
+        cm_outcome, state = measure(state, 0, cm_basis, rng)
+        return {"mode": "CM", "bob_basis": basis, "bob_bit": bit, "alice_cm_basis": cm_basis,
+                "alice_cm_outcome": cm_outcome, "bob_outcome": LOST}, memory, state
     op = 0 if coin(rng, 0.5) else 1
     if op:
         state = apply(state, _SPIN_FLIP_0)
@@ -187,36 +180,24 @@ def _alice_lm05(config: ProtocolConfig, strategy: AttackStrategy, leg, rng):
             "bob_outcome": outcome}, memory, state
 
 
-def _guesses(strategy: AttackStrategy, memory, state, rng):
-    """Eve's (alice_guess, key_bit_guess); (None, None) in a round she left alone."""
-    return (None, None) if memory is None else strategy.finalize(memory, state, rng)
-
-
-def _readout_lm05(config: ProtocolConfig, strategy: AttackStrategy, back, rng) -> RoundRecord:
-    """Stage 3 of LM05: the reveal coin and Eve's readout of an EM round, and the record."""
+def _readout(config: ProtocolConfig, strategy: AttackStrategy, back, rng) -> RoundRecord:
+    """Stage 3: on a round that carries a key bit (LM05's EM rounds, every BB84 round), the
+    reveal coin of an EM round and Eve's readout; then the record."""
     recorded, memory, state = back
-    if recorded["mode"] == "CM":
+    encoded = recorded["mode"] == "EM"
+    if not (encoded or config.protocol == "bb84"):
         return RoundRecord(**recorded, attacked=memory is not None)
-    revealed = coin(rng, config.reveal_fraction)
-    guess_a, guess_b = _guesses(strategy, memory, state, rng)
+    revealed = encoded and coin(rng, config.reveal_fraction)
+    guess_a, guess_b = (None, None) if memory is None else strategy.finalize(memory, state, rng)
     return RoundRecord(**recorded, revealed=revealed, eve_alice_guess=guess_a,
                        eve_bob_guess=guess_b, attacked=memory is not None)
 
 
-def _readout_bb84(strategy: AttackStrategy, back, rng) -> RoundRecord:
-    """Stage 3 of BB84: Eve's readout and the record."""
-    recorded, memory, state = back
-    _, guess_b = _guesses(strategy, memory, state, rng)
-    return RoundRecord(**recorded, eve_bob_guess=guess_b, attacked=memory is not None)
-
-
 def _stages(config: ProtocolConfig, strategy: AttackStrategy):
-    """The round's chain of three stages, as ``config.protocol`` picks it."""
+    """The round's chain of three stages, one for both protocols."""
     check_channel(config.protocol, strategy.params)
-    if config.protocol == "lm05":
-        return (partial(_forward_leg, strategy), partial(_alice_lm05, config, strategy),
-                partial(_readout_lm05, config, strategy))
-    return partial(_forward_leg, strategy), _control_mode, partial(_readout_bb84, strategy)
+    return (partial(_forward_leg, strategy), partial(_alice, config, strategy),
+            partial(_readout, config, strategy))
 
 
 def run_round(config: ProtocolConfig, strategy: AttackStrategy, rng) -> RoundRecord:

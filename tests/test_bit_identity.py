@@ -1,11 +1,11 @@
-"""Bit-identity pins: the exact leaf tables and the figure CSVs.
+"""Bit-identity pins: the exact leaf tables, stepped rounds and the figure CSVs.
 
 A change that keeps every output must keep these bytes.  The digests come
-from ``scripts/enumeration_costs.py`` (its ``ALL_SCENARIOS`` and ``digest``)
-and the CSV hash from ``scripts/make_figure_data.py`` run in process, as
-``sha256sum *.csv | sha256sum`` prints it.  Like ``_PINNED`` in
-test_montecarlo.py, the values are tied to this numpy and libm: float
-results may differ in their last bits on another platform.
+from ``scripts/enumeration_costs.py`` (its ``ALL_SCENARIOS``, ``digest``
+and ``stepped_digest``) and the CSV hash from ``scripts/make_figure_data.py``
+run in process, as ``sha256sum *.csv | sha256sum`` prints it.  Like
+``_PINNED`` in test_montecarlo.py, the values are tied to this numpy and
+libm: float results may differ in their last bits on another platform.
 """
 
 import hashlib
@@ -23,6 +23,7 @@ from qkd2way.protocol import ProtocolConfig, enumerate_round  # noqa: E402
 
 LEAF_DIGESTS = ("44e6fbc89c94 590681426acb 2f493fc82a82 cf2e51d5f2f1 779dcdd04be1 "
                 "be40f44b23cb f60c20b2c288 c86042736c98 6088c9097f37 2e61c0b595a4").split()
+STEPPED_DIGEST = "d4e972ef03c0271d"
 FIGURE_CSV_HASH = "2814f982da1494528a2f91e3acbd953cd35a52717772f2e2b9c09f53dbb77fea"
 
 
@@ -35,6 +36,10 @@ def test_leaf_table_is_bit_identical(scenario, expected):
 
 def test_scenario_count_matches_the_pins():
     assert len(enumeration_costs.ALL_SCENARIOS) == len(LEAF_DIGESTS)
+
+
+def test_stepped_rounds_are_bit_identical():
+    assert enumeration_costs.stepped_digest() == STEPPED_DIGEST
 
 
 def test_figure_csvs_are_bit_identical(tmp_path, monkeypatch):

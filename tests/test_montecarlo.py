@@ -51,6 +51,14 @@ def test_predicted_rates_closed_forms():
         predicted_rates("bb84", AttackParams(kind="dcnot"))
 
 
+@pytest.mark.parametrize("protocol,attack", [("xyz", AttackParams(kind="ir")),
+                                             ("LM05", AttackParams(kind="nort"))])
+def test_predicted_rates_refuses_an_unknown_protocol(protocol, attack):
+    # an unknown name used to get LM05's closed forms
+    with pytest.raises(ValueError, match=f"unknown protocol '{protocol}'"):
+        predicted_rates(protocol, attack)
+
+
 def test_wilson_interval_basic_properties():
     lo, hi = wilson_interval(25, 100)
     assert 0.0 <= lo <= 0.25 <= hi <= 1.0
@@ -58,6 +66,13 @@ def test_wilson_interval_basic_properties():
     assert lo0 == 0.0 and hi0 > 0.0
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+
+
+@pytest.mark.parametrize("errors,trials,field", [(5, 3, "errors"), (-1, 3, "errors"), (1.5, 3, "errors"),
+                                                 (True, 3, "errors"), (1, 3.0, "trials"), (1, "3", "trials")])
+def test_wilson_interval_refuses_bad_counts_by_name(errors, trials, field):
+    with pytest.raises(ValueError, match=field):
+        wilson_interval(errors, trials)
 
 
 @given(errors=st.integers(min_value=0, max_value=1000), extra=st.integers(min_value=0, max_value=1000))
@@ -96,6 +111,14 @@ def test_run_batch_results_independent_of_worker_count():
     assert run_batch(dataclasses.replace(config, seed=36)).tallies != reports[0].tallies
     with pytest.raises(ValueError):
         run_batch(config, workers=0)
+    workers = run_batch(config, workers=np.int64(2)).workers
+    assert workers == 2 and type(workers) is int
+
+
+@pytest.mark.parametrize("workers", ["2", 1.5, True, None])
+def test_run_batch_refuses_a_non_integer_worker_count(workers):
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        run_batch(ProtocolConfig(rounds=10), workers=workers)
 
 
 def test_run_batch_equals_merge_of_leaf_tallies():
@@ -160,7 +183,7 @@ def test_leaf_table_reproduces_closed_forms_exactly(protocol, attack, control_pr
 
 def test_enumerate_round_rejects_weights_not_summing_to_one(monkeypatch):
     # a last stage whose coin has "probability" 1.5 scales every leaf weight by 1.5
-    monkeypatch.setattr("qkd2way.protocol._readout_lm05", lambda config, strategy, back, rng: coin(rng, 1.5))
+    monkeypatch.setattr("qkd2way.protocol._readout", lambda config, strategy, back, rng: coin(rng, 1.5))
     with pytest.raises(ValueError, match="sum to"):
         enumerate_round(ProtocolConfig(protocol="lm05"))
 

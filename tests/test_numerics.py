@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qkd2way.numerics import MAX_GRID_POINTS, grid, real
+from qkd2way.numerics import MAX_GRID_POINTS, grid, integer, real
 
 
 @pytest.mark.parametrize("value", [0.5, 1, np.float32(0.5), np.float64(0.5), np.int64(1)])
@@ -36,6 +36,33 @@ def test_real_bounds():
         real("mu", 0.0, 0.0, lo_open=True)
     with pytest.raises(ValueError, match=r"^L must lie in \[0, inf\), got -1.0$"):
         real("L", -1.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.uint64(2**64 - 1)])
+def test_integer_returns_a_python_int(value):
+    out = integer("n", value)
+    assert type(out) is int and out == int(value)
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "n must be an integer, got True"),
+    (None, "n must be an integer, got None"),
+    ("2", "n must be an integer, got '2'"),
+    (2.0, "n must be an integer, got 2.0"),
+    (1.5, "n must be an integer, got 1.5"),
+    (-1, "n must lie in [0, 9], got -1"),
+    (10, "n must lie in [0, 9], got 10"),
+])
+def test_integer_refuses_by_name(value, message):
+    with pytest.raises(ValueError) as refused:
+        integer("n", value, 0, 9)
+    assert str(refused.value) == message
+
+
+def test_integer_bounds():
+    assert integer("seed", -2**70) == -2**70  # unbounded by default
+    with pytest.raises(ValueError, match=r"^trials must lie in \[1, inf\), got 0$"):
+        integer("trials", 0, 1)
 
 
 def test_grid_points_and_end():

@@ -169,6 +169,14 @@ def test_tally_empty_input():
 def test_tallies_validation():
     with pytest.raises(ValueError):
         Tallies(q1=(2, 1))
+    q_be = Tallies(q_be=(np.int64(1), np.int64(2))).q_be
+    assert q_be == (1, 2) and all(type(v) is int for v in q_be)
+
+
+@pytest.mark.parametrize("value", [None, (0.5, 1), (1, 2.0), (True, 1), (1, 2, 3), [0, 1]])
+def test_tallies_refuse_a_counter_that_is_not_an_integer_pair(value):
+    with pytest.raises(ValueError, match="q1"):
+        Tallies(q1=value)
 
 
 def test_bb84_noiseless_sifting():
