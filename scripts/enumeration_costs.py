@@ -12,10 +12,13 @@ run one after another.  The last row sums the scenarios, which is one
 pass of the ``mc_verify`` benchmark workload.  The digest column is the
 first 12 hex digits of a sha256 over the table's weights bytes, counts
 and records, taken once outside the timed calls: two trees that print the
-same digests build bit-identical leaf tables.  The last line is the
-stepped-round digest: the first 16 hex digits of a sha256 over the records
-of 300 rounds stepped by ``protocol.run_round`` per scenario and control
-probability, so two trees that print it step bit-identical rounds.
+same digests build bit-identical leaf tables.  The physics column hashes
+the weights and counts alone, so it holds across a change of the record's
+fields.  The last lines are the stepped-round digests: the first 16 hex
+digits of a sha256 over the records of 300 rounds stepped by
+``protocol.run_round`` per scenario and control probability, so two trees
+that print it step bit-identical rounds, and the same over those rounds'
+tally counters, which likewise reads no field name.
 
     python scripts/enumeration_costs.py --calls 15 --processes 3
 """
@@ -32,7 +35,7 @@ from verify_attacks import SCENARIOS
 
 from qkd2way import qsim, rng
 from qkd2way.attacks import AttackParams, make_strategy
-from qkd2way.protocol import LeafTable, ProtocolConfig, enumerate_round, run_round
+from qkd2way.protocol import LeafTable, ProtocolConfig, _counters, enumerate_round, run_round
 
 ALL_SCENARIOS = [*SCENARIOS, ("lm05", AttackParams(kind="nort", x=0.7, x_prime=1.1))]
 
@@ -51,17 +54,38 @@ def digest(table: LeafTable) -> str:
     return h.hexdigest()[:12]
 
 
-def stepped_digest() -> str:
-    """16-hex sha256 prefix of the records' reprs of 300 rounds per scenario and c in {0.25, 0.6},
-    each run stepped on rng.stream(1234, scenario index, 100 c)."""
-    h = hashlib.sha256()
+def physics_digest(table: LeafTable) -> str:
+    """12-hex sha256 prefix of the table's weights and counts bytes: no record field is read."""
+    h = hashlib.sha256(table.weights.tobytes())
+    h.update(table.counts.tobytes())
+    return h.hexdigest()[:12]
+
+
+def stepped_rounds():
+    """300 rounds per scenario and c in {0.25, 0.6}, each run stepped on
+    rng.stream(1234, scenario index, 100 c)."""
     for i, (protocol, attack) in enumerate(ALL_SCENARIOS):
         strategy = make_strategy(attack)
         for c in (0.25, 0.6):
             config = ProtocolConfig(protocol=protocol, control_prob=c)
             stream = rng.stream(1234, i, int(100 * c))
             for _ in range(300):
-                h.update(repr(run_round(config, strategy, stream)).encode())
+                yield run_round(config, strategy, stream)
+
+
+def stepped_digest() -> str:
+    """16-hex sha256 prefix of the reprs of the stepped rounds' records."""
+    h = hashlib.sha256()
+    for record in stepped_rounds():
+        h.update(repr(record).encode())
+    return h.hexdigest()[:16]
+
+
+def stepped_counters_digest() -> str:
+    """16-hex sha256 prefix of the stepped rounds' tally counters: no record field is read."""
+    h = hashlib.sha256()
+    for record in stepped_rounds():
+        h.update(repr(_counters(record)).encode())
     return h.hexdigest()[:16]
 
 
@@ -126,15 +150,16 @@ def main() -> int:
     for (protocol, attack), first_s, repeat_s in zip(ALL_SCENARIOS, first, repeat):
         table, coins = count_coins(ProtocolConfig(protocol=protocol), attack)
         rows.append((label(protocol, attack), len(table.weights), coins, first_s, repeat_s,
-                     digest(table)))
-    rows.append(("total (one mc_verify pass)", *(sum(col) for col in list(zip(*rows))[1:-1]), ""))
+                     digest(table), physics_digest(table)))
+    rows.append(("total (one mc_verify pass)", *(sum(col) for col in list(zip(*rows))[1:-2]), "", ""))
     width = max(len(row[0]) for row in rows)
     print(f"{'scenario':<{width}} {'leaves':>6} {'coins':>6} {'first call (ms)':>15} "
-          f"{'repeat call (ms)':>16} digest")
-    for name, leaves, coins, first_s, repeat_s, table_digest in rows:
+          f"{'repeat call (ms)':>16} {'digest':<12} physics")
+    for name, leaves, coins, first_s, repeat_s, table_digest, physics in rows:
         print(f"{name:<{width}} {leaves:>6} {coins:>6} {1e3 * first_s:>15.2f} {1e3 * repeat_s:>16.2f} "
-              f"{table_digest}")
+              f"{table_digest:<12} {physics}")
     print(f"stepped-round digest {stepped_digest()}")
+    print(f"stepped-counters digest {stepped_counters_digest()}")
     return 0
 
 

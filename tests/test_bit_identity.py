@@ -1,8 +1,10 @@
 """Bit-identity pins: the exact leaf tables, stepped rounds and the figure CSVs.
 
 A change that keeps every output must keep these bytes.  The digests come
-from ``scripts/enumeration_costs.py`` (its ``ALL_SCENARIOS``, ``digest``
-and ``stepped_digest``) and the CSV hash from ``scripts/make_figure_data.py``
+from ``scripts/enumeration_costs.py`` (its ``ALL_SCENARIOS``, ``digest``,
+``physics_digest``, ``stepped_digest`` and ``stepped_counters_digest``).
+The physics digests read no record field, so they also hold across a
+change of the record's fields, which re-takes the others.  The CSV hash from ``scripts/make_figure_data.py``
 run in process, as ``sha256sum *.csv | sha256sum`` prints it.  Like
 ``_PINNED`` in test_montecarlo.py, the values are tied to this numpy and
 libm: float results may differ in their last bits on another platform.
@@ -24,6 +26,9 @@ from qkd2way.protocol import ProtocolConfig, enumerate_round  # noqa: E402
 LEAF_DIGESTS = ("44e6fbc89c94 590681426acb 2f493fc82a82 cf2e51d5f2f1 779dcdd04be1 "
                 "be40f44b23cb f60c20b2c288 c86042736c98 6088c9097f37 2e61c0b595a4").split()
 STEPPED_DIGEST = "d4e972ef03c0271d"
+PHYSICS_DIGESTS = ("01fbb763fdc0 81901123154b de7e031a0257 7b8f3b50621b 5067b99da1b0 "
+                   "e0b05b8eba83 922d44af531a dd662f052059 7a5e52471d80 d928f418a40b").split()
+STEPPED_COUNTERS_DIGEST = "91f4a30a3975d4ae"
 FIGURE_CSV_HASH = "2814f982da1494528a2f91e3acbd953cd35a52717772f2e2b9c09f53dbb77fea"
 
 
@@ -34,12 +39,24 @@ def test_leaf_table_is_bit_identical(scenario, expected):
     assert enumeration_costs.digest(enumerate_round(ProtocolConfig(protocol=protocol), attack)) == expected
 
 
+@pytest.mark.parametrize("scenario,expected", zip(enumeration_costs.ALL_SCENARIOS, PHYSICS_DIGESTS),
+                         ids=[enumeration_costs.label(p, a) for p, a in enumeration_costs.ALL_SCENARIOS])
+def test_leaf_weights_and_counts_are_bit_identical(scenario, expected):
+    protocol, attack = scenario
+    table = enumerate_round(ProtocolConfig(protocol=protocol), attack)
+    assert enumeration_costs.physics_digest(table) == expected
+
+
 def test_scenario_count_matches_the_pins():
-    assert len(enumeration_costs.ALL_SCENARIOS) == len(LEAF_DIGESTS)
+    assert len(enumeration_costs.ALL_SCENARIOS) == len(LEAF_DIGESTS) == len(PHYSICS_DIGESTS)
 
 
 def test_stepped_rounds_are_bit_identical():
     assert enumeration_costs.stepped_digest() == STEPPED_DIGEST
+
+
+def test_stepped_round_counters_are_bit_identical():
+    assert enumeration_costs.stepped_counters_digest() == STEPPED_COUNTERS_DIGEST
 
 
 def test_figure_csvs_are_bit_identical(tmp_path, monkeypatch):
