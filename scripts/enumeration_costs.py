@@ -14,11 +14,11 @@ first 12 hex digits of a sha256 over the table's weights bytes, counts
 and records, taken once outside the timed calls: two trees that print the
 same digests build bit-identical leaf tables.  The physics column hashes
 the weights and counts alone, so it holds across a change of the record's
-fields.  The last lines are the stepped-round digests: the first 16 hex
-digits of a sha256 over the records of 300 rounds stepped by
-``protocol.run_round`` per scenario and control probability, so two trees
-that print it step bit-identical rounds, and the same over those rounds'
-tally counters, which likewise reads no field name.
+fields.  The last two lines are the stepped-round digests, the first 16
+hex digits of a sha256 over 300 rounds stepped by ``protocol.run_round``
+per scenario and control probability: one over their records, one over
+their tally counters alone, which reads no field either.  Two trees that
+print them step bit-identical rounds.
 
     python scripts/enumeration_costs.py --calls 15 --processes 3
 """

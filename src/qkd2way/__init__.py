@@ -24,6 +24,7 @@ simulator.
 from importlib import import_module
 
 __version__ = "0.1.0"
+PROTOCOLS = ("lm05", "bb84")  # the simulator's protocols; BB84 is the one-way one
 
 _HOMES = {
     "qsim": "Basis Gate StateVector apply attach_ancilla measure prepare",
@@ -39,7 +40,7 @@ _HOMES = {
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 _SUBMODULES = (*_HOMES, "numerics", "rng")
 
-__all__ = ["__version__", *_HOME]
+__all__ = ["PROTOCOLS", "__version__", *_HOME]
 
 
 def __getattr__(name):

@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import PROTOCOLS
 from .numerics import real
 from .qsim import (PROBE_ANGLES, Basis, ancilla_rotation, apply, attach_ancilla, cnot, hadamard, measure,
                    random_basis, spin_flip)
@@ -182,7 +183,6 @@ class _DcnotStrategy(AttackStrategy):
 _STRATEGIES = {"none": AttackStrategy, "ir": _IRStrategy, "nort": _NortStrategy,
                "dcnot": _DcnotStrategy, "dcnot_star": _DcnotStrategy}
 ATTACK_KINDS = tuple(_STRATEGIES)
-PROTOCOLS = ("lm05", "bb84")  # the simulator's protocols; BB84 is the one-way one
 ONE_WAY_KINDS = ("none", "ir")  # the attacks a BB84 round may carry; the rest need the two-way channel
 NO_ATTACK = AttackParams()
 

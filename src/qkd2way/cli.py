@@ -25,7 +25,7 @@ import sys
 from contextlib import contextmanager
 from functools import cache, partial
 
-from . import __version__
+from . import PROTOCOLS, __version__
 from .infotheory import EVE_MODELS, IDENTIFIED, NoiseModel, curve_points, threshold
 from .numerics import grid, real
 
@@ -35,6 +35,8 @@ CURVE_COLUMNS = ("q1", "I_AB", "I_AE", "I_BE", "C_DR", "C_RR")
 THRESHOLD_COLUMNS = ("attack", "lm05_dr", "lm05_rr", "bb84")
 SCAN_COLUMNS = ("L_km", "mu_star", "value", "log10_value", "protocol", "objective")
 REPORT_COLUMNS = ("rate", "errors", "trials", "estimate", "lo95", "hi95", "prediction", "verdict")
+# --out of simulate and thresholds, which print a text report and write their table only to a file
+_REPORT_OUT_HELP = "file for the CSV/JSONL table; without it only the text report is printed"
 # attacks.ATTACK_KINDS with "-" for "_"; cli must not import attacks, which loads numpy
 _SIM_ATTACKS = ("dcnot", "dcnot-star", "ir", "none", "nort")
 
@@ -79,13 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    def add_common(p):
+    def add_common(p, out_help="output file path (default stdout)"):
         p.add_argument("--config", help="key=value defaults file")
-        p.add_argument("--out", type=_out_path, help="output file path (default stdout)")
+        p.add_argument("--out", type=_out_path, help=out_help)
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
     p = add_command("simulate", "run rounds under an attack and verify QBERs", _cmd_simulate)
-    p.add_argument("--protocol", choices=("lm05", "bb84"), default="lm05")
+    p.add_argument("--protocol", choices=PROTOCOLS, default="lm05")
     p.add_argument("--attack", choices=_SIM_ATTACKS, default="none")
     p.add_argument("--xi", type=float, default=1.0, help="attacked fraction in [0,1]")
     p.add_argument("--x", type=float, default=math.pi / 2, help="forward probe angle (nort)")
@@ -95,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--c", type=float, default=0.25, help="control-mode probability")
     p.add_argument("--reveal", type=float, default=0.1, help="revealed EM fraction")
-    add_common(p)
+    add_common(p, _REPORT_OUT_HELP)
 
     p = add_command("curves", "information curves vs q1", _cmd_curves)
     p.add_argument("--attack", choices=sorted(m.replace("_", "-") for m in EVE_MODELS), default="ir")
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("thresholds", "security threshold table", _cmd_thresholds)
     p.add_argument("--model", type=_parse_model, default="identified")
-    add_common(p)
+    add_common(p, _REPORT_OUT_HELP)
 
     for name, help_text, objective in (("gain", "secure gain vs distance", "secure_gain"),
                                        ("pns", "PNS security regions vs distance", "pns_margin")):
@@ -267,7 +269,7 @@ def _distance_grid(args) -> list[float]:
 
 
 def _scan_command(args, objective: str) -> int:
-    from .photonics import PROTOCOLS, NoCrossover, crossover_distance, scan_distances  # only gain/pns load it
+    from .photonics import NoCrossover, crossover_distance, scan_distances  # only gain/pns load it
 
     lengths = _distance_grid(args)
     with _open_out(args.out) as fh:
@@ -284,7 +286,7 @@ def _scan_command(args, objective: str) -> int:
                 print(f"pns crossover: {km:.2f} km")
                 footer.append((km, None, None, None, "crossover", objective))
         rows = []
-        for protocol in PROTOCOLS:
+        for protocol in sorted(PROTOCOLS):  # BB84's rows first
             for p in scan_distances(objective, protocol, lengths):
                 log10 = math.log10(p.value) if p.value > 0.0 else None
                 rows.append((p.length_km, p.mu_star, p.value, log10, p.protocol, p.objective))

@@ -35,9 +35,9 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
+from . import PROTOCOLS
 from .numerics import MAX_GRID_POINTS, bisect_first_zero, golden_max, integer, real
 
-PROTOCOLS = ("bb84", "lm05")
 OBJECTIVES = ("secure_gain", "pns_margin")
 
 DEFAULT_ETA_D = 0.12     # detector efficiency
@@ -46,6 +46,7 @@ DEFAULT_GAMMA_A = 0.45   # Alice-box transmission
 DEFAULT_ATTEN = 0.02     # fiber attenuation, decades per km
 MU_BRACKET = (1e-5, 2.0)
 _MU_TOL = 1e-7  # bracket width at which the golden-section search over mu stops
+_CROSSOVER_TOL_KM = 0.01  # bracket width at which the crossover bisection stops
 
 
 class LinkBudget(namedtuple("LinkBudget", "mu length_km eta_d gamma_B gamma_A atten")):
@@ -60,11 +61,6 @@ class LinkBudget(namedtuple("LinkBudget", "mu length_km eta_d gamma_B gamma_A at
         return super().__new__(cls, real("mu", mu, 0.0, lo_open=True), real("length_km", length_km, 0.0),
                                real("eta_d", eta_d, 0.0, 1.0), real("gamma_B", gamma_B, 0.0, 1.0),
                                real("gamma_A", gamma_A, 0.0, 1.0), real("atten", atten, 0.0))
-
-    @property
-    def channel_transmission(self) -> float:
-        """Gamma_QC(L) = 10^(-atten * L)."""
-        return 10.0 ** (-self.atten * self.length_km)
 
 
 GainPoint = namedtuple("GainPoint", "protocol objective length_km mu_star value")
@@ -201,8 +197,8 @@ class NoCrossover(ValueError):
     """The PNS margins of LM05 and BB84 do not cross in the searched span."""
 
 
-def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float = 0.01, **link) -> float:
-    """Distance where the optimized PNS margins of LM05 and BB84 cross.
+def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, **link) -> float:
+    """Distance where the optimized PNS margins of LM05 and BB84 cross, to within 0.01 km.
 
     LM05's margin is larger at short range (it needs three-photon pulses
     to be broken) but decays faster with distance; raises ValueError when
@@ -211,10 +207,9 @@ def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float 
     MAX_GRID_POINTS steps.  link is as for :func:`optimize_mu`, and is
     checked once, not per distance.
     """
-    tol_km = real("tol_km", tol_km, 0.0, lo_open=True)
     l_lo = real("l_lo", l_lo, 0.0)
     l_hi = real("l_hi", l_hi, l_lo)
-    step = max(tol_km, min(1.0, (l_hi - l_lo) / 16.0))
+    step = max(_CROSSOVER_TOL_KM, min(1.0, (l_hi - l_lo) / 16.0))
     if (l_hi - l_lo) / step > MAX_GRID_POINTS:
         raise ValueError(f"[{l_lo}, {l_hi}] km takes more than {MAX_GRID_POINTS} scan steps "
                          f"of {step} km")
@@ -237,4 +232,4 @@ def crossover_distance(*, l_lo: float = 0.0, l_hi: float = 100.0, tol_km: float 
         length = l_hi
         if not (lo < l_hi and diff(l_hi) <= 0.0):
             raise NoCrossover(f"no PNS crossover found in [{l_lo}, {l_hi}] km; check the link parameters")
-    return bisect_first_zero(diff, lo, length, tol=tol_km)
+    return bisect_first_zero(diff, lo, length, tol=_CROSSOVER_TOL_KM)

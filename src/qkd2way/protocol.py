@@ -1,15 +1,15 @@
 """Round-level state machines for LM05 and BB84, sifting and QBER tallies.
 
-An LM05 round: Bob prepares one of |0>, |1>, |+>, |-> uniformly at random
-and sends it out.  With probability ``control_prob`` Alice runs Control
-Mode (a projective measurement in a random basis; the qubit is consumed
-and Bob registers a lost pulse), otherwise Encoding Mode (identity for
-bit 0, spin-flip i*Y for bit 1, qubit returned).  Bob measures returning
-qubits in his own preparation basis, which in a clean Encoding-Mode round
-recovers Alice's operation deterministically.  A BB84 round is the one-way
-half of this: it is always in Control Mode, so the receiver is Alice's
-station and the record's ``alice_cm_*`` fields hold the receiver's basis
-and outcome; mismatched-basis rounds are discarded at sifting.
+An LM05 round: Bob, the sender, prepares one of |0>, |1>, |+>, |->
+uniformly at random and sends it out.  With probability ``control_prob``
+Alice runs Control Mode (she measures the qubit in a random basis),
+otherwise Encoding Mode (identity for bit 0, spin-flip i*Y for bit 1, qubit
+returned), and Bob measures the returning qubit in his preparation basis,
+which in a clean round recovers her operation deterministically.  Either
+way the round ends in one measurement: a :class:`RoundRecord` holds the
+sender's basis and bit and the receiver's (Alice's in Control Mode, Bob's
+in Encoding Mode) basis and outcome.  A BB84 round is always in Control
+Mode; mismatched-basis rounds are discarded at sifting.
 
 Four error rates are tallied:
 
@@ -64,12 +64,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .attacks import NO_ATTACK, PROTOCOLS, AttackParams, AttackStrategy, check_channel, make_strategy
+from . import PROTOCOLS
+from .attacks import NO_ATTACK, AttackParams, AttackStrategy, check_channel, make_strategy
 from .numerics import integer, real
 from .qsim import Basis, apply, measure, prepare, random_basis, spin_flip
 from .rng import coin
 
-LOST = None  # Bob's outcome when the qubit never returns
 RATE_NAMES = ("q1", "q_ab", "q_ae", "q_be")
 
 _WEIGHT_ATOL = 1e-12
@@ -97,34 +97,26 @@ class ProtocolConfig:
 
 @dataclass(frozen=True, slots=True)
 class RoundRecord:
+    """One round's two ends: Bob, the sender, prepares; the receiver measures once."""
+
     mode: str                     # "EM" | "CM"
-    bob_basis: Basis
-    bob_bit: int
+    sender_basis: Basis
+    sender_bit: int
+    receiver_basis: Basis         # Alice's random basis in CM; Bob's own, sender_basis, in EM
+    receiver_outcome: int
     alice_op: Optional[int] = None          # EM only: 0 identity, 1 spin-flip
-    alice_cm_basis: Optional[Basis] = None  # CM only
-    alice_cm_outcome: Optional[int] = None  # CM only
-    bob_outcome: Optional[int] = LOST       # None = lost pulse
     revealed: bool = False                  # EM round sacrificed for q_ab
     eve_alice_guess: Optional[int] = None
     eve_bob_guess: Optional[int] = None
     attacked: bool = False
 
     def __post_init__(self):
-        if self.mode == "EM":
-            if self.alice_op is None or self.alice_cm_basis is not None:
-                raise ValueError("EM round must carry alice_op and no CM fields")
-        elif self.mode == "CM":
-            if self.alice_op is not None or self.alice_cm_basis is None or self.alice_cm_outcome is None:
-                raise ValueError("CM round must carry CM fields and no alice_op")
-        else:
+        if self.mode not in ("EM", "CM"):
             raise ValueError(f"unknown mode {self.mode!r}")
-
-    @property
-    def decoded_op(self) -> Optional[int]:
-        """Bob's inferred operation: outcome XOR preparation bit (EM rounds)."""
-        if self.mode != "EM" or self.bob_outcome is LOST:
-            return None
-        return self.bob_outcome ^ self.bob_bit
+        if (self.mode == "EM") != (self.alice_op is not None):
+            raise ValueError("a round carries alice_op exactly when it is in Encoding Mode")
+        if self.mode == "EM" and self.receiver_basis is not self.sender_basis:
+            raise ValueError("an Encoding-Mode round is measured in the sender's basis")
 
 
 @dataclass(frozen=True)
@@ -161,35 +153,32 @@ def _forward_leg(strategy: AttackStrategy, rng):
 
 
 def _alice(config: ProtocolConfig, strategy: AttackStrategy, leg, rng):
-    """Stage 2, Alice's station: Control Mode (a random-basis measurement), always in BB84 and
-    on LM05's mode coin, or else her operation, the way back and Bob's measurement.
-    Returns (record fields, Eve's memory, state)."""
+    """Stage 2, Alice's station: Control Mode (her measurement in a random basis), always in
+    BB84 and on LM05's mode coin, or else her operation, the way back and Bob's measurement
+    in his basis.  Returns (the record's first six fields, Eve's memory, state)."""
     basis, bit, memory, state = leg
     if config.protocol == "bb84" or coin(rng, config.control_prob):
-        cm_basis = random_basis(rng)
-        cm_outcome, state = measure(state, 0, cm_basis, rng)
-        return {"mode": "CM", "bob_basis": basis, "bob_bit": bit, "alice_cm_basis": cm_basis,
-                "alice_cm_outcome": cm_outcome, "bob_outcome": LOST}, memory, state
-    op = 0 if coin(rng, 0.5) else 1
-    if op:
-        state = apply(state, _SPIN_FLIP_0)
-    if memory is not None:
-        memory, state = strategy.backward(memory, state, rng)
-    outcome, state = measure(state, 0, basis, rng)
-    return {"mode": "EM", "bob_basis": basis, "bob_bit": bit, "alice_op": op,
-            "bob_outcome": outcome}, memory, state
+        mode, op, receiver_basis = "CM", None, random_basis(rng)
+    else:
+        mode, op, receiver_basis = "EM", 0 if coin(rng, 0.5) else 1, basis
+        if op:
+            state = apply(state, _SPIN_FLIP_0)
+        if memory is not None:
+            memory, state = strategy.backward(memory, state, rng)
+    outcome, state = measure(state, 0, receiver_basis, rng)
+    return (mode, basis, bit, receiver_basis, outcome, op), memory, state
 
 
 def _readout(config: ProtocolConfig, strategy: AttackStrategy, back, rng) -> RoundRecord:
     """Stage 3: on a round that carries a key bit (LM05's EM rounds, every BB84 round), the
     reveal coin of an EM round and Eve's readout; then the record."""
-    recorded, memory, state = back
-    encoded = recorded["mode"] == "EM"
+    ends, memory, state = back
+    encoded = ends[0] == "EM"
     if not (encoded or config.protocol == "bb84"):
-        return RoundRecord(**recorded, attacked=memory is not None)
+        return RoundRecord(*ends, attacked=memory is not None)
     revealed = encoded and coin(rng, config.reveal_fraction)
     guess_a, guess_b = (None, None) if memory is None else strategy.finalize(memory, state, rng)
-    return RoundRecord(**recorded, revealed=revealed, eve_alice_guess=guess_a,
+    return RoundRecord(*ends, revealed=revealed, eve_alice_guess=guess_a,
                        eve_bob_guess=guess_b, attacked=memory is not None)
 
 
@@ -227,23 +216,22 @@ def run(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> list[RoundR
 def _counters(r: RoundRecord) -> tuple[int, ...]:
     """The eight tally counters of one record: (errors, trials) per rate, in RATE_NAMES order.
 
-    Lost pulses and mismatched bases never count.
+    Mismatched bases never count.  ``flip``, the receiver's outcome XOR the sender's bit, is a
+    q1 error in Control Mode and Bob's decoded operation, the key bit, in Encoding Mode.
     """
     q1 = ab = ae = be = (0, 0)
-    if r.mode == "CM":
-        if r.alice_cm_basis is r.bob_basis:
-            q1 = (int(r.alice_cm_outcome != r.bob_bit), 1)
-            if r.eve_bob_guess is not None:  # BB84: Eve vs the sifted sender bit
-                be = (int(r.eve_bob_guess != r.bob_bit), 1)
-    else:
-        decoded = r.decoded_op
-        if decoded is not None:
+    if r.receiver_basis is r.sender_basis:  # always so in Encoding Mode
+        flip = r.receiver_outcome ^ r.sender_bit
+        if r.mode == "CM":
+            q1, key = (flip, 1), r.sender_bit  # BB84's key bit
+        else:
+            key = flip
             if r.revealed:
-                ab = (int(decoded != r.alice_op), 1)
+                ab = (int(flip != r.alice_op), 1)
             if r.eve_alice_guess is not None:
                 ae = (int(r.eve_alice_guess != r.alice_op), 1)
-            if r.eve_bob_guess is not None:
-                be = (int(r.eve_bob_guess != decoded), 1)
+        if r.eve_bob_guess is not None:
+            be = (int(r.eve_bob_guess != key), 1)
     return (*q1, *ab, *ae, *be)
 
 
@@ -315,7 +303,7 @@ def _cell(value) -> str:
 
 
 def write_round_log(records: Sequence[RoundRecord], file: io.TextIOBase) -> None:
-    """Round log as CSV: one row per round, header mandatory, lost = empty cell.
+    """Round log as CSV: one row per round, header mandatory, an absent value as an empty cell.
 
     Each distinct record object is rendered once; a run repeats its leaf
     records, so most rows are copies of a row already rendered.

@@ -134,9 +134,9 @@ def test_criterion_4_noiseless_determinism():
     config = ProtocolConfig(protocol="lm05", rounds=100_000, seed=41,
                             control_prob=0.0, reveal_fraction=1.0)
     records = run(config)
-    combos = {(r.bob_basis, r.bob_bit, r.alice_op) for r in records}
+    combos = {(r.sender_basis, r.sender_bit, r.alice_op) for r in records}
     _check("criterion 4: all 8 (state, op) pairs exercised", len(combos) == 8)
-    errors = sum(r.decoded_op != r.alice_op for r in records)
+    errors = sum(r.receiver_outcome ^ r.sender_bit != r.alice_op for r in records)
     _check("criterion 4: noiseless decoding error rate exactly zero",
            errors == 0, f" ({errors} errors in {len(records)} rounds)")
     t = tally(records)

@@ -48,7 +48,7 @@ def _stats(kind, xi=1.0, x=None, x_prime=None, chi=0.0, n=150_000, seed=11):
     records = run(config, AttackParams(**kwargs))
     total = tally(records)
     per_basis = {
-        basis: tally([r for r in records if r.bob_basis is basis])
+        basis: tally([r for r in records if r.sender_basis is basis])
         for basis in (Basis.Z, Basis.X)
     }
     em_rounds = sum(r.mode == "EM" for r in records)

@@ -226,6 +226,15 @@ def test_thresholds_fixed_model(tmp_path, capsys):
     assert float(by_attack["IR"]["lm05_dr"]) == pytest.approx(0.178, abs=5e-4)
 
 
+@pytest.mark.parametrize("command", ["simulate", "thresholds", "curves", "gain", "pns"])
+def test_out_help_says_where_the_table_goes(command, capsys):
+    # simulate and thresholds print a text report and write their table only to --out
+    out_help = ("file for the CSV/JSONL table; without it only the text report is printed"
+                if command in ("simulate", "thresholds") else "output file path (default stdout)")
+    assert _run([command, "--help"]) == 0
+    assert f"--out OUT {out_help}" in " ".join(capsys.readouterr().out.split())
+
+
 def test_thresholds_fixed_model_at_one_half_secures_nothing(tmp_path):
     # Q_AB = 1/2 gives I_AB = 0: every threshold is 0, not an error
     out = tmp_path / "thresholds.csv"
@@ -528,7 +537,7 @@ for argv, unused in {_COMMAND_LOADS!r}:
 
 def test_package_names_resolve_to_their_home_modules():
     for name in qkd2way.__all__:
-        if name != "__version__":
+        if name not in ("PROTOCOLS", "__version__"):  # the two names the root itself defines
             home = importlib.import_module(f"qkd2way.{qkd2way._HOME[name]}")
             assert getattr(qkd2way, name) is getattr(home, name), name
     assert qkd2way.rng is importlib.import_module("qkd2way.rng")

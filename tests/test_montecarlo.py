@@ -274,19 +274,20 @@ def test_qsim_caches_stay_bounded():
     assert qsim._outcomes.cache_info().hits > 2 * qsim._outcomes.cache_info().misses
 
 
-# run_batch tallies (seed 11, 20,000 rounds) and the round log's sha256
-# prefix (seed 12, 3,000 rounds), recorded before the qsim kernels were cached
+# run_batch tallies (seed 11, 20,000 rounds), recorded before the qsim kernels were
+# cached, and the round log's sha256 prefix (seed 12, 3,000 rounds), re-taken when
+# the record became the round's two ends (sender and receiver)
 _PINNED = [
     ("lm05", AttackParams(kind="ir", xi=0.5),
-     ((291, 2380), (198, 1531), (0, 7469), (1891, 7469)), "3b1cef4d400e5e62"),
+     ((291, 2380), (198, 1531), (0, 7469), (1891, 7469)), "c873b02c7c83d847"),
     ("lm05", AttackParams(kind="nort", x=math.pi / 4),
-     ((195, 2525), (361, 1521), (2179, 15040), (4827, 15040)), "82846a1b58ddc76f"),
+     ((195, 2525), (361, 1521), (2179, 15040), (4827, 15040)), "8f2eb92d9df7c70e"),
     ("lm05", AttackParams(kind="nort", x=0.7, x_prime=1.1),
-     ((128, 2513), (285, 1509), (3218, 15041), (5364, 15041)), "51c8122779089422"),
+     ((128, 2513), (285, 1509), (3218, 15041), (5364, 15041)), "d2a54fda20e22ba9"),
     ("lm05", AttackParams(kind="dcnot_star", chi=0.1),
-     ((637, 2506), (139, 1468), (0, 14991), (0, 14991)), "0999706d38669cc8"),
+     ((637, 2506), (139, 1468), (0, 14991), (0, 14991)), "c23db09effbdd36e"),
     ("bb84", AttackParams(kind="ir"),
-     ((2382, 9801), (0, 0), (0, 0), (2447, 9801)), "475b0472f2779610"),
+     ((2382, 9801), (0, 0), (0, 0), (2447, 9801)), "e627009eac48e2a9"),
 ]
 
 

@@ -41,7 +41,6 @@ def test_budget_validation():
         LinkBudget(mu=0.1, length_km=-1.0)
     with pytest.raises(ValueError):
         LinkBudget(mu=0.1, eta_d=1.2)
-    assert LinkBudget(mu=0.1, length_km=50.0).channel_transmission == pytest.approx(0.1)
 
 
 def test_budget_and_gain_point_are_immutable_values():
@@ -343,11 +342,11 @@ def test_gain_csv_empty_log_for_nonpositive_values(tmp_path, capsys):
         assert float(row[2]) <= 0.0 and row[3] == ""
 
 
-@pytest.mark.parametrize("kwargs", ["tol_km=0.0", "tol_km=1e-300", "atten=0.0, l_hi=float('inf')",
-                                    "l_lo=1e17, l_hi=1e17 + 1e3", "atten=0.0, l_hi=1e12"])
+@pytest.mark.parametrize("kwargs", ["atten=0.0, l_hi=float('inf')", "l_lo=1e17, l_hi=1e17 + 1e3",
+                                    "atten=0.0, l_hi=1e12"])
 def test_crossover_distance_returns_in_bounded_time(kwargs):
-    # each of these looped forever before: a bisection stalled on adjacent
-    # floats, or a distance scan that never reached l_hi (or took 1e12 steps)
+    # each of these looped forever before: a distance scan that never
+    # reached l_hi (or took 1e12 steps)
     code = ("from qkd2way.photonics import crossover_distance\n"
             "try:\n"
             f"    print(crossover_distance({kwargs}))\n"
@@ -355,10 +354,7 @@ def test_crossover_distance_returns_in_bounded_time(kwargs):
             "    print('ValueError:', exc)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    if kwargs == "tol_km=1e-300":
-        assert float(proc.stdout) == pytest.approx(crossover_distance(), abs=0.01)
-    else:
-        assert proc.stdout.startswith("ValueError:")
+    assert proc.stdout.startswith("ValueError:")
     if kwargs == "atten=0.0, l_hi=1e12":  # refused before the first step
         assert "scan steps" in proc.stdout
 
@@ -380,10 +376,8 @@ def test_crossover_distance_tells_no_crossing_from_a_refused_span():
     assert not isinstance(refused.value, NoCrossover)
 
 
-@pytest.mark.parametrize("kwargs", [dict(tol_km=-1.0), dict(tol_km=math.nan),
-                                    dict(tol_km=math.inf), dict(l_lo=math.nan),
-                                    dict(l_hi=math.inf), dict(l_lo=5.0, l_hi=1.0),
-                                    dict(l_lo=None), dict(tol_km="0.01")])
+@pytest.mark.parametrize("kwargs", [dict(l_lo=math.nan), dict(l_hi=math.inf), dict(l_lo=5.0, l_hi=1.0),
+                                    dict(l_lo=None)])
 def test_crossover_distance_rejects_bad_bounds(kwargs):
-    with pytest.raises(ValueError, match=r"^(tol_km|l_lo|l_hi) must (be finite|lie in|be a real number)"):
+    with pytest.raises(ValueError, match=r"^(l_lo|l_hi) must (be finite|lie in|be a real number)"):
         crossover_distance(**kwargs)

@@ -60,13 +60,16 @@ def test_config_accepts_numpy_integers():
 
 
 def test_record_mode_invariants():
-    with pytest.raises(ValueError):
-        RoundRecord(mode="EM", bob_basis=Basis.Z, bob_bit=0)  # missing alice_op
-    with pytest.raises(ValueError):
-        RoundRecord(mode="CM", bob_basis=Basis.Z, bob_bit=0, alice_op=1,
-                    alice_cm_basis=Basis.Z, alice_cm_outcome=0)
-    with pytest.raises(ValueError):
-        RoundRecord(mode="??", bob_basis=Basis.Z, bob_bit=0)
+    z, x = Basis.Z, Basis.X
+    with pytest.raises(ValueError, match="alice_op"):
+        RoundRecord("EM", z, 0, z, 0)  # missing alice_op
+    with pytest.raises(ValueError, match="alice_op"):
+        RoundRecord("CM", z, 0, z, 0, alice_op=1)
+    with pytest.raises(ValueError, match="sender's basis"):
+        RoundRecord("EM", z, 0, x, 0, alice_op=1)  # Bob measures in his own basis
+    with pytest.raises(ValueError, match="unknown mode"):
+        RoundRecord("??", z, 0, z, 0)
+    assert RoundRecord("CM", z, 0, x, 1).receiver_basis is x  # Alice's basis is her own
 
 
 @lru_cache(maxsize=None)
@@ -78,9 +81,9 @@ def _noiseless_run():
 
 def test_noiseless_determinism_over_all_state_op_pairs():
     _, records = _noiseless_run()
-    combos = {(r.bob_basis, r.bob_bit, r.alice_op) for r in records}
+    combos = {(r.sender_basis, r.sender_bit, r.alice_op) for r in records}
     assert len(combos) == 8
-    assert all(r.decoded_op == r.alice_op for r in records)
+    assert all(r.receiver_outcome ^ r.sender_bit == r.alice_op for r in records)
 
 
 def test_noiseless_tally_is_error_free():
@@ -96,7 +99,9 @@ def test_control_mode_fraction_matches_probability():
     records = run(config)
     cm = sum(r.mode == "CM" for r in records)
     assert abs(cm / n - 0.25) <= 5.0 * math.sqrt(0.25 * 0.75 / n)
-    assert all(r.bob_outcome is None for r in records if r.mode == "CM")
+    # Alice measures in her own random basis, which matches Bob's on half the CM rounds
+    matched = sum(r.mode == "CM" and r.receiver_basis is r.sender_basis for r in records)
+    assert abs(matched / cm - 0.5) <= 5.0 * math.sqrt(0.25 / cm)
 
 
 def test_run_rounds_come_in_random_order():
@@ -139,19 +144,20 @@ def test_tally_counting_rules_on_hand_built_records():
     z, x = Basis.Z, Basis.X
     records = [
         # matched-basis CM with wrong outcome: q1 error
-        RoundRecord(mode="CM", bob_basis=z, bob_bit=0, alice_cm_basis=z, alice_cm_outcome=1),
+        RoundRecord(mode="CM", sender_basis=z, sender_bit=0, receiver_basis=z, receiver_outcome=1),
         # matched-basis CM, correct
-        RoundRecord(mode="CM", bob_basis=x, bob_bit=1, alice_cm_basis=x, alice_cm_outcome=1),
+        RoundRecord(mode="CM", sender_basis=x, sender_bit=1, receiver_basis=x, receiver_outcome=1),
         # mismatched CM never counted
-        RoundRecord(mode="CM", bob_basis=z, bob_bit=0, alice_cm_basis=x, alice_cm_outcome=1),
+        RoundRecord(mode="CM", sender_basis=z, sender_bit=0, receiver_basis=x, receiver_outcome=1),
         # revealed EM with decode error (outcome 0 -> decoded 0 != op 1), Eve right about Alice
-        RoundRecord(mode="EM", bob_basis=z, bob_bit=0, alice_op=1, bob_outcome=0,
-                    revealed=True, eve_alice_guess=1, eve_bob_guess=1, attacked=True),
+        RoundRecord(mode="EM", sender_basis=z, sender_bit=0, receiver_basis=z, receiver_outcome=0,
+                    alice_op=1, revealed=True, eve_alice_guess=1, eve_bob_guess=1, attacked=True),
         # unrevealed EM, Eve wrong about Alice, right about the key bit
-        RoundRecord(mode="EM", bob_basis=z, bob_bit=1, alice_op=0, bob_outcome=1,
-                    revealed=False, eve_alice_guess=1, eve_bob_guess=0, attacked=True),
+        RoundRecord(mode="EM", sender_basis=z, sender_bit=1, receiver_basis=z, receiver_outcome=1,
+                    alice_op=0, revealed=False, eve_alice_guess=1, eve_bob_guess=0, attacked=True),
         # EM without any Eve guesses
-        RoundRecord(mode="EM", bob_basis=x, bob_bit=0, alice_op=0, bob_outcome=0, revealed=False),
+        RoundRecord(mode="EM", sender_basis=x, sender_bit=0, receiver_basis=x, receiver_outcome=0,
+                    alice_op=0, revealed=False),
     ]
     t = tally(records)
     assert t.q1 == (1, 2)
@@ -216,17 +222,15 @@ def test_round_log_csv_format():
     buffer = io.StringIO()
     write_round_log(records, buffer)
     lines = buffer.getvalue().splitlines()
-    assert lines[0] == ("mode,bob_basis,bob_bit,alice_op,alice_cm_basis,alice_cm_outcome,"
-                        "bob_outcome,revealed,eve_alice_guess,eve_bob_guess,attacked")
+    assert lines[0] == ("mode,sender_basis,sender_bit,receiver_basis,receiver_outcome,alice_op,"
+                        "revealed,eve_alice_guess,eve_bob_guess,attacked")
     assert len(lines) == len(records) + 1
     for record, line in zip(records, lines[1:]):
         cells = line.split(",")
         assert cells[0] == record.mode
-        if record.mode == "CM":
-            assert cells[6] == ""  # lost pulse is an empty cell
-            assert cells[3] == ""
-        else:
-            assert cells[6] == str(record.bob_outcome)
+        assert cells[3] == record.receiver_basis.value  # every round has a receiver
+        assert cells[4] == str(record.receiver_outcome)
+        assert cells[5] == ("" if record.mode == "CM" else str(record.alice_op))
     # byte for byte a plain per-row rendering, for run's shared leaf records
     # and for distinct records stepped round by round; the stepped records
     # arrive from a generator, so a freed record's id could come back
@@ -253,8 +257,8 @@ def _plain_round_log(records):
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["mode", "bob_basis", "bob_bit", "alice_op", "alice_cm_basis", "alice_cm_outcome",
-                     "bob_outcome", "revealed", "eve_alice_guess", "eve_bob_guess", "attacked"])
+    writer.writerow(["mode", "sender_basis", "sender_bit", "receiver_basis", "receiver_outcome", "alice_op",
+                     "revealed", "eve_alice_guess", "eve_bob_guess", "attacked"])
     for record in records:
         writer.writerow([cell(value) for value in astuple(record)])
     return buffer.getvalue()
