@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Print what building each verification scenario's leaf table costs.
 
-For every scenario of verify_attacks.py, plus lm05 nort with a misaligned
-backward probe (x, x') = (0.7, 1.1), prints the leaf count of
+For every scenario of verify_attacks.py, prints the leaf count of
 ``protocol.enumerate_round``, the coins its enumeration flips, its
 first-call time (the call comes after ``cache_clear()`` on every qsim
-kernel cache) and its repeat-call time (the same call again at once, with
-the caches kept, which is what a second call gains from them).  Each time
-is the minimum over --calls calls in each of --processes fresh processes,
-run one after another.  The last row sums the scenarios, which is one
-pass of the ``mc_verify`` benchmark workload.  The digest column is the
+cache: the kernel caches and the gate factories' caches, so the call also
+builds its gates anew) and its repeat-call time (the same call again at
+once, with the caches kept, which is what a second call gains from them).
+Each time is the minimum over --calls calls in each of --processes fresh
+processes, run one after another.  The last row sums the scenarios, which
+is one pass of the ``mc_verify`` benchmark workload.  The digest column is the
 first 12 hex digits of a sha256 over the table's weights bytes, counts
 and records, taken once outside the timed calls: two trees that print the
 same digests build bit-identical leaf tables.  The physics column hashes
@@ -37,8 +37,6 @@ from qkd2way import qsim, rng
 from qkd2way.attacks import AttackParams, make_strategy
 from qkd2way.protocol import LeafTable, ProtocolConfig, _counters, enumerate_round, run_round
 
-ALL_SCENARIOS = [*SCENARIOS, ("lm05", AttackParams(kind="nort", x=0.7, x_prime=1.1))]
-
 
 def label(protocol: str, attack: AttackParams) -> str:
     knobs = {"ir": ("xi",), "nort": ("xi", "x", "x_prime"), "dcnot": ("xi",),
@@ -64,7 +62,7 @@ def physics_digest(table: LeafTable) -> str:
 def stepped_rounds():
     """300 rounds per scenario and c in {0.25, 0.6}, each run stepped on
     rng.stream(1234, scenario index, 100 c)."""
-    for i, (protocol, attack) in enumerate(ALL_SCENARIOS):
+    for i, (protocol, attack) in enumerate(SCENARIOS):
         strategy = make_strategy(attack)
         for c in (0.25, 0.6):
             config = ProtocolConfig(protocol=protocol, control_prob=c)
@@ -111,10 +109,10 @@ def call_seconds(calls: int) -> tuple[list[float], list[float]]:
     """Per scenario, the fastest of `calls` first calls, each from emptied qsim caches,
     and the fastest of the repeat calls made right after them."""
     caches = [f for f in vars(qsim).values() if hasattr(f, "cache_clear")]
-    first = [math.inf] * len(ALL_SCENARIOS)
-    repeat = [math.inf] * len(ALL_SCENARIOS)
+    first = [math.inf] * len(SCENARIOS)
+    repeat = [math.inf] * len(SCENARIOS)
     for _ in range(calls):
-        for i, (protocol, attack) in enumerate(ALL_SCENARIOS):
+        for i, (protocol, attack) in enumerate(SCENARIOS):
             config = ProtocolConfig(protocol=protocol)
             for cache in caches:
                 cache.cache_clear()
@@ -137,8 +135,8 @@ def main() -> int:
         print(json.dumps(call_seconds(args.calls)))
         return 0
 
-    first = [math.inf] * len(ALL_SCENARIOS)
-    repeat = [math.inf] * len(ALL_SCENARIOS)
+    first = [math.inf] * len(SCENARIOS)
+    repeat = [math.inf] * len(SCENARIOS)
     for _ in range(args.processes):
         out = subprocess.run([sys.executable, __file__, "--worker", "--calls", str(args.calls)],
                              check=True, capture_output=True, text=True).stdout
@@ -147,7 +145,7 @@ def main() -> int:
         repeat = [min(a, b) for a, b in zip(repeat, worker_repeat)]
 
     rows = []
-    for (protocol, attack), first_s, repeat_s in zip(ALL_SCENARIOS, first, repeat):
+    for (protocol, attack), first_s, repeat_s in zip(SCENARIOS, first, repeat):
         table, coins = count_coins(ProtocolConfig(protocol=protocol), attack)
         rows.append((label(protocol, attack), len(table.weights), coins, first_s, repeat_s,
                      digest(table), physics_digest(table)))

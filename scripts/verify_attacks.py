@@ -27,6 +27,7 @@ SCENARIOS = [
     ("lm05", AttackParams(kind="dcnot")),
     ("lm05", AttackParams(kind="dcnot_star", chi=0.1)),
     ("bb84", AttackParams(kind="ir", xi=1.0)),
+    ("lm05", AttackParams(kind="nort", x=0.7, x_prime=1.1)),  # the one Q_AB that depends on x'
 ]
 
 

@@ -70,11 +70,6 @@ class AttackParams:
             object.__setattr__(self, name, real(name, getattr(self, name), lo, hi))
 
 
-_HADAMARD = hadamard(0)
-_COPY = cnot(0, 1)
-_FLIP = spin_flip(0)
-
-
 class AttackStrategy:
     """One attack's hooks; this base class is no attack, leaving every round alone."""
 
@@ -124,30 +119,25 @@ class _IRStrategy(AttackStrategy):
 class _NortStrategy(AttackStrategy):
     """Memory: her alignment, Z or X."""
 
-    def __init__(self, params):
-        super().__init__(params)
-        self.rot_fwd = ancilla_rotation(params.x, 0, 1)
-        self.rot_bwd = ancilla_rotation(params.x_prime, 0, 2)
-
     def start(self, rng):
         if not coin(rng, self.params.xi):
             return None
         return random_basis(rng)
 
-    def _probe(self, align, state, rotation):
+    def _probe(self, align, state, angle, probe_wire):
         state = attach_ancilla(state)
         if align is Basis.X:
-            state = apply(state, _HADAMARD)
-        state = apply(state, rotation)
+            state = apply(state, hadamard(0))
+        state = apply(state, ancilla_rotation(angle, 0, probe_wire))
         if align is Basis.X:
-            state = apply(state, _HADAMARD)
+            state = apply(state, hadamard(0))
         return align, state
 
     def forward(self, align, state, rng):
-        return self._probe(align, state, self.rot_fwd)
+        return self._probe(align, state, self.params.x, 1)
 
     def backward(self, align, state, rng):
-        return self._probe(align, state, self.rot_bwd)
+        return self._probe(align, state, self.params.x_prime, 2)
 
     def finalize(self, align, state, rng):
         # Z is the minimum-error (Helstrom) readout of either probe pair, for every angle
@@ -166,12 +156,12 @@ class _DcnotStrategy(AttackStrategy):
         return 0 if coin(rng, self.params.xi) else None
 
     def forward(self, flip, state, rng):
-        return flip, apply(attach_ancilla(state), _COPY)
+        return flip, apply(attach_ancilla(state), cnot(0, 1))
 
     def backward(self, flip, state, rng):
-        state = apply(state, _COPY)
+        state = apply(state, cnot(0, 1))
         if self.params.kind == "dcnot_star" and coin(rng, self.params.chi):
-            return 1, apply(state, _FLIP)
+            return 1, apply(state, spin_flip(0))
         return flip, state
 
     def finalize(self, flip, state, rng):

@@ -280,11 +280,11 @@ def _scan_command(args, objective: str) -> int:
             try:
                 km = crossover_distance(l_lo=args.lmin, l_hi=max(args.lmax, args.lmin + 1e-9))
             except NoCrossover:
-                print("pns crossover: none in range")
-                footer.append((None, None, None, None, "crossover", "none in range"))
-            else:
-                print(f"pns crossover: {km:.2f} km")
-                footer.append((km, None, None, None, "crossover", objective))
+                km = None
+            text = "none in range" if km is None else f"{km:.2f} km"
+            footer.append((km, None, None, None, "crossover", text if km is None else objective))
+            if args.out:  # without --out, stdout is the table alone
+                print(f"pns crossover: {text}")
         rows = []
         for protocol in sorted(PROTOCOLS):  # BB84's rows first
             for p in scan_distances(objective, protocol, lengths):

@@ -75,8 +75,6 @@ RATE_NAMES = ("q1", "q_ab", "q_ae", "q_be")
 _WEIGHT_ATOL = 1e-12
 _MAX_ROUNDS = 2**63 - 1  # numpy's multinomial draws counts as int64
 
-_SPIN_FLIP_0 = spin_flip(0)
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -162,7 +160,7 @@ def _alice(config: ProtocolConfig, strategy: AttackStrategy, leg, rng):
     else:
         mode, op, receiver_basis = "EM", 0 if coin(rng, 0.5) else 1, basis
         if op:
-            state = apply(state, _SPIN_FLIP_0)
+            state = apply(state, spin_flip(0))
         if memory is not None:
             memory, state = strategy.backward(memory, state, rng)
     outcome, state = measure(state, 0, receiver_basis, rng)

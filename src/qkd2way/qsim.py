@@ -11,7 +11,7 @@ Conventions
 * Global phase is ignored throughout.
 * A :class:`Gate` is a unitary matrix plus the wires it acts on; the first
   listed wire is the high bit of the matrix's row and column index.  Each
-  gate has a factory that returns ``Gate(matrix, wires)``.
+  gate's factory hands out one shared ``Gate`` per gate (see below).
 * ``spin_flip`` is i*Y = Z@X, the encoding operation that maps each of the
   four protocol states |0>, |1>, |+>, |-> to an orthogonal state.
 * ``ancilla_rotation(x, control, target)`` writes one of two real probe
@@ -32,10 +32,14 @@ Kernel cache
 used results in a ``functools.lru_cache``, as do the gate-matrix tables.
 States and gates hash and compare by identity, and a cache entry holds its
 key objects, so no id is reused while the entry lives and a hit is always
-the very input it was computed from.  Results are shared by every caller,
-so their amplitudes are read-only, and so is a gate's matrix, so that the
-expansion cached for a gate stays its own.  Enumerating a round's outcome
-paths replays the same state through the same step again and again; those
+the very input it was computed from.  So each gate factory caches the
+gates it hands out, keyed on its positional-only arguments and their types
+(a float wire, which no step can use, never stands in for an int), and
+``ancilla_rotation`` on its angle once checked; a ``Gate`` built directly
+is shared by no one.  Results are shared by every caller, so their
+amplitudes are read-only, and so is a gate's matrix, so that the expansion
+cached for a gate stays its own.  Enumerating a round's outcome paths
+replays the same state through the same step again and again; those
 repeats are hits.  :func:`measure` draws its outcome with
 :func:`qkd2way.rng.coin` on every call, hit or miss, so streams see the
 same coins in the same order.
@@ -132,15 +136,18 @@ _HADAMARD = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT1_2)
 _CNOT = _read_only(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex))
 
 
-def spin_flip(wire: int = 0) -> Gate:
+@lru_cache(maxsize=_STEPS, typed=True)
+def spin_flip(wire: int, /) -> Gate:
     return Gate(_SPIN_FLIP, (wire,))
 
 
-def hadamard(wire: int = 0) -> Gate:
+@lru_cache(maxsize=_STEPS, typed=True)
+def hadamard(wire: int, /) -> Gate:
     return Gate(_HADAMARD, (wire,))
 
 
-def cnot(control: int, target: int) -> Gate:
+@lru_cache(maxsize=_STEPS, typed=True)
+def cnot(control: int, target: int, /) -> Gate:
     return Gate(_CNOT, (control, target))
 
 
@@ -149,8 +156,12 @@ def _rot2(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def ancilla_rotation(angle: float, control: int, target: int) -> Gate:
-    angle = real("probe angle", angle, *PROBE_ANGLES)
+def ancilla_rotation(angle: float, control: int, target: int, /) -> Gate:
+    return _ancilla_rotation(real("probe angle", angle, *PROBE_ANGLES), control, target)
+
+
+@lru_cache(maxsize=_STEPS, typed=True)
+def _ancilla_rotation(angle: float, control: int, target: int, /) -> Gate:
     u = np.zeros((4, 4), dtype=complex)
     u[:2, :2] = _rot2(math.pi / 4 - angle / 2)
     u[2:, 2:] = _rot2(math.pi / 4 + angle / 2)

@@ -1,8 +1,9 @@
 """Bit-identity pins: the exact leaf tables, stepped rounds and the figure CSVs.
 
 A change that keeps every output must keep these bytes.  The digests come
-from ``scripts/enumeration_costs.py`` (its ``ALL_SCENARIOS``, ``digest``,
-``physics_digest``, ``stepped_digest`` and ``stepped_counters_digest``);
+from ``scripts/enumeration_costs.py`` (the ``SCENARIOS`` of
+``verify_attacks.py`` in their order, and its ``digest``, ``physics_digest``,
+``stepped_digest`` and ``stepped_counters_digest``);
 the physics and counter digests read no record field, so they also hold
 across a change of the record's fields, which re-takes the other two.  The
 CSV hash comes from ``scripts/make_figure_data.py`` run in process, as
@@ -33,15 +34,15 @@ STEPPED_COUNTERS_DIGEST = "91f4a30a3975d4ae"
 FIGURE_CSV_HASH = "2814f982da1494528a2f91e3acbd953cd35a52717772f2e2b9c09f53dbb77fea"
 
 
-@pytest.mark.parametrize("scenario,expected", zip(enumeration_costs.ALL_SCENARIOS, LEAF_DIGESTS),
-                         ids=[enumeration_costs.label(p, a) for p, a in enumeration_costs.ALL_SCENARIOS])
+@pytest.mark.parametrize("scenario,expected", zip(enumeration_costs.SCENARIOS, LEAF_DIGESTS),
+                         ids=[enumeration_costs.label(p, a) for p, a in enumeration_costs.SCENARIOS])
 def test_leaf_table_is_bit_identical(scenario, expected):
     protocol, attack = scenario
     assert enumeration_costs.digest(enumerate_round(ProtocolConfig(protocol=protocol), attack)) == expected
 
 
-@pytest.mark.parametrize("scenario,expected", zip(enumeration_costs.ALL_SCENARIOS, PHYSICS_DIGESTS),
-                         ids=[enumeration_costs.label(p, a) for p, a in enumeration_costs.ALL_SCENARIOS])
+@pytest.mark.parametrize("scenario,expected", zip(enumeration_costs.SCENARIOS, PHYSICS_DIGESTS),
+                         ids=[enumeration_costs.label(p, a) for p, a in enumeration_costs.SCENARIOS])
 def test_leaf_weights_and_counts_are_bit_identical(scenario, expected):
     protocol, attack = scenario
     table = enumerate_round(ProtocolConfig(protocol=protocol), attack)
@@ -49,7 +50,7 @@ def test_leaf_weights_and_counts_are_bit_identical(scenario, expected):
 
 
 def test_scenario_count_matches_the_pins():
-    assert len(enumeration_costs.ALL_SCENARIOS) == len(LEAF_DIGESTS) == len(PHYSICS_DIGESTS)
+    assert len(enumeration_costs.SCENARIOS) == len(LEAF_DIGESTS) == len(PHYSICS_DIGESTS)
 
 
 def test_stepped_rounds_are_bit_identical():

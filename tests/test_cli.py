@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import qkd2way
 from qkd2way import montecarlo
 from qkd2way.attacks import AttackParams
-from qkd2way.cli import REPORT_COLUMNS, build_parser, main
+from qkd2way.cli import REPORT_COLUMNS, SCAN_COLUMNS, build_parser, main
 from qkd2way.montecarlo import RateReport, gate_miss, predicted_rates, run_batch, wilson_interval
 from qkd2way.protocol import ProtocolConfig
 
@@ -322,6 +322,21 @@ def test_pns_footer_none_in_range(tmp_path, capsys):
     assert "none in range" in capsys.readouterr().out
     last = out.read_text().splitlines()[-1].split(",")
     assert last[0] == "" and last[5] == "none in range"
+
+
+@pytest.mark.parametrize("lmax", ["2", "5"], ids=["none-in-range", "crossover"])
+def test_pns_stdout_is_the_table_alone(lmax, capsys):
+    # without --out, the crossover is the footer row only, never a text line
+    assert _run(["pns", "--lmax", lmax, "--lstep", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(SCAN_COLUMNS)
+    rows = list(csv.reader(lines[1:]))
+    assert len(rows) == 2 * (int(lmax) + 1) + 1 and all(len(row) == len(SCAN_COLUMNS) for row in rows)
+    assert rows[-1][4] == "crossover"
+    assert _run(["pns", "--lmax", lmax, "--lstep", "1", "--format", "jsonl"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [list(r) for r in records] == [list(SCAN_COLUMNS)] * len(rows)
+    assert records[-1]["protocol"] == "crossover"
 
 
 def test_module_entry_point_runs():

@@ -259,9 +259,22 @@ def test_kernel_cache_keeps_the_leaf_table_bit_identical(protocol, attack):
         assert np.array_equal(table.counts, cold.counts)
 
 
+@pytest.mark.parametrize("attack", [AttackParams(kind="nort", x=math.pi / 4),
+                                    AttackParams(kind="nort", x=0.7, x_prime=1.1)],
+                         ids=["nort-pi4", "nort-x0.7-xp1.1"])
+def test_repeat_enumeration_misses_no_qsim_cache(attack):
+    # a second strategy for the same attack gets the first one's gates, so
+    # every step of the repeat is a hit
+    enumerate_round(ProtocolConfig(), attack)
+    misses = {f.__name__: f.cache_info().misses for f in _qsim_caches()}
+    enumerate_round(ProtocolConfig(), attack)
+    assert {f.__name__: f.cache_info().misses for f in _qsim_caches()} == misses
+
+
 def test_qsim_caches_stay_bounded():
     caches = _qsim_caches()
-    assert {f.__name__ for f in caches} >= {"apply", "attach_ancilla", "_outcomes", "_expanded_matrix"}
+    assert {f.__name__ for f in caches} >= {"apply", "attach_ancilla", "_outcomes", "_expanded_matrix",
+                                            "spin_flip", "hadamard", "cnot", "_ancilla_rotation"}
     _clear_qsim_caches()
     for x in np.linspace(0.0, math.pi / 2, 60):
         enumerate_round(ProtocolConfig(), AttackParams(kind="nort", x=float(x), x_prime=1.1))

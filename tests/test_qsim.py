@@ -79,6 +79,37 @@ def test_gate_keeps_a_read_only_copy_of_its_matrix():
     assert [f.name for f in dataclasses.fields(Gate)] == ["matrix", "wires"]
 
 
+def test_factories_hand_out_one_shared_gate_per_gate():
+    assert spin_flip(0) is spin_flip(0) and hadamard(1) is hadamard(1)
+    assert cnot(0, 1) is cnot(0, 1) and cnot(0, 1) is not cnot(1, 0)
+    # the angle is keyed once checked, whatever real type spelled it
+    assert ancilla_rotation(np.float64(0.7), 0, 1) is ancilla_rotation(0.7, 0, 1)
+    assert ancilla_rotation(0.7, 0, 1) is not ancilla_rotation(0.7, 0, 2)
+    assert Gate(qsim._CNOT, (0, 1)) is not cnot(0, 1)  # a gate built directly is not shared
+    # one spelling per gate: the arguments are positional only, with no default wire
+    for call in (lambda: spin_flip(), lambda: spin_flip(wire=0), lambda: hadamard(wire=0),
+                 lambda: cnot(control=0, target=1), lambda: ancilla_rotation(0.7, control=0, target=1)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_factories_check_their_arguments_whatever_their_caches_hold():
+    gate = ancilla_rotation(1.0, 0, 1)
+    for angle in (True, 2.0, math.nan, -0.1):
+        with pytest.raises(ValueError):
+            ancilla_rotation(angle, 0, 1)
+    assert ancilla_rotation(1.0, 0, 1) is gate
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            cnot(0, 0)
+    # a float wire, which no step can use, never stands in for the int, nor the int for it
+    for first in ((0, 1.0), (0, 1)):
+        cnot.cache_clear()
+        cnot(*first)
+        assert cnot(0, 1.0) is not cnot(0, 1) and cnot(0, 1).wires == (0, 1)
+        assert type(cnot(0, 1).wires[1]) is int
+
+
 def test_gate_matrix_takes_first_wire_as_high_bit():
     # X on the first listed wire, which is register wire 1, the low bit of two
     x_then_identity = np.kron([[0, 1], [1, 0]], np.eye(2))
