@@ -14,11 +14,14 @@ first 12 hex digits of a sha256 over the table's weights bytes, counts
 and records, taken once outside the timed calls: two trees that print the
 same digests build bit-identical leaf tables.  The physics column hashes
 the weights and counts alone, so it holds across a change of the record's
-fields.  The last two lines are the stepped-round digests, the first 16
+fields.  The next two lines are the stepped-round digests, the first 16
 hex digits of a sha256 over 300 rounds stepped by ``protocol.run_round``
 per scenario and control probability: one over their records, one over
 their tally counters alone, which reads no field either.  Two trees that
-print them step bit-identical rounds.
+print them step bit-identical rounds.  The last line digests
+``montecarlo.predicted_rates`` over a fixed grid of every protocol, attack
+and knob (712 settings): two trees that print it predict bit-identical
+rates.
 
     python scripts/enumeration_costs.py --calls 15 --processes 3
 """
@@ -34,7 +37,8 @@ import time
 from verify_attacks import SCENARIOS
 
 from qkd2way import qsim, rng
-from qkd2way.attacks import AttackParams, make_strategy
+from qkd2way.attacks import ATTACK_KINDS, ONE_WAY_KINDS, AttackParams, make_strategy
+from qkd2way.montecarlo import predicted_rates
 from qkd2way.protocol import LeafTable, ProtocolConfig, _counters, enumerate_round, run_round
 
 
@@ -85,6 +89,32 @@ def stepped_counters_digest() -> str:
     for record in stepped_rounds():
         h.update(repr(_counters(record)).encode())
     return h.hexdigest()[:16]
+
+
+_PREDICTION_XIS = (0.0, 1e-300, 1e-9, 0.1, 0.37, 0.5, 0.8, 1.0)
+_PREDICTION_ANGLES = (0.0, 1e-8, 0.3, 0.7, math.pi / 6, math.pi / 4, math.pi / 3, 1.1, math.pi / 2)
+_PREDICTION_CHIS = (0.0, 0.1, 0.5)
+
+
+def prediction_settings():
+    """(protocol, attack) over every protocol, each attack its channel carries, xi, and the
+    knobs of the kind: x and x' for nort, chi for dcnot_star (712 settings)."""
+    for protocol in ("lm05", "bb84"):
+        for kind in ONE_WAY_KINDS if protocol == "bb84" else ATTACK_KINDS:
+            angles = _PREDICTION_ANGLES if kind == "nort" else (math.pi / 2,)
+            chis = _PREDICTION_CHIS if kind == "dcnot_star" else (0.0,)
+            for xi in _PREDICTION_XIS:
+                for x in angles:
+                    for x_prime in angles:
+                        for chi in chis:
+                            yield protocol, AttackParams(kind, xi, x, x_prime, chi)
+
+
+def predictions_digest() -> str:
+    """16-hex sha256 prefix of the reprs of predicted_rates over prediction_settings()."""
+    text = "\n".join(repr(predicted_rates(protocol, attack))
+                     for protocol, attack in prediction_settings())
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def count_coins(config: ProtocolConfig, attack: AttackParams) -> tuple[LeafTable, int]:
@@ -158,6 +188,7 @@ def main() -> int:
               f"{table_digest:<12} {physics}")
     print(f"stepped-round digest {stepped_digest()}")
     print(f"stepped-counters digest {stepped_counters_digest()}")
+    print(f"predictions digest {predictions_digest()}")
     return 0
 
 

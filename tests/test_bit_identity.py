@@ -1,13 +1,15 @@
-"""Bit-identity pins: the exact leaf tables, stepped rounds and the figure CSVs.
+"""Bit-identity pins: the exact leaf tables, stepped rounds, predictions, figure CSVs and help.
 
 A change that keeps every output must keep these bytes.  The digests come
 from ``scripts/enumeration_costs.py`` (the ``SCENARIOS`` of
 ``verify_attacks.py`` in their order, and its ``digest``, ``physics_digest``,
-``stepped_digest`` and ``stepped_counters_digest``);
+``stepped_digest``, ``stepped_counters_digest`` and ``predictions_digest``);
 the physics and counter digests read no record field, so they also hold
 across a change of the record's fields, which re-takes the other two.  The
 CSV hash comes from ``scripts/make_figure_data.py`` run in process, as
-``sha256sum *.csv | sha256sum`` prints it.  Like
+``sha256sum *.csv | sha256sum`` prints it.  The help digest hashes the
+``--help`` texts of the root parser and of each subcommand, wrapped at 80
+columns; argparse's wrapping may differ on another Python.  Like
 ``_PINNED`` in test_montecarlo.py, the values are tied to this numpy and
 libm: float results may differ in their last bits on another platform.
 """
@@ -23,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import enumeration_costs  # noqa: E402
 import make_figure_data  # noqa: E402
 
+from qkd2way.cli import main  # noqa: E402
 from qkd2way.protocol import ProtocolConfig, enumerate_round  # noqa: E402
 
 LEAF_DIGESTS = ("b6700ba02040 4cef76007c57 861a2f0e6e2e b792d6b7a27e 28c066eb601d "
@@ -31,6 +34,8 @@ STEPPED_DIGEST = "84b39d2256e22500"
 PHYSICS_DIGESTS = ("01fbb763fdc0 81901123154b de7e031a0257 7b8f3b50621b 5067b99da1b0 "
                    "e0b05b8eba83 922d44af531a dd662f052059 7a5e52471d80 d928f418a40b").split()
 STEPPED_COUNTERS_DIGEST = "91f4a30a3975d4ae"
+PREDICTIONS_DIGEST = "a49288bab50fa413"
+HELP_DIGEST = "51ddb652dfd53cfe"
 FIGURE_CSV_HASH = "2814f982da1494528a2f91e3acbd953cd35a52717772f2e2b9c09f53dbb77fea"
 
 
@@ -59,6 +64,20 @@ def test_stepped_rounds_are_bit_identical():
 
 def test_stepped_round_counters_are_bit_identical():
     assert enumeration_costs.stepped_counters_digest() == STEPPED_COUNTERS_DIGEST
+
+
+def test_predicted_rates_are_bit_identical():
+    assert sum(1 for _ in enumeration_costs.prediction_settings()) == 712
+    assert enumeration_costs.predictions_digest() == PREDICTIONS_DIGEST
+
+
+def test_help_texts_are_byte_identical(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    h = hashlib.sha256()
+    for command in ([], ["simulate"], ["curves"], ["thresholds"], ["gain"], ["pns"]):
+        assert main([*command, "--help"]) == 0
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest()[:16] == HELP_DIGEST
 
 
 def test_figure_csvs_are_bit_identical(tmp_path, monkeypatch):
