@@ -14,7 +14,8 @@ round alone, and then no other hook runs; ``forward`` and ``backward``
 (memory, state, rng) returns her guesses.  No hook changes the memory it
 was given, so the leaf enumerator can rerun a stage from one value once
 per coin path.  A new attack is one :class:`AttackStrategy` subclass, named
-in ``_STRATEGIES``, and in ``ONE_WAY_KINDS`` too if a BB84 round may carry it.
+in ``_STRATEGIES``, that states its channel (``one_way``, which
+``ONE_WAY_KINDS`` is read from) and its closed forms (``attacked_rates``).
 
 Implemented strategies:
 
@@ -73,8 +74,14 @@ class AttackParams:
 class AttackStrategy:
     """One attack's hooks; this base class is no attack, leaving every round alone."""
 
+    one_way = True  # a BB84 round may carry it; False needs the two-way channel
+
     def __init__(self, params: AttackParams):
         self.params = params
+
+    def attacked_rates(self):
+        """Closed forms (q1, q_ab, q_ae, q_be) on one attacked LM05 round; None: Eve guesses nothing."""
+        return 0.0, 0.0, None, None
 
     def start(self, rng):
         """Eve's memory of a new round, or None when she leaves the round alone."""
@@ -95,6 +102,9 @@ class AttackStrategy:
 
 class _IRStrategy(AttackStrategy):
     """Memory: (basis, forward outcome, backward outcome), filled in as she measures."""
+
+    def attacked_rates(self):
+        return 0.25, 0.25, 0.0, 0.25
 
     def start(self, rng):
         if not coin(rng, self.params.xi):
@@ -118,6 +128,17 @@ class _IRStrategy(AttackStrategy):
 
 class _NortStrategy(AttackStrategy):
     """Memory: her alignment, Z or X."""
+
+    one_way = False
+
+    def attacked_rates(self):
+        x, x_prime = self.params.x, self.params.x_prime
+        # p, pp: Eve's error reading the forward / backward probe
+        p = (1.0 - math.sin(x)) / 2.0
+        pp = (1.0 - math.sin(x_prime)) / 2.0
+        q_ae = p * (1.0 - pp) + (1.0 - p) * pp
+        return ((1.0 - math.cos(x)) / 4.0, (1.0 - math.cos(x) * math.cos(x_prime)) / 4.0,
+                q_ae, 0.25 + q_ae / 2.0)
 
     def start(self, rng):
         if not coin(rng, self.params.xi):
@@ -152,6 +173,11 @@ class _NortStrategy(AttackStrategy):
 class _DcnotStrategy(AttackStrategy):
     """Memory: the flip she injected on the way back, 0 or 1."""
 
+    one_way = False
+
+    def attacked_rates(self):
+        return 0.25, self.params.chi if self.params.kind == "dcnot_star" else 0.0, 0.0, 0.0
+
     def start(self, rng):
         return 0 if coin(rng, self.params.xi) else None
 
@@ -173,7 +199,7 @@ class _DcnotStrategy(AttackStrategy):
 _STRATEGIES = {"none": AttackStrategy, "ir": _IRStrategy, "nort": _NortStrategy,
                "dcnot": _DcnotStrategy, "dcnot_star": _DcnotStrategy}
 ATTACK_KINDS = tuple(_STRATEGIES)
-ONE_WAY_KINDS = ("none", "ir")  # the attacks a BB84 round may carry; the rest need the two-way channel
+ONE_WAY_KINDS = tuple(kind for kind, strategy in _STRATEGIES.items() if strategy.one_way)
 NO_ATTACK = AttackParams()
 
 

@@ -8,7 +8,8 @@ for the same seed, so the batch tallies equal ``tally(run(...))``.  Like
 
 Each tallied rate is reported with a 95% Wilson interval and, where a
 closed form exists, gated PASS/FAIL against the prediction using a 5-sigma
-Wilson band (wide enough to be flake-free at a million rounds).
+Wilson band (wide enough to be flake-free at a million rounds).  Each
+closed form lives on its attack's class, as ``attacked_rates``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .attacks import NO_ATTACK, AttackParams, check_channel
+from .attacks import NO_ATTACK, AttackParams, check_channel, make_strategy
 from .numerics import integer
 from .protocol import RATE_NAMES, ProtocolConfig, Tallies, enumerate_round
 
@@ -74,34 +75,14 @@ def predicted_rates(protocol: str, attack: AttackParams) -> dict[str, Optional[f
 
     q1 and q_ab average over all (matched / revealed) rounds, so they scale
     with the attacked fraction xi; q_ae and q_be are conditioned on the
-    rounds where Eve actually guessed, so they do not.
+    rounds where Eve actually guessed, so they do not.  BB84 has no
+    Encoding Mode, so no q_ab and no q_ae.
     """
     check_channel(protocol, attack)
-    kind = attack.kind
-    xi = attack.xi
-    none = {name: None for name in RATE_NAMES}
-    if protocol == "bb84":
-        if kind == "none":
-            return {**none, "q1": 0.0}
-        return {**none, "q1": 0.25 * xi, "q_be": 0.25 if xi > 0 else None}  # ir, the other one-way kind
-    if kind == "none":
-        return {**none, "q1": 0.0, "q_ab": 0.0}
-    guessed = xi > 0
-    if kind == "ir":
-        return {"q1": 0.25 * xi, "q_ab": 0.25 * xi,
-                "q_ae": 0.0 if guessed else None, "q_be": 0.25 if guessed else None}
-    if kind == "nort":
-        # p, pp: Eve's error reading the forward / backward probe
-        p = (1.0 - math.sin(attack.x)) / 2.0
-        pp = (1.0 - math.sin(attack.x_prime)) / 2.0
-        q_ae = p * (1.0 - pp) + (1.0 - p) * pp
-        return {"q1": xi * (1.0 - math.cos(attack.x)) / 4.0,
-                "q_ab": xi * (1.0 - math.cos(attack.x) * math.cos(attack.x_prime)) / 4.0,
-                "q_ae": q_ae if guessed else None,
-                "q_be": 0.25 + q_ae / 2.0 if guessed else None}
-    chi = attack.chi if kind == "dcnot_star" else 0.0
-    return {"q1": 0.25 * xi, "q_ab": chi * xi,
-            "q_ae": 0.0 if guessed else None, "q_be": 0.0 if guessed else None}
+    q1, q_ab, q_ae, q_be = make_strategy(attack).attacked_rates()
+    xi, two_way, guessed = attack.xi, protocol != "bb84", attack.xi > 0
+    return {"q1": xi * q1, "q_ab": xi * q_ab if two_way else None,
+            "q_ae": q_ae if two_way and guessed else None, "q_be": q_be if guessed else None}
 
 
 def _band_distance(errors: int, trials: int, prediction: float) -> float:
