@@ -13,7 +13,8 @@ line is read as the flag --key=value, with the same type and choice checks,
 and an explicit flag wins over the file.  --out is opened once the inputs
 are checked and before anything is printed, so a bad path exits 2 with
 nothing on stdout and a rejected input creates no file.  Exit codes: 0
-success or all-pass, 1 verification failure, 2 usage error.
+success or all-pass, 1 verification failure or a closed stdout, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from contextlib import contextmanager
 from functools import cache, partial
@@ -303,7 +305,13 @@ def main(argv=None) -> int:
             # file values go ahead of the command line's flags, so a flag wins
             at = argv.index(args.command) + 1
             args = parser.parse_args([*argv[:at], *_config_args(args.config, args.command), *argv[at:]])
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # so that a closed pipe's EPIPE is raised here, not at exit
+        return status
+    except BrokenPipeError:
+        # stdout's reader has gone: what is left to flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SystemExit as exc:
         return int(exc.code or 0)
     except (UsageError, ValueError) as exc:

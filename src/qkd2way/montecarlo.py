@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .attacks import NO_ATTACK, AttackParams, check_channel, make_strategy
-from .numerics import integer
+from .numerics import integer, real
 from .protocol import RATE_NAMES, ProtocolConfig, Tallies, enumerate_round
 
 ENGINE = "leaf-multinomial"
@@ -61,6 +61,7 @@ def wilson_interval(errors: int, trials: int, z: float = _CI_Z) -> tuple[float, 
     """Wilson score interval for a binomial proportion; always inside [0, 1]."""
     trials = integer("trials", trials, 1)
     errors = integer("errors", errors, 0, trials)
+    z = real("z", z, 0.0, lo_open=True)
     p = errors / trials
     z2n = z * z / trials
     denom = 1.0 + z2n

@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
-
 def stream(seed: int, *branch: int) -> np.random.Generator:
-    """Generator for (seed, branch...); identical inputs give identical streams."""
-    seq = np.random.SeedSequence(seed & _MASK64, spawn_key=tuple(b & _MASK64 for b in branch))
+    """Generator for (seed, branch...); identical inputs give identical streams, and
+    different non-negative ones different streams (a negative one is refused)."""
+    seq = np.random.SeedSequence(seed, spawn_key=branch)
     return np.random.Generator(np.random.Philox(seq))
 
 

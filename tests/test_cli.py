@@ -71,6 +71,14 @@ def test_simulate_rejects_more_rounds_than_a_draw_can_count(where, tmp_path, cap
     assert captured.err.startswith("error: rounds must lie in") and captured.out == ""
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_simulate_refuses_a_seed_outside_64_bits(seed, capsys):
+    assert _run(["simulate", "--seed", seed, "--rounds", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: seed must lie in [0, 18446744073709551615], got {seed}\n"
+    assert captured.out == ""
+
+
 def test_unknown_flag_is_usage_error():
     assert _run(["simulate", "--bogus", "1"]) == 2
 
@@ -344,6 +352,18 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "11.9" in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_closed_stdout_exits_1_without_a_traceback(fmt):
+    # ~2.7 MB of rows, far more than a pipe buffer holds, so the writes hit the closed pipe
+    proc = subprocess.Popen([sys.executable, "-m", "qkd2way", "curves", "--grid-step", "0.00001",
+                             "--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 @pytest.mark.parametrize("argv", [["gain", "--lstep", "nan"], ["gain", "--lmin", "nan"],

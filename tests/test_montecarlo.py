@@ -75,6 +75,13 @@ def test_wilson_interval_refuses_bad_counts_by_name(errors, trials, field):
         wilson_interval(errors, trials)
 
 
+@pytest.mark.parametrize("z", [math.nan, -1.96, math.inf, 0.0, True, "2"])
+def test_wilson_interval_refuses_a_bad_z_by_name(z):
+    # each of these used to give a zero-width interval, or a TypeError
+    with pytest.raises(ValueError, match="z must"):
+        wilson_interval(5, 10, z=z)
+
+
 @given(errors=st.integers(min_value=0, max_value=1000), extra=st.integers(min_value=0, max_value=1000))
 @settings(max_examples=200, deadline=None)
 def test_wilson_interval_stays_in_unit_range(errors, extra):

@@ -41,6 +41,18 @@ def test_config_refuses_non_integer_rounds_and_seed(field, value):
         ProtocolConfig(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, -2**64])
+def test_config_refuses_a_seed_outside_64_bits(seed):
+    # a seed used to be folded modulo 2**64, so 2**64 ran the rounds of seed 0
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 18446744073709551615\]"):
+        ProtocolConfig(seed=seed)
+
+
+def test_config_keeps_every_64_bit_seed():
+    assert ProtocolConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+    assert run(ProtocolConfig(rounds=50, seed=2**64 - 1)) != run(ProtocolConfig(rounds=50, seed=0))
+
+
 @pytest.mark.parametrize("field,value", [("control_prob", None), ("reveal_fraction", "0.1"),
                                          ("control_prob", False)])
 def test_config_refuses_non_numeric_probabilities(field, value):
