@@ -8,13 +8,12 @@ thresholds  security-threshold table (LM05 DR/RR and BB84 columns)
 gain        beam-splitting secure gain vs distance (both protocols)
 pns         PNS security-region margins vs distance, with the crossover
 
-Every flag can also be given in a key=value config file (--config): each
-line is read as the flag --key=value, with the same type and choice checks,
-and an explicit flag wins over the file.  --out is opened once the inputs
-are checked and before anything is printed, so a bad path exits 2 with
-nothing on stdout and a rejected input creates no file.  Exit codes: 0
-success or all-pass, 1 verification failure or a closed stdout, 2 usage
-error.
+Every flag can also be given in a key=value config file (--config): each line
+is read as the flag --key=value, with the same type and choice checks, and an
+explicit flag wins over the file.  --out is opened once the inputs are checked
+and before anything is printed, so a bad path exits 2 with nothing on stdout
+and a rejected input creates no file.  Exit codes: 0 success or all-pass, 1
+verification failure or a closed stdout, 2 usage error.
 """
 
 from __future__ import annotations
@@ -308,8 +307,7 @@ def main(argv=None) -> int:
         status = args.handler(args)
         sys.stdout.flush()  # so that a closed pipe's EPIPE is raised here, not at exit
         return status
-    except BrokenPipeError:
-        # stdout's reader has gone: what is left to flush at exit goes to devnull
+    except BrokenPipeError:  # stdout's reader has gone: what is left to flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except SystemExit as exc:

@@ -74,7 +74,6 @@ RATE_NAMES = ("q1", "q_ab", "q_ae", "q_be")
 
 _WEIGHT_ATOL = 1e-12
 _MAX_ROUNDS = 2**63 - 1  # numpy's multinomial draws counts as int64
-_MAX_SEED = 2**64 - 1  # streams are keyed by a 64-bit seed
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class ProtocolConfig:
         for name, lo_open in (("control_prob", False), ("reveal_fraction", True)):
             object.__setattr__(self, name, real(name, getattr(self, name), 0.0, 1.0, lo_open=lo_open))
         object.__setattr__(self, "rounds", integer("rounds", self.rounds, 1, _MAX_ROUNDS))
-        object.__setattr__(self, "seed", integer("seed", self.seed, 0, _MAX_SEED))
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0, 2**64 - 1))  # a 64-bit key
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,8 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 def stream(seed: int, *branch: int) -> np.random.Generator:
-    """Generator for (seed, branch...); identical inputs give identical streams, and
-    different non-negative ones different streams (a negative one is refused)."""
+    """Generator for (seed, branch...): one stream per non-negative input, refusing a negative one."""
     seq = np.random.SeedSequence(seed, spawn_key=branch)
     return np.random.Generator(np.random.Philox(seq))
 
