@@ -8,12 +8,12 @@ thresholds  security-threshold table (LM05 DR/RR and BB84 columns)
 gain        beam-splitting secure gain vs distance (both protocols)
 pns         PNS security-region margins vs distance, with the crossover
 
-Every flag can also be given in a key=value config file (--config): each line
-is read as the flag --key=value, with the same type and choice checks, and an
-explicit flag wins over the file.  --out is opened once the inputs are checked
-and before anything is printed, so a bad path exits 2 with nothing on stdout
-and a rejected input creates no file.  Exit codes: 0 success or all-pass, 1
-verification failure or a closed stdout, 2 usage error.
+Every flag can also be given in a key=value config file (--config): each
+line is read as the flag --key=value, with the same type and choice checks,
+and an explicit flag wins over the file.  --out is opened once the inputs
+are checked and before anything is printed, so a bad path exits 2 with
+nothing on stdout and a rejected input creates no file.  Exit codes: 0
+success or all-pass, 1 verification failure or closed stdout, 2 usage error.
 """
 
 from __future__ import annotations

@@ -81,9 +81,10 @@ def predicted_rates(protocol: str, attack: AttackParams) -> dict[str, Optional[f
     """
     check_channel(protocol, attack)
     q1, q_ab, q_ae, q_be = make_strategy(attack).attacked_rates()
-    xi, two_way, guessed = attack.xi, protocol != "bb84", attack.xi > 0
+    xi = attack.xi
+    two_way = protocol != "bb84"
     return {"q1": xi * q1, "q_ab": xi * q_ab if two_way else None,
-            "q_ae": q_ae if two_way and guessed else None, "q_be": q_be if guessed else None}
+            "q_ae": q_ae if two_way and xi > 0 else None, "q_be": q_be if xi > 0 else None}
 
 
 def _band_distance(errors: int, trials: int, prediction: float) -> float:

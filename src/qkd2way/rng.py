@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+
 def stream(seed: int, *branch: int) -> np.random.Generator:
     """Generator for (seed, branch...): one stream per non-negative input, refusing a negative one."""
     seq = np.random.SeedSequence(seed, spawn_key=branch)
