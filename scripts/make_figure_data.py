@@ -20,6 +20,18 @@ from qkd2way.cli import main as cli_main
 from qkd2way.infotheory import EVE_MODELS
 
 
+def figure_jobs(grid_step: float = 0.001, lmax: float = 50.0,
+                lstep: float = 0.25) -> list[tuple[str, list[str]]]:
+    """(file name, CLI arguments without --out) of each figure CSV, in the order they are written."""
+    lengths = ["--lmax", str(lmax), "--lstep", str(lstep)]
+    jobs = [(f"curve_{model}.csv",
+             ["curves", "--attack", model.replace("_", "-"), "--grid-step", str(grid_step)])
+            for model in EVE_MODELS]
+    return jobs + [("thresholds.csv", ["thresholds"]),
+                   ("secure_gain.csv", ["gain", *lengths]),
+                   ("pns_regions.csv", ["pns", *lengths])]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out-dir", type=Path, default=Path("figure_data"))
@@ -29,14 +41,7 @@ def main() -> int:
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    lengths = ["--lmax", str(args.lmax), "--lstep", str(args.lstep)]
-    jobs = [(f"curve_{model}.csv",
-             ["curves", "--attack", model.replace("_", "-"), "--grid-step", str(args.grid_step)])
-            for model in EVE_MODELS]
-    jobs += [("thresholds.csv", ["thresholds"]),
-             ("secure_gain.csv", ["gain", *lengths]),
-             ("pns_regions.csv", ["pns", *lengths])]
-    for name, argv in jobs:
+    for name, argv in figure_jobs(args.grid_step, args.lmax, args.lstep):
         path = args.out_dir / name
         status = cli_main([*argv, "--out", str(path)])
         if status:

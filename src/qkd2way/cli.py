@@ -10,7 +10,8 @@ pns         PNS security-region margins vs distance, with the crossover
 
 Every flag can also be given in a key=value config file (--config): each
 line is read as the flag --key=value, with the same type and choice checks,
-and an explicit flag wins over the file.  --out is opened once the inputs
+and an explicit flag wins over the file; a type, choice or range error that
+a line causes names its file and line.  --out is opened once the inputs
 are checked and before anything is printed, so a bad path exits 2 with
 nothing on stdout and a rejected input creates no file.  Exit codes: 0
 success or all-pass, 1 verification failure or closed stdout, 2 usage error.
@@ -76,10 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _RaisingParser(prog="qkd2way", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help_text, handler):
+    def add_command(name, help_text, prepare, handler):
         # no abbreviations: a config-file key must name its flag exactly
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.set_defaults(handler=handler)
+        p.set_defaults(prepare=prepare, handler=handler)
         return p
 
     def add_common(p, out_help="output file path (default stdout)"):
@@ -87,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=_out_path, help=out_help)
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
-    p = add_command("simulate", "run rounds under an attack and verify QBERs", _cmd_simulate)
+    p = add_command("simulate", "run rounds under an attack and verify QBERs", _run_simulation,
+                    _cmd_simulate)
     p.add_argument("--protocol", choices=PROTOCOLS, default="lm05")
     p.add_argument("--attack", choices=_SIM_ATTACKS, default="none")
     p.add_argument("--xi", type=float, default=1.0, help="attacked fraction in [0,1]")
@@ -100,19 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reveal", type=float, default=0.1, help="revealed EM fraction")
     add_common(p, _REPORT_OUT_HELP)
 
-    p = add_command("curves", "information curves vs q1", _cmd_curves)
+    p = add_command("curves", "information curves vs q1", _curve_rows, _cmd_curves)
     p.add_argument("--attack", choices=sorted(m.replace("_", "-") for m in EVE_MODELS), default="ir")
     p.add_argument("--model", type=_parse_model, default="identified")
     p.add_argument("--grid-step", dest="grid_step", type=float, default=0.001)
     add_common(p)
 
-    p = add_command("thresholds", "security threshold table", _cmd_thresholds)
+    p = add_command("thresholds", "security threshold table", _threshold_rows, _cmd_thresholds)
     p.add_argument("--model", type=_parse_model, default="identified")
     add_common(p, _REPORT_OUT_HELP)
 
     for name, help_text, objective in (("gain", "secure gain vs distance", "secure_gain"),
                                        ("pns", "PNS security regions vs distance", "pns_margin")):
-        p = add_command(name, help_text, partial(_scan_command, objective=objective))
+        p = add_command(name, help_text, partial(_scan_rows, objective=objective), _cmd_scan)
         p.add_argument("--lmin", type=float, default=0.0)
         p.add_argument("--lmax", type=float, default=50.0)
         p.add_argument("--lstep", type=float, default=0.25)
@@ -121,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_args(path: str, command: str) -> list[str]:
-    """The config file's key=value lines as --key=value arguments.
+def _config_args(path: str, command: str) -> list[tuple[str, str]]:
+    """The config file's key=value lines as (origin "path:lineno: line", --key=value argument).
 
     Each line is checked on its own as the command's only flag, so an error
     names the file and line it came from.
@@ -145,10 +147,33 @@ def _config_args(path: str, command: str) -> list[str]:
                     checker.parse_args([command, arg])
                 except UsageError as exc:
                     raise UsageError(f"{path}:{lineno}: {line}: {exc}") from None
-                args.append(arg)
+                args.append((f"{path}:{lineno}: {line}", arg))
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return args
+
+
+def _prepare_with_config(parser, head: list[str], lines: list[tuple[str, str]], tail: list[str]):
+    """(args, the command's prepared work), with the config lines' arguments between head and tail.
+
+    A ValueError from the command's own checks that leaving one line out
+    removes or changes is that line's, and names its origin as a type error does.
+    """
+    def prepare(skip=None):
+        args = parser.parse_args([*head, *(arg for i, (_, arg) in enumerate(lines) if i != skip), *tail])
+        return args, args.prepare(args)
+
+    try:
+        return prepare()
+    except ValueError as exc:
+        for i, (origin, _) in enumerate(lines):
+            try:
+                prepare(i)
+            except ValueError as without:
+                if str(without) == str(exc):
+                    continue  # the error stands without this line
+            raise UsageError(f"{origin}: {exc}") from None
+        raise
 
 
 @contextmanager
@@ -181,15 +206,10 @@ def write_rows(file, fmt: str, columns, rows) -> None:
     writer.writerows(rows)
 
 
-def _cmd_simulate(args) -> int:
+def _run_simulation(args):
     # the simulator (and numpy) load here, so the closed-form commands start without them
-    import json
-    from dataclasses import asdict, astuple
-
-    import numpy as np
-
     from .attacks import AttackParams
-    from .montecarlo import compare, failure_text, report_text, run_batch
+    from .montecarlo import run_batch
     from .protocol import ProtocolConfig
 
     attack = AttackParams(kind=args.attack.replace("-", "_"), xi=args.xi,
@@ -197,15 +217,26 @@ def _cmd_simulate(args) -> int:
     config = ProtocolConfig(protocol=args.protocol, control_prob=args.c,
                             rounds=args.rounds, seed=args.seed,
                             reveal_fraction=args.reveal)
-    # the run is where the protocol checks the attack, so it comes first;
-    # it takes milliseconds, and nothing is printed before --out is open
-    report = run_batch(config, attack)
+    # the run is where the protocol checks the attack, so it comes before --out
+    # is opened; it takes milliseconds
+    return run_batch(config, attack)
+
+
+def _cmd_simulate(args, report) -> int:
+    import json
+    from dataclasses import asdict, astuple
+
+    import numpy as np
+
+    from .montecarlo import compare, failure_text, report_text
+
+    config = report.config
     with _open_out(args.out) as fh:
         print(report_text(report))
         if args.out:
             if args.format == "jsonl":
                 meta = {"record": "meta", "protocol": config.protocol,
-                        "attack": asdict(attack), "rounds": report.rounds,
+                        "attack": asdict(report.attack), "rounds": report.rounds,
                         "seed": config.seed, "workers": report.workers,
                         "engine": report.engine, "leaves": report.leaves,
                         "elapsed_s": report.elapsed_s, "enumerate_s": report.enumerate_s,
@@ -220,8 +251,11 @@ def _cmd_simulate(args) -> int:
     return status
 
 
-def _cmd_curves(args) -> int:
-    points = curve_points(args.attack.replace("-", "_"), args.model, grid_step=args.grid_step)
+def _curve_rows(args) -> list:
+    return curve_points(args.attack.replace("-", "_"), args.model, grid_step=args.grid_step)
+
+
+def _cmd_curves(args, points) -> int:
     with _open_out(args.out) as fh:
         write_rows(fh, args.format, CURVE_COLUMNS, points)  # InfoPoint fields are these columns
     return 0
@@ -240,22 +274,28 @@ _NA_REASONS = {
 }
 
 
-def _cmd_thresholds(args) -> int:
+def _threshold_rows(args) -> tuple[list, list]:
+    """(the CSV rows, the text table's cells)."""
+    rows, table = [], [("attack", "LM05-DR (%)", "LM05-RR (%)", "BB84 (%)")]
+    for label, lm05_curve, bb84_curve in _TABLE_ROWS:
+        row, cells = [label], [label]
+        for column, curve, recon in (("dr", lm05_curve, "dr"), ("rr", lm05_curve, "rr"),
+                                     ("bb84", bb84_curve, "dr")):
+            reason = _NA_REASONS.get((label, column))
+            value = None if reason else threshold(curve, recon, args.model)
+            row.append(value)
+            if value is None:
+                cells.append(f"n/a ({reason})" if reason else "secure everywhere")
+            else:
+                cells.append(f"{100.0 * value:.1f}")
+        rows.append(row)
+        table.append(cells)
+    return rows, table
+
+
+def _cmd_thresholds(args, prepared) -> int:
+    rows, table = prepared
     with _open_out(args.out) as fh:
-        rows, table = [], [("attack", "LM05-DR (%)", "LM05-RR (%)", "BB84 (%)")]
-        for label, lm05_curve, bb84_curve in _TABLE_ROWS:
-            row, cells = [label], [label]
-            for column, curve, recon in (("dr", lm05_curve, "dr"), ("rr", lm05_curve, "rr"),
-                                         ("bb84", bb84_curve, "dr")):
-                reason = _NA_REASONS.get((label, column))
-                value = None if reason else threshold(curve, recon, args.model)
-                row.append(value)
-                if value is None:
-                    cells.append(f"n/a ({reason})" if reason else "secure everywhere")
-                else:
-                    cells.append(f"{100.0 * value:.1f}")
-            rows.append(row)
-            table.append(cells)
         widths = [max(len(row[i]) for row in table) + 2 for i in range(3)]
         for row in table:
             print("".join(cell.ljust(width) for cell, width in zip(row, widths)) + row[3])
@@ -269,29 +309,36 @@ def _distance_grid(args) -> list[float]:
     return grid(lmin, args.lstep, real("lmax", args.lmax, lmin) + 1e-9, "lstep")
 
 
-def _scan_command(args, objective: str) -> int:
+def _scan_rows(args, objective: str) -> tuple[list, str | None]:
+    """(the table's rows, the crossover line pns prints beside a table sent to --out)."""
     from .photonics import NoCrossover, crossover_distance, scan_distances  # only gain/pns load it
 
     lengths = _distance_grid(args)
+    footer, crossover = [], None
+    if objective == "pns_margin":
+        # the crossover is the table's last row, marked protocol=crossover; it
+        # is found before the scan, so a span it refuses costs no scan
+        try:
+            km = crossover_distance(l_lo=args.lmin, l_hi=max(args.lmax, args.lmin + 1e-9))
+        except NoCrossover:
+            km = None
+        text = "none in range" if km is None else f"{km:.2f} km"
+        footer.append((km, None, None, None, "crossover", text if km is None else objective))
+        crossover = f"pns crossover: {text}"
+    rows = []
+    for protocol in sorted(PROTOCOLS):  # BB84's rows first
+        for p in scan_distances(objective, protocol, lengths):
+            log10 = math.log10(p.value) if p.value > 0.0 else None
+            rows.append((p.length_km, p.mu_star, p.value, log10, p.protocol, p.objective))
+    return rows + footer, crossover
+
+
+def _cmd_scan(args, prepared) -> int:
+    rows, crossover = prepared
     with _open_out(args.out) as fh:
-        footer = []
-        if objective == "pns_margin":
-            # the crossover is the table's last row, marked protocol=crossover; it
-            # is found before the scan, so a span it refuses costs no scan
-            try:
-                km = crossover_distance(l_lo=args.lmin, l_hi=max(args.lmax, args.lmin + 1e-9))
-            except NoCrossover:
-                km = None
-            text = "none in range" if km is None else f"{km:.2f} km"
-            footer.append((km, None, None, None, "crossover", text if km is None else objective))
-            if args.out:  # without --out, stdout is the table alone
-                print(f"pns crossover: {text}")
-        rows = []
-        for protocol in sorted(PROTOCOLS):  # BB84's rows first
-            for p in scan_distances(objective, protocol, lengths):
-                log10 = math.log10(p.value) if p.value > 0.0 else None
-                rows.append((p.length_km, p.mu_star, p.value, log10, p.protocol, p.objective))
-        write_rows(fh, args.format, SCAN_COLUMNS, rows + footer)
+        if crossover and args.out:  # without --out, stdout is the table alone
+            print(crossover)
+        write_rows(fh, args.format, SCAN_COLUMNS, rows)
     return 0
 
 
@@ -300,11 +347,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.config is not None:
+        if args.config is None:
+            prepared = args.prepare(args)
+        else:
             # file values go ahead of the command line's flags, so a flag wins
             at = argv.index(args.command) + 1
-            args = parser.parse_args([*argv[:at], *_config_args(args.config, args.command), *argv[at:]])
-        status = args.handler(args)
+            args, prepared = _prepare_with_config(parser, argv[:at], _config_args(args.config, args.command),
+                                                  argv[at:])
+        status = args.handler(args, prepared)
         sys.stdout.flush()  # so that a closed pipe's EPIPE is raised here, not at exit
         return status
     except BrokenPipeError:  # stdout's reader has gone: what is left to flush goes to devnull

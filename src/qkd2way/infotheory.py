@@ -29,24 +29,21 @@ Eve curves (q1 domains in brackets):
 * ``bb84_ir``    [0, 1/4]: I = 2 q1 (half a bit at q1 = 1/4).
 * ``bb84_opt``   [0, 1/2]: optimal individual attack,
   I = 1 - H(1/2 + sqrt(q1 (1 - q1))); its threshold is (1 - 1/sqrt 2)/2.
+
+Each curve is one function in a table keyed by attack.  ``secrecy``,
+``curve_points`` and ``threshold``'s bisection go through one evaluator
+per (attack, noise model), which picks the curve once and checks each
+point against the attack's domain.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Callable
 
 from .numerics import bisect_first_zero, grid, real
 
-_DOMAIN_MAX = {
-    "ir": 0.25,
-    "nort": 0.25,
-    "dcnot_star": 0.25,
-    "generic": 0.5,
-    "bb84_ir": 0.25,
-    "bb84_opt": 0.5,
-}
-EVE_MODELS = tuple(_DOMAIN_MAX)
 _DOMAIN_EPS = 1e-12
 _CAPACITY_TOL = 1e-12
 _THRESHOLD_TOL = 1e-6  # bisection bracket width of a threshold
@@ -103,50 +100,55 @@ def generic_bound(q1: float, clamp: bool = True) -> float:
     return min(v, 1.0) if clamp else v
 
 
-def _domain_max(attack: str) -> float:
-    if attack not in EVE_MODELS:
+def _nort(q1: float) -> tuple[float, float]:
+    cos_x = 1.0 - 4.0 * q1
+    sin_x = math.sqrt(max(0.0, 1.0 - cos_x * cos_x))
+    return 1.0 - binary_entropy((1.0 - sin_x) / 2.0), 1.0 - binary_entropy((2.0 - sin_x) / 4.0)
+
+
+_IR_BE = 1.0 - binary_entropy(0.25)  # ir's I_BE per attacked round, where her key-bit error is 1/4
+# attack: (upper end of its q1 domain, q1 in that domain -> (I_AE, I_BE)); (i,) * 2 is I_AE = I_BE
+_CURVES = {
+    "ir": (0.25, lambda q1: (4.0 * q1, _IR_BE * (4.0 * q1))),
+    "nort": (0.25, _nort),
+    "dcnot_star": (0.25, lambda q1: (4.0 * q1,) * 2),
+    "generic": (0.5, lambda q1: (generic_bound(q1),) * 2),
+    "bb84_ir": (0.25, lambda q1: (2.0 * q1,) * 2),
+    "bb84_opt": (0.5, lambda q1: (1.0 - binary_entropy(0.5 + math.sqrt(q1 * (1.0 - q1))),) * 2),
+}
+EVE_MODELS = tuple(_CURVES)
+
+
+def _evaluator(attack: str, model: NoiseModel) -> tuple[float, Callable[[float], InfoPoint]]:
+    """(domain's upper end, q1 -> secrecy(q1, attack, model)), with the curve chosen once.
+
+    Each point is still checked against the domain, and its Q_AB against
+    binary_entropy's range.
+    """
+    if attack not in _CURVES:
         raise ValueError(f"unknown eve curve {attack!r}; expected one of {EVE_MODELS}")
-    return _DOMAIN_MAX[attack]
+    dmax, curve = _CURVES[attack]
+    q_ab = model.q_ab
 
+    def point(q1: float) -> InfoPoint:
+        if not -_DOMAIN_EPS <= q1 <= dmax + _DOMAIN_EPS:
+            raise ValueError(f"q1={q1!r} outside [0, {dmax}] for {attack}")
+        i_ae, i_be = curve(min(max(q1, 0.0), dmax))
+        i_ab = 1.0 - binary_entropy(q_ab(q1))
+        return InfoPoint(q1, i_ab, i_ae, i_be, i_ab - i_ae, i_ab - i_be)
 
-def _check_domain(attack: str, q1: float) -> float:
-    dmax = _domain_max(attack)
-    if not -_DOMAIN_EPS <= q1 <= dmax + _DOMAIN_EPS:
-        raise ValueError(f"q1={q1!r} outside [0, {dmax}] for {attack}")
-    return min(max(q1, 0.0), dmax)
+    return dmax, point
 
 
 def eve_curves(attack: str, q1: float) -> tuple[float, float]:
     """Eve's (I_AE, I_BE) in bits per sifted symbol at forward QBER q1."""
-    q1 = _check_domain(attack, q1)
-    if attack == "ir":
-        xi = 4.0 * q1
-        return xi, (1.0 - binary_entropy(0.25)) * xi
-    if attack == "nort":
-        cos_x = 1.0 - 4.0 * q1
-        sin_x = math.sqrt(max(0.0, 1.0 - cos_x * cos_x))
-        i_ae = 1.0 - binary_entropy((1.0 - sin_x) / 2.0)
-        i_be = 1.0 - binary_entropy((2.0 - sin_x) / 4.0)
-        return i_ae, i_be
-    if attack == "dcnot_star":
-        xi = 4.0 * q1
-        return xi, xi
-    if attack == "generic":
-        b = generic_bound(q1)
-        return b, b
-    if attack == "bb84_ir":
-        return 2.0 * q1, 2.0 * q1
-    # bb84_opt
-    i = 1.0 - binary_entropy(0.5 + math.sqrt(q1 * (1.0 - q1)))
-    return i, i
+    p = secrecy(q1, attack)
+    return p.i_ae, p.i_be
 
 
 def secrecy(q1: float, attack: str, model: NoiseModel = IDENTIFIED) -> InfoPoint:
     """Full information point at q1: I_AB from the noise model, capacities as differences."""
-    i_ae, i_be = eve_curves(attack, q1)
-    i_ab = 1.0 - binary_entropy(model.q_ab(q1))
-    return InfoPoint(q1=q1, i_ab=i_ab, i_ae=i_ae, i_be=i_be,
-                     c_dr=i_ab - i_ae, c_rr=i_ab - i_be)
+    return _evaluator(attack, model)[1](q1)
 
 
 def threshold(attack: str, reconciliation: str = "dr",
@@ -160,11 +162,11 @@ def threshold(attack: str, reconciliation: str = "dr",
     """
     if reconciliation not in ("dr", "rr"):
         raise ValueError("reconciliation must be 'dr' or 'rr'")
-    dmax = _domain_max(attack)
+    dmax, point = _evaluator(attack, model)
+    column = InfoPoint._fields.index(f"c_{reconciliation}")
 
     def capacity(q1: float) -> float:
-        p = secrecy(q1, attack, model)
-        return p.c_dr if reconciliation == "dr" else p.c_rr
+        return point(q1)[column]
 
     if capacity(0.0) <= 0.0:
         return 0.0
@@ -181,6 +183,5 @@ def generic_full_information_point() -> float:
 def curve_points(attack: str, model: NoiseModel = IDENTIFIED,
                  grid_step: float = 0.001) -> list[InfoPoint]:
     """Information curve sampled on a q1 grid over the attack's domain."""
-    dmax = _domain_max(attack)
-    return [secrecy(min(q1, dmax), attack, model)
-            for q1 in grid(0.0, grid_step, dmax + _DOMAIN_EPS, "grid_step")]
+    dmax, point = _evaluator(attack, model)
+    return [point(min(q1, dmax)) for q1 in grid(0.0, grid_step, dmax + _DOMAIN_EPS, "grid_step")]

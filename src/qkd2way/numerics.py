@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from itertools import count, takewhile
 
 MAX_GRID_POINTS = 1_000_000  # cap on the q1 and distance grids and on the steps of a scan
 MAX_ITER = 200  # iteration cap of the bisection and the golden-section search
@@ -57,7 +56,10 @@ def grid(start: float, step: float, stop: float, step_name: str = "step") -> lis
     if not (stop - start) / step < MAX_GRID_POINTS or start + step == start:
         raise ValueError(f"{step_name} {step!r} gives more than {MAX_GRID_POINTS} points "
                          f"from {start!r} to {stop!r}")
-    return list(takewhile(lambda v: v <= stop, (start + i * step for i in count())))
+    points = []
+    while (v := start + len(points) * step) <= stop:
+        points.append(v)
+    return points
 
 
 def bisect_first_zero(f: Callable[[float], float], lo: float, hi: float,

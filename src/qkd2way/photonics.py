@@ -26,7 +26,9 @@ Raw gains follow the link budget: G_raw = 1 - exp(-mu eta_d Gamma(L))
 with Gamma^BB84 = Gamma_QC Gamma_B and, because the LM05 channel is
 traversed twice and Alice's box twice, Gamma^LM05 = Gamma_QC^2 Gamma_B
 Gamma_A^2, where Gamma_QC(L) = 10^(-atten L).  The mean photon number is
-optimized per distance; a scan over distances checks its link once.
+optimized per distance.  A scan over distances checks its link and picks
+its objective and protocol once; each distance then works out its
+transmission and hands the golden-section search one function of mu.
 """
 
 from __future__ import annotations
@@ -72,10 +74,13 @@ def _check_protocol(protocol: str):
 
 
 def poisson_pmf(n: int, mu: float) -> float:
-    """Probability of n photons in one pulse of mean photon number mu."""
+    """Probability of n photons in one pulse of mean photon number mu.
+
+    Taken in logs, so that neither mu^n nor n! leaves the float range when their quotient does not.
+    """
     n = integer("photon count n", n, 0)
     mu = real("mu", mu, 0.0, lo_open=True)
-    return mu ** n * math.exp(-mu) / math.factorial(n)
+    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
 
 
 def bs_success_prob(r1: float, r2: float, mu: float) -> float:
@@ -106,56 +111,54 @@ def pns_multiphoton_prob(protocol: str, mu: float) -> float:
     return _PNS_PROB[protocol](real("mu", mu, 0.0, lo_open=True))
 
 
-def _mu_objective(objective: str, protocol: str, link: LinkBudget,
-                  length_km: float) -> Callable[[float], float]:
-    """The objective on a checked link at a checked distance, as a function of mu alone.
+def _mu_objective(objective: str, protocol: str,
+                  link: LinkBudget) -> Callable[[float], Callable[[float], float]]:
+    """length_km -> the objective on a checked link at that checked distance, as a function of mu.
 
-    Neither link.mu nor link.length_km is read.  The dispatch and the link
-    transmission are worked out once here, so the mu optimizer's
-    golden-section loop evaluates only the mu-dependent terms.
+    Neither link.mu nor link.length_km is read.  The objective, the protocol
+    and the link are resolved once here and each distance works out only its
+    transmission, so the function of mu is the one frame a golden-section
+    evaluation enters, with the raw gain 1 - exp(-mu eta_d Gamma) inline.
     """
     _check_protocol(protocol)
-    eta_d = link.eta_d
-    g_qc = 10.0 ** (-link.atten * length_km)
-    if protocol == "bb84":
-        t = g_qc * link.gamma_B
-    else:
-        t = g_qc * g_qc * link.gamma_B * link.gamma_A ** 2
+    expm1, eta_d, gamma_B, gamma_A, atten = math.expm1, link.eta_d, link.gamma_B, link.gamma_A, link.atten
 
-    def raw(mu: float) -> float:
-        return -math.expm1(-mu * eta_d * t)
+    def transmission(length_km: float) -> float:
+        g_qc = 10.0 ** (-atten * length_km)
+        return g_qc * gamma_B if protocol == "bb84" else g_qc * g_qc * gamma_B * gamma_A ** 2
 
-    if objective == "raw_gain":
-        return raw
-    if objective == "secure_gain":
-        leak = _BS_EVE_INFO[protocol]
-        return lambda mu: raw(mu) * (1.0 - leak(mu))
-    dangerous = _PNS_PROB[protocol]
-    return lambda mu: raw(mu) - dangerous(mu)
+    leak, dangerous = _BS_EVE_INFO[protocol], _PNS_PROB[protocol]
+    # objective: transmission t -> the objective as a function of mu at t
+    at_transmission = {
+        "raw_gain": lambda t: lambda mu: -expm1(-mu * eta_d * t),
+        "secure_gain": lambda t: lambda mu: -expm1(-mu * eta_d * t) * (1.0 - leak(mu)),
+        "pns_margin": lambda t: lambda mu: -expm1(-mu * eta_d * t) - dangerous(mu),
+    }[objective]
+    return lambda length_km: at_transmission(transmission(length_km))
 
 
 def raw_gain(protocol: str, budget: LinkBudget) -> float:
     """Detection probability per pulse: 1 - exp(-mu eta_d Gamma(L))."""
-    return _mu_objective("raw_gain", protocol, budget, budget.length_km)(budget.mu)
+    return _mu_objective("raw_gain", protocol, budget)(budget.length_km)(budget.mu)
 
 
 def secure_gain(protocol: str, budget: LinkBudget) -> float:
     """Raw gain times the fraction of the key not leaked through beam splitting."""
-    return _mu_objective("secure_gain", protocol, budget, budget.length_km)(budget.mu)
+    return _mu_objective("secure_gain", protocol, budget)(budget.length_km)(budget.mu)
 
 
 def pns_margin(protocol: str, budget: LinkBudget) -> float:
     """Security-region margin D = G_raw - P_PNS; positive means secure."""
-    return _mu_objective("pns_margin", protocol, budget, budget.length_km)(budget.mu)
+    return _mu_objective("pns_margin", protocol, budget)(budget.length_km)(budget.mu)
 
 
 def _mu_optimizer(objective: str, protocol: str, bracket: tuple[float, float] = MU_BRACKET,
                   **link) -> Callable[[float], tuple[float, float]]:
     """length_km -> (mu_star, value) on one link, for a scan of distances.
 
-    The objective, the bracket and the link are checked here, once; each
-    call checks only its distance.  Every point golden_max evaluates lies in
-    the bracket, so mu needs no check of its own.
+    The objective, the protocol, the bracket and the link are checked and
+    resolved here, once; each call checks only its distance.  Every point
+    golden_max evaluates lies in the bracket, so mu needs no check of its own.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
@@ -163,11 +166,10 @@ def _mu_optimizer(objective: str, protocol: str, bracket: tuple[float, float] = 
     lo = real("mu bracket low end", lo, 0.0)
     hi = real("mu bracket high end", hi, lo, lo_open=True)
     # mu and the length only pass their checks: the objective takes mu, and each call its length
-    link = LinkBudget(hi, 0.0, **link)
+    objective_at = _mu_objective(objective, protocol, LinkBudget(hi, 0.0, **link))
 
     def best(length_km: float) -> tuple[float, float]:
-        objective_at = _mu_objective(objective, protocol, link, real("length_km", length_km, 0.0))
-        return golden_max(objective_at, lo, hi, tol=_MU_TOL)
+        return golden_max(objective_at(real("length_km", length_km, 0.0)), lo, hi, tol=_MU_TOL)
 
     return best
 

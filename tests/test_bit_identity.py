@@ -23,6 +23,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 import enumeration_costs  # noqa: E402
+import figure_costs  # noqa: E402
 import make_figure_data  # noqa: E402
 
 from qkd2way.cli import main  # noqa: E402
@@ -88,3 +89,11 @@ def test_figure_csvs_are_bit_identical(tmp_path, monkeypatch):
                       for path in sorted(tmp_path.glob("*.csv")))
     assert len(listing.splitlines()) == 9
     assert hashlib.sha256(listing.encode()).hexdigest() == FIGURE_CSV_HASH
+
+
+def test_figure_costs_prints_the_figure_csv_hash_last(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["figure_costs.py", "--calls", "1"])
+    assert figure_costs.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12  # header, nine commands, the total, the hash
+    assert lines[-1] == f"figure-CSV hash {FIGURE_CSV_HASH}"

@@ -61,14 +61,14 @@ def test_simulate_rejects_two_way_attack_on_bb84(capsys):
 @pytest.mark.parametrize("where", ["flag", "config file"])
 def test_simulate_rejects_more_rounds_than_a_draw_can_count(where, tmp_path, capsys):
     # numpy's multinomial counts in int64; one past its range used to raise OverflowError (exit 1)
-    argv = ["simulate", "--rounds", "100000000000000000000"]
+    argv, origin = ["simulate", "--rounds", "100000000000000000000"], ""
     if where == "config file":
         cfg = tmp_path / "run.cfg"
         cfg.write_text("rounds = 100000000000000000000\n")
-        argv = ["simulate", "--config", str(cfg)]
+        argv, origin = ["simulate", "--config", str(cfg)], f"{cfg}:1: rounds = 100000000000000000000: "
     assert _run(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: rounds must lie in") and captured.out == ""
+    assert captured.err.startswith(f"error: {origin}rounds must lie in") and captured.out == ""
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
@@ -143,6 +143,38 @@ def test_config_file_errors_name_the_file_and_line(line, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {cfg}:2: {line}: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("simulate", "seed = -1", "seed must lie in [0, 18446744073709551615], got -1"),
+    ("simulate", "xi = 2", "xi must lie in [0, 1], got 2.0"),
+    ("gain", "lstep = 0", "lstep must lie in (0, inf), got 0.0"),
+])
+def test_config_file_range_errors_name_the_file_and_line(command, line, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"format = csv\n{line}\n")
+    out = tmp_path / "out.csv"
+    assert _run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}:2: {line}: {message}\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, flags", [("lmin = 60\nlmax = 61\n", []), ("lmin = 60\n", ["--lmax", "61"])],
+                         ids=["file", "file and flag"])
+def test_config_file_range_checks_see_the_other_values(text, flags, tmp_path, capsys):
+    # lmin = 60 is out of range only beside the default lmax of 50
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert _run(["gain", "--config", str(cfg), *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("60.0,")
+
+
+def test_a_range_error_on_the_command_line_names_no_config_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lmax = 10\n")
+    assert _run(["pns", "--config", str(cfg), "--lstep", "0"]) == 2
+    assert capsys.readouterr().err == "error: lstep must lie in (0, inf), got 0.0\n"
 
 
 # each command, then one of its inputs that is rejected only after parsing

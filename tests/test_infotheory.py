@@ -20,6 +20,7 @@ from qkd2way.infotheory import (
     threshold,
 )
 from qkd2way.cli import CURVE_COLUMNS
+from qkd2way.numerics import grid
 from qkd2way.cli import main as cli_main
 
 # exact binary-channel leak at a quarter error rate: 1 - H(1/4) = 0.75 log2(3) - 1
@@ -270,3 +271,11 @@ def test_unknown_curve_raises_value_error_listing_the_models(call):
     with pytest.raises(ValueError, match="expected one of") as info:
         call()
     assert all(name in str(info.value) for name in EVE_MODELS)
+
+
+@pytest.mark.parametrize("model", [IDENTIFIED, NoiseModel("fixed", 0.11)], ids=["identified", "fixed"])
+@pytest.mark.parametrize("attack", EVE_MODELS)
+def test_curve_points_equal_secrecy_on_their_grid_bit_for_bit(attack, model):
+    dmax = 0.5 if attack in ("generic", "bb84_opt") else 0.25
+    expected = [secrecy(min(q1, dmax), attack, model) for q1 in grid(0.0, 0.001, dmax + 1e-12)]
+    assert list(map(repr, curve_points(attack, model))) == list(map(repr, expected))

@@ -81,6 +81,18 @@ def test_poisson_pmf_values():
         poisson_pmf(2, 0.0)
 
 
+@pytest.mark.parametrize("n, mu", [(171, 1.0), (200, 10.0), (1000, 5.0)])
+def test_poisson_pmf_is_a_float_where_mu_to_the_n_or_n_factorial_overflows(n, mu):
+    # mu ** n / n! used to raise OverflowError here
+    assert isinstance(poisson_pmf(n, mu), float)
+
+
+def test_poisson_pmf_far_tail():
+    # 10^200 e^-10 / 200!, to 50 digits in exact decimal arithmetic
+    assert poisson_pmf(200, 10.0) == pytest.approx(5.7566064628485215924738e-180, rel=1e-9)
+    assert sum(poisson_pmf(n, 10.0) for n in range(400)) == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("n", [1.5, 2.0, True, "2"])
 def test_poisson_pmf_refuses_a_non_integer_photon_count(n):
     with pytest.raises(ValueError, match="photon count n must be an integer"):
@@ -242,6 +254,17 @@ def test_scan_equals_reference_exactly(objective, protocol):
     points = scan_distances(objective, protocol, lengths)
     assert [(p.mu_star, p.value) for p in points] == [
         _reference_optimize_mu(objective, protocol, length) for length in lengths]
+
+
+@pytest.mark.parametrize("length", [0.0, 7.25, 50.0])
+@pytest.mark.parametrize("protocol", ["bb84", "lm05"])
+@pytest.mark.parametrize("objective", ["secure_gain", "pns_margin"])
+def test_a_scan_point_equals_the_single_point_api_bit_for_bit(objective, protocol, length):
+    point = scan_distances(objective, protocol, [length])[0]
+    assert repr(point) == repr(GainPoint(protocol, objective, length, *optimize_mu(objective, protocol, length)))
+    value = {"secure_gain": secure_gain, "pns_margin": pns_margin}[objective](
+        protocol, LinkBudget(point.mu_star, length))
+    assert repr(value) == repr(point.value)
 
 
 def test_crossover_equals_reference_exactly(monkeypatch):
