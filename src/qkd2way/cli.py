@@ -11,8 +11,12 @@ pns         PNS security-region margins vs distance, with the crossover
 Every flag can also be given in a key=value config file (--config): each
 line is read as the flag --key=value, with the same type and choice checks,
 and an explicit flag wins over the file; a type, choice or range error that
-a line causes names its file and line.  --out is opened once the inputs
-are checked and before anything is printed, so a bad path exits 2 with
+a line causes names its file and line.
+
+Each command is one function from its arguments to an _Output, with no
+I/O; main alone writes it.  A report is printed, and the table goes to
+--out, or to stdout when there is no report.  --out is opened once the
+work is done and before anything is printed, so a bad path exits 2 with
 nothing on stdout and a rejected input creates no file.  Exit codes: 0
 success or all-pass, 1 verification failure or closed stdout, 2 usage error.
 """
@@ -24,6 +28,7 @@ import csv
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from functools import cache, partial
 
@@ -41,6 +46,10 @@ REPORT_COLUMNS = ("rate", "errors", "trials", "estimate", "lo95", "hi95", "predi
 _REPORT_OUT_HELP = "file for the CSV/JSONL table; without it only the text report is printed"
 # attacks.ATTACK_KINDS with "-" for "_"; cli must not import attacks, which loads numpy
 _SIM_ATTACKS = ("dcnot", "dcnot-star", "ir", "none", "nort")
+
+# a command's results: the text report (or None), the table's rows, the
+# stderr line of a failed verification, and the JSONL meta record
+_Output = namedtuple("_Output", "report rows failure meta", defaults=(None, None))
 
 
 class UsageError(Exception):
@@ -77,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _RaisingParser(prog="qkd2way", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help_text, prepare, handler):
+    def add_command(name, help_text, run, columns):
         # no abbreviations: a config-file key must name its flag exactly
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.set_defaults(prepare=prepare, handler=handler)
+        p.set_defaults(run=run, columns=columns)
         return p
 
     def add_common(p, out_help="output file path (default stdout)"):
@@ -88,8 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=_out_path, help=out_help)
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 
-    p = add_command("simulate", "run rounds under an attack and verify QBERs", _run_simulation,
-                    _cmd_simulate)
+    p = add_command("simulate", "run rounds under an attack and verify QBERs", _simulate, REPORT_COLUMNS)
     p.add_argument("--protocol", choices=PROTOCOLS, default="lm05")
     p.add_argument("--attack", choices=_SIM_ATTACKS, default="none")
     p.add_argument("--xi", type=float, default=1.0, help="attacked fraction in [0,1]")
@@ -102,19 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reveal", type=float, default=0.1, help="revealed EM fraction")
     add_common(p, _REPORT_OUT_HELP)
 
-    p = add_command("curves", "information curves vs q1", _curve_rows, _cmd_curves)
+    p = add_command("curves", "information curves vs q1", _curves, CURVE_COLUMNS)
     p.add_argument("--attack", choices=sorted(m.replace("_", "-") for m in EVE_MODELS), default="ir")
     p.add_argument("--model", type=_parse_model, default="identified")
     p.add_argument("--grid-step", dest="grid_step", type=float, default=0.001)
     add_common(p)
 
-    p = add_command("thresholds", "security threshold table", _threshold_rows, _cmd_thresholds)
+    p = add_command("thresholds", "security threshold table", _thresholds, THRESHOLD_COLUMNS)
     p.add_argument("--model", type=_parse_model, default="identified")
     add_common(p, _REPORT_OUT_HELP)
 
     for name, help_text, objective in (("gain", "secure gain vs distance", "secure_gain"),
                                        ("pns", "PNS security regions vs distance", "pns_margin")):
-        p = add_command(name, help_text, partial(_scan_rows, objective=objective), _cmd_scan)
+        p = add_command(name, help_text, partial(_scan, objective=objective), SCAN_COLUMNS)
         p.add_argument("--lmin", type=float, default=0.0)
         p.add_argument("--lmax", type=float, default=50.0)
         p.add_argument("--lstep", type=float, default=0.25)
@@ -148,20 +156,20 @@ def _config_args(path: str, command: str) -> list[tuple[str, str]]:
                 except UsageError as exc:
                     raise UsageError(f"{path}:{lineno}: {line}: {exc}") from None
                 args.append((f"{path}:{lineno}: {line}", arg))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return args
 
 
 def _prepare_with_config(parser, head: list[str], lines: list[tuple[str, str]], tail: list[str]):
-    """(args, the command's prepared work), with the config lines' arguments between head and tail.
+    """(args, the command's _Output), with the config lines' arguments between head and tail.
 
     A ValueError from the command's own checks that leaving one line out
     removes or changes is that line's, and names its origin as a type error does.
     """
     def prepare(skip=None):
         args = parser.parse_args([*head, *(arg for i, (_, arg) in enumerate(lines) if i != skip), *tail])
-        return args, args.prepare(args)
+        return args, args.run(args)
 
     try:
         return prepare()
@@ -189,15 +197,18 @@ def _open_out(path):
         yield fh
 
 
-def write_rows(file, fmt: str, columns, rows) -> None:
+def write_rows(file, fmt: str, columns, rows, meta=None) -> None:
     """One table: CSV (header, then one line per row) or one JSON object per row.
 
     csv.writer writes a float as its repr and None as an empty cell; JSONL
-    keys are the CSV columns, with None as null.
+    keys are the CSV columns, with None as null, after the meta record if
+    there is one.
     """
     if fmt == "jsonl":
         import json
 
+        if meta is not None:
+            file.write(json.dumps(meta) + "\n")
         for row in rows:
             file.write(json.dumps(dict(zip(columns, row))) + "\n")
         return
@@ -206,10 +217,14 @@ def write_rows(file, fmt: str, columns, rows) -> None:
     writer.writerows(rows)
 
 
-def _run_simulation(args):
+def _simulate(args) -> _Output:
     # the simulator (and numpy) load here, so the closed-form commands start without them
+    from dataclasses import asdict, astuple
+
+    import numpy as np
+
     from .attacks import AttackParams
-    from .montecarlo import run_batch
+    from .montecarlo import compare, failure_text, report_text, run_batch
     from .protocol import ProtocolConfig
 
     attack = AttackParams(kind=args.attack.replace("-", "_"), xi=args.xi,
@@ -217,48 +232,20 @@ def _run_simulation(args):
     config = ProtocolConfig(protocol=args.protocol, control_prob=args.c,
                             rounds=args.rounds, seed=args.seed,
                             reveal_fraction=args.reveal)
-    # the run is where the protocol checks the attack, so it comes before --out
-    # is opened; it takes milliseconds
-    return run_batch(config, attack)
+    report = run_batch(config, attack)
+    meta = {"record": "meta", "protocol": config.protocol, "attack": asdict(report.attack),
+            "rounds": report.rounds, "seed": config.seed, "workers": report.workers,
+            "engine": report.engine, "leaves": report.leaves, "elapsed_s": report.elapsed_s,
+            "enumerate_s": report.enumerate_s, "draw_s": report.draw_s, "gate_s": report.gate_s,
+            "rounds_per_s": report.rounds / report.elapsed_s, "qkd2way": __version__,
+            "numpy": np.__version__}
+    return _Output(report_text(report), map(astuple, report.rates),
+                   failure_text(report) if compare(report) else None, meta)
 
 
-def _cmd_simulate(args, report) -> int:
-    import json
-    from dataclasses import asdict, astuple
-
-    import numpy as np
-
-    from .montecarlo import compare, failure_text, report_text
-
-    config = report.config
-    with _open_out(args.out) as fh:
-        print(report_text(report))
-        if args.out:
-            if args.format == "jsonl":
-                meta = {"record": "meta", "protocol": config.protocol,
-                        "attack": asdict(report.attack), "rounds": report.rounds,
-                        "seed": config.seed, "workers": report.workers,
-                        "engine": report.engine, "leaves": report.leaves,
-                        "elapsed_s": report.elapsed_s, "enumerate_s": report.enumerate_s,
-                        "draw_s": report.draw_s, "gate_s": report.gate_s,
-                        "rounds_per_s": report.rounds / report.elapsed_s,
-                        "qkd2way": __version__, "numpy": np.__version__}
-                fh.write(json.dumps(meta) + "\n")
-            write_rows(fh, args.format, REPORT_COLUMNS, map(astuple, report.rates))
-    status = compare(report)
-    if status:
-        print(failure_text(report), file=sys.stderr)
-    return status
-
-
-def _curve_rows(args) -> list:
-    return curve_points(args.attack.replace("-", "_"), args.model, grid_step=args.grid_step)
-
-
-def _cmd_curves(args, points) -> int:
-    with _open_out(args.out) as fh:
-        write_rows(fh, args.format, CURVE_COLUMNS, points)  # InfoPoint fields are these columns
-    return 0
+def _curves(args) -> _Output:
+    # InfoPoint fields are CURVE_COLUMNS
+    return _Output(None, curve_points(args.attack.replace("-", "_"), args.model, grid_step=args.grid_step))
 
 
 _TABLE_ROWS = (
@@ -274,8 +261,8 @@ _NA_REASONS = {
 }
 
 
-def _threshold_rows(args) -> tuple[list, list]:
-    """(the CSV rows, the text table's cells)."""
+def _thresholds(args) -> _Output:
+    """The text table as the report, and the CSV rows."""
     rows, table = [], [("attack", "LM05-DR (%)", "LM05-RR (%)", "BB84 (%)")]
     for label, lm05_curve, bb84_curve in _TABLE_ROWS:
         row, cells = [label], [label]
@@ -290,18 +277,10 @@ def _threshold_rows(args) -> tuple[list, list]:
                 cells.append(f"{100.0 * value:.1f}")
         rows.append(row)
         table.append(cells)
-    return rows, table
-
-
-def _cmd_thresholds(args, prepared) -> int:
-    rows, table = prepared
-    with _open_out(args.out) as fh:
-        widths = [max(len(row[i]) for row in table) + 2 for i in range(3)]
-        for row in table:
-            print("".join(cell.ljust(width) for cell, width in zip(row, widths)) + row[3])
-        if args.out:
-            write_rows(fh, args.format, THRESHOLD_COLUMNS, rows)
-    return 0
+    widths = [max(len(row[i]) for row in table) + 2 for i in range(3)]
+    report = "\n".join("".join(cell.ljust(width) for cell, width in zip(row, widths)) + row[3]
+                       for row in table)
+    return _Output(report, rows)
 
 
 def _distance_grid(args) -> list[float]:
@@ -309,12 +288,12 @@ def _distance_grid(args) -> list[float]:
     return grid(lmin, args.lstep, real("lmax", args.lmax, lmin) + 1e-9, "lstep")
 
 
-def _scan_rows(args, objective: str) -> tuple[list, str | None]:
-    """(the table's rows, the crossover line pns prints beside a table sent to --out)."""
+def _scan(args, objective: str) -> _Output:
+    """The table, with pns's crossover line as the report when the table goes to --out."""
     from .photonics import NoCrossover, crossover_distance, scan_distances  # only gain/pns load it
 
     lengths = _distance_grid(args)
-    footer, crossover = [], None
+    footer, report = [], None
     if objective == "pns_margin":
         # the crossover is the table's last row, marked protocol=crossover; it
         # is found before the scan, so a span it refuses costs no scan
@@ -324,22 +303,14 @@ def _scan_rows(args, objective: str) -> tuple[list, str | None]:
             km = None
         text = "none in range" if km is None else f"{km:.2f} km"
         footer.append((km, None, None, None, "crossover", text if km is None else objective))
-        crossover = f"pns crossover: {text}"
+        if args.out:  # without --out, stdout is the table alone
+            report = f"pns crossover: {text}"
     rows = []
     for protocol in sorted(PROTOCOLS):  # BB84's rows first
         for p in scan_distances(objective, protocol, lengths):
             log10 = math.log10(p.value) if p.value > 0.0 else None
             rows.append((p.length_km, p.mu_star, p.value, log10, p.protocol, p.objective))
-    return rows + footer, crossover
-
-
-def _cmd_scan(args, prepared) -> int:
-    rows, crossover = prepared
-    with _open_out(args.out) as fh:
-        if crossover and args.out:  # without --out, stdout is the table alone
-            print(crossover)
-        write_rows(fh, args.format, SCAN_COLUMNS, rows)
-    return 0
+    return _Output(report, rows + footer)
 
 
 def main(argv=None) -> int:
@@ -348,15 +319,21 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config is None:
-            prepared = args.prepare(args)
+            out = args.run(args)
         else:
             # file values go ahead of the command line's flags, so a flag wins
             at = argv.index(args.command) + 1
-            args, prepared = _prepare_with_config(parser, argv[:at], _config_args(args.config, args.command),
-                                                  argv[at:])
-        status = args.handler(args, prepared)
+            args, out = _prepare_with_config(parser, argv[:at], _config_args(args.config, args.command),
+                                             argv[at:])
+        with _open_out(args.out) as fh:
+            if out.report is not None:
+                print(out.report)
+            if args.out or out.report is None:
+                write_rows(fh, args.format, args.columns, out.rows, out.meta)
+        if out.failure:
+            print(out.failure, file=sys.stderr)
         sys.stdout.flush()  # so that a closed pipe's EPIPE is raised here, not at exit
-        return status
+        return 1 if out.failure else 0
     except BrokenPipeError:  # stdout's reader has gone: what is left to flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

@@ -148,7 +148,7 @@ def eve_curves(attack: str, q1: float) -> tuple[float, float]:
 
 def secrecy(q1: float, attack: str, model: NoiseModel = IDENTIFIED) -> InfoPoint:
     """Full information point at q1: I_AB from the noise model, capacities as differences."""
-    return _evaluator(attack, model)[1](q1)
+    return _evaluator(attack, model)[1](real("q1", q1))
 
 
 def threshold(attack: str, reconciliation: str = "dr",

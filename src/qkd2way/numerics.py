@@ -22,7 +22,11 @@ def real(name: str, value, lo: float = -math.inf, hi: float = math.inf, *,
 
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {value!r}")
-        value = float(value)  # a np.float32 would make coin weights float32
+        try:
+            value = float(value)  # a np.float32 would make coin weights float32
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got {type(value).__name__} "
+                             "too large for a float") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if not (lo < value if lo_open else lo <= value) or value > hi:

@@ -128,6 +128,15 @@ def test_criterion_3_monte_carlo_vs_analytic(label, attack):
                rates["q_ae"].errors == 0 and rates["q_be"].errors == 0)
 
 
+def test_criterion_3_verify_attacks_script_passes_every_scenario(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    monkeypatch.setattr(sys, "argv", ["verify_attacks.py", "--rounds", "20000"])
+    import verify_attacks
+
+    assert verify_attacks.main() == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: all scenarios PASS"
+
+
 # --- criterion 4: noiseless determinism -----------------------------------
 
 def test_criterion_4_noiseless_determinism():

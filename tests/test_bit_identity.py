@@ -84,11 +84,8 @@ def test_help_texts_are_byte_identical(monkeypatch, capsys):
 def test_figure_csvs_are_bit_identical(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["make_figure_data.py", "--out-dir", str(tmp_path)])
     assert make_figure_data.main() == 0
-    # sha256sum's lines, in the C-locale order of the shell glob
-    listing = "".join(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
-                      for path in sorted(tmp_path.glob("*.csv")))
-    assert len(listing.splitlines()) == 9
-    assert hashlib.sha256(listing.encode()).hexdigest() == FIGURE_CSV_HASH
+    assert len(list(tmp_path.glob("*.csv"))) == 9
+    assert figure_costs.figure_hash(tmp_path) == FIGURE_CSV_HASH
 
 
 def test_figure_costs_prints_the_figure_csv_hash_last(monkeypatch, capsys):

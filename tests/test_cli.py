@@ -328,6 +328,14 @@ def test_config_file_read_errors_are_usage_errors(where, message, tmp_path, caps
     assert message in captured.err and captured.out == ""
 
 
+def test_a_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"rounds = 2000\nxi = \xff\n")
+    assert _run(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read config file {cfg}:") and captured.out == ""
+
+
 def test_gain_curves_bb84_dominates(tmp_path):
     out = tmp_path / "gain.csv"
     assert _run(["gain", "--lmin", "0", "--lmax", "20", "--lstep", "5",

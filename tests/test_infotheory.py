@@ -135,6 +135,15 @@ def test_curve_domain_validation():
         eve_curves("unknown", 0.1)
 
 
+@pytest.mark.parametrize("q1", [None, "0.1", True])
+def test_a_q1_that_is_not_a_number_is_refused_by_name(q1):
+    message = f"^q1 must be a real number, got {re.escape(repr(q1))}$"
+    with pytest.raises(ValueError, match=message):
+        secrecy(q1, "ir")
+    with pytest.raises(ValueError, match=message):
+        eve_curves("ir", q1)
+
+
 @given(q1=st.floats(min_value=0.0, max_value=0.25, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_information_values_stay_in_unit_interval(q1):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from qkd2way.attacks import AttackParams
 from qkd2way.numerics import MAX_GRID_POINTS, grid, integer, real
+from qkd2way.photonics import LinkBudget, crossover_distance
 
 
 @pytest.mark.parametrize("value", [0.5, 1, np.float32(0.5), np.float64(0.5), np.int64(1)])
@@ -27,6 +29,16 @@ def test_real_refuses_by_name(value, message):
     with pytest.raises(ValueError) as refused:
         real("p", value, 0.0, 1.0)
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: AttackParams(xi=10**400), "xi"),
+    (lambda: LinkBudget(10**400), "mu"),
+    (lambda: crossover_distance(l_hi=10**400), "l_hi"),
+], ids=["AttackParams", "LinkBudget", "crossover_distance"])
+def test_an_integer_too_large_for_a_float_is_refused_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got int too large for a float$"):
+        call()
 
 
 def test_real_bounds():
