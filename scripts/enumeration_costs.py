@@ -39,7 +39,7 @@ from verify_attacks import SCENARIOS
 from qkd2way import qsim, rng
 from qkd2way.attacks import ATTACK_KINDS, ONE_WAY_KINDS, AttackParams, make_strategy
 from qkd2way.montecarlo import predicted_rates
-from qkd2way.protocol import LeafTable, ProtocolConfig, _counters, enumerate_round, run_round
+from qkd2way.protocol import LeafTable, ProtocolConfig, _counters, _leaf, enumerate_round, run_round
 
 
 def label(protocol: str, attack: AttackParams) -> str:
@@ -87,7 +87,7 @@ def stepped_counters_digest() -> str:
     """16-hex sha256 prefix of the stepped rounds' tally counters: no record field is read."""
     h = hashlib.sha256()
     for record in stepped_rounds():
-        h.update(repr(_counters(record)).encode())
+        h.update(repr(_counters(_leaf(record))).encode())
     return h.hexdigest()[:16]
 
 

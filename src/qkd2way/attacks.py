@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from . import PROTOCOLS
 from .numerics import real
 from .qsim import (PROBE_ANGLES, Basis, ancilla_rotation, apply, attach_ancilla, cnot, hadamard, measure,
-                   random_basis, spin_flip)
+                   random_basis, read, spin_flip)
 from .rng import coin
 
 
@@ -163,7 +163,7 @@ class _NortStrategy(AttackStrategy):
     def finalize(self, align, state, rng):
         # Z is the minimum-error (Helstrom) readout of either probe pair, for every angle
         g, state = measure(state, 1, Basis.Z, rng)
-        r, state = measure(state, 2, Basis.Z, rng)
+        r = read(state, 2, Basis.Z, rng)
         # forward read = bit before Alice (in Eve's frame), backward read =
         # bit after; the XOR estimates the flip, which is also the key bit
         guess = g ^ r
@@ -191,7 +191,7 @@ class _DcnotStrategy(AttackStrategy):
         return flip, state
 
     def finalize(self, flip, state, rng):
-        bit, state = measure(state, 1, Basis.Z, rng)
+        bit = read(state, 1, Basis.Z, rng)
         # Eve knows her own injected flip, so her key-bit prediction folds it in
         return bit, bit ^ flip
 

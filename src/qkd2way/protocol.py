@@ -30,17 +30,23 @@ which draws no mode coin, and in LM05 on the mode coin; or else her
 operation, the backward pass and Bob's measurement), and the readout: on
 a round that carries a key bit (LM05's Encoding-Mode rounds, every BB84
 round), the reveal coin of an Encoding-Mode round and Eve's readout, then
-the :class:`RoundRecord`.  ``_stages`` builds the chain for both uses:
-:func:`run_round` runs it in order on one stream, so it is the one physics
-path, and :func:`enumerate_round` hands it to
-:func:`qkd2way.rng.enumerate_paths`.  No stage changes the value it was
-given, because its other paths read that value again; Eve's memory of the
-round is such a value too (see :mod:`qkd2way.attacks`).
+the round's leaf: the field values of its :class:`RoundRecord`.  A
+measurement whose collapsed state no later step reads (Alice's in an LM05
+Control-Mode round, Eve's last readout) is a :func:`qkd2way.qsim.read`,
+which draws the same coin and builds no state.  ``_stages`` builds the
+chain for both uses: :func:`run_round` runs it in order on one stream and
+builds the record from the leaf, so it is the one physics path, and
+:func:`enumerate_round` hands it to :func:`qkd2way.rng.enumerate_paths`.
+No stage changes the value it was given, because its other paths read
+that value again; Eve's memory of the round is such a value too (see
+:mod:`qkd2way.attacks`).
 
 Runs are sampled, not stepped: every round is an independent, identically
 distributed draw from one finite distribution, so :func:`enumerate_round`
 lists every coin path of the round and gets a leaf table of path
-probabilities, records and tally counters.  Each stage reruns once per
+probabilities, leaves and tally counters.  The records are built only
+when asked for (``LeafTable.records``), one per distinct leaf, so a batch,
+which reads the counters alone, builds none.  Each stage reruns once per
 coin path of its own, starting from its parent stage's result, so a coin
 prefix shared by many leaves runs once rather than once per leaf; the
 leaves come out in the order, and with the bit-identical weights, of the
@@ -58,7 +64,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cached_property, partial
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -67,7 +74,7 @@ from . import rng as _rng
 from . import PROTOCOLS
 from .attacks import NO_ATTACK, AttackParams, AttackStrategy, check_channel, make_strategy
 from .numerics import integer, real
-from .qsim import Basis, apply, measure, prepare, random_basis, spin_flip
+from .qsim import Basis, apply, measure, prepare, random_basis, read, spin_flip
 from .rng import coin
 
 RATE_NAMES = ("q1", "q_ab", "q_ae", "q_be")
@@ -117,6 +124,10 @@ class RoundRecord:
             raise ValueError("an Encoding-Mode round is measured in the sender's basis")
 
 
+_FIELDS = [f.name for f in fields(RoundRecord)]
+_leaf = attrgetter(*_FIELDS)  # a record's leaf: its field values, in field order
+
+
 @dataclass(frozen=True)
 class Tallies:
     """(errors, trials) counters for the four QBERs."""
@@ -150,10 +161,16 @@ def _forward_leg(strategy: AttackStrategy, rng):
     return basis, bit, memory, state
 
 
+def _keyed(config: ProtocolConfig, mode: str) -> bool:
+    """Whether a round carries a key bit: LM05's Encoding-Mode rounds, every BB84 round."""
+    return mode == "EM" or config.protocol == "bb84"
+
+
 def _alice(config: ProtocolConfig, strategy: AttackStrategy, leg, rng):
     """Stage 2, Alice's station: Control Mode (her measurement in a random basis), always in
     BB84 and on LM05's mode coin, or else her operation, the way back and Bob's measurement
-    in his basis.  Returns (the record's first six fields, Eve's memory, state)."""
+    in his basis.  Returns (the record's first six fields, Eve's memory, state); the state is
+    None after a round that carries no key bit, as no stage reads it again."""
     basis, bit, memory, state = leg
     if config.protocol == "bb84" or coin(rng, config.control_prob):
         mode, op, receiver_basis = "CM", None, random_basis(rng)
@@ -163,21 +180,22 @@ def _alice(config: ProtocolConfig, strategy: AttackStrategy, leg, rng):
             state = apply(state, spin_flip(0))
         if memory is not None:
             memory, state = strategy.backward(memory, state, rng)
-    outcome, state = measure(state, 0, receiver_basis, rng)
+    if _keyed(config, mode):
+        outcome, state = measure(state, 0, receiver_basis, rng)
+    else:
+        outcome, state = read(state, 0, receiver_basis, rng), None
     return (mode, basis, bit, receiver_basis, outcome, op), memory, state
 
 
-def _readout(config: ProtocolConfig, strategy: AttackStrategy, back, rng) -> RoundRecord:
+def _readout(config: ProtocolConfig, strategy: AttackStrategy, back, rng) -> tuple:
     """Stage 3: on a round that carries a key bit (LM05's EM rounds, every BB84 round), the
-    reveal coin of an EM round and Eve's readout; then the record."""
+    reveal coin of an EM round and Eve's readout; then the leaf, the record's field values."""
     ends, memory, state = back
-    encoded = ends[0] == "EM"
-    if not (encoded or config.protocol == "bb84"):
-        return RoundRecord(*ends, attacked=memory is not None)
-    revealed = encoded and coin(rng, config.reveal_fraction)
+    if not _keyed(config, ends[0]):
+        return (*ends, False, None, None, memory is not None)
+    revealed = ends[0] == "EM" and coin(rng, config.reveal_fraction)
     guess_a, guess_b = (None, None) if memory is None else strategy.finalize(memory, state, rng)
-    return RoundRecord(*ends, revealed=revealed, eve_alice_guess=guess_a,
-                       eve_bob_guess=guess_b, attacked=memory is not None)
+    return (*ends, revealed, guess_a, guess_b, memory is not None)
 
 
 def _stages(config: ProtocolConfig, strategy: AttackStrategy):
@@ -188,12 +206,13 @@ def _stages(config: ProtocolConfig, strategy: AttackStrategy):
 
 
 def run_round(config: ProtocolConfig, strategy: AttackStrategy, rng) -> RoundRecord:
-    """One round on one stream: each stage continues from the value of the one before."""
+    """One round on one stream: each stage continues from the value of the one before, and
+    the last one's leaf becomes the record."""
     first, *rest = _stages(config, strategy)
     value = first(rng)
     for stage in rest:
         value = stage(value, rng)
-    return value
+    return RoundRecord(*value)
 
 
 def run(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> list[RoundRecord]:
@@ -201,8 +220,8 @@ def run(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> list[RoundR
 
     The leaf counts are the draw ``run_batch`` makes for the same seed, so
     ``tally(run(c, a)) == run_batch(c, a).tallies``; a second stream of the
-    seed shuffles them into a uniformly random order.  Rounds that took the
-    same outcome path share one record object.
+    seed shuffles them into a uniformly random order.  Rounds with equal
+    records share one record object.
     """
     table = enumerate_round(config, attack)
     hits = table.draw(config.rounds, config.seed)
@@ -211,25 +230,26 @@ def run(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> list[RoundR
     return [records[i] for i in order.tolist()]
 
 
-def _counters(r: RoundRecord) -> tuple[int, ...]:
-    """The eight tally counters of one record: (errors, trials) per rate, in RATE_NAMES order.
+def _counters(leaf: tuple) -> tuple[int, ...]:
+    """The eight tally counters of one leaf: (errors, trials) per rate, in RATE_NAMES order.
 
     Mismatched bases never count.  ``flip``, the receiver's outcome XOR the sender's bit, is a
     q1 error in Control Mode and Bob's decoded operation, the key bit, in Encoding Mode.
     """
+    mode, sender_basis, sender_bit, receiver_basis, outcome, alice_op, revealed, guess_a, guess_b, _ = leaf
     q1 = ab = ae = be = (0, 0)
-    if r.receiver_basis is r.sender_basis:  # always so in Encoding Mode
-        flip = r.receiver_outcome ^ r.sender_bit
-        if r.mode == "CM":
-            q1, key = (flip, 1), r.sender_bit  # BB84's key bit
+    if receiver_basis is sender_basis:  # always so in Encoding Mode
+        flip = outcome ^ sender_bit
+        if mode == "CM":
+            q1, key = (flip, 1), sender_bit  # BB84's key bit
         else:
             key = flip
-            if r.revealed:
-                ab = (int(flip != r.alice_op), 1)
-            if r.eve_alice_guess is not None:
-                ae = (int(r.eve_alice_guess != r.alice_op), 1)
-        if r.eve_bob_guess is not None:
-            be = (int(r.eve_bob_guess != key), 1)
+            if revealed:
+                ab = (int(flip != alice_op), 1)
+            if guess_a is not None:
+                ae = (int(guess_a != alice_op), 1)
+        if guess_b is not None:
+            be = (int(guess_b != key), 1)
     return (*q1, *ab, *ae, *be)
 
 
@@ -248,22 +268,29 @@ def tally(records: Iterable[RoundRecord]) -> Tallies:
             hit[1] += 1
     totals = [0] * 2 * len(RATE_NAMES)
     for r, occurrences in seen.values():
-        for i, c in enumerate(_counters(r)):
+        for i, c in enumerate(_counters(_leaf(r))):
             totals[i] += occurrences * c
     return Tallies(*zip(totals[0::2], totals[1::2]))
 
 
 @dataclass(frozen=True)
 class LeafTable:
-    """Every outcome path of one round: probability, record and tally counters.
+    """Every outcome path of one round: probability, leaf and tally counters.
 
-    ``counts`` has one row per leaf holding the eight tally counters of its
-    record in (errors, trials) pairs, in RATE_NAMES order.
+    A leaf is the field values of its path's record, in field order.
+    ``counts`` has one row per leaf holding its eight tally counters in
+    (errors, trials) pairs, in RATE_NAMES order.
     """
 
     weights: np.ndarray
-    records: tuple[RoundRecord, ...]
+    leaves: tuple[tuple, ...]
     counts: np.ndarray
+
+    @cached_property
+    def records(self) -> tuple[RoundRecord, ...]:
+        """One record per leaf, built on first use; equal leaves share one record object."""
+        built = {leaf: RoundRecord(*leaf) for leaf in dict.fromkeys(self.leaves)}
+        return tuple(built[leaf] for leaf in self.leaves)
 
     def draw(self, rounds: int, seed: int) -> np.ndarray:
         """How often each leaf occurs in `rounds` i.i.d. rounds from `seed`."""
@@ -279,15 +306,12 @@ class LeafTable:
 def enumerate_round(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> LeafTable:
     """Exact outcome distribution of one round: its stages run once per coin path of their own."""
     strategy = make_strategy(attack)
-    weights, records = zip(*_rng.enumerate_paths(*_stages(config, strategy)))
+    weights, leaves = zip(*_rng.enumerate_paths(*_stages(config, strategy)))
     total = math.fsum(weights)
     if abs(total - 1.0) > _WEIGHT_ATOL:
         raise ValueError(f"leaf weights sum to {total!r}, not 1")
-    counts = np.array([_counters(r) for r in records], dtype=np.int64)
-    return LeafTable(np.array(weights), records, counts)
-
-
-_CSV_FIELDS = [f.name for f in fields(RoundRecord)]
+    counts = np.array([_counters(leaf) for leaf in leaves], dtype=np.int64)
+    return LeafTable(np.array(weights), leaves, counts)
 
 
 def _cell(value) -> str:
@@ -308,7 +332,7 @@ def write_round_log(records: Sequence[RoundRecord], file: io.TextIOBase) -> None
     """
     line = io.StringIO()
     writer = csv.writer(line, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
+    writer.writerow(_FIELDS)
     rows = [line.getvalue()]
     rendered = {}  # id(record) -> (record, row); holding the record keeps its id unique
     for r in records:
@@ -316,7 +340,7 @@ def write_round_log(records: Sequence[RoundRecord], file: io.TextIOBase) -> None
         if hit is None:
             line.seek(0)
             line.truncate()
-            writer.writerow([_cell(getattr(r, name)) for name in _CSV_FIELDS])
+            writer.writerow([_cell(value) for value in _leaf(r)])
             hit = rendered[id(r)] = (r, line.getvalue())
         rows.append(hit[1])
     file.write("".join(rows))

@@ -27,9 +27,10 @@ Conventions
 
 Kernel cache
 ------------
-:func:`apply`, :func:`attach_ancilla` and the Born-rule kernel behind
-:func:`measure` are pure, so each keeps its ``_STEPS`` (256) most recently
-used results in a ``functools.lru_cache``, as do the gate-matrix tables.
+:func:`apply`, :func:`attach_ancilla` and the Born-rule kernels behind
+:func:`measure` and :func:`read` are pure, so each keeps its ``_STEPS``
+(256) most recently used results in a ``functools.lru_cache``, as do the
+gate-matrix tables.
 States and gates hash and compare by identity, and a cache entry holds its
 key objects, so no id is reused while the entry lives and a hit is always
 the very input it was computed from.  So each gate factory caches the
@@ -42,7 +43,9 @@ cached for a gate stays its own.  Enumerating a round's outcome paths
 replays the same state through the same step again and again; those
 repeats are hits.  :func:`measure` draws its outcome with
 :func:`qkd2way.rng.coin` on every call, hit or miss, so streams see the
-same coins in the same order.
+same coins in the same order.  :func:`read` draws the same coin from the
+same Born probability but builds no collapsed state, which is the larger
+part of a measurement's cost; a round's last reading of a wire uses it.
 """
 
 from __future__ import annotations
@@ -233,23 +236,35 @@ def attach_ancilla(state: StateVector) -> StateVector:
     return _sv(amps, state.num_wires + 1)
 
 
-@lru_cache(maxsize=_STEPS)
-def _outcomes(state: StateVector, wire: int, x_basis: bool):
-    """(p0, collapse on 0, collapse on 1); an impossible outcome, never drawn, has None.
-
-    Keyed by a bool, not the Basis: an Enum hashes in Python, a bool in C.
-    """
+def _born(state: StateVector, wire: int, x_basis: bool) -> tuple[np.ndarray, float]:
+    """(the amplitudes in the measured basis, the Born probability p0 of outcome 0)."""
     _check_wires(state, (wire,))
-    n = state.num_wires
-    hadamard_full, *kept = _wire_table(n, wire)
+    hadamard_full, keep0, _ = _wire_table(state.num_wires, wire)
     amps = hadamard_full @ state.amps if x_basis else state.amps
-    zero = amps[kept[0]]
+    zero = amps[keep0]
     p0 = float(np.vdot(zero, zero).real)
     # an impossible outcome must never be drawn or enumerated, nor renormalised
     if p0 < BORN_SNAP:
         p0 = 0.0
     elif p0 > 1.0 - BORN_SNAP:
         p0 = 1.0
+    return amps, p0
+
+
+@lru_cache(maxsize=_STEPS)
+def _p0(state: StateVector, wire: int, x_basis: bool) -> float:
+    return _born(state, wire, x_basis)[1]
+
+
+@lru_cache(maxsize=_STEPS)
+def _outcomes(state: StateVector, wire: int, x_basis: bool):
+    """(p0, collapse on 0, collapse on 1); an impossible outcome, never drawn, has None.
+
+    Keyed by a bool, not the Basis: an Enum hashes in Python, a bool in C.
+    """
+    amps, p0 = _born(state, wire, x_basis)
+    n = state.num_wires
+    hadamard_full, *kept = _wire_table(n, wire)
     collapsed = []
     for keep, p in zip(kept, (p0, 1.0 - p0)):
         if p == 0.0:
@@ -272,3 +287,8 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
         return 0, zero
     return 1, one
 
+
+def read(state: StateVector, wire: int, basis: Basis, rng) -> int:
+    """The outcome :func:`measure` gives, drawn by the same coin, for a caller that keeps no
+    collapsed state: none is built."""
+    return 0 if coin(rng, _p0(state, wire, basis is Basis.X)) else 1

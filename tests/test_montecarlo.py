@@ -26,6 +26,7 @@ from qkd2way.montecarlo import (
 from qkd2way.protocol import (
     RATE_NAMES,
     ProtocolConfig,
+    RoundRecord,
     Tallies,
     enumerate_round,
     run,
@@ -230,6 +231,22 @@ def test_enumeration_flips_each_coin_prefix_once(monkeypatch):
     table = enumerate_round(ProtocolConfig(), AttackParams(kind="nort", x=math.pi / 4))
     assert len(table.records) == 188
     assert len(flips) <= 668
+
+
+def test_a_table_builds_its_records_on_first_read_one_per_distinct_leaf(monkeypatch):
+    # a batch reads the counters alone, so neither it nor the enumeration builds a record
+    def refuse(*fields):
+        raise AssertionError("a record was built")
+
+    monkeypatch.setattr("qkd2way.protocol.RoundRecord", refuse)
+    attack = AttackParams(kind="nort", x=math.pi / 4)
+    run_batch(ProtocolConfig(rounds=1000), attack)
+    table = enumerate_round(ProtocolConfig(), attack)
+    monkeypatch.undo()
+    records = table.records
+    assert records is table.records
+    assert records == tuple(RoundRecord(*leaf) for leaf in table.leaves)
+    assert len(records) == 188 and len({id(r) for r in records}) == len(set(table.leaves)) == 80
 
 
 _IDENTITY_SCENARIOS = EXACT_SCENARIOS + [("lm05", AttackParams(kind="nort", x=0.0, x_prime=0.0))]

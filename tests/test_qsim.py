@@ -18,6 +18,7 @@ from qkd2way.qsim import (
     hadamard,
     measure,
     prepare,
+    read,
     spin_flip,
 )
 from qkd2way.rng import Branching, stream
@@ -151,6 +152,8 @@ def test_apply_rejects_out_of_range_wire():
         apply(prepare(Basis.Z, 0), cnot(0, 1))
     with pytest.raises(ValueError):
         measure(prepare(Basis.Z, 0), 1, Basis.Z, stream(0))
+    with pytest.raises(ValueError):
+        read(prepare(Basis.Z, 0), 1, Basis.Z, stream(0))
 
 
 def test_attach_ancilla_caps_register_size():
@@ -286,9 +289,12 @@ def test_kernel_caches_never_confuse_recycled_ids():
         for basis in Basis:
             _, *collapsed = qsim._outcomes.__wrapped__(state, 0, basis is Basis.X)
             for outcome, path in enumerate([(), (False,)]):
-                got, post = measure(state, 0, basis, Branching(path))
+                branch, reading = Branching(path), Branching(path)
+                got, post = measure(state, 0, basis, branch)
                 assert got == outcome
                 assert np.array_equal(post.amps, collapsed[outcome].amps)
+                # read draws measure's coin from the same Born probability
+                assert read(state, 0, basis, reading) == outcome and reading.weight == branch.weight
         del state, pair
 
 
