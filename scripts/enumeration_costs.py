@@ -5,8 +5,10 @@ For every scenario of verify_attacks.py, prints the leaf count of
 ``protocol.enumerate_round``, the coins its enumeration flips, its
 first-call time (the call comes after ``cache_clear()`` on every qsim
 cache: the kernel caches and the gate factories' caches, so the call also
-builds its gates anew) and its repeat-call time (the same call again at
-once, with the caches kept, which is what a second call gains from them).
+builds its gates anew; and it starts from an empty leaf alphabet, so it
+also counts each of its leaf values anew) and its repeat-call time (the
+same call again at once, with the caches and the alphabet kept, which is
+what a second call gains from them).
 Each time is the minimum over --calls calls in each of --processes fresh
 processes, run one after another.  The last row sums the scenarios, which
 is one pass of the ``mc_verify`` benchmark workload.  The digest column is the
@@ -14,14 +16,16 @@ first 12 hex digits of a sha256 over the table's weights bytes, counts
 and records, taken once outside the timed calls: two trees that print the
 same digests build bit-identical leaf tables.  The physics column hashes
 the weights and counts alone, so it holds across a change of the record's
-fields.  The next two lines are the stepped-round digests, the first 16
-hex digits of a sha256 over 300 rounds stepped by ``protocol.run_round``
-per scenario and control probability: one over their records, one over
-their tally counters alone, which reads no field either.  Two trees that
-print them step bit-identical rounds.  The last line digests
-``montecarlo.predicted_rates`` over a fixed grid of every protocol, attack
-and knob (712 settings): two trees that print it predict bit-identical
-rates.
+fields.  The next line is the leaf alphabet's size after one pass from an
+empty alphabet, and the share of that pass's paths whose leaf value was
+already there when the path was counted.  The next two lines are the
+stepped-round digests, the first 16 hex digits of a sha256 over 300
+rounds stepped by ``protocol.run_round`` per scenario and control
+probability: one over their records, one over their tally counters alone,
+which reads no field either.  Two trees that print them step bit-identical
+rounds.  The last line digests ``montecarlo.predicted_rates`` over a fixed
+grid of every protocol, attack and knob (712 settings): two trees that
+print it predict bit-identical rates.
 
     python scripts/enumeration_costs.py --calls 15 --processes 3
 """
@@ -36,10 +40,12 @@ import time
 
 from verify_attacks import SCENARIOS
 
+from qkd2way import protocol as protocol_module
 from qkd2way import qsim, rng
 from qkd2way.attacks import ATTACK_KINDS, ONE_WAY_KINDS, AttackParams, make_strategy
 from qkd2way.montecarlo import predicted_rates
-from qkd2way.protocol import LeafTable, ProtocolConfig, _counters, _leaf, enumerate_round, run_round
+from qkd2way.protocol import (LeafTable, ProtocolConfig, _counters, _leaf, _LeafAlphabet, enumerate_round,
+                              run_round)
 
 
 def label(protocol: str, attack: AttackParams) -> str:
@@ -135,9 +141,18 @@ def count_coins(config: ProtocolConfig, attack: AttackParams) -> tuple[LeafTable
     return table, flips
 
 
+def alphabet_hits() -> tuple[int, int]:
+    """(leaf values in the alphabet after one pass from an empty one, paths of that pass).
+    Every path but each value's first finds its value already there."""
+    protocol_module._ALPHABET = _LeafAlphabet()
+    paths = sum(len(enumerate_round(ProtocolConfig(protocol=protocol), attack).leaves)
+                for protocol, attack in SCENARIOS)
+    return len(protocol_module._ALPHABET.rows), paths
+
+
 def call_seconds(calls: int) -> tuple[list[float], list[float]]:
-    """Per scenario, the fastest of `calls` first calls, each from emptied qsim caches,
-    and the fastest of the repeat calls made right after them."""
+    """Per scenario, the fastest of `calls` first calls, each from emptied qsim caches and
+    an empty leaf alphabet, and the fastest of the repeat calls made right after them."""
     caches = [f for f in vars(qsim).values() if hasattr(f, "cache_clear")]
     first = [math.inf] * len(SCENARIOS)
     repeat = [math.inf] * len(SCENARIOS)
@@ -146,6 +161,7 @@ def call_seconds(calls: int) -> tuple[list[float], list[float]]:
             config = ProtocolConfig(protocol=protocol)
             for cache in caches:
                 cache.cache_clear()
+            protocol_module._ALPHABET = _LeafAlphabet()
             for best in (first, repeat):
                 started = time.perf_counter()
                 enumerate_round(config, attack)
@@ -174,6 +190,7 @@ def main() -> int:
         first = [min(a, b) for a, b in zip(first, worker_first)]
         repeat = [min(a, b) for a, b in zip(repeat, worker_repeat)]
 
+    values, paths = alphabet_hits()
     rows = []
     for (protocol, attack), first_s, repeat_s in zip(SCENARIOS, first, repeat):
         table, coins = count_coins(ProtocolConfig(protocol=protocol), attack)
@@ -186,6 +203,8 @@ def main() -> int:
     for name, leaves, coins, first_s, repeat_s, table_digest, physics in rows:
         print(f"{name:<{width}} {leaves:>6} {coins:>6} {1e3 * first_s:>15.2f} {1e3 * repeat_s:>16.2f} "
               f"{table_digest:<12} {physics}")
+    print(f"leaf alphabet after one pass from empty: {values} values; {paths - values:,} of "
+          f"{paths:,} paths ({(paths - values) / paths:.0%}) found theirs already there")
     print(f"stepped-round digest {stepped_digest()}")
     print(f"stepped-counters digest {stepped_counters_digest()}")
     print(f"predictions digest {predictions_digest()}")

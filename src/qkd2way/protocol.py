@@ -44,9 +44,13 @@ that value again; Eve's memory of the round is such a value too (see
 Runs are sampled, not stepped: every round is an independent, identically
 distributed draw from one finite distribution, so :func:`enumerate_round`
 lists every coin path of the round and gets a leaf table of path
-probabilities, leaves and tally counters.  The records are built only
-when asked for (``LeafTable.records``), one per distinct leaf, so a batch,
-which reads the counters alone, builds none.  Each stage reruns once per
+probabilities, leaves and tally counters.  A leaf's counters depend on its
+value alone, and values repeat across paths and settings (a pass of the
+ten verification settings has 1,184 paths and 152 values), so the process
+keeps one leaf alphabet that counts each value once and a table gathers
+its counter rows from it.  The records are built only when asked for
+(``LeafTable.records``), one per distinct leaf, so a batch, which reads
+the counters alone, builds none.  Each stage reruns once per
 coin path of its own, starting from its parent stage's result, so a coin
 prefix shared by many leaves runs once rather than once per leaf; the
 leaves come out in the order, and with the bit-identical weights, of the
@@ -273,13 +277,46 @@ def tally(records: Iterable[RoundRecord]) -> Tallies:
     return Tallies(*zip(totals[0::2], totals[1::2]))
 
 
+class _LeafAlphabet:
+    """Every leaf value met so far, each with one row of its eight tally counters.
+
+    A row is :func:`_counters` of its leaf, a pure function of the value,
+    so a row never goes stale and no result depends on which tables were
+    built before.  The values are bounded by the record's value set.  The
+    package starts no threads; a threaded caller would need a lock here.
+    """
+
+    def __init__(self):
+        self.rows: dict[tuple, int] = {}  # leaf value -> row index
+        self.counters = np.empty((0, 2 * len(RATE_NAMES)), dtype=np.int64)
+
+    def counts(self, leaves: Sequence[tuple]) -> np.ndarray:
+        """The counter rows of `leaves`, in their order; a new value gets its row here."""
+        rows = self.rows
+        try:
+            index = list(map(rows.__getitem__, leaves))
+        except KeyError:
+            new = [leaf for leaf in dict.fromkeys(leaves) if leaf not in rows]
+            for leaf in new:
+                rows[leaf] = len(rows)
+            # one rebuild per call, however many values are new
+            self.counters = np.concatenate(
+                [self.counters, np.array([_counters(leaf) for leaf in new], dtype=np.int64)])
+            index = list(map(rows.__getitem__, leaves))
+        return self.counters[index]
+
+
+_ALPHABET = _LeafAlphabet()  # one per process, fed by enumerate_round alone
+
+
 @dataclass(frozen=True)
 class LeafTable:
     """Every outcome path of one round: probability, leaf and tally counters.
 
     A leaf is the field values of its path's record, in field order.
     ``counts`` has one row per leaf holding its eight tally counters in
-    (errors, trials) pairs, in RATE_NAMES order.
+    (errors, trials) pairs, in RATE_NAMES order: the row :func:`_counters`
+    gives the leaf, gathered from the process's leaf alphabet.
     """
 
     weights: np.ndarray
@@ -304,14 +341,17 @@ class LeafTable:
 
 
 def enumerate_round(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> LeafTable:
-    """Exact outcome distribution of one round: its stages run once per coin path of their own."""
+    """Exact outcome distribution of one round: its stages run once per coin path of their own.
+
+    A leaf value repeats across paths and settings, so its counters come
+    from the process's leaf alphabet, which counts each value once.
+    """
     strategy = make_strategy(attack)
     weights, leaves = zip(*_rng.enumerate_paths(*_stages(config, strategy)))
     total = math.fsum(weights)
     if abs(total - 1.0) > _WEIGHT_ATOL:
         raise ValueError(f"leaf weights sum to {total!r}, not 1")
-    counts = np.array([_counters(leaf) for leaf in leaves], dtype=np.int64)
-    return LeafTable(np.array(weights), leaves, counts)
+    return LeafTable(np.array(weights), leaves, _ALPHABET.counts(leaves))
 
 
 def _cell(value) -> str:

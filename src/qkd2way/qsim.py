@@ -75,6 +75,10 @@ class Basis(Enum):
     Z = "Z"
     X = "X"
 
+    # the members are singletons compared by identity, so an identity hash
+    # agrees with equality, and a tuple holding a Basis hashes in C
+    __hash__ = object.__hash__
+
 
 def random_basis(rng) -> Basis:
     """Z or X with probability 1/2 each, from one coin."""
@@ -236,11 +240,11 @@ def attach_ancilla(state: StateVector) -> StateVector:
     return _sv(amps, state.num_wires + 1)
 
 
-def _born(state: StateVector, wire: int, x_basis: bool) -> tuple[np.ndarray, float]:
+def _born(state: StateVector, wire: int, basis: Basis) -> tuple[np.ndarray, float]:
     """(the amplitudes in the measured basis, the Born probability p0 of outcome 0)."""
     _check_wires(state, (wire,))
     hadamard_full, keep0, _ = _wire_table(state.num_wires, wire)
-    amps = hadamard_full @ state.amps if x_basis else state.amps
+    amps = hadamard_full @ state.amps if basis is Basis.X else state.amps
     zero = amps[keep0]
     p0 = float(np.vdot(zero, zero).real)
     # an impossible outcome must never be drawn or enumerated, nor renormalised
@@ -252,17 +256,14 @@ def _born(state: StateVector, wire: int, x_basis: bool) -> tuple[np.ndarray, flo
 
 
 @lru_cache(maxsize=_STEPS)
-def _p0(state: StateVector, wire: int, x_basis: bool) -> float:
-    return _born(state, wire, x_basis)[1]
+def _p0(state: StateVector, wire: int, basis: Basis) -> float:
+    return _born(state, wire, basis)[1]
 
 
 @lru_cache(maxsize=_STEPS)
-def _outcomes(state: StateVector, wire: int, x_basis: bool):
-    """(p0, collapse on 0, collapse on 1); an impossible outcome, never drawn, has None.
-
-    Keyed by a bool, not the Basis: an Enum hashes in Python, a bool in C.
-    """
-    amps, p0 = _born(state, wire, x_basis)
+def _outcomes(state: StateVector, wire: int, basis: Basis):
+    """(p0, collapse on 0, collapse on 1); an impossible outcome, never drawn, has None."""
+    amps, p0 = _born(state, wire, basis)
     n = state.num_wires
     hadamard_full, *kept = _wire_table(n, wire)
     collapsed = []
@@ -272,7 +273,7 @@ def _outcomes(state: StateVector, wire: int, x_basis: bool):
             continue
         post = np.zeros(amps.shape[0], dtype=complex)
         post[keep] = amps[keep] / math.sqrt(p)
-        collapsed.append(_sv(hadamard_full @ post if x_basis else post, n))
+        collapsed.append(_sv(hadamard_full @ post if basis is Basis.X else post, n))
     return p0, *collapsed
 
 
@@ -282,7 +283,7 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
     Outcomes follow the Born rule; the returned state is the normalized
     post-measurement collapse (other wires keep their correlations).
     """
-    p0, zero, one = _outcomes(state, wire, basis is Basis.X)
+    p0, zero, one = _outcomes(state, wire, basis)
     if coin(rng, p0):
         return 0, zero
     return 1, one
@@ -291,4 +292,4 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
 def read(state: StateVector, wire: int, basis: Basis, rng) -> int:
     """The outcome :func:`measure` gives, drawn by the same coin, for a caller that keeps no
     collapsed state: none is built."""
-    return 0 if coin(rng, _p0(state, wire, basis is Basis.X)) else 1
+    return 0 if coin(rng, _p0(state, wire, basis)) else 1

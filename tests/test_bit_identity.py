@@ -18,6 +18,7 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -26,8 +27,9 @@ import enumeration_costs  # noqa: E402
 import figure_costs  # noqa: E402
 import make_figure_data  # noqa: E402
 
+from qkd2way import protocol as protocol_module  # noqa: E402
 from qkd2way.cli import main  # noqa: E402
-from qkd2way.protocol import ProtocolConfig, enumerate_round  # noqa: E402
+from qkd2way.protocol import ProtocolConfig, _counters, _LeafAlphabet, enumerate_round  # noqa: E402
 
 LEAF_DIGESTS = ("b6700ba02040 4cef76007c57 861a2f0e6e2e b792d6b7a27e 28c066eb601d "
                 "0df18d2b975c 402e069d4adf 01385f4cbdbe 9a515f853c88 3388eab1a98d").split()
@@ -40,11 +42,36 @@ HELP_DIGEST = "51ddb652dfd53cfe"
 FIGURE_CSV_HASH = "2814f982da1494528a2f91e3acbd953cd35a52717772f2e2b9c09f53dbb77fea"
 
 
+@pytest.mark.parametrize("history", ["empty alphabet", "after the others"])
 @pytest.mark.parametrize("scenario,expected", zip(enumeration_costs.SCENARIOS, LEAF_DIGESTS),
                          ids=[enumeration_costs.label(p, a) for p, a in enumeration_costs.SCENARIOS])
-def test_leaf_table_is_bit_identical(scenario, expected):
+def test_leaf_table_is_bit_identical(monkeypatch, scenario, expected, history):
+    # the same table whether the leaf alphabet knows none of its values or
+    # every other scenario's; a fresh alphabet leaves the shared one alone
+    monkeypatch.setattr(protocol_module, "_ALPHABET", _LeafAlphabet())
+    if history == "after the others":
+        for other in enumeration_costs.SCENARIOS:
+            if other != scenario:
+                enumerate_round(ProtocolConfig(protocol=other[0]), other[1])
     protocol, attack = scenario
     assert enumeration_costs.digest(enumerate_round(ProtocolConfig(protocol=protocol), attack)) == expected
+
+
+@pytest.mark.parametrize("control_prob", [0.25, 0.6])
+def test_leaf_alphabet_counts_each_leaf_value_once_by_the_direct_rule(monkeypatch, control_prob):
+    alphabet = _LeafAlphabet()
+    monkeypatch.setattr(protocol_module, "_ALPHABET", alphabet)
+    met = set()
+    for protocol, attack in enumeration_costs.SCENARIOS:
+        table = enumerate_round(ProtocolConfig(protocol=protocol, control_prob=control_prob), attack)
+        # the direct rule, leaf by leaf, is the reference
+        assert np.array_equal(table.counts, np.array([_counters(leaf) for leaf in table.leaves],
+                                                     dtype=np.int64))
+        met.update(table.leaves)
+    assert len(alphabet.rows) == len(met) == alphabet.counters.shape[0]
+    assert sorted(alphabet.rows.values()) == list(range(len(met)))
+    for leaf, row in alphabet.rows.items():
+        assert alphabet.counters[row].tolist() == list(_counters(leaf))
 
 
 @pytest.mark.parametrize("scenario,expected", zip(enumeration_costs.SCENARIOS, PHYSICS_DIGESTS),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -123,6 +124,17 @@ def test_prepare_protocol_states():
     assert np.allclose(prepare(Basis.Z, 1).amps, [0.0, 1.0])
     assert np.allclose(prepare(Basis.X, 0).amps, [SQ2, SQ2])
     assert np.allclose(prepare(Basis.X, 1).amps, [SQ2, -SQ2])
+
+
+def test_basis_members_hash_by_identity_and_survive_pickling():
+    # qsim's kernel caches and the leaf alphabet key on bases and on tuples holding them
+    for basis in Basis:
+        same = Basis(basis.value)
+        assert same is basis and hash(same) == hash(basis) == object.__hash__(basis)
+        assert {basis: 1}[same] == 1 and same in {basis}
+        assert pickle.loads(pickle.dumps(basis)) is basis
+    assert hash(("CM", Basis.Z, 0)) == hash(("CM", Basis("Z"), 0))
+    assert len({Basis.Z, Basis.X, Basis("Z"), Basis("X")}) == 2
 
 
 def test_spin_flip_maps_protocol_states_to_orthogonal():
@@ -287,7 +299,7 @@ def test_kernel_caches_never_confuse_recycled_ids():
         assert np.array_equal(pair.amps, attach_ancilla.__wrapped__(state).amps)
         assert np.array_equal(apply(pair, gate).amps, apply.__wrapped__(pair, gate).amps)
         for basis in Basis:
-            _, *collapsed = qsim._outcomes.__wrapped__(state, 0, basis is Basis.X)
+            _, *collapsed = qsim._outcomes.__wrapped__(state, 0, basis)
             for outcome, path in enumerate([(), (False,)]):
                 branch, reading = Branching(path), Branching(path)
                 got, post = measure(state, 0, basis, branch)
