@@ -3,7 +3,9 @@
 
 For each command below (and a bare ``python -c pass`` for reference) it
 runs ``python -m qkd2way ...`` RUNS times after one untimed warm-up, each
-run between two bare ``python -c "import numpy"`` runs, and prints the
+run between two bare ``python -c "import numpy"`` runs, checks that each
+run ends with the exit code its row expects (2 for the config-file range
+error, 0 for the rest), and prints the
 median wall time and the median ratio of a run to the mean of the two
 numpy runs beside it.  Process start-up speed drifts with the machine by
 tens of percent between runs; the ratio stays steady.  The processes are
@@ -24,6 +26,7 @@ cumulative import times of the TOP costliest.  Without cached bytecode
 import argparse
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,32 +36,37 @@ from perfbench.run import _numpy_start, _python  # noqa: E402
 RUNS = 12  # timed runs per command
 TOP = 8    # modules listed per command with --importtime
 
+CONFIG = "{config}"  # stands for a config file holding CONFIG_TEXT
+CONFIG_TEXT = "lstep = 0.002\nlmin = -1\n"  # line 2 is out of range, and is named as such
+
 COMMANDS = (
-    ("python -c pass", ["-c", "pass"]),
-    ("thresholds", ["-m", "qkd2way", "thresholds"]),
-    ("curves", ["-m", "qkd2way", "curves"]),
-    ("gain --lstep 5", ["-m", "qkd2way", "gain", "--lstep", "5"]),
-    ("pns --lstep 5", ["-m", "qkd2way", "pns", "--lstep", "5"]),
-    ("simulate --rounds 1000", ["-m", "qkd2way", "simulate", "--rounds", "1000"]),
+    # label, python arguments, the exit code every run must end with
+    ("python -c pass", ["-c", "pass"], 0),
+    ("thresholds", ["-m", "qkd2way", "thresholds"], 0),
+    ("curves", ["-m", "qkd2way", "curves"], 0),
+    ("gain --lstep 5", ["-m", "qkd2way", "gain", "--lstep", "5"], 0),
+    ("pns --lstep 5", ["-m", "qkd2way", "pns", "--lstep", "5"], 0),
+    ("simulate --rounds 1000", ["-m", "qkd2way", "simulate", "--rounds", "1000"], 0),
+    ("gain --config (lmin = -1)", ["-m", "qkd2way", "gain", "--config", CONFIG], 2),
 )
 
 
-def python(args: list[str]) -> tuple[float, str]:
-    """(wall seconds, stderr) of one fresh interpreter; raises if it fails."""
+def python(args: list[str], code: int) -> tuple[float, str]:
+    """(wall seconds, stderr) of one fresh interpreter; raises unless it exits with code."""
     started = time.perf_counter()
     proc = _python(*args)
     seconds = time.perf_counter() - started
-    if proc.returncode != 0:
-        raise RuntimeError(f"python {' '.join(args)} exited {proc.returncode}: {proc.stderr}")
+    if proc.returncode != code:
+        raise RuntimeError(f"python {' '.join(args)} exited {proc.returncode}, not {code}: {proc.stderr}")
     return seconds, proc.stderr
 
 
-def start_times(args: list[str]) -> tuple[list[float], list[float]]:
+def start_times(args: list[str], code: int) -> tuple[list[float], list[float]]:
     """(seconds, ratio to the numpy starts on either side) of each timed run."""
     seconds, ratios = [], []
     before = _numpy_start()
     for i in range(RUNS + 1):
-        run = python(args)[0]
+        run = python(args, code)[0]
         after = _numpy_start()
         if i > 0:  # the first run only warms the file cache
             seconds.append(run)
@@ -87,11 +95,11 @@ def qkd2way_imports(stderr: str) -> dict[str, tuple[float, float]]:
     return {}
 
 
-def import_rows(args: list[str]) -> list[tuple[str, float, float]]:
+def import_rows(args: list[str], code: int) -> list[tuple[str, float, float]]:
     """The TOP qkd2way-side modules by median self time over RUNS importtime runs."""
     samples: dict[str, list[tuple[float, float]]] = {}
     for _ in range(RUNS):
-        for name, times in qkd2way_imports(python(["-X", "importtime", *args])[1]).items():
+        for name, times in qkd2way_imports(python(["-X", "importtime", *args], code)[1]).items():
             samples.setdefault(name, []).append(times)
     rows = [(name, statistics.median(s for s, _ in times), statistics.median(c for _, c in times))
             for name, times in samples.items()]
@@ -104,18 +112,23 @@ def main() -> int:
                         help="also list the costliest imports of each command")
     args = parser.parse_args()
 
-    width = max(len(label) for label, _ in COMMANDS)
-    print(f"{'command':<{width}} {'median (ms)':>11} {'vs numpy':>8}")
-    for label, argv in COMMANDS:
-        seconds, ratios = start_times(argv)
-        print(f"{label:<{width}} {1e3 * statistics.median(seconds):>11.1f} "
-              f"{statistics.median(ratios):>8.3f}")
-    if args.importtime:
-        for label, argv in COMMANDS[1:]:
-            print(f"\n{label}: median import times from the first qkd2way import on")
-            print(f"  {'self (ms)':>9} {'cumulative (ms)':>15}  module")
-            for name, self_s, cumulative_s in import_rows(argv):
-                print(f"  {1e3 * self_s:>9.2f} {1e3 * cumulative_s:>15.2f}  {name}")
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "lmin.cfg"
+        config.write_text(CONFIG_TEXT)
+        commands = [(label, [str(config) if a == CONFIG else a for a in argv], code)
+                    for label, argv, code in COMMANDS]
+        width = max(len(label) for label, _, _ in commands)
+        print(f"{'command':<{width}} {'median (ms)':>11} {'vs numpy':>8}")
+        for label, argv, code in commands:
+            seconds, ratios = start_times(argv, code)
+            print(f"{label:<{width}} {1e3 * statistics.median(seconds):>11.1f} "
+                  f"{statistics.median(ratios):>8.3f}")
+        if args.importtime:
+            for label, argv, code in commands[1:]:
+                print(f"\n{label}: median import times from the first qkd2way import on")
+                print(f"  {'self (ms)':>9} {'cumulative (ms)':>15}  module")
+                for name, self_s, cumulative_s in import_rows(argv, code):
+                    print(f"  {1e3 * self_s:>9.2f} {1e3 * cumulative_s:>15.2f}  {name}")
     return 0
 
 

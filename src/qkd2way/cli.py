@@ -10,21 +10,25 @@ pns         PNS security-region margins vs distance, with the crossover
 
 Every flag can also be given in a key=value config file (--config): each
 line is read as the flag --key=value, with the same type and choice checks,
-and an explicit flag wins over the file; a type, choice or range error that
-a line causes names its file and line.
+and an explicit flag wins over the file; an error that leaving one line out
+removes or changes names that line's file and number.
 
 Each command is one function from its arguments to an _Output, with no
-I/O; main alone writes it.  A report is printed, and the table goes to
---out, or to stdout when there is no report.  --out is opened once the
-work is done and before anything is printed, so a bad path exits 2 with
-nothing on stdout and a rejected input creates no file.  Exit codes: 0
-success or all-pass, 1 verification failure or closed stdout, 2 usage error.
+I/O; main alone writes it.  The table goes to --out, or to stdout when
+there is no report, and then the report is printed.  --out is opened once
+the command has returned with every input checked, and before anything is
+printed, so a bad path exits 2 with nothing on stdout and a rejected input
+creates no file; gain and pns return before their scans, which run as
+their rows are written.  Exit codes: 0 success or all-pass, 1 verification
+failure, closed stdout or failed write (one "error: cannot write ..."
+line), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -37,6 +41,7 @@ from .infotheory import EVE_MODELS, IDENTIFIED, NoiseModel, curve_points, thresh
 from .numerics import grid, real
 
 DEFAULT_SEED = 20050920
+CONFIG_MAX_BYTES = 1 << 20  # a config file's size limit: a larger one is refused, read no further
 
 CURVE_COLUMNS = ("q1", "I_AB", "I_AE", "I_BE", "C_DR", "C_RR")
 THRESHOLD_COLUMNS = ("attack", "lm05_dr", "lm05_rr", "bb84")
@@ -131,53 +136,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_args(path: str, command: str) -> list[tuple[str, str]]:
-    """The config file's key=value lines as (origin "path:lineno: line", --key=value argument).
-
-    Each line is checked on its own as the command's only flag, so an error
-    names the file and line it came from.
-    """
-    checker = build_parser()
-    args = []
+def _config_args(path: str) -> list[tuple[str, str]]:
+    """The config file's key=value lines as (origin "path:lineno: line", --key=value argument)."""
     try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key == "config":
-                    raise UsageError(f"{path}:{lineno}: a config file cannot name another")
-                arg = f"--{key.replace('_', '-')}={value}"
-                try:
-                    checker.parse_args([command, arg])
-                except UsageError as exc:
-                    raise UsageError(f"{path}:{lineno}: {line}: {exc}") from None
-                args.append((f"{path}:{lineno}: {line}", arg))
+        with open(path, "rb") as fh:
+            data = fh.read(CONFIG_MAX_BYTES + 1)  # so a file with no end ends the read
+        if len(data) > CONFIG_MAX_BYTES:
+            raise UsageError(f"cannot read config file {path}: larger than {CONFIG_MAX_BYTES} bytes")
+        text = io.StringIO(data.decode(), newline=None)  # lines split as a text-mode file's are
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    args = []
+    for lineno, raw in enumerate(text, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "config":
+            raise UsageError(f"{path}:{lineno}: a config file cannot name another")
+        args.append((f"{path}:{lineno}: {line}", f"--{key.replace('_', '-')}={value}"))
     return args
 
 
 def _prepare_with_config(parser, head: list[str], lines: list[tuple[str, str]], tail: list[str]):
     """(args, the command's _Output), with the config lines' arguments between head and tail.
 
-    A ValueError from the command's own checks that leaving one line out
-    removes or changes is that line's, and names its origin as a type error does.
+    An error that leaving one line out removes or changes is that line's and
+    names its origin: a parse error (UsageError) is retried by parsing alone,
+    a check error (ValueError) by parsing and running the command.
     """
+    def parse(skip=None):
+        return parser.parse_args([*head, *(arg for i, (_, arg) in enumerate(lines) if i != skip), *tail])
+
     def prepare(skip=None):
-        args = parser.parse_args([*head, *(arg for i, (_, arg) in enumerate(lines) if i != skip), *tail])
+        args = parse(skip)
         return args, args.run(args)
 
     try:
         return prepare()
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
+        retry = parse if isinstance(exc, UsageError) else prepare
         for i, (origin, _) in enumerate(lines):
             try:
-                prepare(i)
-            except ValueError as without:
+                retry(i)
+            except (UsageError, ValueError) as without:
                 if str(without) == str(exc):
                     continue  # the error stands without this line
             raise UsageError(f"{origin}: {exc}") from None
@@ -305,17 +309,21 @@ def _scan(args, objective: str) -> _Output:
         footer.append((km, None, None, None, "crossover", text if km is None else objective))
         if args.out:  # without --out, stdout is the table alone
             report = f"pns crossover: {text}"
-    rows = []
-    for protocol in sorted(PROTOCOLS):  # BB84's rows first
-        for p in scan_distances(objective, protocol, lengths):
-            log10 = math.log10(p.value) if p.value > 0.0 else None
-            rows.append((p.length_km, p.mu_star, p.value, log10, p.protocol, p.objective))
-    return _Output(report, rows + footer)
+
+    def rows():  # the scan runs as main writes its rows
+        for protocol in sorted(PROTOCOLS):  # BB84's rows first
+            for p in scan_distances(objective, protocol, lengths):
+                log10 = math.log10(p.value) if p.value > 0.0 else None
+                yield p.length_km, p.mu_star, p.value, log10, p.protocol, p.objective
+        yield from footer
+
+    return _Output(report, rows())
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    writing = None  # the stream that a failed write names, once the command has returned
     try:
         args = parser.parse_args(argv)
         if args.config is None:
@@ -323,19 +331,27 @@ def main(argv=None) -> int:
         else:
             # file values go ahead of the command line's flags, so a flag wins
             at = argv.index(args.command) + 1
-            args, out = _prepare_with_config(parser, argv[:at], _config_args(args.config, args.command),
-                                             argv[at:])
+            args, out = _prepare_with_config(parser, argv[:at], _config_args(args.config), argv[at:])
+        writing = f"--out {args.out}" if args.out else "stdout"
         with _open_out(args.out) as fh:
-            if out.report is not None:
-                print(out.report)
             if args.out or out.report is None:
                 write_rows(fh, args.format, args.columns, out.rows, out.meta)
+        writing = "stdout"
+        if out.report is not None:
+            print(out.report)
         if out.failure:
             print(out.failure, file=sys.stderr)
         sys.stdout.flush()  # so that a closed pipe's EPIPE is raised here, not at exit
         return 1 if out.failure else 0
     except BrokenPipeError:  # stdout's reader has gone: what is left to flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:  # a write that failed otherwise, such as on a full disk
+        if writing is None:
+            raise
+        print(f"error: cannot write {writing}: {exc.strerror}", file=sys.stderr)
+        if writing == "stdout":  # so that nothing is flushed, and fails again, at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except SystemExit as exc:
         return int(exc.code or 0)

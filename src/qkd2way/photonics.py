@@ -49,6 +49,8 @@ DEFAULT_ATTEN = 0.02     # fiber attenuation, decades per km
 MU_BRACKET = (1e-5, 2.0)
 _MU_TOL = 1e-7  # bracket width at which the golden-section search over mu stops
 _CROSSOVER_TOL_KM = 0.01  # bracket width at which the crossover bisection stops
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = math.log(_SQRT_2PI)
 
 
 class LinkBudget(namedtuple("LinkBudget", "mu length_km eta_d gamma_B gamma_A atten")):
@@ -73,14 +75,44 @@ def _check_protocol(protocol: str):
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
 
 
+def _stirlerr(n: float) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n), the error of Stirling's formula, for n >= 1."""
+    if n <= 15.0:  # terms this small cancel with an error of 1e-14 at most
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """x log(x/m) + m - x, the deviance of x from m, summed as a series where x is near m."""
+    d = x - m
+    half_sum = 0.5 * x + 0.5 * m  # (x + m) / 2 without overflow
+    if abs(d) >= 0.2 * half_sum:
+        return x * (math.log(x) - math.log(m)) + m - x
+    v = 0.5 * d / half_sum  # d / (x + m), below 0.1 in size
+    total, term = d * v, 2.0 * v * x
+    for j in range(3, 21, 2):  # + 2x (v^3/3 + v^5/5 + ...): the ninth term is below 1e-17 of the sum
+        term *= v * v
+        total += term / j
+    return total
+
+
 def poisson_pmf(n: int, mu: float) -> float:
     """Probability of n photons in one pulse of mean photon number mu.
 
-    Taken in logs, so that neither mu^n nor n! leaves the float range when their quotient does not.
+    In Loader's saddle-point form, exp(-stirlerr(n) - bd0(n, mu)) / sqrt(2 pi n),
+    which cancels no large terms, so it keeps its accuracy where n log mu and
+    log n! are huge and nearly equal.
     """
     n = integer("photon count n", n, 0)
     mu = real("mu", mu, 0.0, lo_open=True)
-    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+    if n == 0:
+        return math.exp(-mu)
+    try:
+        x = float(n)
+    except OverflowError:  # so far past every float mu that the probability underflows
+        return 0.0
+    return math.exp(-_stirlerr(x) - _bd0(x, mu)) / (_SQRT_2PI * math.sqrt(x))
 
 
 def bs_success_prob(r1: float, r2: float, mu: float) -> float:

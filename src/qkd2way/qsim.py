@@ -65,7 +65,9 @@ NORM_ATOL = 1e-9
 BORN_SNAP = 1e-12  # Born probabilities this close to 0 or 1 are rounding noise
 PROBE_ANGLES = (-1e-12, math.pi / 2 + 1e-12)  # [0, pi/2], with 1e-12 of slack against rounding
 # entries per kernel cache: one round's enumeration meets at most 104 distinct
-# steps per kernel (nort's measurements), and 256 keeps each cache small
+# steps per kernel (nort's measurements), and 256 keeps each cache small.  One
+# pass over the ten perfbench mc_verify scenarios reads 312 distinct _p0 keys,
+# more than 256, so that cache evicts each before the next pass reads it again
 _STEPS = 256
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)

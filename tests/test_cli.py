@@ -14,9 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qkd2way import montecarlo
+from qkd2way import cli, montecarlo, photonics
 from qkd2way.attacks import AttackParams
-from qkd2way.cli import REPORT_COLUMNS, SCAN_COLUMNS, build_parser, main
+from qkd2way.cli import CONFIG_MAX_BYTES, REPORT_COLUMNS, SCAN_COLUMNS, build_parser, main
 from qkd2way.montecarlo import RateReport, gate_miss, predicted_rates, run_batch, wilson_interval
 from qkd2way.protocol import ProtocolConfig
 
@@ -175,6 +175,48 @@ def test_a_range_error_on_the_command_line_names_no_config_line(tmp_path, capsys
     cfg.write_text("lmax = 10\n")
     assert _run(["pns", "--config", str(cfg), "--lstep", "0"]) == 2
     assert capsys.readouterr().err == "error: lstep must lie in (0, inf), got 0.0\n"
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; returns the list of calls."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
+def test_a_config_range_error_never_starts_the_scan(tmp_path, monkeypatch, capsys):
+    # naming the line runs the command without each line; the scan waits for its rows to be written
+    scans = _counted(monkeypatch, photonics, "scan_distances")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("lstep = 0.002\nlmin = -1\n")
+    assert _run(["gain", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: lmin = -1: lmin must lie in [0, inf), got -1.0\n"
+    assert scans == []
+
+
+def test_a_config_parse_error_never_runs_the_command(tmp_path, monkeypatch, capsys):
+    # a parse error is named by parsing without each line, so the 10^6-point grid is never built
+    curves = _counted(monkeypatch, cli, "curve_points")
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("grid_step = 5e-7\nattack = bogus\n")
+    assert _run(["curves", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:2: attack = bogus: argument --attack: invalid choice")
+    assert curves == []
+
+
+@pytest.mark.parametrize("size", [CONFIG_MAX_BYTES, CONFIG_MAX_BYTES + 1])
+def test_config_file_size_is_bounded(size, tmp_path, capsys):
+    # a file of comment bytes: read to its end at the bound, refused past it
+    cfg = tmp_path / "big.cfg"
+    cfg.write_bytes(b"#" * (size - 1) + b"\n")
+    status = _run(["thresholds", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    if size > CONFIG_MAX_BYTES:
+        assert status == 2 and captured.out == ""
+        assert captured.err == f"error: cannot read config file {cfg}: larger than {CONFIG_MAX_BYTES} bytes\n"
+    else:
+        assert status == 0 and captured.err == "" and "IR" in captured.out
 
 
 # each command, then one of its inputs that is rejected only after parsing
@@ -404,6 +446,28 @@ def test_closed_stdout_exits_1_without_a_traceback(fmt):
     assert proc.wait(timeout=120) == 1
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+_NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@_NO_DEV_FULL
+def test_a_failed_out_write_is_one_error_line(capsys):
+    assert _run(["thresholds", "--out", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot write --out /dev/full: No space left on device\n"
+    assert captured.out == ""
+
+
+@_NO_DEV_FULL
+@pytest.mark.parametrize("argv", [["curves"], ["thresholds"], ["gain", "--lstep", "5", "--format", "jsonl"]])
+def test_a_failed_stdout_write_is_one_error_line(argv):
+    # curves fails mid-table, thresholds at main's flush; nothing more is printed at exit
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qkd2way", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
 
 
 @pytest.mark.parametrize("argv", [["gain", "--lstep", "nan"], ["gain", "--lmin", "nan"],

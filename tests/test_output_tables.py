@@ -88,6 +88,8 @@ CASES = {
     "curves-nort": (["curves", "--attack", "nort"], _curve_table),
     "thresholds": (["thresholds"], _threshold_table),
     "gain": (["gain"], lambda: _scan_table("secure_gain", 0.0, 50.0, 0.25)),
+    "gain-span": (["gain", "--lmin", "10", "--lmax", "30", "--lstep", "1"],
+                  lambda: _scan_table("secure_gain", 10.0, 30.0, 1.0)),
     "pns-crossover": (["pns"], lambda: _scan_table("pns_margin", 0.0, 50.0, 0.25)),
     "pns-no-crossover": (["pns", "--lmin", "10", "--lmax", "30", "--lstep", "1"],
                          lambda: _scan_table("pns_margin", 10.0, 30.0, 1.0)),
@@ -103,6 +105,15 @@ def test_cli_table_matches_reference_rendering(case, tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == reference()
+
+
+@pytest.mark.parametrize("case", ["gain", "gain-span", "pns-crossover", "pns-no-crossover"])
+def test_scan_stdout_is_the_reference_table(case, capsys):
+    # without --out the streamed scan's table is stdout, byte for byte
+    argv, reference = CASES[case]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == reference() and captured.err == ""
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkd2way import photonics
 from qkd2way.numerics import golden_max
@@ -91,6 +93,29 @@ def test_poisson_pmf_far_tail():
     # 10^200 e^-10 / 200!, to 50 digits in exact decimal arithmetic
     assert poisson_pmf(200, 10.0) == pytest.approx(5.7566064628485215924738e-180, rel=1e-9)
     assert sum(poisson_pmf(n, 10.0) for n in range(400)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [10**12, 10**15])
+def test_poisson_pmf_at_its_mean_keeps_its_accuracy_for_huge_counts(n):
+    # n log mu and log n! cancel here: the log form was 0.4% low at 1e12 and 84% low at 1e15
+    assert poisson_pmf(n, float(n)) == pytest.approx(math.exp(-1 / (12 * n)) / math.sqrt(2 * math.pi * n),
+                                                     rel=1e-9)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(n=st.one_of(st.integers(0, 400), st.integers(0, 10**320)),
+       mu=st.floats(5e-324, 1.7976931348623157e308, allow_nan=False, allow_infinity=False))
+def test_poisson_pmf_is_a_probability_for_every_accepted_input(n, mu):
+    assert 0.0 <= poisson_pmf(n, mu) <= 1.0
+
+
+@pytest.mark.parametrize("n, mu", [(int(2.54e305), 1e308), (10**400, 1e308),
+                                   (int(1.7976931348623157e308), 1.7976931348623157e308)],
+                         ids=["2.54e305", "1e400", "float-max"])
+def test_poisson_pmf_is_a_probability_at_the_float_range_ends(n, mu):
+    # the log form returned inf at the first; the last is near its mean, so far from 0
+    assert 0.0 <= poisson_pmf(n, mu) <= 1.0
+    assert (poisson_pmf(n, mu) > 0.0) == (n == int(mu))
 
 
 @pytest.mark.parametrize("n", [1.5, 2.0, True, "2"])
