@@ -18,7 +18,11 @@ same digests build bit-identical leaf tables.  The physics column hashes
 the weights and counts alone, so it holds across a change of the record's
 fields.  The next line is the leaf alphabet's size after one pass from an
 empty alphabet, and the share of that pass's paths whose leaf value was
-already there when the path was counted.  The next two lines are the
+already there when the path was counted.  The next line is the occupancy
+of the kernel caches of ``qsim.apply``, ``attach_ancilla``, ``_outcomes``
+and ``_p0`` against their ``_STEPS`` entries: from emptied caches, the
+distinct keys one pass of the scenarios reads from each, then the misses
+of each of two later passes.  The next two lines are the
 stepped-round digests, the first 16 hex digits of a sha256 over 300
 rounds stepped by ``protocol.run_round`` per scenario and control
 probability: one over their records, one over their tally counters alone,
@@ -40,11 +44,12 @@ import time
 
 from verify_attacks import SCENARIOS
 
+from qkd2way import attacks as attacks_module
 from qkd2way import protocol as protocol_module
 from qkd2way import qsim, rng
 from qkd2way.attacks import ATTACK_KINDS, ONE_WAY_KINDS, AttackParams, make_strategy
 from qkd2way.montecarlo import predicted_rates
-from qkd2way.protocol import (LeafTable, ProtocolConfig, _counters, _leaf, _LeafAlphabet, enumerate_round,
+from qkd2way.protocol import (LeafTable, ProtocolConfig, _counters, _LeafAlphabet, enumerate_round,
                               run_round)
 
 
@@ -93,7 +98,7 @@ def stepped_counters_digest() -> str:
     """16-hex sha256 prefix of the stepped rounds' tally counters: no record field is read."""
     h = hashlib.sha256()
     for record in stepped_rounds():
-        h.update(repr(_counters(_leaf(record))).encode())
+        h.update(repr(_counters(record)).encode())
     return h.hexdigest()[:16]
 
 
@@ -141,13 +146,48 @@ def count_coins(config: ProtocolConfig, attack: AttackParams) -> tuple[LeafTable
     return table, flips
 
 
+def one_pass() -> list[LeafTable]:
+    """The scenarios' leaf tables: one mc_verify pass."""
+    return [enumerate_round(ProtocolConfig(protocol=protocol), attack) for protocol, attack in SCENARIOS]
+
+
 def alphabet_hits() -> tuple[int, int]:
     """(leaf values in the alphabet after one pass from an empty one, paths of that pass).
     Every path but each value's first finds its value already there."""
     protocol_module._ALPHABET = _LeafAlphabet()
-    paths = sum(len(enumerate_round(ProtocolConfig(protocol=protocol), attack).leaves)
-                for protocol, attack in SCENARIOS)
+    paths = sum(len(table.leaves) for table in one_pass())
     return len(protocol_module._ALPHABET.rows), paths
+
+
+def kernel_occupancy(later_passes: int = 2) -> dict[str, tuple[int, list[int]]]:
+    """Per kernel cache: (the distinct keys one pass from emptied qsim caches reads, the misses
+    of each later pass).  In the first pass every module that names a kernel calls it through
+    a wrapper that records the key."""
+    for f in vars(qsim).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    kernels = {name: getattr(qsim, name) for name in ("apply", "attach_ancilla", "_outcomes", "_p0")}
+    keys = {name: set() for name in kernels}
+
+    def recorded(name, kernel):
+        return lambda *args: keys[name].add(args) or kernel(*args)
+
+    bound = [(module, name) for module in (qsim, attacks_module, protocol_module)
+             for name in kernels if getattr(module, name, None) is kernels[name]]
+    for module, name in bound:
+        setattr(module, name, recorded(name, kernels[name]))
+    try:
+        one_pass()
+    finally:
+        for module, name in bound:
+            setattr(module, name, kernels[name])
+    misses = {name: [] for name in kernels}
+    for _ in range(later_passes):
+        before = {name: kernel.cache_info().misses for name, kernel in kernels.items()}
+        one_pass()
+        for name, kernel in kernels.items():
+            misses[name].append(kernel.cache_info().misses - before[name])
+    return {name: (len(keys[name]), misses[name]) for name in kernels}
 
 
 def call_seconds(calls: int) -> tuple[list[float], list[float]]:
@@ -205,6 +245,10 @@ def main() -> int:
               f"{table_digest:<12} {physics}")
     print(f"leaf alphabet after one pass from empty: {values} values; {paths - values:,} of "
           f"{paths:,} paths ({(paths - values) / paths:.0%}) found theirs already there")
+    occupancy = kernel_occupancy()
+    print(f"kernel caches of {qsim._STEPS} entries (keys one pass reads / misses of two later "
+          f"passes): " + "; ".join(f"{name} {distinct} / {', '.join(map(str, later))}"
+                                   for name, (distinct, later) in occupancy.items()))
     print(f"stepped-round digest {stepped_digest()}")
     print(f"stepped-counters digest {stepped_counters_digest()}")
     print(f"predictions digest {predictions_digest()}")

@@ -162,6 +162,7 @@ class _NortStrategy(AttackStrategy):
 
     def finalize(self, align, state, rng):
         # Z is the minimum-error (Helstrom) readout of either probe pair, for every angle
+        # (test_the_z_readout_of_a_nort_probe_pair_is_its_helstrom_measurement)
         g, state = measure(state, 1, Basis.Z, rng)
         r = read(state, 2, Basis.Z, rng)
         # forward read = bit before Alice (in Eve's frame), backward read =

@@ -143,7 +143,9 @@ def _config_args(path: str) -> list[tuple[str, str]]:
             data = fh.read(CONFIG_MAX_BYTES + 1)  # so a file with no end ends the read
         if len(data) > CONFIG_MAX_BYTES:
             raise UsageError(f"cannot read config file {path}: larger than {CONFIG_MAX_BYTES} bytes")
-        text = io.StringIO(data.decode(), newline=None)  # lines split as a text-mode file's are
+        # a leading BOM is dropped, not read as part of the first key; lines split as a
+        # text-mode file's are
+        text = io.StringIO(data.decode("utf-8-sig"), newline=None)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     args = []

@@ -48,7 +48,9 @@ probabilities, leaves and tally counters.  A leaf's counters depend on its
 value alone, and values repeat across paths and settings (a pass of the
 ten verification settings has 1,184 paths and 152 values), so the process
 keeps one leaf alphabet that counts each value once and a table gathers
-its counter rows from it.  The records are built only when asked for
+its counter rows from it.  A record is a named tuple equal to its leaf,
+and :func:`tally` and :func:`write_round_log` hold one entry per distinct
+record value.  The records are built only when asked for
 (``LeafTable.records``), one per distinct leaf, so a batch, which reads
 the counters alone, builds none.  Each stage reruns once per
 coin path of its own, starting from its parent stage's result, so a coin
@@ -67,9 +69,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields
+from collections import Counter, namedtuple
+from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -104,32 +106,30 @@ class ProtocolConfig:
         object.__setattr__(self, "seed", integer("seed", self.seed, 0, 2**64 - 1))  # a 64-bit key
 
 
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
-    """One round's two ends: Bob, the sender, prepares; the receiver measures once."""
+class RoundRecord(namedtuple("RoundRecord", "mode sender_basis sender_bit receiver_basis receiver_outcome "
+                                             "alice_op revealed eve_alice_guess eve_bob_guess attacked",
+                             defaults=(None, False, None, None, False))):
+    """One round's two ends: Bob, the sender, prepares; the receiver measures once.
 
-    mode: str                     # "EM" | "CM"
-    sender_basis: Basis
-    sender_bit: int
-    receiver_basis: Basis         # Alice's random basis in CM; Bob's own, sender_basis, in EM
-    receiver_outcome: int
-    alice_op: Optional[int] = None          # EM only: 0 identity, 1 spin-flip
-    revealed: bool = False                  # EM round sacrificed for q_ab
-    eve_alice_guess: Optional[int] = None
-    eve_bob_guess: Optional[int] = None
-    attacked: bool = False
+    mode is "EM" or "CM"; receiver_basis is Alice's random basis in CM, Bob's own (sender_basis)
+    in EM; alice_op, EM only, is 0 for identity and 1 for spin-flip; revealed marks an EM round
+    sacrificed for q_ab.  A record is its leaf: it equals and hashes like its values' tuple.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+    @classmethod
+    def _make(cls, iterable):  # the stock length check, then __new__: _replace validates too
+        return cls(*super()._make(iterable))
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("EM", "CM"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if (self.mode == "EM") != (self.alice_op is not None):
             raise ValueError("a round carries alice_op exactly when it is in Encoding Mode")
         if self.mode == "EM" and self.receiver_basis is not self.sender_basis:
             raise ValueError("an Encoding-Mode round is measured in the sender's basis")
-
-
-_FIELDS = [f.name for f in fields(RoundRecord)]
-_leaf = attrgetter(*_FIELDS)  # a record's leaf: its field values, in field order
+        return self
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,7 @@ def run(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> list[RoundR
 
 
 def _counters(leaf: tuple) -> tuple[int, ...]:
-    """The eight tally counters of one leaf: (errors, trials) per rate, in RATE_NAMES order.
+    """The eight tally counters of one leaf or record: (errors, trials) per rate, in RATE_NAMES order.
 
     Mismatched bases never count.  ``flip``, the receiver's outcome XOR the sender's bit, is a
     q1 error in Control Mode and Bob's decoded operation, the key bit, in Encoding Mode.
@@ -260,19 +260,13 @@ def _counters(leaf: tuple) -> tuple[int, ...]:
 def tally(records: Iterable[RoundRecord]) -> Tallies:
     """Aggregate QBER counters from round records.
 
-    Each distinct record object is counted once, by :func:`_counters`, and
-    weighted by how often it occurs; a run repeats its leaf records.
+    Each distinct record value is counted once, by :func:`_counters`, and
+    weighted by how often it occurs; a run repeats its leaf values, so the
+    memory held is one entry per distinct value, however long the stream.
     """
-    seen = {}  # id(record) -> [record, occurrences]; holding the record keeps its id unique
-    for r in records:
-        hit = seen.get(id(r))
-        if hit is None:
-            seen[id(r)] = [r, 1]
-        else:
-            hit[1] += 1
     totals = [0] * 2 * len(RATE_NAMES)
-    for r, occurrences in seen.values():
-        for i, c in enumerate(_counters(_leaf(r))):
+    for record, occurrences in Counter(records).items():
+        for i, c in enumerate(_counters(record)):
             totals[i] += occurrences * c
     return Tallies(*zip(totals[0::2], totals[1::2]))
 
@@ -364,23 +358,22 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_round_log(records: Sequence[RoundRecord], file: io.TextIOBase) -> None:
+def write_round_log(records: Iterable[RoundRecord], file: io.TextIOBase) -> None:
     """Round log as CSV: one row per round, header mandatory, an absent value as an empty cell.
 
-    Each distinct record object is rendered once; a run repeats its leaf
-    records, so most rows are copies of a row already rendered.
+    The header is ``RoundRecord._fields``.  Each distinct record value is
+    rendered once; a run repeats its leaf values, so most rows are copies of
+    a row already rendered, and the memory held is one row per distinct value.
     """
+    file.write(",".join(RoundRecord._fields) + "\n")  # identifiers, which no CSV cell quotes
     line = io.StringIO()
     writer = csv.writer(line, lineterminator="\n")
-    writer.writerow(_FIELDS)
-    rows = [line.getvalue()]
-    rendered = {}  # id(record) -> (record, row); holding the record keeps its id unique
+    rendered = {}  # record value -> its row
     for r in records:
-        hit = rendered.get(id(r))
-        if hit is None:
+        row = rendered.get(r)
+        if row is None:
             line.seek(0)
             line.truncate()
-            writer.writerow([_cell(value) for value in _leaf(r)])
-            hit = rendered[id(r)] = (r, line.getvalue())
-        rows.append(hit[1])
-    file.write("".join(rows))
+            writer.writerow([_cell(value) for value in r])
+            row = rendered[r] = line.getvalue()
+        file.write(row)

@@ -22,7 +22,8 @@ Conventions
 
   so <e0|e1> = cos(x).  The pair straddles the diagonal symmetrically,
   which makes the computational basis the minimum-error (Helstrom)
-  measurement for every x, with error probability (1 - sin x)/2.  At
+  measurement for every x, with error probability (1 - sin x)/2 (the
+  attacks tests check both against the trace norm of the pair).  At
   x = pi/2 the gate acts on a fresh ancilla exactly like a CNOT copy.
 
 Kernel cache

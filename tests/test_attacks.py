@@ -9,7 +9,7 @@ from qkd2way import cli
 from qkd2way.attacks import ATTACK_KINDS, NO_ATTACK, ONE_WAY_KINDS, AttackParams, make_strategy
 from qkd2way.montecarlo import predicted_rates, run_batch
 from qkd2way.protocol import ProtocolConfig, enumerate_round, run, run_round, tally
-from qkd2way.qsim import Basis
+from qkd2way.qsim import Basis, ancilla_rotation, apply, attach_ancilla, prepare
 from qkd2way.rng import stream
 
 
@@ -118,6 +118,19 @@ def test_nort_parallel_probes_leave_forward_channel_clean():
     assert t.q1[0] == 0
     # parallel probes carry no information: Eve's guess is a coin flip
     assert abs(t.rate("q_ae") - 0.5) <= _band(0.5, t.q_ae[1])
+
+
+def test_the_z_readout_of_a_nort_probe_pair_is_its_helstrom_measurement():
+    # the probe states e_b that ancilla_rotation(x) writes for qubit bit b
+    for x in np.linspace(0.0, math.pi / 2, 25):
+        probes = [apply(attach_ancilla(prepare(Basis.Z, b)), ancilla_rotation(x, 0, 1))
+                  .amps.reshape(2, 2)[b] for b in (0, 1)]
+        rho = [np.outer(e, e.conj()) for e in probes]
+        helstrom = (1.0 - 0.5 * np.abs(np.linalg.eigvalsh(rho[0] - rho[1])).sum()) / 2.0
+        z_readout = (abs(probes[0][1]) ** 2 + abs(probes[1][0]) ** 2) / 2.0
+        q_ae = make_strategy(AttackParams(kind="nort", x=x, x_prime=math.pi / 2)).attacked_rates()[2]
+        for error in (z_readout, (1.0 - math.sin(x)) / 2.0, q_ae):
+            assert helstrom == pytest.approx(error, abs=1e-12), x
 
 
 def test_dcnot_copies_silently():

@@ -378,6 +378,17 @@ def test_a_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot read config file {cfg}:") and captured.out == ""
 
 
+def test_a_config_file_with_a_utf8_bom_reads_as_without_it(tmp_path, capsys):
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(b"rounds = 100\nattack = ir\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert _run(["simulate", "--config", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert _run(["simulate", "--config", str(bom)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected and "rounds=100" in expected and captured.err == ""
+
+
 def test_gain_curves_bb84_dominates(tmp_path):
     out = tmp_path / "gain.csv"
     assert _run(["gain", "--lmin", "0", "--lmax", "20", "--lstep", "5",

@@ -1,12 +1,12 @@
 import csv
 import io
 import math
-from dataclasses import astuple
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from qkd2way import protocol
 from qkd2way.attacks import AttackParams, make_strategy
 from qkd2way.protocol import (
     ProtocolConfig,
@@ -82,6 +82,31 @@ def test_record_mode_invariants():
     with pytest.raises(ValueError, match="unknown mode"):
         RoundRecord("??", z, 0, z, 0)
     assert RoundRecord("CM", z, 0, x, 1).receiver_basis is x  # Alice's basis is her own
+
+
+def test_a_record_is_a_validated_value_equal_to_its_leaf_tuple():
+    z, x = Basis.Z, Basis.X
+    record = RoundRecord("EM", z, 1, z, 0, alice_op=1, revealed=True)
+    leaf = ("EM", z, 1, z, 0, 1, True, None, None, False)
+    assert isinstance(record, tuple) and RoundRecord.__slots__ == ()
+    assert record == leaf and hash(record) == hash(leaf) and tuple(record) == leaf
+    assert RoundRecord._make(leaf) == record and record._replace(revealed=False) != record
+    # the round log's header names the fields
+    buffer = io.StringIO()
+    write_round_log([], buffer)
+    assert buffer.getvalue() == ",".join(RoundRecord._fields) + "\n"
+    with pytest.raises(ValueError, match="alice_op"):
+        record._replace(alice_op=None)
+    with pytest.raises(ValueError, match="sender's basis"):
+        record._replace(receiver_basis=x)
+    with pytest.raises(ValueError, match="unknown mode"):
+        RoundRecord._make(("??", *leaf[1:]))
+    with pytest.raises(TypeError, match="Expected 10 arguments, got 5"):
+        RoundRecord._make(leaf[:5])
+    with pytest.raises(AttributeError):
+        record.revealed = False
+    with pytest.raises(AttributeError):
+        record.note = "no per-instance attributes"
 
 
 @lru_cache(maxsize=None)
@@ -178,6 +203,38 @@ def test_tally_counting_rules_on_hand_built_records():
     assert t.q_be == (1, 2)
 
 
+def _spy(monkeypatch, name):
+    """Calls of protocol.<name> from here on, recorded by their first argument."""
+    calls, plain = [], getattr(protocol, name)
+    monkeypatch.setattr(protocol, name, lambda value: calls.append(value) or plain(value))
+    return calls
+
+
+def test_tally_counts_each_record_value_once(monkeypatch):
+    z = Basis.Z
+    same = [RoundRecord("CM", z, 0, z, 1) for _ in range(3)]
+    other = RoundRecord("EM", z, 1, z, 0, alice_op=1, revealed=True)
+    assert len({id(r) for r in same}) == 3
+    counted = _spy(monkeypatch, "_counters")
+    assert tally([*same, other, *same]) == Tallies(q1=(6, 6), q_ab=(0, 1))
+    assert counted == [same[0], other]
+
+
+def test_tally_of_a_stream_holds_one_entry_per_value(monkeypatch):
+    config = ProtocolConfig(rounds=20_000)
+    attack = AttackParams(kind="nort", x=math.pi / 4)
+
+    def stepped():
+        strategy, rounds_stream = make_strategy(attack), stream(5)
+        return (run_round(config, strategy, rounds_stream) for _ in range(config.rounds))
+
+    records = list(stepped())
+    expected = tally(records)
+    counted = _spy(monkeypatch, "_counters")
+    assert tally(stepped()) == expected
+    assert sorted(map(repr, counted)) == sorted(map(repr, set(records))) and len(counted) < 100
+
+
 def test_tally_empty_input():
     t = tally([])
     assert t == Tallies()
@@ -257,6 +314,17 @@ def test_round_log_csv_format():
     assert buffer.getvalue() == _plain_round_log(list(stepped()))
 
 
+def test_round_log_renders_each_record_value_once(monkeypatch):
+    config = ProtocolConfig(rounds=2_000, seed=8, control_prob=0.5)
+    strategy, rounds_stream = make_strategy(AttackParams(kind="nort", x=0.7)), stream(8)
+    records = [run_round(config, strategy, rounds_stream) for _ in range(config.rounds)]
+    rendered = _spy(monkeypatch, "_cell")
+    buffer = io.StringIO()
+    write_round_log(iter(records), buffer)
+    assert len(rendered) == len(RoundRecord._fields) * len(set(records)) < len(records)
+    assert buffer.getvalue() == _plain_round_log(records)
+
+
 def _plain_round_log(records):
     def cell(value):
         if value is None:
@@ -269,8 +337,9 @@ def _plain_round_log(records):
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["mode", "sender_basis", "sender_bit", "receiver_basis", "receiver_outcome", "alice_op",
-                     "revealed", "eve_alice_guess", "eve_bob_guess", "attacked"])
+    names = ["mode", "sender_basis", "sender_bit", "receiver_basis", "receiver_outcome", "alice_op",
+             "revealed", "eve_alice_guess", "eve_bob_guess", "attacked"]
+    writer.writerow(names)
     for record in records:
-        writer.writerow([cell(value) for value in astuple(record)])
+        writer.writerow([cell(getattr(record, name)) for name in names])
     return buffer.getvalue()
