@@ -51,8 +51,8 @@ keeps one leaf alphabet that counts each value once and a table gathers
 its counter rows from it.  A record is a named tuple equal to its leaf,
 and :func:`tally` and :func:`write_round_log` hold one entry per distinct
 record value.  The records are built only when asked for
-(``LeafTable.records``), one per distinct leaf, so a batch, which reads
-the counters alone, builds none.  Each stage reruns once per
+(``LeafTable.records``), once per leaf value and process, so a batch,
+which reads the counters alone, builds none.  Each stage reruns once per
 coin path of its own, starting from its parent stage's result, so a coin
 prefix shared by many leaves runs once rather than once per leaf; the
 leaves come out in the order, and with the bit-identical weights, of the
@@ -71,7 +71,7 @@ import io
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -106,6 +106,14 @@ class ProtocolConfig:
         object.__setattr__(self, "seed", integer("seed", self.seed, 0, 2**64 - 1))  # a 64-bit key
 
 
+_BASIS = ("a Basis", lambda v: type(v) is Basis)
+_BIT = ("the int 0 or 1", lambda v: type(v) is int and v in (0, 1))  # a bool or a float is no bit
+_BIT_OR_NONE = ("the int 0 or 1, or None", lambda v: v is None or type(v) is int and v in (0, 1))
+_BOOL = ("a bool", lambda v: type(v) is bool)
+# (what the value must be, its test) per record field after mode
+_FIELD_RULES = (_BASIS, _BIT, _BASIS, _BIT, _BIT_OR_NONE, _BOOL, _BIT_OR_NONE, _BIT_OR_NONE, _BOOL)
+
+
 class RoundRecord(namedtuple("RoundRecord", "mode sender_basis sender_bit receiver_basis receiver_outcome "
                                              "alice_op revealed eve_alice_guess eve_bob_guess attacked",
                              defaults=(None, False, None, None, False))):
@@ -113,7 +121,9 @@ class RoundRecord(namedtuple("RoundRecord", "mode sender_basis sender_bit receiv
 
     mode is "EM" or "CM"; receiver_basis is Alice's random basis in CM, Bob's own (sender_basis)
     in EM; alice_op, EM only, is 0 for identity and 1 for spin-flip; revealed marks an EM round
-    sacrificed for q_ab.  A record is its leaf: it equals and hashes like its values' tuple.
+    sacrificed for q_ab.  Every field is checked, and a bad one is named: a basis is a Basis, a
+    bit the int 0 or 1 (alice_op and Eve's guesses may be None), revealed and attacked are bools.
+    A record is its leaf: it equals and hashes like its values' tuple.
     """
 
     __slots__ = ()
@@ -125,6 +135,9 @@ class RoundRecord(namedtuple("RoundRecord", "mode sender_basis sender_bit receiv
         self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("EM", "CM"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name, (want, ok), value in zip(self._fields[1:], _FIELD_RULES, self[1:]):
+            if not ok(value):
+                raise ValueError(f"{name} must be {want}, got {value!r}")
         if (self.mode == "EM") != (self.alice_op is not None):
             raise ValueError("a round carries alice_op exactly when it is in Encoding Mode")
         if self.mode == "EM" and self.receiver_basis is not self.sender_basis:
@@ -303,6 +316,12 @@ class _LeafAlphabet:
 _ALPHABET = _LeafAlphabet()  # one per process, fed by enumerate_round alone
 
 
+@lru_cache(maxsize=None)  # bounded, as the leaf alphabet is, by the record's value set
+def _record(leaf: tuple) -> RoundRecord:
+    """The record of a leaf value, checked and built once per process."""
+    return RoundRecord(*leaf)
+
+
 @dataclass(frozen=True)
 class LeafTable:
     """Every outcome path of one round: probability, leaf and tally counters.
@@ -319,9 +338,8 @@ class LeafTable:
 
     @cached_property
     def records(self) -> tuple[RoundRecord, ...]:
-        """One record per leaf, built on first use; equal leaves share one record object."""
-        built = {leaf: RoundRecord(*leaf) for leaf in dict.fromkeys(self.leaves)}
-        return tuple(built[leaf] for leaf in self.leaves)
+        """One record per leaf, read on first use; equal leaves share one record object."""
+        return tuple(map(_record, self.leaves))
 
     def draw(self, rounds: int, seed: int) -> np.ndarray:
         """How often each leaf occurs in `rounds` i.i.d. rounds from `seed`."""

@@ -30,8 +30,14 @@ Kernel cache
 ------------
 :func:`apply`, :func:`attach_ancilla` and the Born-rule kernels behind
 :func:`measure` and :func:`read` are pure, so each keeps its ``_STEPS``
-(256) most recently used results in a ``functools.lru_cache``, as do the
-gate-matrix tables.
+(512) most recently used results in a ``functools.lru_cache``, as do the
+gate-matrix tables.  One pass over the ten verification settings of
+``scripts/verify_attacks.py`` reads 312 distinct ``_p0`` keys, 252
+``apply``, 248 ``_outcomes`` and 68 ``attach_ancilla`` keys, so every
+cache holds a whole pass with 1.6x headroom and a pass that repeats a
+setting misses nothing.  The bound helps only where a setting repeats
+within one process; a process that builds each setting once gains nothing
+from it.
 States and gates hash and compare by identity, and a cache entry holds its
 key objects, so no id is reused while the entry lives and a hit is always
 the very input it was computed from.  So each gate factory caches the
@@ -65,11 +71,11 @@ MAX_WIRES = 3
 NORM_ATOL = 1e-9
 BORN_SNAP = 1e-12  # Born probabilities this close to 0 or 1 are rounding noise
 PROBE_ANGLES = (-1e-12, math.pi / 2 + 1e-12)  # [0, pi/2], with 1e-12 of slack against rounding
-# entries per kernel cache: one round's enumeration meets at most 104 distinct
-# steps per kernel (nort's measurements), and 256 keeps each cache small.  One
-# pass over the ten perfbench mc_verify scenarios reads 312 distinct _p0 keys,
-# more than 256, so that cache evicts each before the next pass reads it again
-_STEPS = 256
+# entries per kernel cache: one pass over the ten verification settings reads
+# at most 312 distinct keys from one kernel (_p0; apply 252, _outcomes 248,
+# attach_ancilla 68), and 512, the smallest power of two with 1.5x headroom over
+# that, keeps a whole pass, so a repeated setting recomputes no step
+_STEPS = 512
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 

@@ -249,6 +249,13 @@ def test_a_table_builds_its_records_on_first_read_one_per_distinct_leaf(monkeypa
     assert len(records) == 188 and len({id(r) for r in records}) == len(set(table.leaves)) == 80
 
 
+def test_tables_share_one_record_per_leaf_value():
+    # a record is checked and built once per value and process, not once per table
+    attack = AttackParams(kind="nort", x=math.pi / 4)
+    first, again = (enumerate_round(ProtocolConfig(), attack).records for _ in range(2))
+    assert first == again and all(a is b for a, b in zip(first, again))
+
+
 _IDENTITY_SCENARIOS = EXACT_SCENARIOS + [("lm05", AttackParams(kind="nort", x=0.0, x_prime=0.0))]
 
 
@@ -292,6 +299,19 @@ def test_repeat_enumeration_misses_no_qsim_cache(attack):
     enumerate_round(ProtocolConfig(), attack)
     misses = {f.__name__: f.cache_info().misses for f in _qsim_caches()}
     enumerate_round(ProtocolConfig(), attack)
+    assert {f.__name__: f.cache_info().misses for f in _qsim_caches()} == misses
+
+
+def test_a_repeated_verification_pass_misses_no_qsim_cache():
+    # one pass over every verification setting fits in each cache, so the
+    # second pass recomputes no step; with 256 entries _p0 missed 312 keys
+    def one_pass():
+        for protocol, attack in EXACT_SCENARIOS:
+            enumerate_round(ProtocolConfig(protocol=protocol), attack)
+
+    one_pass()
+    misses = {f.__name__: f.cache_info().misses for f in _qsim_caches()}
+    one_pass()
     assert {f.__name__: f.cache_info().misses for f in _qsim_caches()} == misses
 
 

@@ -109,6 +109,24 @@ def test_a_record_is_a_validated_value_equal_to_its_leaf_tuple():
         record.note = "no per-instance attributes"
 
 
+def test_a_record_names_the_field_of_a_bad_value():
+    z = Basis.Z
+    bad = [(("CM", "Z", 7, None, "x"), "sender_basis must be a Basis"),
+           (("CM", z, 1.0, z, 1), "sender_bit must be the int 0 or 1"),  # a float bit
+           (("CM", "Z", 1, "Z", 1), "sender_basis must be a Basis"),  # a basis by name
+           (("EM", z, 1, z, 1, 2, True), "alice_op must be the int 0 or 1")]
+    for fields, message in bad:
+        for use in (list, tally, lambda records: write_round_log(records, io.StringIO())):
+            with pytest.raises(ValueError, match=message):
+                use([RoundRecord(*fields)])
+    good = ("EM", z, 1, z, 0, 1, False, None, 0, True)
+    for name, value in [("receiver_outcome", True), ("receiver_outcome", None), ("eve_bob_guess", 1.0),
+                        ("revealed", 1), ("attacked", None), ("receiver_basis", "Z")]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            RoundRecord._make(good)._replace(**{name: value})
+    assert RoundRecord(*good) == good
+
+
 @lru_cache(maxsize=None)
 def _noiseless_run():
     config = ProtocolConfig(protocol="lm05", rounds=20_000, seed=3,
