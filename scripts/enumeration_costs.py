@@ -6,9 +6,9 @@ For every scenario of verify_attacks.py, prints the leaf count of
 first-call time (the call comes after ``cache_clear()`` on every qsim
 cache: the kernel caches and the gate factories' caches, so the call also
 builds its gates anew; and it starts from an empty leaf alphabet, so it
-also counts each of its leaf values anew) and its repeat-call time (the
-same call again at once, with the caches and the alphabet kept, which is
-what a second call gains from them).
+also checks and builds each new leaf value's record and counts the value)
+and its repeat-call time (the same call again at once, with the caches and
+the alphabet kept, which is what a second call gains from them).
 Each time is the minimum over --calls calls in each of --processes fresh
 processes, run one after another.  The last row sums the scenarios, which
 is one pass of the ``mc_verify`` benchmark workload.  The digest column is the
@@ -155,7 +155,7 @@ def alphabet_hits() -> tuple[int, int]:
     """(leaf values in the alphabet after one pass from an empty one, paths of that pass).
     Every path but each value's first finds its value already there."""
     protocol_module._ALPHABET = _LeafAlphabet()
-    paths = sum(len(table.leaves) for table in one_pass())
+    paths = sum(len(table.records) for table in one_pass())
     return len(protocol_module._ALPHABET.rows), paths
 
 

@@ -44,15 +44,14 @@ that value again; Eve's memory of the round is such a value too (see
 Runs are sampled, not stepped: every round is an independent, identically
 distributed draw from one finite distribution, so :func:`enumerate_round`
 lists every coin path of the round and gets a leaf table of path
-probabilities, leaves and tally counters.  A leaf's counters depend on its
-value alone, and values repeat across paths and settings (a pass of the
-ten verification settings has 1,184 paths and 152 values), so the process
-keeps one leaf alphabet that counts each value once and a table gathers
-its counter rows from it.  A record is a named tuple equal to its leaf,
-and :func:`tally` and :func:`write_round_log` hold one entry per distinct
-record value.  The records are built only when asked for
-(``LeafTable.records``), once per leaf value and process, so a batch,
-which reads the counters alone, builds none.  Each stage reruns once per
+probabilities, records and tally counters.  A leaf's record and counters
+depend on its value alone, and values repeat across paths and settings (a
+pass of the ten verification settings has 1,184 paths and 152 values), so
+the process keeps one leaf alphabet that checks, builds and counts each
+value once, and every table, on every entry point, gathers its records and
+counter rows from it.  A record is a named tuple equal to its leaf, and
+:func:`tally` and :func:`write_round_log` hold one entry per distinct
+record value.  Each stage reruns once per
 coin path of its own, starting from its parent stage's result, so a coin
 prefix shared by many leaves runs once rather than once per leaf; the
 leaves come out in the order, and with the bit-identical weights, of the
@@ -66,12 +65,11 @@ share state (memory, drift, adaptive choices) would have to step
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -238,7 +236,7 @@ def run(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> list[RoundR
     The leaf counts are the draw ``run_batch`` makes for the same seed, so
     ``tally(run(c, a)) == run_batch(c, a).tallies``; a second stream of the
     seed shuffles them into a uniformly random order.  Rounds with equal
-    records share one record object.
+    leaves share the table's one record object, checked once per process.
     """
     table = enumerate_round(config, attack)
     hits = table.draw(config.rounds, config.seed)
@@ -285,61 +283,52 @@ def tally(records: Iterable[RoundRecord]) -> Tallies:
 
 
 class _LeafAlphabet:
-    """Every leaf value met so far, each with one row of its eight tally counters.
+    """Every leaf value met so far, with its checked record and its row of eight tally counters.
 
-    A row is :func:`_counters` of its leaf, a pure function of the value,
-    so a row never goes stale and no result depends on which tables were
+    A value's record and row are :class:`RoundRecord` and :func:`_counters`
+    of it, so neither goes stale and no result depends on which tables were
     built before.  The values are bounded by the record's value set.  The
     package starts no threads; a threaded caller would need a lock here.
     """
 
     def __init__(self):
         self.rows: dict[tuple, int] = {}  # leaf value -> row index
+        self.records: list[RoundRecord] = []  # by row
         self.counters = np.empty((0, 2 * len(RATE_NAMES)), dtype=np.int64)
 
-    def counts(self, leaves: Sequence[tuple]) -> np.ndarray:
-        """The counter rows of `leaves`, in their order; a new value gets its row here."""
+    def index(self, leaves: Sequence[tuple]) -> list[int]:
+        """The rows of `leaves`, in their order; a new value gets its record and counter row here."""
         rows = self.rows
         try:
-            index = list(map(rows.__getitem__, leaves))
+            return list(map(rows.__getitem__, leaves))
         except KeyError:
-            new = [leaf for leaf in dict.fromkeys(leaves) if leaf not in rows]
-            for leaf in new:
-                rows[leaf] = len(rows)
+            new = [RoundRecord(*leaf) for leaf in dict.fromkeys(leaves) if leaf not in rows]
+            for record in new:
+                rows[record] = len(rows)
+            self.records += new
             # one rebuild per call, however many values are new
             self.counters = np.concatenate(
-                [self.counters, np.array([_counters(leaf) for leaf in new], dtype=np.int64)])
-            index = list(map(rows.__getitem__, leaves))
-        return self.counters[index]
+                [self.counters, np.array([_counters(record) for record in new], dtype=np.int64)])
+            return list(map(rows.__getitem__, leaves))
 
 
 _ALPHABET = _LeafAlphabet()  # one per process, fed by enumerate_round alone
 
 
-@lru_cache(maxsize=None)  # bounded, as the leaf alphabet is, by the record's value set
-def _record(leaf: tuple) -> RoundRecord:
-    """The record of a leaf value, checked and built once per process."""
-    return RoundRecord(*leaf)
-
-
 @dataclass(frozen=True)
 class LeafTable:
-    """Every outcome path of one round: probability, leaf and tally counters.
+    """Every outcome path of one round: probability, record and tally counters.
 
-    A leaf is the field values of its path's record, in field order.
-    ``counts`` has one row per leaf holding its eight tally counters in
-    (errors, trials) pairs, in RATE_NAMES order: the row :func:`_counters`
-    gives the leaf, gathered from the process's leaf alphabet.
+    A record is its path's leaf, the field values in field order, checked;
+    equal leaves share one record object.  ``counts`` has one row per leaf
+    holding its eight tally counters in (errors, trials) pairs, in
+    RATE_NAMES order: the row :func:`_counters` gives the leaf.  Both are
+    gathered from the process's leaf alphabet.
     """
 
     weights: np.ndarray
-    leaves: tuple[tuple, ...]
+    records: tuple[RoundRecord, ...]
     counts: np.ndarray
-
-    @cached_property
-    def records(self) -> tuple[RoundRecord, ...]:
-        """One record per leaf, read on first use; equal leaves share one record object."""
-        return tuple(map(_record, self.leaves))
 
     def draw(self, rounds: int, seed: int) -> np.ndarray:
         """How often each leaf occurs in `rounds` i.i.d. rounds from `seed`."""
@@ -355,15 +344,17 @@ class LeafTable:
 def enumerate_round(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> LeafTable:
     """Exact outcome distribution of one round: its stages run once per coin path of their own.
 
-    A leaf value repeats across paths and settings, so its counters come
-    from the process's leaf alphabet, which counts each value once.
+    A leaf value repeats across paths and settings, so its record and
+    counters come from the process's leaf alphabet, built once per value.
     """
     strategy = make_strategy(attack)
     weights, leaves = zip(*_rng.enumerate_paths(*_stages(config, strategy)))
     total = math.fsum(weights)
     if abs(total - 1.0) > _WEIGHT_ATOL:
         raise ValueError(f"leaf weights sum to {total!r}, not 1")
-    return LeafTable(np.array(weights), leaves, _ALPHABET.counts(leaves))
+    index = _ALPHABET.index(leaves)
+    return LeafTable(np.array(weights), tuple(map(_ALPHABET.records.__getitem__, index)),
+                     _ALPHABET.counters[index])
 
 
 def _cell(value) -> str:
@@ -379,19 +370,15 @@ def _cell(value) -> str:
 def write_round_log(records: Iterable[RoundRecord], file: io.TextIOBase) -> None:
     """Round log as CSV: one row per round, header mandatory, an absent value as an empty cell.
 
-    The header is ``RoundRecord._fields``.  Each distinct record value is
-    rendered once; a run repeats its leaf values, so most rows are copies of
-    a row already rendered, and the memory held is one row per distinct value.
+    The header is ``RoundRecord._fields``, and no checked field needs
+    quoting.  Each distinct record value is rendered once; a run repeats its
+    leaf values, so most rows are copies of a row already rendered, and the
+    memory held is one row per distinct value.
     """
     file.write(",".join(RoundRecord._fields) + "\n")  # identifiers, which no CSV cell quotes
-    line = io.StringIO()
-    writer = csv.writer(line, lineterminator="\n")
     rendered = {}  # record value -> its row
     for r in records:
         row = rendered.get(r)
         if row is None:
-            line.seek(0)
-            line.truncate()
-            writer.writerow([_cell(value) for value in r])
-            row = rendered[r] = line.getvalue()
+            row = rendered[r] = ",".join(map(_cell, r)) + "\n"
         file.write(row)

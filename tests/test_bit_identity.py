@@ -29,7 +29,8 @@ import make_figure_data  # noqa: E402
 
 from qkd2way import protocol as protocol_module  # noqa: E402
 from qkd2way.cli import main  # noqa: E402
-from qkd2way.protocol import ProtocolConfig, _counters, _LeafAlphabet, enumerate_round  # noqa: E402
+from qkd2way.protocol import (ProtocolConfig, RoundRecord, _counters, _LeafAlphabet,  # noqa: E402
+                              enumerate_round)
 
 LEAF_DIGESTS = ("b6700ba02040 4cef76007c57 861a2f0e6e2e b792d6b7a27e 28c066eb601d "
                 "0df18d2b975c 402e069d4adf 01385f4cbdbe 9a515f853c88 3388eab1a98d").split()
@@ -65,13 +66,14 @@ def test_leaf_alphabet_counts_each_leaf_value_once_by_the_direct_rule(monkeypatc
     for protocol, attack in enumeration_costs.SCENARIOS:
         table = enumerate_round(ProtocolConfig(protocol=protocol, control_prob=control_prob), attack)
         # the direct rule, leaf by leaf, is the reference
-        assert np.array_equal(table.counts, np.array([_counters(leaf) for leaf in table.leaves],
+        assert np.array_equal(table.counts, np.array([_counters(leaf) for leaf in table.records],
                                                      dtype=np.int64))
-        met.update(table.leaves)
-    assert len(alphabet.rows) == len(met) == alphabet.counters.shape[0]
+        met.update(table.records)
+    assert len(alphabet.rows) == len(met) == alphabet.counters.shape[0] == len(alphabet.records)
     assert sorted(alphabet.rows.values()) == list(range(len(met)))
     for leaf, row in alphabet.rows.items():
         assert alphabet.counters[row].tolist() == list(_counters(leaf))
+        assert type(alphabet.records[row]) is RoundRecord and alphabet.records[row] == leaf
 
 
 @pytest.mark.parametrize("scenario,expected", zip(enumeration_costs.SCENARIOS, PHYSICS_DIGESTS),

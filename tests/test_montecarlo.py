@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkd2way import protocol as protocol_module
 from qkd2way import qsim
 from qkd2way.attacks import AttackParams, make_strategy
 from qkd2way.montecarlo import (
@@ -28,6 +29,7 @@ from qkd2way.protocol import (
     ProtocolConfig,
     RoundRecord,
     Tallies,
+    _LeafAlphabet,
     enumerate_round,
     run,
     run_round,
@@ -233,20 +235,41 @@ def test_enumeration_flips_each_coin_prefix_once(monkeypatch):
     assert len(flips) <= 668
 
 
-def test_a_table_builds_its_records_on_first_read_one_per_distinct_leaf(monkeypatch):
-    # a batch reads the counters alone, so neither it nor the enumeration builds a record
-    def refuse(*fields):
-        raise AssertionError("a record was built")
+def test_the_first_batch_builds_one_record_per_distinct_leaf(monkeypatch):
+    # from a fresh alphabet, a batch checks and builds each leaf value's record
+    # once, and no later entry point builds one again
+    monkeypatch.setattr(protocol_module, "_ALPHABET", _LeafAlphabet())
+    built = []  # the leaf of every record protocol builds
+    monkeypatch.setattr(protocol_module, "RoundRecord",
+                        lambda *leaf: built.append(leaf) or RoundRecord(*leaf))
+    config, attack = ProtocolConfig(rounds=1000), AttackParams(kind="nort", x=math.pi / 4)
+    assert run_batch(config, attack).leaves == 188
+    assert len(built) == len(set(built)) == 80
+    run_batch(config, attack)
+    run(config, attack)
+    table = enumerate_round(config, attack)
+    assert len(built) == 80
+    leaves = [leaf for _, leaf in enumerate_paths(*protocol_module._stages(config, make_strategy(attack)))]
+    assert table.records == tuple(RoundRecord(*leaf) for leaf in leaves)
+    assert len(table.records) == 188 and len({id(r) for r in table.records}) == 80
 
-    monkeypatch.setattr("qkd2way.protocol.RoundRecord", refuse)
-    attack = AttackParams(kind="nort", x=math.pi / 4)
-    run_batch(ProtocolConfig(rounds=1000), attack)
-    table = enumerate_round(ProtocolConfig(), attack)
-    monkeypatch.undo()
-    records = table.records
-    assert records is table.records
-    assert records == tuple(RoundRecord(*leaf) for leaf in table.leaves)
-    assert len(records) == 188 and len({id(r) for r in records}) == len(set(table.leaves)) == 80
+
+def test_a_bad_leaf_is_refused_by_name_on_every_entry_point(monkeypatch):
+    # every Encoding-Mode leaf carries alice_op = 2, which no record holds
+    alphabet = _LeafAlphabet()
+    monkeypatch.setattr(protocol_module, "_ALPHABET", alphabet)
+    plain = protocol_module._readout
+
+    def bad_op(config, strategy, back, rng):
+        leaf = plain(config, strategy, back, rng)
+        return (*leaf[:5], 2, *leaf[6:]) if leaf[0] == "EM" else leaf
+
+    monkeypatch.setattr(protocol_module, "_readout", bad_op)
+    for entry in (run_batch, enumerate_round, run):
+        with pytest.raises(ValueError, match="alice_op must be the int 0 or 1, or None, got 2"):
+            entry(ProtocolConfig(rounds=1000))
+    # a refused call keeps none of its new values
+    assert alphabet.rows == {} and alphabet.records == [] and alphabet.counters.shape[0] == 0
 
 
 def test_tables_share_one_record_per_leaf_value():
