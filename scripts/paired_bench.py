@@ -6,11 +6,14 @@ in the base checkout and in the changed one, with the same seed and
 seconds on both sides; even pairs run the base first, odd pairs the change
 first, so a drift of the machine's speed falls on both sides alike.  Only
 the last line of each run's standard output, its JSON verdict, is read.
+A run that exits non-zero is reported with its exit code and left out of
+the medians and of the pairs counted for wins; the others go on.
 
 Prints one line per run (its ``correct`` and ``failed`` and its end-to-end
 metrics), then per end-to-end metric each side's median and quartiles, the
-pairs the change wins and the base's interquartile range.  The metrics and
-their directions come from the changed checkout's ``BENCHMARK.json``.
+pairs the change wins and the base's interquartile range, and last the runs
+that were not correct or failed.  The metrics and their directions come
+from the changed checkout's ``BENCHMARK.json``.
 
     python3 scripts/paired_bench.py --base ../parent --change . \\
         --workload mc_verify --pairs 10 --seed 101
@@ -22,14 +25,18 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON verdict of one benchmark run: the last line of its standard output."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[int, Optional[dict]]:
+    """One benchmark run's exit code and JSON verdict, the last line of its standard output;
+    no verdict is read from a run that failed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", repr(seconds)]
-    out = subprocess.run(argv, cwd=checkout, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return proc.returncode, None
+    return 0, json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def main() -> int:
@@ -47,13 +54,18 @@ def main() -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     sides = {"base": args.base, "change": args.change}
-    runs = {"base": [], "change": []}
+    runs = {"base": [], "change": []}  # per pair, the run's verdict, None if it failed
+    failed = []
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            line = run_once(sides[side], args.workload, seed, args.seconds)
+            code, line = run_once(sides[side], args.workload, seed, args.seconds)
             runs[side].append(line)
+            if line is None:
+                failed.append(f"{side} pair {i} (exit code {code})")
+                print(f"pair {i} seed {seed} {side:<6} failed with exit code {code}", flush=True)
+                continue
             metrics = " ".join(f"{name}={m['value']:.4g}" for name, m in line["metrics"].items())
             print(f"pair {i} seed {seed} {side:<6} correct={line['correct']} "
                   f"failed={line['failed']}/{line['attempted']} {metrics}", flush=True)
@@ -62,18 +74,26 @@ def main() -> int:
           f"{args.seed}-{args.seed + args.pairs - 1}")
     print(f"{'metric':<24} {'base p50 [q1, q3]':>28} {'change p50 [q1, q3]':>28} "
           f"{'change':>8} {'wins':>6} {'base IQR':>9}")
+    pairs = [(b, c) for b, c in zip(runs["base"], runs["change"]) if b is not None and c is not None]
     for name, direction in better.items():
-        values = {side: [line["metrics"][name]["value"] for line in runs[side]] for side in runs}
+        values = {side: [line["metrics"][name]["value"] for line in runs[side] if line is not None]
+                  for side in runs}
+        if min(map(len, values.values())) < 2:
+            print(f"{name:<24} too few runs to compare")
+            continue
         (bq1, bmed, bq3), (cq1, cmed, cq3) = (statistics.quantiles(values[side], n=4, method="inclusive")
                                               for side in ("base", "change"))
         sign = 1 if direction == "lower" else -1
-        wins = sum(sign * (b - c) > 0 for b, c in zip(values["base"], values["change"]))
+        wins = sum(sign * (b["metrics"][name]["value"] - c["metrics"][name]["value"]) > 0
+                   for b, c in pairs)
         print(f"{name:<24} {f'{bmed:.4g} [{bq1:.4g}, {bq3:.4g}]':>28} "
               f"{f'{cmed:.4g} [{cq1:.4g}, {cq3:.4g}]':>28} {(cmed - bmed) / bmed:>+8.1%} "
-              f"{f'{wins}/{args.pairs}':>6} {bq3 - bq1:>9.4g}")
-    incorrect = [(side, i) for side in runs for i, line in enumerate(runs[side]) if not line["correct"]]
-    print("every run correct" if not incorrect else
-          "not correct: " + ", ".join(f"{side} pair {i}" for side, i in incorrect))
+              f"{f'{wins}/{len(pairs)}':>6} {bq3 - bq1:>9.4g}")
+    incorrect = [f"{side} pair {i}" for side in runs for i, line in enumerate(runs[side])
+                 if line is not None and not line["correct"]]
+    summary = [f"{label}: {', '.join(names)}"
+               for label, names in (("not correct", incorrect), ("failed", failed)) if names]
+    print("; ".join(summary) or "every run correct")
     return 0
 
 

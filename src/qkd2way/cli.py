@@ -27,7 +27,6 @@ line), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import math
 import os
@@ -218,6 +217,8 @@ def write_rows(file, fmt: str, columns, rows, meta=None) -> None:
         for row in rows:
             file.write(json.dumps(dict(zip(columns, row))) + "\n")
         return
+    import csv  # thresholds and simulate without --out write no CSV
+
     writer = csv.writer(file, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)

@@ -51,13 +51,15 @@ the process keeps one leaf alphabet that checks, builds and counts each
 value once, and every table, on every entry point, gathers its records and
 counter rows from it.  A record is a named tuple equal to its leaf, and
 :func:`tally` and :func:`write_round_log` hold one entry per distinct
-record value.  Each stage reruns once per
+record value; the writer joins its rows in C, one chunk of rounds per
+write.  Each stage reruns once per
 coin path of its own, starting from its parent stage's result, so a coin
 prefix shared by many leaves runs once rather than once per leaf; the
 leaves come out in the order, and with the bit-identical weights, of the
 whole round replayed from the root per leaf.  A run of n rounds is one
 multinomial draw over the leaves (:meth:`LeafTable.draw`), the same draw
-``montecarlo.run_batch`` tallies, put in a uniformly shuffled order.  This
+``montecarlo.run_batch`` tallies, put in a uniformly shuffled order and
+gathered from the table's records by one numpy take.  This
 holds only while rounds are i.i.d.: an attack or protocol whose rounds
 share state (memory, drift, adaptive choices) would have to step
 :func:`run_round` round by round on one stream.
@@ -70,6 +72,7 @@ import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -85,6 +88,9 @@ RATE_NAMES = ("q1", "q_ab", "q_ae", "q_be")
 
 _WEIGHT_ATOL = 1e-12
 _MAX_ROUNDS = 2**63 - 1  # numpy's multinomial draws counts as int64
+# rounds per write of a round log: a chunk of ~20-byte rows is ~80 kB, so the write
+# call costs little next to its rows, while a chunk stays small next to a long run
+_LOG_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -235,14 +241,15 @@ def run(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> list[RoundR
 
     The leaf counts are the draw ``run_batch`` makes for the same seed, so
     ``tally(run(c, a)) == run_batch(c, a).tallies``; a second stream of the
-    seed shuffles them into a uniformly random order.  Rounds with equal
-    leaves share the table's one record object, checked once per process.
+    seed shuffles them into a uniformly random order.  One take from an
+    object array of the table's records gathers them, so the list holds the
+    table's own objects: rounds with equal leaves share one record, checked
+    once per process.
     """
     table = enumerate_round(config, attack)
     hits = table.draw(config.rounds, config.seed)
     order = _rng.stream(config.seed, 1).permutation(np.repeat(np.arange(len(hits)), hits))
-    records = table.records
-    return [records[i] for i in order.tolist()]
+    return np.fromiter(table.records, dtype=object, count=len(table.records))[order].tolist()
 
 
 def _counters(leaf: tuple) -> tuple[int, ...]:
@@ -367,18 +374,24 @@ def _cell(value) -> str:
     return str(value)
 
 
+class _Rows(dict):
+    """Record value -> its round-log row, rendered by :func:`_cell` on first lookup."""
+
+    def __missing__(self, record: RoundRecord) -> str:
+        row = self[record] = ",".join(map(_cell, record)) + "\n"
+        return row
+
+
 def write_round_log(records: Iterable[RoundRecord], file: io.TextIOBase) -> None:
     """Round log as CSV: one row per round, header mandatory, an absent value as an empty cell.
 
     The header is ``RoundRecord._fields``, and no checked field needs
     quoting.  Each distinct record value is rendered once; a run repeats its
-    leaf values, so most rows are copies of a row already rendered, and the
-    memory held is one row per distinct value.
+    leaf values, so most rows are copies of a row already rendered.  Rows
+    are looked up and joined in C, ``_LOG_CHUNK`` rounds per write, so the
+    memory held is one row per distinct value plus one chunk.
     """
     file.write(",".join(RoundRecord._fields) + "\n")  # identifiers, which no CSV cell quotes
-    rendered = {}  # record value -> its row
-    for r in records:
-        row = rendered.get(r)
-        if row is None:
-            row = rendered[r] = ",".join(map(_cell, r)) + "\n"
-        file.write(row)
+    rows, records = _Rows(), iter(records)
+    while chunk := "".join(map(rows.__getitem__, islice(records, _LOG_CHUNK))):
+        file.write(chunk)

@@ -673,6 +673,7 @@ def test_closed_form_commands_load_neither_numpy_nor_the_simulator(tmp_path):
     script = f"""
 import sys
 from qkd2way.cli import main
+assert main(["thresholds"]) == 0 and "csv" not in sys.modules  # its text table needs no csv
 for argv, unused in {_COMMAND_LOADS!r}:
     assert main([*argv, "--out", {str(tmp_path / "out.csv")!r}]) == 0, argv
     loaded = [name for name in unused if name in sys.modules]

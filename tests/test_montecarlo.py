@@ -277,6 +277,9 @@ def test_tables_share_one_record_per_leaf_value():
     attack = AttackParams(kind="nort", x=math.pi / 4)
     first, again = (enumerate_round(ProtocolConfig(), attack).records for _ in range(2))
     assert first == again and all(a is b for a, b in zip(first, again))
+    # run's rounds are a plain list of the table's own records
+    rounds = run(ProtocolConfig(rounds=1000), attack)
+    assert type(rounds) is list and {id(r) for r in rounds} <= {id(r) for r in first}
 
 
 _IDENTITY_SCENARIOS = EXACT_SCENARIOS + [("lm05", AttackParams(kind="nort", x=0.0, x_prime=0.0))]

@@ -343,6 +343,37 @@ def test_round_log_renders_each_record_value_once(monkeypatch):
     assert buffer.getvalue() == _plain_round_log(records)
 
 
+class _CountingFile(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+_CHUNK = protocol._LOG_CHUNK
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_round_log_writes_whole_chunks_of_rows(n):
+    config = ProtocolConfig(rounds=2 * _CHUNK + 1, seed=12, control_prob=0.5)
+    attack = AttackParams(kind="nort", x=0.7)
+
+    def stepped():
+        strategy, rounds_stream = make_strategy(attack), stream(12)
+        return (run_round(config, strategy, rounds_stream) for _ in range(n))
+
+    shared = run(config, attack)[:n]
+    # run's shared leaf records, and distinct records from a generator
+    for records, reference in ((shared, shared), (stepped(), list(stepped()))):
+        file = _CountingFile()
+        write_round_log(records, file)
+        assert file.getvalue() == _plain_round_log(reference)
+        assert file.writes <= math.ceil(n / _CHUNK) + 1  # the header, then one write per chunk
+
+
 def _plain_round_log(records):
     def cell(value):
         if value is None:
