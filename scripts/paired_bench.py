@@ -6,8 +6,10 @@ in the base checkout and in the changed one, with the same seed and
 seconds on both sides; even pairs run the base first, odd pairs the change
 first, so a drift of the machine's speed falls on both sides alike.  Only
 the last line of each run's standard output, its JSON verdict, is read.
-A run that exits non-zero is reported with its exit code and left out of
-the medians and of the pairs counted for wins; the others go on.
+A run that exits non-zero is reported with its exit code, and one that
+exits 0 without a JSON object on its last line as malformed; either is
+left out of the medians and of the pairs counted for wins, and the others
+go on.
 
 Prints one line per run (its ``correct`` and ``failed`` and its end-to-end
 metrics), then per end-to-end metric each side's median and quartiles, the
@@ -28,15 +30,19 @@ from pathlib import Path
 from typing import Optional
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[int, Optional[dict]]:
-    """One benchmark run's exit code and JSON verdict, the last line of its standard output;
-    no verdict is read from a run that failed."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[str, Optional[dict]]:
+    """One benchmark run's JSON verdict, the last line of its standard output, or None and why
+    there is none: its exit code, or "malformed output" when it exits 0 without one."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", repr(seconds)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
-        return proc.returncode, None
-    return 0, json.loads(proc.stdout.strip().splitlines()[-1])
+        return f"exit code {proc.returncode}", None
+    try:
+        verdict = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):  # no output, or a last line that is not JSON
+        verdict = None
+    return ("", verdict) if isinstance(verdict, dict) else ("malformed output", None)
 
 
 def main() -> int:
@@ -60,11 +66,11 @@ def main() -> int:
         seed = args.seed + i
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            code, line = run_once(sides[side], args.workload, seed, args.seconds)
+            why, line = run_once(sides[side], args.workload, seed, args.seconds)
             runs[side].append(line)
             if line is None:
-                failed.append(f"{side} pair {i} (exit code {code})")
-                print(f"pair {i} seed {seed} {side:<6} failed with exit code {code}", flush=True)
+                failed.append(f"{side} pair {i} ({why})")
+                print(f"pair {i} seed {seed} {side:<6} failed with {why}", flush=True)
                 continue
             metrics = " ".join(f"{name}={m['value']:.4g}" for name, m in line["metrics"].items())
             print(f"pair {i} seed {seed} {side:<6} correct={line['correct']} "

@@ -215,4 +215,6 @@ def check_channel(protocol: str, params: AttackParams) -> None:
 
 
 def make_strategy(params: AttackParams) -> AttackStrategy:
+    if not isinstance(params, AttackParams):
+        raise ValueError(f"attack must be an AttackParams, got {params!r}")
     return _STRATEGIES[params.kind](params)

@@ -231,7 +231,7 @@ def _simulate(args) -> _Output:
     import numpy as np
 
     from .attacks import AttackParams
-    from .montecarlo import compare, failure_text, report_text, run_batch
+    from .montecarlo import failure_text, report_text, run_batch
     from .protocol import ProtocolConfig
 
     attack = AttackParams(kind=args.attack.replace("-", "_"), xi=args.xi,
@@ -246,8 +246,7 @@ def _simulate(args) -> _Output:
             "enumerate_s": report.enumerate_s, "draw_s": report.draw_s, "gate_s": report.gate_s,
             "rounds_per_s": report.rounds / report.elapsed_s, "qkd2way": __version__,
             "numpy": np.__version__}
-    return _Output(report_text(report), map(astuple, report.rates),
-                   failure_text(report) if compare(report) else None, meta)
+    return _Output(report_text(report), map(astuple, report.rates), failure_text(report), meta)
 
 
 def _curves(args) -> _Output:

@@ -23,9 +23,9 @@ Eve curves (q1 domains in brackets):
   I_AE = 1 - H((1 - sin x)/2) and I_BE = 1 - H((2 - sin x)/4).
 * ``dcnot_star`` [0, 1/4]: I_AE = I_BE = xi = 4 q1.
 * ``generic``    [0, 1/2]: the individual-attack bound
-  -(1-q1) log2(1-q1) - q1 log2(q1/3), clamped to one bit; the reverse
-  direction is exposed for convenience but the bound is only meaningful
-  for direct reconciliation.
+  -(1-q1) log2(1-q1) - q1 log2(q1/3), clamped to the one bit it reaches at
+  q1 ~ 18.93%; the reverse direction is exposed for convenience but the
+  bound is only meaningful for direct reconciliation.
 * ``bb84_ir``    [0, 1/4]: I = 2 q1 (half a bit at q1 = 1/4).
 * ``bb84_opt``   [0, 1/2]: optimal individual attack,
   I = 1 - H(1/2 + sqrt(q1 (1 - q1))); its threshold is (1 - 1/sqrt 2)/2.
@@ -47,7 +47,6 @@ from .numerics import bisect_first_zero, grid, real
 _DOMAIN_EPS = 1e-12
 _CAPACITY_TOL = 1e-12
 _THRESHOLD_TOL = 1e-6  # bisection bracket width of a threshold
-_FULL_INFO_TOL = 1e-9  # and of the generic bound's full-information point
 _LOG2_3 = math.log2(3.0)
 
 
@@ -90,14 +89,14 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def generic_bound(q1: float, clamp: bool = True) -> float:
-    """Individual-attack information bound; exceeds one bit above ~18.9%."""
+def generic_bound(q1: float) -> float:
+    """Individual-attack information bound, clamped to the one bit it reaches at q1 ~ 18.93%."""
     if q1 <= 0.0:
         return 0.0
     # -(1-q)log2(1-q) - q log2(q/3), with the quotient expanded so that
     # subnormal q1 cannot underflow inside the logarithm
     v = -(1.0 - q1) * math.log2(1.0 - q1) - q1 * (math.log2(q1) - _LOG2_3)
-    return min(v, 1.0) if clamp else v
+    return min(v, 1.0)
 
 
 def _nort(q1: float) -> tuple[float, float]:
@@ -127,6 +126,8 @@ def _evaluator(attack: str, model: NoiseModel) -> tuple[float, Callable[[float],
     """
     if attack not in _CURVES:
         raise ValueError(f"unknown eve curve {attack!r}; expected one of {EVE_MODELS}")
+    if not isinstance(model, NoiseModel):
+        raise ValueError(f"model must be a NoiseModel, got {model!r}")
     dmax, curve = _CURVES[attack]
     q_ab = model.q_ab
 
@@ -138,12 +139,6 @@ def _evaluator(attack: str, model: NoiseModel) -> tuple[float, Callable[[float],
         return InfoPoint(q1, i_ab, i_ae, i_be, i_ab - i_ae, i_ab - i_be)
 
     return dmax, point
-
-
-def eve_curves(attack: str, q1: float) -> tuple[float, float]:
-    """Eve's (I_AE, I_BE) in bits per sifted symbol at forward QBER q1."""
-    p = secrecy(q1, attack)
-    return p.i_ae, p.i_be
 
 
 def secrecy(q1: float, attack: str, model: NoiseModel = IDENTIFIED) -> InfoPoint:
@@ -173,11 +168,6 @@ def threshold(attack: str, reconciliation: str = "dr",
     if capacity(dmax) > _CAPACITY_TOL:
         return None
     return bisect_first_zero(capacity, 0.0, dmax, tol=_THRESHOLD_TOL)
-
-
-def generic_full_information_point() -> float:
-    """q1 above which the unclamped generic bound exceeds one bit."""
-    return bisect_first_zero(lambda q: 1.0 - generic_bound(q, clamp=False), 1e-12, 0.5, tol=_FULL_INFO_TOL)
 
 
 def curve_points(attack: str, model: NoiseModel = IDENTIFIED,

@@ -9,7 +9,9 @@ for the same seed, so the batch tallies equal ``tally(run(...))``.  Like
 Each tallied rate is reported with a 95% Wilson interval and, where a
 closed form exists, gated PASS/FAIL against the prediction using a 5-sigma
 Wilson band (wide enough to be flake-free at a million rounds).  Each
-closed form lives on its attack's class, as ``attacked_rates``.
+closed form lives on its attack's class, as ``attacked_rates``.  A batch
+fails when a gated rate fails, and then ``qkd2way simulate`` and
+``scripts/verify_attacks.py`` print :func:`failure_text` and exit with status 1.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ def predicted_rates(protocol: str, attack: AttackParams) -> dict[str, Optional[f
     rounds where Eve actually guessed, so they do not.  BB84 has no
     Encoding Mode, so no q_ab and no q_ae.
     """
+    q1, q_ab, q_ae, q_be = make_strategy(attack).attacked_rates()  # checks the attack's type
     check_channel(protocol, attack)
-    q1, q_ab, q_ae, q_be = make_strategy(attack).attacked_rates()
     xi = attack.xi
     two_way = protocol != "bb84"
     return {"q1": xi * q1, "q_ab": xi * q_ab if two_way else None,
@@ -101,9 +103,8 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK, *,
     parallelism, and the tallies depend on (config, attack) alone.
     """
     workers = integer("workers", workers, 1)
-    predictions = predicted_rates(config.protocol, attack)  # validates the combo
     started = time.perf_counter()
-    table = enumerate_round(config, attack)
+    table = enumerate_round(config, attack)  # checks config, attack and their combination
     enumerated = time.perf_counter()
     hits = table.draw(config.rounds, config.seed)
     counters = (hits @ table.counts).tolist()
@@ -111,6 +112,7 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK, *,
     total = Tallies(*zip(counters[0::2], counters[1::2]))
     tallied = time.perf_counter()
 
+    predictions = predicted_rates(config.protocol, attack)
     rates = []
     for name in RATE_NAMES:
         errors, trials = getattr(total, name)
@@ -127,10 +129,6 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK, *,
                        tallies=total, rates=tuple(rates), elapsed_s=tallied - started,
                        leaves=len(table.weights), enumerate_s=enumerated - started,
                        draw_s=drawn - enumerated, gate_s=time.perf_counter() - tallied)
-
-
-def failures(report: BatchReport) -> list[str]:
-    return [r.name for r in report.rates if r.verdict == "FAIL"]
 
 
 def gate_miss(rate: RateReport) -> tuple[float, float]:
@@ -150,20 +148,16 @@ def gate_miss(rate: RateReport) -> tuple[float, float]:
     return z, _band_distance(rate.errors, rate.trials, p)
 
 
-def failure_text(report: BatchReport) -> str:
-    """One line naming each failed rate with its z-score and distance to the band."""
+def failure_text(report: BatchReport) -> Optional[str]:
+    """One line naming each failed rate with its z-score and distance to the band, or None
+    when every gated rate passed (a skipped rate does not fail)."""
     parts = []
     for r in report.rates:
         if r.verdict == "FAIL":
             z, distance = gate_miss(r)
             parts.append(f"{r.name} (estimate {r.estimate:.6f}, predicted {r.prediction:.6f}, "
                          f"z={z:+.2f}, {distance:.6f} outside the {_GATE_Z:g}-sigma band)")
-    return f"verification FAILED for: {'; '.join(parts)}"
-
-
-def compare(report: BatchReport) -> int:
-    """Exit status: 0 iff every gated rate passed (skipped rates do not fail)."""
-    return 1 if failures(report) else 0
+    return f"verification FAILED for: {'; '.join(parts)}" if parts else None
 
 
 def report_text(report: BatchReport) -> str:

@@ -115,11 +115,6 @@ def poisson_pmf(n: int, mu: float) -> float:
     return math.exp(-_stirlerr(x) - _bd0(x, mu)) / (_SQRT_2PI * math.sqrt(x))
 
 
-def bs_success_prob(r1: float, r2: float, mu: float) -> float:
-    """Both-pass tap success probability for tap ratios (r1, r2)."""
-    return (1.0 - math.exp(-r1 * mu)) * (1.0 - math.exp(-r2 * (1.0 - r1) * mu))
-
-
 _BS_EVE_INFO = {
     "bb84": lambda mu: min(mu, 1.0),
     "lm05": lambda mu: (1.0 - math.exp(-mu / 2.0)) ** 2,

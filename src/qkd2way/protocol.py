@@ -221,6 +221,8 @@ def _readout(config: ProtocolConfig, strategy: AttackStrategy, back, rng) -> tup
 
 def _stages(config: ProtocolConfig, strategy: AttackStrategy):
     """The round's chain of three stages, one for both protocols."""
+    if not isinstance(config, ProtocolConfig):
+        raise ValueError(f"config must be a ProtocolConfig, got {config!r}")
     check_channel(config.protocol, strategy.params)
     return (partial(_forward_leg, strategy), partial(_alice, config, strategy),
             partial(_readout, config, strategy))
@@ -275,16 +277,22 @@ def _counters(leaf: tuple) -> tuple[int, ...]:
     return (*q1, *ab, *ae, *be)
 
 
+def _checked(value) -> RoundRecord:
+    """A record value as a checked record: a RoundRecord checked itself when built, any other is built."""
+    return value if isinstance(value, RoundRecord) else RoundRecord._make(value)
+
+
 def tally(records: Iterable[RoundRecord]) -> Tallies:
     """Aggregate QBER counters from round records.
 
-    Each distinct record value is counted once, by :func:`_counters`, and
-    weighted by how often it occurs; a run repeats its leaf values, so the
-    memory held is one entry per distinct value, however long the stream.
+    Each distinct record value is checked and counted once, by
+    :func:`_counters`, and weighted by how often it occurs; a run repeats
+    its leaf values, so the memory held is one entry per distinct value,
+    however long the stream.
     """
     totals = [0] * 2 * len(RATE_NAMES)
     for record, occurrences in Counter(records).items():
-        for i, c in enumerate(_counters(record)):
+        for i, c in enumerate(_counters(_checked(record))):
             totals[i] += occurrences * c
     return Tallies(*zip(totals[0::2], totals[1::2]))
 
@@ -375,10 +383,10 @@ def _cell(value) -> str:
 
 
 class _Rows(dict):
-    """Record value -> its round-log row, rendered by :func:`_cell` on first lookup."""
+    """Record value -> its round-log row, checked as a record and rendered by :func:`_cell` once."""
 
     def __missing__(self, record: RoundRecord) -> str:
-        row = self[record] = ",".join(map(_cell, record)) + "\n"
+        row = self[record] = ",".join(map(_cell, _checked(record))) + "\n"
         return row
 
 

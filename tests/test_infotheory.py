@@ -13,14 +13,12 @@ from qkd2way.infotheory import (
     NoiseModel,
     binary_entropy,
     curve_points,
-    eve_curves,
     generic_bound,
-    generic_full_information_point,
     secrecy,
     threshold,
 )
 from qkd2way.cli import CURVE_COLUMNS
-from qkd2way.numerics import grid
+from qkd2way.numerics import bisect_first_zero, grid
 from qkd2way.cli import main as cli_main
 
 # exact binary-channel leak at a quarter error rate: 1 - H(1/4) = 0.75 log2(3) - 1
@@ -97,42 +95,42 @@ def test_noise_model_and_info_point_are_immutable_values():
 
 
 def test_ir_curve_endpoint():
-    i_ae, i_be = eve_curves("ir", 0.25)
-    assert i_ae == pytest.approx(1.0, abs=1e-12)
-    assert i_be == pytest.approx(0.188722, abs=1e-6)
+    point = secrecy(0.25, "ir")
+    assert point.i_ae == pytest.approx(1.0, abs=1e-12)
+    assert point.i_be == pytest.approx(0.188722, abs=1e-6)
 
 
 def test_dcnot_star_curve_is_linear():
-    assert eve_curves("dcnot_star", 0.125) == pytest.approx((0.5, 0.5), abs=1e-12)
+    point = secrecy(0.125, "dcnot_star")
+    assert (point.i_ae, point.i_be) == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
 def test_nort_curve_identity_at_ten_percent():
     # at q1 = 0.10: cos x = 0.6, sin x = 0.8, so Eve's error is exactly q1
     q1 = 0.10
-    i_ae, _ = eve_curves("nort", q1)
-    assert abs(i_ae - (1.0 - binary_entropy(q1))) <= 1e-9
+    assert abs(secrecy(q1, "nort").i_ae - (1.0 - binary_entropy(q1))) <= 1e-9
 
 
 def test_generic_bound_reaches_full_information():
-    assert abs(generic_bound(0.189, clamp=False) - 1.0) <= 2e-3
+    assert 1.0 - 2e-3 <= generic_bound(0.189) < 1.0  # just below the full-information point
     assert generic_bound(0.3) == 1.0  # clamped
     assert generic_bound(0.0) == 0.0
 
 
 def test_curves_zero_at_origin():
     for attack in EVE_MODELS:
-        i_ae, i_be = eve_curves(attack, 0.0)
-        assert i_ae == pytest.approx(0.0, abs=1e-12)
-        assert i_be == pytest.approx(0.0, abs=1e-12)
+        point = secrecy(0.0, attack)
+        assert point.i_ae == pytest.approx(0.0, abs=1e-12)
+        assert point.i_be == pytest.approx(0.0, abs=1e-12)
 
 
 def test_curve_domain_validation():
     with pytest.raises(ValueError):
-        eve_curves("ir", 0.3)
+        secrecy(0.3, "ir")
     with pytest.raises(ValueError):
-        eve_curves("bb84_opt", 0.6)
+        secrecy(0.6, "bb84_opt")
     with pytest.raises(ValueError):
-        eve_curves("unknown", 0.1)
+        secrecy(0.1, "unknown")
 
 
 @pytest.mark.parametrize("q1", [None, "0.1", True])
@@ -140,8 +138,6 @@ def test_a_q1_that_is_not_a_number_is_refused_by_name(q1):
     message = f"^q1 must be a real number, got {re.escape(repr(q1))}$"
     with pytest.raises(ValueError, match=message):
         secrecy(q1, "ir")
-    with pytest.raises(ValueError, match=message):
-        eve_curves("ir", q1)
 
 
 @given(q1=st.floats(min_value=0.0, max_value=0.25, allow_nan=False))
@@ -160,7 +156,7 @@ def test_information_values_stay_in_unit_interval(q1):
 def test_eve_information_is_monotone_in_q1(attack):
     dmax = 0.25 if attack not in ("generic", "bb84_opt") else 0.5
     grid = [dmax * i / 400 for i in range(401)]
-    values = [eve_curves(attack, q) for q in grid]
+    values = [(p.i_ae, p.i_be) for p in (secrecy(q, attack) for q in grid)]
     for (a0, b0), (a1, b1) in zip(values, values[1:]):
         assert a1 >= a0 - 1e-12
         assert b1 >= b0 - 1e-12
@@ -176,7 +172,7 @@ def test_i_ab_monotone_decreasing_under_identified_model():
 def test_generic_bound_dominates_nort_at_low_qber():
     for i in range(101):
         q1 = 0.1 * i / 100
-        assert eve_curves("generic", q1)[0] >= eve_curves("nort", q1)[0] - 1e-12
+        assert secrecy(q1, "generic").i_ae >= secrecy(q1, "nort").i_ae - 1e-12
 
 
 TABLE_EXPECTED = [
@@ -215,7 +211,11 @@ def test_nort_dr_threshold_satisfies_exact_identity():
 
 
 def test_full_information_point():
-    assert abs(generic_full_information_point() - 0.189) <= 5e-4
+    # bisection keeps the positive side on the left, so it finds the left edge of the
+    # clamped bound's plateau at one bit: where the unclamped bound first exceeds it
+    full_info = bisect_first_zero(lambda q: 1.0 - generic_bound(q), 1e-12, 0.5, tol=1e-9)
+    assert full_info == 0.1892896252690509
+    assert abs(full_info - 0.189) <= 5e-4
 
 
 def test_secure_everywhere_returns_none():

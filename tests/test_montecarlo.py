@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,12 @@ from hypothesis import strategies as st
 from qkd2way import protocol as protocol_module
 from qkd2way import qsim
 from qkd2way.attacks import AttackParams, make_strategy
+from qkd2way.infotheory import curve_points, secrecy, threshold
 from qkd2way.montecarlo import (
     ENGINE,
     BatchReport,
     RateReport,
-    compare,
-    failures,
+    failure_text,
     predicted_rates,
     report_text,
     run_batch,
@@ -409,12 +411,35 @@ def test_run_and_run_batch_share_one_stream_layout(protocol, attack, seed):
     assert tally(run(config, attack)) == run_batch(config, attack).tallies
 
 
+_CONFIG = ProtocolConfig(rounds=100)
+_WRONG_TYPES = [
+    ("model", "'identified'", lambda: secrecy(0.1, "ir", "identified")),
+    ("model", "'fixed'", lambda: threshold("ir", "dr", "fixed")),
+    ("model", "None", lambda: curve_points("ir", None)),
+    ("attack", "'ir'", lambda: run_batch(_CONFIG, "ir")),
+    ("attack", "'ir'", lambda: predicted_rates("lm05", "ir")),
+    ("attack", "'ir'", lambda: predicted_rates("bb84", "ir")),
+    ("attack", "'ir'", lambda: run(_CONFIG, "ir")),
+    ("attack", "'ir'", lambda: enumerate_round(_CONFIG, "ir")),
+    ("config", "None", lambda: run_batch(None)),
+    ("config", "None", lambda: run(None)),
+    ("config", "'lm05'", lambda: enumerate_round("lm05")),
+    ("config", "None", lambda: run_round(None, make_strategy(AttackParams()), stream(1))),
+]
+
+
+@pytest.mark.parametrize("name,value,call", _WRONG_TYPES)
+def test_an_argument_of_the_wrong_type_is_refused_by_name(name, value, call):
+    with pytest.raises(ValueError, match=rf"^{name} must be an? \w+, got {value}$"):
+        call()
+
+
 def test_run_batch_verdicts_pass_for_calibrated_attack():
     config = ProtocolConfig(protocol="lm05", rounds=80_000, seed=37, reveal_fraction=0.5)
     report = run_batch(config, AttackParams(kind="ir"))
     verdicts = {r.name: r.verdict for r in report.rates}
     assert verdicts == {"q1": "PASS", "q_ab": "PASS", "q_ae": "PASS", "q_be": "PASS"}
-    assert compare(report) == 0
+    assert failure_text(report) is None
     assert 0.0 < report.enumerate_s <= report.elapsed_s
     assert 0.0 < report.draw_s <= report.elapsed_s - report.enumerate_s
     assert report.gate_s >= 0.0
@@ -426,7 +451,7 @@ def test_no_attack_report_skips_eve_rates():
     by_name = {r.name: r for r in report.rates}
     assert by_name["q1"].verdict == "PASS"
     assert by_name["q_ae"].trials == 0 and by_name["q_ae"].verdict is None
-    assert compare(report) == 0
+    assert failure_text(report) is None
 
 
 def _doctored_report(verdicts):
@@ -438,11 +463,31 @@ def _doctored_report(verdicts):
                        workers=1, tallies=Tallies(), rates=rates, elapsed_s=0.1)
 
 
-def test_compare_flags_failures_by_name():
-    report = _doctored_report({"q1": "PASS", "q_ab": "FAIL", "q_ae": None})
-    assert compare(report) == 1
-    assert failures(report) == ["q_ab"]
-    assert compare(_doctored_report({"q1": "PASS", "q_ae": None})) == 0
+def test_failure_text_names_each_failed_gate():
+    report = _doctored_report({"q1": "PASS", "q_ab": "FAIL", "q_ae": None, "q_be": "FAIL"})
+    text = failure_text(report)
+    assert text.startswith("verification FAILED for: q_ab (estimate 0.000000, predicted 0.000000, z=+0.00")
+    assert "; q_be (" in text and "q1" not in text and "q_ae" not in text
+    assert failure_text(_doctored_report({"q1": "PASS", "q_ae": None})) is None
+
+
+def test_verify_attacks_says_why_a_scenario_failed(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    monkeypatch.setattr(sys, "argv", ["verify_attacks.py", "--rounds", "100"])
+    import verify_attacks
+
+    failing = dataclasses.replace(_doctored_report({"q1": "PASS"}), rates=(
+        RateReport("q1", 0, 10, 0.0, 0.0, 0.1, 0.0, "PASS"),
+        RateReport("q_ab", 50, 100, 0.5, 0.4, 0.6, 0.1, "FAIL")))
+    reports = iter([failing])
+    monkeypatch.setattr(verify_attacks, "run_batch",
+                        lambda config, attack: next(reports, _doctored_report({"q1": "PASS"})))
+    assert verify_attacks.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("verification FAILED")]
+    assert failed == [failure_text(failing)]
+    assert "z=+13.33" in failed[0] and "outside the 5-sigma band" in failed[0]
+    assert lines[-1] == "verdict: FAILURES present"
 
 
 def test_report_text_contains_verdicts():

@@ -119,12 +119,35 @@ def test_a_record_names_the_field_of_a_bad_value():
         for use in (list, tally, lambda records: write_round_log(records, io.StringIO())):
             with pytest.raises(ValueError, match=message):
                 use([RoundRecord(*fields)])
+    # a plain tuple is checked as the record it stands for
+    plain = [(("EM", z, 0, z, 1, 2, True, 0, 1, True), "alice_op must be the int 0 or 1"),
+             (("CM", z, 1, z, 1, None, False, None, None, 1), "attacked must be a bool"),
+             (("a,b",) * 10, "unknown mode 'a,b'")]
+    for leaf, message in plain:
+        for use in (tally, lambda records: write_round_log(records, io.StringIO())):
+            with pytest.raises(ValueError, match=message):
+                use([leaf] * 3)
+    for records in ([(1, 2)], [("a,b",)]):
+        for use in (tally, lambda records: write_round_log(records, io.StringIO())):
+            with pytest.raises(TypeError, match="Expected 10 arguments"):
+                use(records)
+    buffer = io.StringIO()
+    with pytest.raises(ValueError, match="alice_op"):
+        write_round_log([plain[0][0], (1, 2), ("a,b",)], buffer)
+    assert buffer.getvalue() == ",".join(RoundRecord._fields) + "\n"  # the header alone
     good = ("EM", z, 1, z, 0, 1, False, None, 0, True)
     for name, value in [("receiver_outcome", True), ("receiver_outcome", None), ("eve_bob_guess", 1.0),
                         ("revealed", 1), ("attacked", None), ("receiver_basis", "Z")]:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             RoundRecord._make(good)._replace(**{name: value})
     assert RoundRecord(*good) == good
+    # a valid plain leaf tallies and logs like its record
+    leaves, records = [good] * 2, [RoundRecord(*good)] * 2
+    assert tally(leaves) == tally(records) == Tallies(q_be=(2, 2))
+    logs = [io.StringIO(), io.StringIO()]
+    write_round_log(leaves, logs[0])
+    write_round_log(records, logs[1])
+    assert logs[0].getvalue() == logs[1].getvalue() == _plain_round_log(records)
 
 
 @lru_cache(maxsize=None)
