@@ -19,8 +19,8 @@ the weights and counts alone, so it holds across a change of the record's
 fields.  The next line is the leaf alphabet's size after one pass from an
 empty alphabet, and the share of that pass's paths whose leaf value was
 already there when the path was counted.  The next line is the occupancy
-of the kernel caches of ``qsim.apply``, ``attach_ancilla``, ``_outcomes``
-and ``_p0`` against their ``_STEPS`` entries: from emptied caches, the
+of the kernel caches of ``qsim.apply``, ``attach_ancilla`` and
+``_outcomes`` against their ``_STEPS`` entries: from emptied caches, the
 distinct keys one pass of the scenarios reads from each, then the misses
 of each of two later passes.  The next two lines are the
 stepped-round digests, the first 16 hex digits of a sha256 over 300
@@ -47,7 +47,7 @@ from verify_attacks import SCENARIOS
 from qkd2way import attacks as attacks_module
 from qkd2way import protocol as protocol_module
 from qkd2way import qsim, rng
-from qkd2way.attacks import ATTACK_KINDS, ONE_WAY_KINDS, AttackParams, make_strategy
+from qkd2way.attacks import ATTACK_KINDS, ONE_WAY_KINDS, AttackParams
 from qkd2way.montecarlo import predicted_rates
 from qkd2way.protocol import (LeafTable, ProtocolConfig, _counters, _LeafAlphabet, enumerate_round,
                               run_round)
@@ -78,12 +78,11 @@ def stepped_rounds():
     """300 rounds per scenario and c in {0.25, 0.6}, each run stepped on
     rng.stream(1234, scenario index, 100 c)."""
     for i, (protocol, attack) in enumerate(SCENARIOS):
-        strategy = make_strategy(attack)
         for c in (0.25, 0.6):
             config = ProtocolConfig(protocol=protocol, control_prob=c)
             stream = rng.stream(1234, i, int(100 * c))
             for _ in range(300):
-                yield run_round(config, strategy, stream)
+                yield run_round(config, attack, stream)
 
 
 def stepped_digest() -> str:
@@ -166,7 +165,7 @@ def kernel_occupancy(later_passes: int = 2) -> dict[str, tuple[int, list[int]]]:
     for f in vars(qsim).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
-    kernels = {name: getattr(qsim, name) for name in ("apply", "attach_ancilla", "_outcomes", "_p0")}
+    kernels = {name: getattr(qsim, name) for name in ("apply", "attach_ancilla", "_outcomes")}
     keys = {name: set() for name in kernels}
 
     def recorded(name, kernel):

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from . import PROTOCOLS
 from .numerics import real
 from .qsim import (PROBE_ANGLES, Basis, ancilla_rotation, apply, attach_ancilla, cnot, hadamard, measure,
-                   random_basis, read, spin_flip)
+                   random_basis, spin_flip)
 from .rng import coin
 
 
@@ -164,7 +164,7 @@ class _NortStrategy(AttackStrategy):
         # Z is the minimum-error (Helstrom) readout of either probe pair, for every angle
         # (test_the_z_readout_of_a_nort_probe_pair_is_its_helstrom_measurement)
         g, state = measure(state, 1, Basis.Z, rng)
-        r = read(state, 2, Basis.Z, rng)
+        r, _ = measure(state, 2, Basis.Z, rng)
         # forward read = bit before Alice (in Eve's frame), backward read =
         # bit after; the XOR estimates the flip, which is also the key bit
         guess = g ^ r
@@ -192,7 +192,7 @@ class _DcnotStrategy(AttackStrategy):
         return flip, state
 
     def finalize(self, flip, state, rng):
-        bit = read(state, 1, Basis.Z, rng)
+        bit, _ = measure(state, 1, Basis.Z, rng)
         # Eve knows her own injected flip, so her key-bit prediction folds it in
         return bit, bit ^ flip
 
@@ -207,6 +207,8 @@ NO_ATTACK = AttackParams()
 def check_channel(protocol: str, params: AttackParams) -> None:
     """Refuse a protocol not in PROTOCOLS, and an attack its channel cannot carry: BB84 takes
     only ONE_WAY_KINDS."""
+    if not isinstance(params, AttackParams):
+        raise ValueError(f"attack must be an AttackParams, got {params!r}")
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "bb84" and params.kind not in ONE_WAY_KINDS:

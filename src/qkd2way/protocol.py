@@ -30,10 +30,8 @@ which draws no mode coin, and in LM05 on the mode coin; or else her
 operation, the backward pass and Bob's measurement), and the readout: on
 a round that carries a key bit (LM05's Encoding-Mode rounds, every BB84
 round), the reveal coin of an Encoding-Mode round and Eve's readout, then
-the round's leaf: the field values of its :class:`RoundRecord`.  A
-measurement whose collapsed state no later step reads (Alice's in an LM05
-Control-Mode round, Eve's last readout) is a :func:`qkd2way.qsim.read`,
-which draws the same coin and builds no state.  ``_stages`` builds the
+the round's leaf: the field values of its :class:`RoundRecord`.  Every
+measurement is a :func:`qkd2way.qsim.measure`.  ``_stages`` builds the
 chain for both uses: :func:`run_round` runs it in order on one stream and
 builds the record from the leaf, so it is the one physics path, and
 :func:`enumerate_round` hands it to :func:`qkd2way.rng.enumerate_paths`.
@@ -81,13 +79,14 @@ from . import rng as _rng
 from . import PROTOCOLS
 from .attacks import NO_ATTACK, AttackParams, AttackStrategy, check_channel, make_strategy
 from .numerics import integer, real
-from .qsim import Basis, apply, measure, prepare, random_basis, read, spin_flip
+from .qsim import Basis, apply, measure, prepare, random_basis, spin_flip
 from .rng import coin
 
 RATE_NAMES = ("q1", "q_ab", "q_ae", "q_be")
 
 _WEIGHT_ATOL = 1e-12
 _MAX_ROUNDS = 2**63 - 1  # numpy's multinomial draws counts as int64
+_MAX_SEED = 2**64 - 1  # a seed is a 64-bit key
 # rounds per write of a round log: a chunk of ~20-byte rows is ~80 kB, so the write
 # call costs little next to its rows, while a chunk stays small next to a long run
 _LOG_CHUNK = 4096
@@ -107,7 +106,7 @@ class ProtocolConfig:
         for name, lo_open in (("control_prob", False), ("reveal_fraction", True)):
             object.__setattr__(self, name, real(name, getattr(self, name), 0.0, 1.0, lo_open=lo_open))
         object.__setattr__(self, "rounds", integer("rounds", self.rounds, 1, _MAX_ROUNDS))
-        object.__setattr__(self, "seed", integer("seed", self.seed, 0, 2**64 - 1))  # a 64-bit key
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0, _MAX_SEED))
 
 
 _BASIS = ("a Basis", lambda v: type(v) is Basis)
@@ -182,16 +181,10 @@ def _forward_leg(strategy: AttackStrategy, rng):
     return basis, bit, memory, state
 
 
-def _keyed(config: ProtocolConfig, mode: str) -> bool:
-    """Whether a round carries a key bit: LM05's Encoding-Mode rounds, every BB84 round."""
-    return mode == "EM" or config.protocol == "bb84"
-
-
 def _alice(config: ProtocolConfig, strategy: AttackStrategy, leg, rng):
     """Stage 2, Alice's station: Control Mode (her measurement in a random basis), always in
     BB84 and on LM05's mode coin, or else her operation, the way back and Bob's measurement
-    in his basis.  Returns (the record's first six fields, Eve's memory, state); the state is
-    None after a round that carries no key bit, as no stage reads it again."""
+    in his basis.  Returns (the record's first six fields, Eve's memory, the collapsed state)."""
     basis, bit, memory, state = leg
     if config.protocol == "bb84" or coin(rng, config.control_prob):
         mode, op, receiver_basis = "CM", None, random_basis(rng)
@@ -201,10 +194,7 @@ def _alice(config: ProtocolConfig, strategy: AttackStrategy, leg, rng):
             state = apply(state, spin_flip(0))
         if memory is not None:
             memory, state = strategy.backward(memory, state, rng)
-    if _keyed(config, mode):
-        outcome, state = measure(state, 0, receiver_basis, rng)
-    else:
-        outcome, state = read(state, 0, receiver_basis, rng), None
+    outcome, state = measure(state, 0, receiver_basis, rng)
     return (mode, basis, bit, receiver_basis, outcome, op), memory, state
 
 
@@ -212,26 +202,27 @@ def _readout(config: ProtocolConfig, strategy: AttackStrategy, back, rng) -> tup
     """Stage 3: on a round that carries a key bit (LM05's EM rounds, every BB84 round), the
     reveal coin of an EM round and Eve's readout; then the leaf, the record's field values."""
     ends, memory, state = back
-    if not _keyed(config, ends[0]):
+    if ends[0] == "CM" and config.protocol != "bb84":  # an LM05 Control-Mode round: no key bit
         return (*ends, False, None, None, memory is not None)
     revealed = ends[0] == "EM" and coin(rng, config.reveal_fraction)
     guess_a, guess_b = (None, None) if memory is None else strategy.finalize(memory, state, rng)
     return (*ends, revealed, guess_a, guess_b, memory is not None)
 
 
-def _stages(config: ProtocolConfig, strategy: AttackStrategy):
-    """The round's chain of three stages, one for both protocols."""
+def _stages(config: ProtocolConfig, attack: AttackParams):
+    """The round's chain of three stages, one for both protocols, bound to the attack's strategy."""
     if not isinstance(config, ProtocolConfig):
         raise ValueError(f"config must be a ProtocolConfig, got {config!r}")
-    check_channel(config.protocol, strategy.params)
+    check_channel(config.protocol, attack)
+    strategy = make_strategy(attack)
     return (partial(_forward_leg, strategy), partial(_alice, config, strategy),
             partial(_readout, config, strategy))
 
 
-def run_round(config: ProtocolConfig, strategy: AttackStrategy, rng) -> RoundRecord:
+def run_round(config: ProtocolConfig, attack: AttackParams, rng) -> RoundRecord:
     """One round on one stream: each stage continues from the value of the one before, and
     the last one's leaf becomes the record."""
-    first, *rest = _stages(config, strategy)
+    first, *rest = _stages(config, attack)
     value = first(rng)
     for stage in rest:
         value = stage(value, rng)
@@ -282,6 +273,14 @@ def _checked(value) -> RoundRecord:
     return value if isinstance(value, RoundRecord) else RoundRecord._make(value)
 
 
+def _iterated(records: Iterable[RoundRecord]):
+    """An iterator over `records`; a non-iterable is refused by name, before a round is read."""
+    try:
+        return iter(records)
+    except TypeError:
+        raise ValueError(f"records must be an iterable, got {records!r}") from None
+
+
 def tally(records: Iterable[RoundRecord]) -> Tallies:
     """Aggregate QBER counters from round records.
 
@@ -291,7 +290,7 @@ def tally(records: Iterable[RoundRecord]) -> Tallies:
     however long the stream.
     """
     totals = [0] * 2 * len(RATE_NAMES)
-    for record, occurrences in Counter(records).items():
+    for record, occurrences in Counter(_iterated(records)).items():
         for i, c in enumerate(_counters(_checked(record))):
             totals[i] += occurrences * c
     return Tallies(*zip(totals[0::2], totals[1::2]))
@@ -346,8 +345,10 @@ class LeafTable:
     counts: np.ndarray
 
     def draw(self, rounds: int, seed: int) -> np.ndarray:
-        """How often each leaf occurs in `rounds` i.i.d. rounds from `seed`."""
-        return _rng.stream(seed).multinomial(rounds, self.weights)
+        """How often each leaf occurs in `rounds` i.i.d. rounds from `seed`, both checked as
+        :class:`ProtocolConfig` checks them."""
+        rounds = integer("rounds", rounds, 1, _MAX_ROUNDS)
+        return _rng.stream(integer("seed", seed, 0, _MAX_SEED)).multinomial(rounds, self.weights)
 
     def exact_rates(self) -> dict[str, Optional[float]]:
         """Expected errors / expected trials per rate; None where no round is a trial."""
@@ -362,8 +363,7 @@ def enumerate_round(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) ->
     A leaf value repeats across paths and settings, so its record and
     counters come from the process's leaf alphabet, built once per value.
     """
-    strategy = make_strategy(attack)
-    weights, leaves = zip(*_rng.enumerate_paths(*_stages(config, strategy)))
+    weights, leaves = zip(*_rng.enumerate_paths(*_stages(config, attack)))
     total = math.fsum(weights)
     if abs(total - 1.0) > _WEIGHT_ATOL:
         raise ValueError(f"leaf weights sum to {total!r}, not 1")
@@ -399,7 +399,8 @@ def write_round_log(records: Iterable[RoundRecord], file: io.TextIOBase) -> None
     are looked up and joined in C, ``_LOG_CHUNK`` rounds per write, so the
     memory held is one row per distinct value plus one chunk.
     """
+    records = _iterated(records)
     file.write(",".join(RoundRecord._fields) + "\n")  # identifiers, which no CSV cell quotes
-    rows, records = _Rows(), iter(records)
+    rows = _Rows()
     while chunk := "".join(map(rows.__getitem__, islice(records, _LOG_CHUNK))):
         file.write(chunk)

@@ -28,16 +28,15 @@ Conventions
 
 Kernel cache
 ------------
-:func:`apply`, :func:`attach_ancilla` and the Born-rule kernels behind
-:func:`measure` and :func:`read` are pure, so each keeps its ``_STEPS``
-(512) most recently used results in a ``functools.lru_cache``, as do the
-gate-matrix tables.  One pass over the ten verification settings of
-``scripts/verify_attacks.py`` reads 312 distinct ``_p0`` keys, 252
-``apply``, 248 ``_outcomes`` and 68 ``attach_ancilla`` keys, so every
-cache holds a whole pass with 1.6x headroom and a pass that repeats a
-setting misses nothing.  The bound helps only where a setting repeats
-within one process; a process that builds each setting once gains nothing
-from it.
+:func:`apply`, :func:`attach_ancilla` and the Born-rule kernel behind
+:func:`measure` are pure, so each keeps its ``_STEPS`` (1024) most
+recently used results in a ``functools.lru_cache``, as do the gate-matrix
+tables.  One pass over the ten verification settings of
+``scripts/verify_attacks.py`` reads 528 distinct ``_outcomes`` keys, 252
+``apply`` and 68 ``attach_ancilla`` keys, so every cache holds a whole
+pass with 1.9x headroom and a pass that repeats a setting misses nothing.
+The bound helps only where a setting repeats within one process; a
+process that builds each setting once gains nothing from it.
 States and gates hash and compare by identity, and a cache entry holds its
 key objects, so no id is reused while the entry lives and a hit is always
 the very input it was computed from.  So each gate factory caches the
@@ -50,9 +49,9 @@ cached for a gate stays its own.  Enumerating a round's outcome paths
 replays the same state through the same step again and again; those
 repeats are hits.  :func:`measure` draws its outcome with
 :func:`qkd2way.rng.coin` on every call, hit or miss, so streams see the
-same coins in the same order.  :func:`read` draws the same coin from the
-same Born probability but builds no collapsed state, which is the larger
-part of a measurement's cost; a round's last reading of a wire uses it.
+same coins in the same order.  A basis that is not a :class:`Basis` is
+refused on a miss, and a hit needs no check: a ``Basis`` hashes by
+identity, so no other key ever matches a cached one.
 """
 
 from __future__ import annotations
@@ -72,10 +71,10 @@ NORM_ATOL = 1e-9
 BORN_SNAP = 1e-12  # Born probabilities this close to 0 or 1 are rounding noise
 PROBE_ANGLES = (-1e-12, math.pi / 2 + 1e-12)  # [0, pi/2], with 1e-12 of slack against rounding
 # entries per kernel cache: one pass over the ten verification settings reads
-# at most 312 distinct keys from one kernel (_p0; apply 252, _outcomes 248,
-# attach_ancilla 68), and 512, the smallest power of two with 1.5x headroom over
-# that, keeps a whole pass, so a repeated setting recomputes no step
-_STEPS = 512
+# at most 528 distinct keys from one kernel (_outcomes; apply 252, attach_ancilla
+# 68), and 1024, the smallest power of two with 1.5x headroom over that, keeps a
+# whole pass, so a repeated setting recomputes no step
+_STEPS = 1024
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -229,6 +228,8 @@ def prepare(basis: Basis, bit: int) -> StateVector:
     """One-wire state per (basis, bit): Z -> |0>/|1>, X -> |+>/|->."""
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
+    if type(basis) is not Basis:
+        raise ValueError(f"basis must be a Basis, got {basis!r}")
     return _PREPARED[(basis, bit)]
 
 
@@ -251,6 +252,8 @@ def attach_ancilla(state: StateVector) -> StateVector:
 
 def _born(state: StateVector, wire: int, basis: Basis) -> tuple[np.ndarray, float]:
     """(the amplitudes in the measured basis, the Born probability p0 of outcome 0)."""
+    if type(basis) is not Basis:
+        raise ValueError(f"basis must be a Basis, got {basis!r}")
     _check_wires(state, (wire,))
     hadamard_full, keep0, _ = _wire_table(state.num_wires, wire)
     amps = hadamard_full @ state.amps if basis is Basis.X else state.amps
@@ -262,11 +265,6 @@ def _born(state: StateVector, wire: int, basis: Basis) -> tuple[np.ndarray, floa
     elif p0 > 1.0 - BORN_SNAP:
         p0 = 1.0
     return amps, p0
-
-
-@lru_cache(maxsize=_STEPS)
-def _p0(state: StateVector, wire: int, basis: Basis) -> float:
-    return _born(state, wire, basis)[1]
 
 
 @lru_cache(maxsize=_STEPS)
@@ -296,9 +294,3 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
     if coin(rng, p0):
         return 0, zero
     return 1, one
-
-
-def read(state: StateVector, wire: int, basis: Basis, rng) -> int:
-    """The outcome :func:`measure` gives, drawn by the same coin, for a caller that keeps no
-    collapsed state: none is built."""
-    return 0 if coin(rng, _p0(state, wire, basis)) else 1

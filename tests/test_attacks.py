@@ -208,7 +208,7 @@ def test_every_entry_point_refuses_a_two_way_attack_on_bb84_alike(entry, kind, c
         assert captured.err == f"error: {message}\n" and captured.out == ""
         return
     calls = {"run": lambda: run(config, params),
-             "run_round": lambda: run_round(config, make_strategy(params), stream(0)),
+             "run_round": lambda: run_round(config, params, stream(0)),
              "enumerate_round": lambda: enumerate_round(config, params),
              "run_batch": lambda: run_batch(config, params),
              "predicted_rates": lambda: predicted_rates("bb84", params)}

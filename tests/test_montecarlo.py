@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qkd2way import protocol as protocol_module
 from qkd2way import qsim
-from qkd2way.attacks import AttackParams, make_strategy
+from qkd2way.attacks import AttackParams, check_channel
 from qkd2way.infotheory import curve_points, secrecy, threshold
 from qkd2way.montecarlo import (
     ENGINE,
@@ -218,8 +218,7 @@ def test_staged_enumeration_equals_the_replay_from_the_root(protocol, attack):
         for reveal_fraction in (0.1, 1.0):
             config = ProtocolConfig(protocol=protocol, control_prob=control_prob,
                                     reveal_fraction=reveal_fraction)
-            strategy = make_strategy(attack)
-            weights, records = zip(*enumerate_paths(lambda branch: run_round(config, strategy, branch)))
+            weights, records = zip(*enumerate_paths(lambda branch: run_round(config, attack, branch)))
             table = enumerate_round(config, attack)
             assert np.array_equal(table.weights, np.array(weights))
             assert table.records == records
@@ -251,7 +250,7 @@ def test_the_first_batch_builds_one_record_per_distinct_leaf(monkeypatch):
     run(config, attack)
     table = enumerate_round(config, attack)
     assert len(built) == 80
-    leaves = [leaf for _, leaf in enumerate_paths(*protocol_module._stages(config, make_strategy(attack)))]
+    leaves = [leaf for _, leaf in enumerate_paths(*protocol_module._stages(config, attack))]
     assert table.records == tuple(RoundRecord(*leaf) for leaf in leaves)
     assert len(table.records) == 188 and len({id(r) for r in table.records}) == 80
 
@@ -302,11 +301,10 @@ def test_kernel_cache_keeps_the_leaf_table_bit_identical(protocol, attack):
     # reference: the same replay with every path started from cleared caches,
     # so no path reuses a quantum step that another path computed
     config = ProtocolConfig(protocol=protocol)
-    strategy = make_strategy(attack)
 
     def cold_path(branch):
         _clear_qsim_caches()
-        return run_round(config, strategy, branch)
+        return run_round(config, attack, branch)
 
     weights, records = zip(*enumerate_paths(cold_path))
     _clear_qsim_caches()
@@ -332,7 +330,7 @@ def test_repeat_enumeration_misses_no_qsim_cache(attack):
 
 def test_a_repeated_verification_pass_misses_no_qsim_cache():
     # one pass over every verification setting fits in each cache, so the
-    # second pass recomputes no step; with 256 entries _p0 missed 312 keys
+    # second pass recomputes no step; with 512 entries _outcomes missed 491 of its 528 keys
     def one_pass():
         for protocol, attack in EXACT_SCENARIOS:
             enumerate_round(ProtocolConfig(protocol=protocol), attack)
@@ -341,6 +339,17 @@ def test_a_repeated_verification_pass_misses_no_qsim_cache():
     misses = {f.__name__: f.cache_info().misses for f in _qsim_caches()}
     one_pass()
     assert {f.__name__: f.cache_info().misses for f in _qsim_caches()} == misses
+
+
+def test_each_kernel_cache_holds_a_verification_pass_with_headroom(monkeypatch):
+    # the rule that sizes qsim._STEPS: each kernel's distinct keys in one pass, times 1.5, fit
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    import enumeration_costs
+
+    occupancy = enumeration_costs.kernel_occupancy()
+    assert set(occupancy) == {"apply", "attach_ancilla", "_outcomes"}
+    for name, (distinct, later_misses) in occupancy.items():
+        assert 1.5 * distinct <= qsim._STEPS and later_misses == [0, 0], (name, distinct, later_misses)
 
 
 def test_qsim_caches_stay_bounded():
@@ -392,8 +401,8 @@ def test_per_round_engine_agrees_with_leaf_table(protocol, attack):
     # one sampled stream, against the exact leaf rates, five-sigma gated for
     # every rate, including those without a closed form
     config = ProtocolConfig(protocol=protocol, rounds=20_000, seed=44)
-    strategy, rounds_stream = make_strategy(attack), stream(44)
-    observed = tally(run_round(config, strategy, rounds_stream) for _ in range(config.rounds))
+    rounds_stream = stream(44)
+    observed = tally(run_round(config, attack, rounds_stream) for _ in range(config.rounds))
     exact = enumerate_round(config, attack).exact_rates()
     for name in RATE_NAMES:
         errors, trials = getattr(observed, name)
@@ -424,7 +433,10 @@ _WRONG_TYPES = [
     ("config", "None", lambda: run_batch(None)),
     ("config", "None", lambda: run(None)),
     ("config", "'lm05'", lambda: enumerate_round("lm05")),
-    ("config", "None", lambda: run_round(None, make_strategy(AttackParams()), stream(1))),
+    ("config", "None", lambda: run_round(None, AttackParams(), stream(1))),
+    ("attack", "'ir'", lambda: run_round(_CONFIG, "ir", stream(1))),
+    ("attack", "'ir'", lambda: check_channel("lm05", "ir")),
+    ("attack", "'ir'", lambda: check_channel("bb84", "ir")),
 ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qkd2way import protocol
-from qkd2way.attacks import AttackParams, make_strategy
+from qkd2way.attacks import AttackParams
 from qkd2way.protocol import (
     ProtocolConfig,
     RoundRecord,
@@ -266,14 +266,39 @@ def test_tally_of_a_stream_holds_one_entry_per_value(monkeypatch):
     attack = AttackParams(kind="nort", x=math.pi / 4)
 
     def stepped():
-        strategy, rounds_stream = make_strategy(attack), stream(5)
-        return (run_round(config, strategy, rounds_stream) for _ in range(config.rounds))
+        rounds_stream = stream(5)
+        return (run_round(config, attack, rounds_stream) for _ in range(config.rounds))
 
     records = list(stepped())
     expected = tally(records)
     counted = _spy(monkeypatch, "_counters")
     assert tally(stepped()) == expected
     assert sorted(map(repr, counted)) == sorted(map(repr, set(records))) and len(counted) < 100
+
+
+def test_a_non_iterable_is_refused_before_a_round_is_counted_or_written():
+    for records in (None, 3):
+        with pytest.raises(ValueError, match=f"^records must be an iterable, got {records!r}$"):
+            tally(records)
+        buffer = io.StringIO()
+        with pytest.raises(ValueError, match=f"^records must be an iterable, got {records!r}$"):
+            write_round_log(records, buffer)
+        assert buffer.getvalue() == ""
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("rounds", 1.5, "must be an integer"), ("rounds", True, "must be an integer"),
+    ("rounds", 0, "must lie in"), ("rounds", 2**63, "must lie in"),
+    ("seed", 0.0, "must be an integer"), ("seed", False, "must be an integer"),
+    ("seed", -1, "must lie in"), ("seed", 2**64, "must lie in")])
+def test_a_leaf_table_draw_checks_its_arguments_as_the_config_does(field, value, message):
+    table = enumerate_round(ProtocolConfig())
+    for call in (lambda: table.draw(**{"rounds": 1, "seed": 0, field: value}),
+                 lambda: ProtocolConfig(**{field: value})):
+        with pytest.raises(ValueError, match=f"^{field} {message}"):
+            call()
+    # a numpy integer is an integer, as the config takes it
+    assert np.array_equal(table.draw(np.int64(5), np.uint64(2**64 - 1)), table.draw(5, 2**64 - 1))
 
 
 def test_tally_empty_input():
@@ -323,7 +348,7 @@ def test_bb84_rejects_two_way_attacks():
             run(config, AttackParams(kind=kind))
         # the stepper reads config.protocol too: no two-way attack on a BB84 round
         with pytest.raises(ValueError, match="BB84 supports none/ir"):
-            run_round(config, make_strategy(AttackParams(kind=kind)), stream(1))
+            run_round(config, AttackParams(kind=kind), stream(1))
 
 
 def test_round_log_csv_format():
@@ -347,8 +372,8 @@ def test_round_log_csv_format():
     assert buffer.getvalue() == _plain_round_log(records)
 
     def stepped():
-        strategy, rounds_stream = make_strategy(AttackParams(kind="ir", xi=0.5)), stream(8)
-        return (run_round(config, strategy, rounds_stream) for _ in range(config.rounds))
+        attack, rounds_stream = AttackParams(kind="ir", xi=0.5), stream(8)
+        return (run_round(config, attack, rounds_stream) for _ in range(config.rounds))
 
     buffer = io.StringIO()
     write_round_log(stepped(), buffer)
@@ -357,8 +382,8 @@ def test_round_log_csv_format():
 
 def test_round_log_renders_each_record_value_once(monkeypatch):
     config = ProtocolConfig(rounds=2_000, seed=8, control_prob=0.5)
-    strategy, rounds_stream = make_strategy(AttackParams(kind="nort", x=0.7)), stream(8)
-    records = [run_round(config, strategy, rounds_stream) for _ in range(config.rounds)]
+    attack, rounds_stream = AttackParams(kind="nort", x=0.7), stream(8)
+    records = [run_round(config, attack, rounds_stream) for _ in range(config.rounds)]
     rendered = _spy(monkeypatch, "_cell")
     buffer = io.StringIO()
     write_round_log(iter(records), buffer)
@@ -385,8 +410,8 @@ def test_round_log_writes_whole_chunks_of_rows(n):
     attack = AttackParams(kind="nort", x=0.7)
 
     def stepped():
-        strategy, rounds_stream = make_strategy(attack), stream(12)
-        return (run_round(config, strategy, rounds_stream) for _ in range(n))
+        rounds_stream = stream(12)
+        return (run_round(config, attack, rounds_stream) for _ in range(n))
 
     shared = run(config, attack)[:n]
     # run's shared leaf records, and distinct records from a generator
