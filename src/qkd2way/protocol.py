@@ -47,17 +47,22 @@ depend on its value alone, and values repeat across paths and settings (a
 pass of the ten verification settings has 1,184 paths and 152 values), so
 the process keeps one leaf alphabet that checks, builds and counts each
 value once, and every table, on every entry point, gathers its records and
-counter rows from it.  A record is a named tuple equal to its leaf, and
-:func:`tally` and :func:`write_round_log` hold one entry per distinct
-record value; the writer joins its rows in C, one chunk of rounds per
-write.  Each stage reruns once per
-coin path of its own, starting from its parent stage's result, so a coin
-prefix shared by many leaves runs once rather than once per leaf; the
+counter rows from it.  A record is a named tuple equal to its leaf.  Each
+stage reruns once per coin path of its own, starting from its parent
+stage's result, so a coin prefix shared by many leaves runs once rather
+than once per leaf; the
 leaves come out in the order, and with the bit-identical weights, of the
 whole round replayed from the root per leaf.  A run of n rounds is one
 multinomial draw over the leaves (:meth:`LeafTable.draw`), the same draw
 ``montecarlo.run_batch`` tallies, put in a uniformly shuffled order and
-gathered from the table's records by one numpy take.  This
+gathered from the table's records by one numpy take.  :func:`run` hands
+back a :class:`Rounds`, the records together with that draw, so
+:func:`tally` reads it as the batch does, one product of the leaf counts
+with the table's counters, and :func:`write_round_log` takes one rendered
+line per leaf by the shuffled order, one chunk of rounds per write; a
+leaf value's line is rendered once per process.  Any other iterable of
+records (stepped rounds, plain tuples, a slice of a run) is read record by
+record, holding one entry per distinct record value.  This
 holds only while rounds are i.i.d.: an attack or protocol whose rounds
 share state (memory, drift, adaptive choices) would have to step
 :func:`run_round` round by round on one stream.
@@ -229,20 +234,46 @@ def run_round(config: ProtocolConfig, attack: AttackParams, rng) -> RoundRecord:
     return RoundRecord(*value)
 
 
-def run(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> list[RoundRecord]:
+class Rounds(tuple):
+    """A run's rounds, as :func:`run` builds them: a tuple of the table's own records that also
+    keeps the draw it was gathered from.
+
+    ``table`` is the run's :class:`LeafTable`, ``hits`` how often each leaf
+    occurs and ``order`` each round's leaf, a permutation of the leaves
+    repeated by ``hits``; both arrays are read-only, and a tuple cannot
+    change, so the draw never goes stale.  :func:`tally` and
+    :func:`write_round_log` read the draw of exactly a ``Rounds``; a slice,
+    a copy into a list or any other iterable of records takes their
+    record-by-record path.
+    """
+
+    def __new__(cls, table: LeafTable, hits: np.ndarray, order: np.ndarray):
+        self = super().__new__(cls, np.fromiter(table.records, dtype=object,
+                                                count=len(table.records))[order].tolist())
+        hits.setflags(write=False)
+        order.setflags(write=False)
+        self.table, self.hits, self.order = table, hits, order
+        return self
+
+    def __reduce__(self):  # a copy or an unpickled run is a plain tuple of its records
+        return tuple, (tuple(self),)
+
+
+def run(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) -> Rounds:
     """config.rounds i.i.d. rounds from config.seed, one record per round.
 
     The leaf counts are the draw ``run_batch`` makes for the same seed, so
     ``tally(run(c, a)) == run_batch(c, a).tallies``; a second stream of the
     seed shuffles them into a uniformly random order.  One take from an
-    object array of the table's records gathers them, so the list holds the
+    object array of the table's records gathers them, so the rounds are the
     table's own objects: rounds with equal leaves share one record, checked
-    once per process.
+    once per process.  The :class:`Rounds` returned keeps the draw, so its
+    tally is the batch's one matrix product and its log one take per chunk.
     """
     table = enumerate_round(config, attack)
     hits = table.draw(config.rounds, config.seed)
     order = _rng.stream(config.seed, 1).permutation(np.repeat(np.arange(len(hits)), hits))
-    return np.fromiter(table.records, dtype=object, count=len(table.records))[order].tolist()
+    return Rounds(table, hits, order)
 
 
 def _counters(leaf: tuple) -> tuple[int, ...]:
@@ -284,31 +315,50 @@ def _iterated(records: Iterable[RoundRecord]):
 def tally(records: Iterable[RoundRecord]) -> Tallies:
     """Aggregate QBER counters from round records.
 
-    Each distinct record value is checked and counted once, by
+    A :class:`Rounds` is tallied from its draw, ``hits @ table.counts``, the
+    product ``run_batch`` takes, and no record is read.  Of any other
+    iterable each distinct record value is checked and counted once, by
     :func:`_counters`, and weighted by how often it occurs; a run repeats
     its leaf values, so the memory held is one entry per distinct value,
     however long the stream.
     """
-    totals = [0] * 2 * len(RATE_NAMES)
-    for record, occurrences in Counter(_iterated(records)).items():
-        for i, c in enumerate(_counters(_checked(record))):
-            totals[i] += occurrences * c
+    if type(records) is Rounds:
+        totals = (records.hits @ records.table.counts).tolist()
+    else:
+        totals = [0] * 2 * len(RATE_NAMES)
+        for record, occurrences in Counter(_iterated(records)).items():
+            for i, c in enumerate(_counters(_checked(record))):
+                totals[i] += occurrences * c
     return Tallies(*zip(totals[0::2], totals[1::2]))
 
 
 class _LeafAlphabet:
-    """Every leaf value met so far, with its checked record and its row of eight tally counters.
+    """Every leaf value met so far, with its checked record, its row of eight tally counters and,
+    once a round log needs it, its log line.
 
-    A value's record and row are :class:`RoundRecord` and :func:`_counters`
-    of it, so neither goes stale and no result depends on which tables were
-    built before.  The values are bounded by the record's value set.  The
-    package starts no threads; a threaded caller would need a lock here.
+    A value's record, row and line are :class:`RoundRecord`, :func:`_counters`
+    and :func:`_cell` of it, so none goes stale and no result depends on
+    which tables were built or logged before.  The values are bounded by the
+    record's value set.  The package starts no threads; a threaded caller
+    would need a lock here.
     """
 
     def __init__(self):
         self.rows: dict[tuple, int] = {}  # leaf value -> row index
         self.records: list[RoundRecord] = []  # by row
         self.counters = np.empty((0, 2 * len(RATE_NAMES)), dtype=np.int64)
+        self.lines: list[Optional[str]] = []  # by row; None until a log needs it
+
+    def log_lines(self, leaves: Sequence[tuple]) -> np.ndarray:
+        """The round-log lines of `leaves` as an object array, in their order; each value's line
+        is rendered the first time a log needs it, so building a table renders none."""
+        index = self.index(leaves)
+        lines = self.lines
+        lines += [None] * (len(self.records) - len(lines))
+        for row in index:
+            if lines[row] is None:
+                lines[row] = _line(self.records[row])
+        return np.array(lines, dtype=object)[index]
 
     def index(self, leaves: Sequence[tuple]) -> list[int]:
         """The rows of `leaves`, in their order; a new value gets its record and counter row here."""
@@ -382,25 +432,41 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _line(record: RoundRecord) -> str:
+    return ",".join(map(_cell, record)) + "\n"
+
+
 class _Rows(dict):
     """Record value -> its round-log row, checked as a record and rendered by :func:`_cell` once."""
 
     def __missing__(self, record: RoundRecord) -> str:
-        row = self[record] = ",".join(map(_cell, _checked(record))) + "\n"
+        row = self[record] = _line(_checked(record))
         return row
+
+
+_HEADER = ",".join(RoundRecord._fields) + "\n"  # identifiers, which no CSV cell quotes
 
 
 def write_round_log(records: Iterable[RoundRecord], file: io.TextIOBase) -> None:
     """Round log as CSV: one row per round, header mandatory, an absent value as an empty cell.
 
     The header is ``RoundRecord._fields``, and no checked field needs
-    quoting.  Each distinct record value is rendered once; a run repeats its
-    leaf values, so most rows are copies of a row already rendered.  Rows
-    are looked up and joined in C, ``_LOG_CHUNK`` rounds per write, so the
-    memory held is one row per distinct value plus one chunk.
+    quoting.  Rows are joined in C, ``_LOG_CHUNK`` rounds per write.  A
+    :class:`Rounds` is written from its draw: each chunk is one take of its
+    table's leaf lines by ``order``, and a leaf value's line is rendered
+    once per process.  Of any other iterable each distinct record value is
+    checked and rendered once per call; a run repeats its leaf values, so
+    most rows are copies of a row already rendered, and the memory held is
+    one row per distinct value plus one chunk.
     """
+    if type(records) is Rounds:
+        file.write(_HEADER)
+        lines, order = _ALPHABET.log_lines(records.table.records), records.order
+        for start in range(0, len(order), _LOG_CHUNK):
+            file.write("".join(lines[order[start:start + _LOG_CHUNK]].tolist()))
+        return
     records = _iterated(records)
-    file.write(",".join(RoundRecord._fields) + "\n")  # identifiers, which no CSV cell quotes
+    file.write(_HEADER)
     rows = _Rows()
     while chunk := "".join(map(rows.__getitem__, islice(records, _LOG_CHUNK))):
         file.write(chunk)

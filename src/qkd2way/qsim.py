@@ -51,7 +51,10 @@ repeats are hits.  :func:`measure` draws its outcome with
 :func:`qkd2way.rng.coin` on every call, hit or miss, so streams see the
 same coins in the same order.  A basis that is not a :class:`Basis` is
 refused on a miss, and a hit needs no check: a ``Basis`` hashes by
-identity, so no other key ever matches a cached one.
+identity, so no other key ever matches a cached one.  A wire is not so:
+``0.0`` and ``False`` hash like ``0``, so :func:`measure` refuses a wire
+that is not an int before it looks in the cache, and the answer does not
+depend on what the cache holds.
 """
 
 from __future__ import annotations
@@ -226,8 +229,8 @@ _PREPARED = _make_prepared()
 
 def prepare(basis: Basis, bit: int) -> StateVector:
     """One-wire state per (basis, bit): Z -> |0>/|1>, X -> |+>/|->."""
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
+    if type(bit) is not int or bit not in (0, 1):  # True and 1.0 equal 1, but are no bit
+        raise ValueError(f"bit must be the int 0 or 1, got {bit!r}")
     if type(basis) is not Basis:
         raise ValueError(f"basis must be a Basis, got {basis!r}")
     return _PREPARED[(basis, bit)]
@@ -290,6 +293,8 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
     Outcomes follow the Born rule; the returned state is the normalized
     post-measurement collapse (other wires keep their correlations).
     """
+    if type(wire) is not int:  # checked before the cache: 0.0 and False hash like wire 0
+        raise ValueError(f"wire must be an int, got {wire!r}")
     p0, zero, one = _outcomes(state, wire, basis)
     if coin(rng, p0):
         return 0, zero

@@ -1,25 +1,36 @@
 import csv
 import io
 import math
+import pickle
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkd2way import protocol
-from qkd2way.attacks import AttackParams
-from qkd2way.protocol import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+
+import enumeration_costs  # noqa: E402
+import round_log_costs  # noqa: E402
+
+from qkd2way import protocol  # noqa: E402
+from qkd2way.attacks import AttackParams  # noqa: E402
+from qkd2way.montecarlo import run_batch  # noqa: E402
+from qkd2way.protocol import (  # noqa: E402
     ProtocolConfig,
     RoundRecord,
+    Rounds,
     Tallies,
+    _LeafAlphabet,
     enumerate_round,
     run,
     run_round,
     tally,
     write_round_log,
 )
-from qkd2way.qsim import Basis, prepare
-from qkd2way.rng import stream
+from qkd2way.qsim import Basis, prepare  # noqa: E402
+from qkd2way.rng import stream  # noqa: E402
 
 
 def test_config_validation():
@@ -420,6 +431,59 @@ def test_round_log_writes_whole_chunks_of_rows(n):
         write_round_log(records, file)
         assert file.getvalue() == _plain_round_log(reference)
         assert file.writes <= math.ceil(n / _CHUNK) + 1  # the header, then one write per chunk
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("scenario", enumeration_costs.SCENARIOS,
+                         ids=[enumeration_costs.label(p, a) for p, a in enumeration_costs.SCENARIOS])
+def test_a_run_is_tallied_and_logged_from_its_draw_as_record_by_record(monkeypatch, scenario, n):
+    # the record-by-record path, which reads any iterable, is the oracle of the draw's path
+    attack = scenario[1]
+    config = ProtocolConfig(protocol=scenario[0], rounds=n, seed=n)
+    rounds, batch = run(config, attack), run_batch(config, attack).tallies
+    counted, rendered = _spy(monkeypatch, "_counters"), _spy(monkeypatch, "_cell")
+    assert type(rounds) is Rounds and len(rounds) == len(rounds.order) == rounds.hits.sum() == n
+    assert tally(rounds) == batch and counted == []
+    assert tally(iter(rounds)) == batch and counted
+    first = _CountingFile()
+    write_round_log(rounds, first)
+    assert first.writes <= math.ceil(n / _CHUNK) + 1
+    rendered.clear()  # the first log of a table's values renders them, once per process
+    again, plain = io.StringIO(), io.StringIO()
+    write_round_log(rounds, again)
+    assert rendered == []
+    write_round_log(list(rounds), plain)
+    assert first.getvalue() == again.getvalue() == plain.getvalue() == _plain_round_log(rounds)
+    # a slice or a copy is a plain tuple, logged record by record; a slice as the run's prefix
+    copied = pickle.loads(pickle.dumps(rounds))
+    assert type(copied) is tuple and copied == rounds
+    head = rounds[:n // 2]
+    assert type(head) is tuple
+    rendered.clear()
+    prefix = io.StringIO()
+    write_round_log(head, prefix)
+    assert len(rendered) == len(RoundRecord._fields) * len(set(head))
+    assert prefix.getvalue() == "".join(first.getvalue().splitlines(keepends=True)[:n // 2 + 1])
+
+
+def test_a_batch_renders_no_log_line(monkeypatch):
+    monkeypatch.setattr(protocol, "_ALPHABET", _LeafAlphabet())
+    rendered = _spy(monkeypatch, "_cell")
+    config, attack = ProtocolConfig(rounds=1000), AttackParams(kind="nort", x=math.pi / 4)
+    run_batch(config, attack)
+    rounds = run(config, attack)
+    tally(rounds)
+    assert rendered == []
+    write_round_log(rounds, io.StringIO())
+    assert len(rendered) == len(RoundRecord._fields) * len(set(rounds.table.records))
+
+
+def test_round_log_costs_prints_the_hash_of_the_record_by_record_logs(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["round_log_costs.py", "--calls", "1"])
+    assert round_log_costs.main() == 0
+    logs = [_plain_round_log(run(config, attack))
+            for _, config, attack in round_log_costs.settings(round_log_costs.DEFAULT_SEED)]
+    assert capsys.readouterr().out.splitlines()[-1] == f"round-log hash {round_log_costs.log_hash(logs)}"
 
 
 def _plain_round_log(records):

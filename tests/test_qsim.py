@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,23 @@ def test_a_basis_that_is_not_a_basis_is_refused_by_name():
             with pytest.raises(ValueError, match=f"basis must be a Basis, got {basis!r}"):
                 measure(state, 0, basis, stream(0))
     assert all(measure(state, 0, Basis.X, stream(seed))[0] == 0 for seed in range(20))
+
+
+def test_a_bit_or_wire_that_is_not_an_int_is_refused_by_name():
+    # True and 1.0 equal 1, so prepare made |1> of them; a float wire raised numpy's
+    # TypeError on a cold Born cache and, once wire 0 was cached, measured wire 0
+    for bit in (True, False, 1.0, 0.0, np.int64(1), None, "1"):
+        with pytest.raises(ValueError, match=re.escape(f"bit must be the int 0 or 1, got {bit!r}")):
+            prepare(Basis.Z, bit)
+    state = apply(attach_ancilla(prepare(Basis.X, 0)), cnot(0, 1))
+    for warm in (False, True):
+        qsim._outcomes.cache_clear()
+        if warm:
+            measure(state, 0, Basis.Z, stream(0))
+            measure(state, 1, Basis.Z, stream(0))
+        for wire in (0.0, False, 1.0, True, np.int64(0), None):
+            with pytest.raises(ValueError, match=re.escape(f"wire must be an int, got {wire!r}")):
+                measure(state, wire, Basis.Z, stream(0))
 
 
 def test_basis_members_hash_by_identity_and_survive_pickling():
