@@ -5,7 +5,9 @@ For each setting of the workload's first pass at --seed (its name, config
 and attack come from ``perfbench/workloads.py``: 10,000 rounds each), prints
 the time of ``protocol.enumerate_round``, of ``run`` (which enumerates the
 round too, then draws, shuffles and gathers the rounds), of ``tally`` of the
-run and of ``write_round_log`` of the run into a ``StringIO``.  Each time is
+run and of ``write_round_log`` of the run into a ``StringIO``, and then the
+record-by-record cost of the same rounds: ``tally`` and the log of
+``list(run(...))``, which reads them one chunk at a time.  Each time is
 the minimum over --calls calls, made after one warm-up call of each, so the
 kernel caches and the leaf alphabet hold the settings, as they do in every
 benchmark pass but the first.  The pass column is run + tally + log, the
@@ -30,7 +32,8 @@ from perfbench.workloads import build_inputs  # noqa: E402
 from qkd2way.protocol import enumerate_round, run, tally, write_round_log  # noqa: E402
 
 DEFAULT_SEED = 0
-COLUMNS = ("enumerate", "run", "tally", "log")
+COLUMNS = ("enumerate", "run", "tally", "log", "tally list", "log list")
+PASS = slice(1, 4)  # run, tally and log: the calls of one benchmark pass
 
 
 def settings(seed: int):
@@ -52,8 +55,9 @@ def _log(records) -> str:
 def call_seconds(config, attack, calls: int) -> tuple[list[float], str]:
     """The fastest of `calls` timed calls of each step after one warm-up call, and the run's log."""
     steps = (lambda: enumerate_round(config, attack), lambda: run(config, attack),
-             lambda: tally(rounds), lambda: _log(rounds))
+             lambda: tally(rounds), lambda: _log(rounds), lambda: tally(listed), lambda: _log(listed))
     rounds = steps[1]()
+    listed = list(rounds)
     best = [math.inf] * len(steps)
     for timed in [False] + [True] * calls:
         for i, step in enumerate(steps):
@@ -80,9 +84,9 @@ def main() -> int:
         logs.append(log)
     rows.append(("total (one round_log pass)", [sum(column) for column in zip(*(s for _, s in rows))]))
     width = max(len(name) for name, _ in rows)
-    print(f"{'setting':<{width}}" + "".join(f" {c + ' (ms)':>14}" for c in (*COLUMNS, "pass")))
+    print(f"{'setting':<{width}}" + "".join(f" {c + ' (ms)':>15}" for c in (*COLUMNS, "pass")))
     for name, seconds in rows:
-        print(f"{name:<{width}}" + "".join(f" {1e3 * s:>14.3f}" for s in (*seconds, sum(seconds[1:]))))
+        print(f"{name:<{width}}" + "".join(f" {1e3 * s:>15.3f}" for s in (*seconds, sum(seconds[PASS]))))
     print(f"round-log hash {log_hash(logs)}")
     return 0
 

@@ -55,7 +55,7 @@ class BatchReport:
     engine: str = ENGINE
     leaves: int = 0
     enumerate_s: float = 0.0  # of elapsed_s, the time spent building the leaf table
-    draw_s: float = 0.0  # of elapsed_s, the multinomial draw and the counter product
+    draw_s: float = 0.0  # of elapsed_s, the multinomial draw and the tallies of its counter product
     gate_s: float = 0.0  # after elapsed_s, the Wilson intervals and verdicts of the rates
 
 
@@ -107,9 +107,7 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK, *,
     table = enumerate_round(config, attack)  # checks config, attack and their combination
     enumerated = time.perf_counter()
     hits = table.draw(config.rounds, config.seed)
-    counters = (hits @ table.counts).tolist()
-    drawn = time.perf_counter()
-    total = Tallies(*zip(counters[0::2], counters[1::2]))
+    total = Tallies.of(hits @ table.counts)
     tallied = time.perf_counter()
 
     predictions = predicted_rates(config.protocol, attack)
@@ -128,7 +126,7 @@ def run_batch(config: ProtocolConfig, attack: AttackParams = NO_ATTACK, *,
     return BatchReport(config=config, attack=attack, rounds=config.rounds, workers=workers,
                        tallies=total, rates=tuple(rates), elapsed_s=tallied - started,
                        leaves=len(table.weights), enumerate_s=enumerated - started,
-                       draw_s=drawn - enumerated, gate_s=time.perf_counter() - tallied)
+                       draw_s=tallied - enumerated, gate_s=time.perf_counter() - tallied)
 
 
 def gate_miss(rate: RateReport) -> tuple[float, float]:

@@ -46,13 +46,13 @@ probabilities, records and tally counters.  A leaf's record and counters
 depend on its value alone, and values repeat across paths and settings (a
 pass of the ten verification settings has 1,184 paths and 152 values), so
 the process keeps one leaf alphabet that checks, builds and counts each
-value once, and every table, on every entry point, gathers its records and
-counter rows from it.  A record is a named tuple equal to its leaf.  Each
-stage reruns once per coin path of its own, starting from its parent
-stage's result, so a coin prefix shared by many leaves runs once rather
-than once per leaf; the
-leaves come out in the order, and with the bit-identical weights, of the
-whole round replayed from the root per leaf.  A run of n rounds is one
+value once, and every table and every chunk of records read record by
+record gathers its records and counter rows from it.  A record is a named
+tuple equal to its leaf.  Each stage reruns once per coin path of its own,
+starting from its parent stage's result, so a coin prefix shared by many
+leaves runs once rather than once per leaf; the leaves come out in the
+order, and with the bit-identical weights, of the whole round replayed
+from the root per leaf.  A run of n rounds is one
 multinomial draw over the leaves (:meth:`LeafTable.draw`), the same draw
 ``montecarlo.run_batch`` tallies, put in a uniformly shuffled order and
 gathered from the table's records by one numpy take.  :func:`run` hands
@@ -61,8 +61,8 @@ back a :class:`Rounds`, the records together with that draw, so
 with the table's counters, and :func:`write_round_log` takes one rendered
 line per leaf by the shuffled order, one chunk of rounds per write; a
 leaf value's line is rendered once per process.  Any other iterable of
-records (stepped rounds, plain tuples, a slice of a run) is read record by
-record, holding one entry per distinct record value.  This
+records (stepped rounds, plain tuples, a slice of a run) is checked record
+by record and read through the same alphabet, one chunk at a time.  This
 holds only while rounds are i.i.d.: an attack or protocol whose rounds
 share state (memory, drift, adaptive choices) would have to step
 :func:`run_round` round by round on one stream.
@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import io
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -169,6 +169,12 @@ class Tallies:
                 raise ValueError(f"{name} must be an (errors, trials) pair, got {pair!r}")
             trials = integer(f"{name} trials", pair[1], 0)
             object.__setattr__(self, name, (integer(f"{name} errors", pair[0], 0, trials), trials))
+
+    @classmethod
+    def of(cls, counters: np.ndarray) -> Tallies:
+        """The tallies of eight counter totals, laid out as a row of a leaf table's ``counts``."""
+        totals = counters.tolist()
+        return cls(*zip(totals[0::2], totals[1::2]))
 
     def rate(self, name: str) -> Optional[float]:
         errors, trials = getattr(self, name)
@@ -304,43 +310,44 @@ def _checked(value) -> RoundRecord:
     return value if isinstance(value, RoundRecord) else RoundRecord._make(value)
 
 
-def _iterated(records: Iterable[RoundRecord]):
-    """An iterator over `records`; a non-iterable is refused by name, before a round is read."""
+def _chunks(records: Iterable[RoundRecord]):
+    """`records` in lists of at most ``_LOG_CHUNK`` checked records, so a bad value is refused
+    whatever came before it; a non-iterable is refused by name, before a round is read."""
     try:
-        return iter(records)
+        rounds = iter(records)
     except TypeError:
         raise ValueError(f"records must be an iterable, got {records!r}") from None
+    return iter(lambda: list(map(_checked, islice(rounds, _LOG_CHUNK))), [])
 
 
 def tally(records: Iterable[RoundRecord]) -> Tallies:
     """Aggregate QBER counters from round records.
 
     A :class:`Rounds` is tallied from its draw, ``hits @ table.counts``, the
-    product ``run_batch`` takes, and no record is read.  Of any other
-    iterable each distinct record value is checked and counted once, by
-    :func:`_counters`, and weighted by how often it occurs; a run repeats
-    its leaf values, so the memory held is one entry per distinct value,
-    however long the stream.
+    product ``run_batch`` takes, and no record is read.  Any other iterable
+    is read ``_LOG_CHUNK`` checked records at a time: one ``bincount`` of a
+    chunk's rows in the leaf alphabet times the alphabet's counter rows, so
+    the memory held is one chunk, however long the stream.
     """
     if type(records) is Rounds:
-        totals = (records.hits @ records.table.counts).tolist()
-    else:
-        totals = [0] * 2 * len(RATE_NAMES)
-        for record, occurrences in Counter(_iterated(records)).items():
-            for i, c in enumerate(_counters(_checked(record))):
-                totals[i] += occurrences * c
-    return Tallies(*zip(totals[0::2], totals[1::2]))
+        return Tallies.of(records.hits @ records.table.counts)
+    totals = np.zeros(2 * len(RATE_NAMES), dtype=np.int64)
+    # map calls index first, which grows the counter rows, and drops a chunk once indexed
+    for rows in map(_ALPHABET.index, _chunks(records)):
+        totals += np.bincount(rows, minlength=len(_ALPHABET.records)) @ _ALPHABET.counters
+    return Tallies.of(totals)
 
 
 class _LeafAlphabet:
     """Every leaf value met so far, with its checked record, its row of eight tally counters and,
     once a round log needs it, its log line.
 
-    A value's record, row and line are :class:`RoundRecord`, :func:`_counters`
-    and :func:`_cell` of it, so none goes stale and no result depends on
-    which tables were built or logged before.  The values are bounded by the
-    record's value set.  The package starts no threads; a threaded caller
-    would need a lock here.
+    It is the one place that builds them, once per value, for the tables and the record-by-record
+    chunks of :func:`tally` and :func:`write_round_log` alike.  A value's record, row and line
+    are :class:`RoundRecord`, :func:`_counters` and :func:`_cell` of it, so none goes stale and
+    no result depends on what was built, tallied or logged before.  The values are bounded by
+    the record's value set.  The package starts no threads; a threaded caller would need a
+    lock here.
     """
 
     def __init__(self):
@@ -376,7 +383,7 @@ class _LeafAlphabet:
             return list(map(rows.__getitem__, leaves))
 
 
-_ALPHABET = _LeafAlphabet()  # one per process, fed by enumerate_round alone
+_ALPHABET = _LeafAlphabet()  # one per process, fed by enumerate_round, tally and write_round_log
 
 
 @dataclass(frozen=True)
@@ -436,14 +443,6 @@ def _line(record: RoundRecord) -> str:
     return ",".join(map(_cell, record)) + "\n"
 
 
-class _Rows(dict):
-    """Record value -> its round-log row, checked as a record and rendered by :func:`_cell` once."""
-
-    def __missing__(self, record: RoundRecord) -> str:
-        row = self[record] = _line(_checked(record))
-        return row
-
-
 _HEADER = ",".join(RoundRecord._fields) + "\n"  # identifiers, which no CSV cell quotes
 
 
@@ -454,10 +453,9 @@ def write_round_log(records: Iterable[RoundRecord], file: io.TextIOBase) -> None
     quoting.  Rows are joined in C, ``_LOG_CHUNK`` rounds per write.  A
     :class:`Rounds` is written from its draw: each chunk is one take of its
     table's leaf lines by ``order``, and a leaf value's line is rendered
-    once per process.  Of any other iterable each distinct record value is
-    checked and rendered once per call; a run repeats its leaf values, so
-    most rows are copies of a row already rendered, and the memory held is
-    one row per distinct value plus one chunk.
+    once per process.  Any other iterable is read ``_LOG_CHUNK`` checked
+    records at a time, each chunk written as the alphabet's lines of its
+    records, so the memory held is one chunk, however long the stream.
     """
     if type(records) is Rounds:
         file.write(_HEADER)
@@ -465,8 +463,7 @@ def write_round_log(records: Iterable[RoundRecord], file: io.TextIOBase) -> None
         for start in range(0, len(order), _LOG_CHUNK):
             file.write("".join(lines[order[start:start + _LOG_CHUNK]].tolist()))
         return
-    records = _iterated(records)
+    chunks = _chunks(records)
     file.write(_HEADER)
-    rows = _Rows()
-    while chunk := "".join(map(rows.__getitem__, islice(records, _LOG_CHUNK))):
-        file.write(chunk)
+    for lines in map(_ALPHABET.log_lines, chunks):
+        file.write("".join(lines.tolist()))

@@ -41,9 +41,9 @@ States and gates hash and compare by identity, and a cache entry holds its
 key objects, so no id is reused while the entry lives and a hit is always
 the very input it was computed from.  So each gate factory caches the
 gates it hands out, keyed on its positional-only arguments and their types
-(a float wire, which no step can use, never stands in for an int), and
-``ancilla_rotation`` on its angle once checked; a ``Gate`` built directly
-is shared by no one.  Results are shared by every caller, so their
+(so a bool or float wire, which a ``Gate`` refuses, never hits an int's
+gate), and ``ancilla_rotation`` on its angle once checked; a ``Gate``
+built directly is shared by no one.  Results are shared by every caller, so their
 amplitudes are read-only, and so is a gate's matrix, so that the expansion
 cached for a gate stays its own.  Enumerating a round's outcome paths
 replays the same state through the same step again and again; those
@@ -136,6 +136,9 @@ class Gate:
     wires: tuple[int, ...]
 
     def __post_init__(self):
+        for wire in self.wires:
+            if type(wire) is not int:  # True and 0.0 equal wires 1 and 0, but are no wire
+                raise ValueError(f"gate wires must be ints, got {self.wires!r}")
         if len(set(self.wires)) != len(self.wires):
             raise ValueError(f"gate wires must be distinct, got {self.wires}")
         dim = 2 ** len(self.wires)
@@ -253,12 +256,15 @@ def attach_ancilla(state: StateVector) -> StateVector:
     return _sv(amps, state.num_wires + 1)
 
 
-def _born(state: StateVector, wire: int, basis: Basis) -> tuple[np.ndarray, float]:
-    """(the amplitudes in the measured basis, the Born probability p0 of outcome 0)."""
+@lru_cache(maxsize=_STEPS)
+def _outcomes(state: StateVector, wire: int, basis: Basis):
+    """(the Born probability p0 of outcome 0, collapse on 0, collapse on 1); an impossible
+    outcome, never drawn, has None."""
     if type(basis) is not Basis:
         raise ValueError(f"basis must be a Basis, got {basis!r}")
     _check_wires(state, (wire,))
-    hadamard_full, keep0, _ = _wire_table(state.num_wires, wire)
+    n = state.num_wires
+    hadamard_full, keep0, keep1 = _wire_table(n, wire)
     amps = hadamard_full @ state.amps if basis is Basis.X else state.amps
     zero = amps[keep0]
     p0 = float(np.vdot(zero, zero).real)
@@ -267,17 +273,8 @@ def _born(state: StateVector, wire: int, basis: Basis) -> tuple[np.ndarray, floa
         p0 = 0.0
     elif p0 > 1.0 - BORN_SNAP:
         p0 = 1.0
-    return amps, p0
-
-
-@lru_cache(maxsize=_STEPS)
-def _outcomes(state: StateVector, wire: int, basis: Basis):
-    """(p0, collapse on 0, collapse on 1); an impossible outcome, never drawn, has None."""
-    amps, p0 = _born(state, wire, basis)
-    n = state.num_wires
-    hadamard_full, *kept = _wire_table(n, wire)
     collapsed = []
-    for keep, p in zip(kept, (p0, 1.0 - p0)):
+    for keep, p in ((keep0, p0), (keep1, 1.0 - p0)):
         if p == 0.0:
             collapsed.append(None)
             continue

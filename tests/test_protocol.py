@@ -263,12 +263,16 @@ def _spy(monkeypatch, name):
 
 
 def test_tally_counts_each_record_value_once(monkeypatch):
+    monkeypatch.setattr(protocol, "_ALPHABET", _LeafAlphabet())
     z = Basis.Z
     same = [RoundRecord("CM", z, 0, z, 1) for _ in range(3)]
     other = RoundRecord("EM", z, 1, z, 0, alice_op=1, revealed=True)
     assert len({id(r) for r in same}) == 3
     counted = _spy(monkeypatch, "_counters")
     assert tally([*same, other, *same]) == Tallies(q1=(6, 6), q_ab=(0, 1))
+    assert counted == [same[0], other]
+    # a value is counted once per process: a later call counts none it has met
+    assert tally([other, *same]) == Tallies(q1=(3, 3), q_ab=(0, 1))
     assert counted == [same[0], other]
 
 
@@ -280,11 +284,31 @@ def test_tally_of_a_stream_holds_one_entry_per_value(monkeypatch):
         rounds_stream = stream(5)
         return (run_round(config, attack, rounds_stream) for _ in range(config.rounds))
 
-    records = list(stepped())
-    expected = tally(records)
+    monkeypatch.setattr(protocol, "_ALPHABET", _LeafAlphabet())
     counted = _spy(monkeypatch, "_counters")
-    assert tally(stepped()) == expected
+    expected = tally(stepped())
+    records = list(stepped())
     assert sorted(map(repr, counted)) == sorted(map(repr, set(records))) and len(counted) < 100
+    # a value is counted once per process: a later call counts none it has met
+    counted.clear()
+    assert tally(records) == expected and counted == []
+
+
+@pytest.mark.parametrize("field,value", [("attacked", 1), ("sender_bit", 1.0)])
+def test_a_bad_plain_tuple_is_refused_whatever_came_before_it(field, value):
+    # the bad tuple equals, and hashes like, a valid record: a cache keyed on the value
+    # used to let it through when the record came first
+    z = Basis.Z
+    good = RoundRecord("CM", z, 1, z, 1, attacked=True)
+    bad = tuple(value if name == field else v for name, v in zip(RoundRecord._fields, good))
+    assert bad == good and hash(bad) == hash(good)
+    for records in ([good, bad], [bad, good]):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            tally(records)
+        buffer = io.StringIO()
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            write_round_log(records, buffer)
+        assert buffer.getvalue() == ",".join(RoundRecord._fields) + "\n"  # the header alone
 
 
 def test_a_non_iterable_is_refused_before_a_round_is_counted_or_written():
@@ -395,11 +419,17 @@ def test_round_log_renders_each_record_value_once(monkeypatch):
     config = ProtocolConfig(rounds=2_000, seed=8, control_prob=0.5)
     attack, rounds_stream = AttackParams(kind="nort", x=0.7), stream(8)
     records = [run_round(config, attack, rounds_stream) for _ in range(config.rounds)]
+    monkeypatch.setattr(protocol, "_ALPHABET", _LeafAlphabet())
     rendered = _spy(monkeypatch, "_cell")
     buffer = io.StringIO()
     write_round_log(iter(records), buffer)
     assert len(rendered) == len(RoundRecord._fields) * len(set(records)) < len(records)
     assert buffer.getvalue() == _plain_round_log(records)
+    # a value is rendered once per process: a later log renders none it has met
+    rendered.clear()
+    again = io.StringIO()
+    write_round_log(iter(records), again)
+    assert rendered == [] and again.getvalue() == buffer.getvalue()
 
 
 class _CountingFile(io.StringIO):
@@ -440,15 +470,21 @@ def test_a_run_is_tallied_and_logged_from_its_draw_as_record_by_record(monkeypat
     # the record-by-record path, which reads any iterable, is the oracle of the draw's path
     attack = scenario[1]
     config = ProtocolConfig(protocol=scenario[0], rounds=n, seed=n)
-    rounds, batch = run(config, attack), run_batch(config, attack).tallies
+    monkeypatch.setattr(protocol, "_ALPHABET", _LeafAlphabet())
     counted, rendered = _spy(monkeypatch, "_counters"), _spy(monkeypatch, "_cell")
+    rounds, batch = run(config, attack), run_batch(config, attack).tallies
+    # the table counts each of its values once per process, and no tally counts one again
+    assert len(counted) == len(set(rounds.table.records))
+    counted.clear()
     assert type(rounds) is Rounds and len(rounds) == len(rounds.order) == rounds.hits.sum() == n
     assert tally(rounds) == batch and counted == []
-    assert tally(iter(rounds)) == batch and counted
+    assert tally(iter(rounds)) == batch and counted == []
     first = _CountingFile()
     write_round_log(rounds, first)
     assert first.writes <= math.ceil(n / _CHUNK) + 1
-    rendered.clear()  # the first log of a table's values renders them, once per process
+    # the first log of a table's values renders them, once per process
+    assert len(rendered) == len(RoundRecord._fields) * len(set(rounds.table.records))
+    rendered.clear()
     again, plain = io.StringIO(), io.StringIO()
     write_round_log(rounds, again)
     assert rendered == []
@@ -459,10 +495,9 @@ def test_a_run_is_tallied_and_logged_from_its_draw_as_record_by_record(monkeypat
     assert type(copied) is tuple and copied == rounds
     head = rounds[:n // 2]
     assert type(head) is tuple
-    rendered.clear()
     prefix = io.StringIO()
     write_round_log(head, prefix)
-    assert len(rendered) == len(RoundRecord._fields) * len(set(head))
+    assert rendered == []
     assert prefix.getvalue() == "".join(first.getvalue().splitlines(keepends=True)[:n // 2 + 1])
 
 

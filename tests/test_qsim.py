@@ -104,12 +104,23 @@ def test_factories_check_their_arguments_whatever_their_caches_hold():
     for _ in range(2):
         with pytest.raises(ValueError):
             cnot(0, 0)
-    # a float wire, which no step can use, never stands in for the int, nor the int for it
-    for first in ((0, 1.0), (0, 1)):
+    # a float or bool wire never stands in for the int: it is refused, cold or warm
+    for warm in (False, True):
         cnot.cache_clear()
-        cnot(*first)
-        assert cnot(0, 1.0) is not cnot(0, 1) and cnot(0, 1).wires == (0, 1)
-        assert type(cnot(0, 1).wires[1]) is int
+        if warm:
+            cnot(0, 1)
+        for wire in (1.0, True):
+            with pytest.raises(ValueError, match="gate wires must be ints"):
+                cnot(0, wire)
+        assert cnot(0, 1).wires == (0, 1) and type(cnot(0, 1).wires[1]) is int
+
+
+@pytest.mark.parametrize("wire", [0.0, True, np.int64(0)])
+def test_a_gate_refuses_a_wire_that_is_not_an_int_by_name(wire):
+    # 0.0 raised numpy's TypeError when the gate was applied, True read as wire 1,
+    # and np.int64(0) was applied as wire 0
+    with pytest.raises(ValueError, match=re.escape(f"gate wires must be ints, got {(wire,)!r}")):
+        Gate(qsim._SPIN_FLIP, (wire,))
 
 
 def test_gate_matrix_takes_first_wire_as_high_bit():
