@@ -82,8 +82,8 @@ InfoPoint = namedtuple("InfoPoint", "q1 i_ab i_ae i_be c_dr c_rr")
 
 def binary_entropy(p: float) -> float:
     """Shannon entropy of a bit in bits, with 0 log 0 = 0."""
-    if not -_DOMAIN_EPS <= p <= 1.0 + _DOMAIN_EPS:
-        raise ValueError(f"probability out of range: {p!r}")
+    if type(p) is not float or not -_DOMAIN_EPS <= p <= 1.0 + _DOMAIN_EPS:  # a float in range skips real
+        p = real("p", p, -_DOMAIN_EPS, 1.0 + _DOMAIN_EPS)
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -91,7 +91,9 @@ def binary_entropy(p: float) -> float:
 
 def generic_bound(q1: float) -> float:
     """Individual-attack information bound, clamped to the one bit it reaches at q1 ~ 18.93%."""
-    if q1 <= 0.0:
+    if type(q1) is not float or not 0.0 <= q1 <= 0.5:  # a float in its domain [0, 1/2] skips real
+        q1 = real("q1", q1, 0.0, 0.5)
+    if q1 == 0.0:
         return 0.0
     # -(1-q)log2(1-q) - q log2(q/3), with the quotient expanded so that
     # subnormal q1 cannot underflow inside the logarithm
@@ -124,8 +126,8 @@ def _evaluator(attack: str, model: NoiseModel) -> tuple[float, Callable[[float],
     Each point is still checked against the domain, and its Q_AB against
     binary_entropy's range.
     """
-    if attack not in _CURVES:
-        raise ValueError(f"unknown eve curve {attack!r}; expected one of {EVE_MODELS}")
+    if not isinstance(attack, str) or attack not in _CURVES:
+        raise ValueError(f"unknown eve curve attack {attack!r}; expected one of {EVE_MODELS}")
     if not isinstance(model, NoiseModel):
         raise ValueError(f"model must be a NoiseModel, got {model!r}")
     dmax, curve = _CURVES[attack]

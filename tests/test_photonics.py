@@ -5,8 +5,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qkd2way import photonics
 from qkd2way.numerics import golden_max
@@ -19,12 +17,9 @@ from qkd2way.photonics import (
     GainPoint,
     LinkBudget,
     NoCrossover,
-    bs_eve_info,
     crossover_distance,
     optimize_mu,
     pns_margin,
-    pns_multiphoton_prob,
-    poisson_pmf,
     raw_gain,
     scan_distances,
     secure_gain,
@@ -38,9 +33,26 @@ MU_GRID = [0.01 * i for i in range(1, 201)]  # (0, 2]
 def double_tap_prob(r1: float, r2: float, mu: float) -> float:
     """Eve's chance of a photon at both taps of an LM05 pulse, tap ratio r1 forward and r2 back.
 
-    The reference model behind bs_eve_info's LM05 value, which is its maximum at r1 = 1/2, r2 = 1.
+    The reference model behind LM05's beam-splitting leak, which is its maximum at r1 = 1/2, r2 = 1.
     """
     return (1.0 - math.exp(-r1 * mu)) * (1.0 - math.exp(-r2 * (1.0 - r1) * mu))
+
+
+def poisson_prob(n: int, mu: float) -> float:
+    """P(n photons) of a pulse of mean photon number mu: exp(-mu) mu^n / n!, for n < 90 and mu <= 2."""
+    return math.exp(-mu) * mu ** n / math.factorial(n)
+
+
+def bs_leak(protocol: str, mu: float) -> float:
+    """Eve's beam-splitting information I_E at mu, read off the objectives: 1 - G_secure / G_raw."""
+    budget = LinkBudget(mu=mu)
+    return 1.0 - secure_gain(protocol, budget) / raw_gain(protocol, budget)
+
+
+def pns_prob(protocol: str, mu: float) -> float:
+    """P_PNS, the chance of a pulse Eve breaks without noise, at mu, read off the objectives: G_raw - D."""
+    budget = LinkBudget(mu=mu)
+    return raw_gain(protocol, budget) - pns_margin(protocol, budget)
 
 
 def test_budget_validation():
@@ -79,69 +91,6 @@ def test_budget_rejects_non_finite_fields(field, value):
         LinkBudget(**{"mu": 0.1, field: value})
 
 
-def test_poisson_pmf_values():
-    assert poisson_pmf(0, 0.1) == pytest.approx(math.exp(-0.1), abs=1e-12)
-    # frozen from the cumulative-series oracle below
-    assert poisson_pmf(2, 0.1) == pytest.approx(0.004524187090179798, abs=1e-12)
-    assert sum(poisson_pmf(n, 1.0) for n in range(51)) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        poisson_pmf(-1, 0.1)
-    with pytest.raises(ValueError):
-        poisson_pmf(2, 0.0)
-
-
-@pytest.mark.parametrize("n, mu", [(171, 1.0), (200, 10.0), (1000, 5.0)])
-def test_poisson_pmf_is_a_float_where_mu_to_the_n_or_n_factorial_overflows(n, mu):
-    # mu ** n / n! used to raise OverflowError here
-    assert isinstance(poisson_pmf(n, mu), float)
-
-
-def test_poisson_pmf_far_tail():
-    # 10^200 e^-10 / 200!, to 50 digits in exact decimal arithmetic
-    assert poisson_pmf(200, 10.0) == pytest.approx(5.7566064628485215924738e-180, rel=1e-9)
-    assert sum(poisson_pmf(n, 10.0) for n in range(400)) == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("n", [10**12, 10**15])
-def test_poisson_pmf_at_its_mean_keeps_its_accuracy_for_huge_counts(n):
-    # n log mu and log n! cancel here: the log form was 0.4% low at 1e12 and 84% low at 1e15
-    assert poisson_pmf(n, float(n)) == pytest.approx(math.exp(-1 / (12 * n)) / math.sqrt(2 * math.pi * n),
-                                                     rel=1e-9)
-
-
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(n=st.one_of(st.integers(0, 400), st.integers(0, 10**320)),
-       mu=st.floats(5e-324, 1.7976931348623157e308, allow_nan=False, allow_infinity=False))
-def test_poisson_pmf_is_a_probability_for_every_accepted_input(n, mu):
-    assert 0.0 <= poisson_pmf(n, mu) <= 1.0
-
-
-@pytest.mark.parametrize("n, mu", [(int(2.54e305), 1e308), (10**400, 1e308),
-                                   (int(1.7976931348623157e308), 1.7976931348623157e308)],
-                         ids=["2.54e305", "1e400", "float-max"])
-def test_poisson_pmf_is_a_probability_at_the_float_range_ends(n, mu):
-    # the log form returned inf at the first; the last is near its mean, so far from 0
-    assert 0.0 <= poisson_pmf(n, mu) <= 1.0
-    assert (poisson_pmf(n, mu) > 0.0) == (n == int(mu))
-
-
-@pytest.mark.parametrize("n", [1.5, 2.0, True, "2"])
-def test_poisson_pmf_refuses_a_non_integer_photon_count(n):
-    with pytest.raises(ValueError, match="photon count n must be an integer"):
-        poisson_pmf(n, 0.1)
-    assert poisson_pmf(np.int64(2), 0.1) == poisson_pmf(2, 0.1)
-
-
-@pytest.mark.parametrize("call", [partial(bs_eve_info, "bb84"), partial(bs_eve_info, "lm05"),
-                                  partial(pns_multiphoton_prob, "bb84"), partial(poisson_pmf, 1)],
-                         ids=["bs_bb84", "bs_lm05", "pns", "poisson"])
-@pytest.mark.parametrize("mu", [math.nan, math.inf])
-def test_mu_functions_refuse_a_non_finite_mu_by_name(call, mu):
-    # bs_eve_info("bb84", nan) used to return nan
-    with pytest.raises(ValueError, match="mu must be finite"):
-        call(mu)
-
-
 @pytest.mark.parametrize("kwargs, field", [(dict(mu="1"), "mu"), (dict(mu=True), "mu"),
                                            (dict(mu=0.1, eta_d=None), "eta_d")])
 def test_budget_refuses_non_numeric_fields_by_name(kwargs, field):
@@ -156,11 +105,13 @@ def test_budget_stores_numpy_scalars_as_floats():
 
 
 def test_bs_eve_info_closed_forms():
-    assert bs_eve_info("bb84", 0.1) == 0.1
-    assert bs_eve_info("bb84", 1.7) == 1.0  # clamped at one bit
-    assert bs_eve_info("lm05", 0.1) == pytest.approx(0.0023785690345315543, abs=1e-12)
+    budget = LinkBudget(mu=0.1)
+    # 1 - G_secure / G_raw would round 0.1 off by an ulp, so BB84's leak is tied by its product
+    assert secure_gain("bb84", budget) == raw_gain("bb84", budget) * (1.0 - 0.1)
+    assert bs_leak("bb84", 1.7) == 1.0  # clamped at one bit
+    assert bs_leak("lm05", 0.1) == pytest.approx(0.0023785690345315543, abs=1e-12)
     # vanishes quadratically for weak pulses
-    assert bs_eve_info("lm05", 1e-4) == pytest.approx((0.5e-4) ** 2, rel=1e-3)
+    assert bs_leak("lm05", 1e-4) == pytest.approx((0.5e-4) ** 2, rel=1e-3)
 
 
 def test_bs_eve_info_matches_two_splitter_monte_carlo():
@@ -173,7 +124,7 @@ def test_bs_eve_info_matches_two_splitter_monte_carlo():
     forwarded = photons - to_first_tap
     success = np.logical_and(to_first_tap >= 1, forwarded >= 1)
     p_hat = float(np.mean(success))
-    p = bs_eve_info("lm05", mu)
+    p = bs_leak("lm05", mu)
     assert abs(p_hat - p) <= 5.0 * math.sqrt(p * (1 - p) / n)
 
 
@@ -185,7 +136,7 @@ def test_half_reflectivity_maximizes_double_tap(mu):
 
 def test_double_tap_upper_bound_over_grid():
     for mu in (0.05, 0.1, 0.5, 1.0):
-        bound = bs_eve_info("lm05", mu)
+        bound = bs_leak("lm05", mu)
         for i in range(100):
             for j in range(100):
                 r1, r2 = i / 99.0, j / 99.0
@@ -210,16 +161,16 @@ def test_secure_gain_limits():
 
 def test_pns_probabilities_match_poisson_series():
     for mu in MU_GRID:
-        tail_bb84 = sum(poisson_pmf(n, mu) for n in range(2, 80))
-        assert abs(pns_multiphoton_prob("bb84", mu) - tail_bb84) <= 1e-10
-        tail_lm05 = sum(poisson_pmf(n, mu) for n in range(3, 80)) - 0.5 * poisson_pmf(3, mu)
-        assert abs(pns_multiphoton_prob("lm05", mu) - tail_lm05) <= 1e-10
+        tail_bb84 = sum(poisson_prob(n, mu) for n in range(2, 80))
+        assert abs(pns_prob("bb84", mu) - tail_bb84) <= 1e-10
+        tail_lm05 = sum(poisson_prob(n, mu) for n in range(3, 80)) - 0.5 * poisson_prob(3, mu)
+        assert abs(pns_prob("lm05", mu) - tail_lm05) <= 1e-10
 
 
 def test_pns_probability_values():
-    assert pns_multiphoton_prob("bb84", 0.1) == pytest.approx(0.004678840160444397, abs=1e-10)
+    assert pns_prob("bb84", 0.1) == pytest.approx(0.004678840160444397, abs=1e-10)
     for mu in MU_GRID:
-        assert pns_multiphoton_prob("lm05", mu) < pns_multiphoton_prob("bb84", mu)
+        assert pns_prob("lm05", mu) < pns_prob("bb84", mu)
 
 
 def test_objectives_keep_their_float_expressions():
@@ -253,29 +204,11 @@ def test_optimize_mu_agrees_with_grid_scan():
         assert 1e-5 <= mu_star <= 2.0
 
 
-@pytest.mark.parametrize("bracket, expected", [
-    ((math.nan, 2.0), None),
-    ((1e-5, math.inf), None),
-    ((-1.0, 2.0), None),
-    # golden_max never evaluates an endpoint, so mu = 0 may bound the bracket;
-    # frozen from the implementation that built a LinkBudget per evaluation
-    ((0.0, 2.0), (0.04798731242760422, 0.00108209295643464)),
-])
-def test_optimize_mu_checks_the_bracket_once(bracket, expected):
-    if expected is None:
-        with pytest.raises(ValueError, match="bracket"):
-            optimize_mu("pns_margin", "bb84", 1.0, bracket=bracket)
-    else:
-        result = optimize_mu("pns_margin", "bb84", 1.0, bracket=bracket)
-        assert result == pytest.approx(expected, rel=1e-12)
-        assert result == _reference_optimize_mu("pns_margin", "bb84", 1.0, bracket=bracket)
-
-
-def _reference_optimize_mu(objective, protocol, length_km, bracket=MU_BRACKET, **link):
+def _reference_optimize_mu(objective, protocol, length_km, **link):
     """optimize_mu as a maximization of the public objective over full link budgets."""
     fn = {"secure_gain": secure_gain, "pns_margin": pns_margin}[objective]
     return golden_max(lambda mu: fn(protocol, LinkBudget(mu=mu, length_km=length_km, **link)),
-                      *bracket, tol=1e-7)
+                      *MU_BRACKET, tol=1e-7)
 
 
 @pytest.mark.parametrize("objective", ["secure_gain", "pns_margin"])
