@@ -50,7 +50,6 @@ from . import PROTOCOLS
 from .numerics import real
 from .qsim import (PROBE_ANGLES, Basis, ancilla_rotation, apply, attach_ancilla, cnot, hadamard, measure,
                    random_basis, spin_flip)
-from .rng import coin
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ class _IRStrategy(AttackStrategy):
         return 0.25, 0.25, 0.0, 0.25
 
     def start(self, rng):
-        if not coin(rng, self.params.xi):
+        if not rng.coin(self.params.xi):
             return None
         return (random_basis(rng),)
 
@@ -141,7 +140,7 @@ class _NortStrategy(AttackStrategy):
                 q_ae, 0.25 + q_ae / 2.0)
 
     def start(self, rng):
-        if not coin(rng, self.params.xi):
+        if not rng.coin(self.params.xi):
             return None
         return random_basis(rng)
 
@@ -180,14 +179,14 @@ class _DcnotStrategy(AttackStrategy):
         return 0.25, self.params.chi if self.params.kind == "dcnot_star" else 0.0, 0.0, 0.0
 
     def start(self, rng):
-        return 0 if coin(rng, self.params.xi) else None
+        return 0 if rng.coin(self.params.xi) else None
 
     def forward(self, flip, state, rng):
         return flip, apply(attach_ancilla(state), cnot(0, 1))
 
     def backward(self, flip, state, rng):
         state = apply(state, cnot(0, 1))
-        if self.params.kind == "dcnot_star" and coin(rng, self.params.chi):
+        if self.params.kind == "dcnot_star" and rng.coin(self.params.chi):
             return 1, apply(state, spin_flip(0))
         return flip, state
 
@@ -204,19 +203,14 @@ ONE_WAY_KINDS = tuple(kind for kind, strategy in _STRATEGIES.items() if strategy
 NO_ATTACK = AttackParams()
 
 
-def check_channel(protocol: str, params: AttackParams) -> None:
-    """Refuse a protocol not in PROTOCOLS, and an attack its channel cannot carry: BB84 takes
-    only ONE_WAY_KINDS."""
-    if not isinstance(params, AttackParams):
-        raise ValueError(f"attack must be an AttackParams, got {params!r}")
+def make_strategy(protocol: str, attack: AttackParams) -> AttackStrategy:
+    """The attack's strategy, once it is an AttackParams that the channel of a protocol in
+    PROTOCOLS can carry (BB84 takes only ONE_WAY_KINDS); refused by name otherwise."""
+    if not isinstance(attack, AttackParams):
+        raise ValueError(f"attack must be an AttackParams, got {attack!r}")
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    if protocol == "bb84" and params.kind not in ONE_WAY_KINDS:
-        raise ValueError(f"attack {params.kind!r} needs the two-way channel; "
+    if protocol == "bb84" and attack.kind not in ONE_WAY_KINDS:
+        raise ValueError(f"attack {attack.kind!r} needs the two-way channel; "
                          f"BB84 supports {'/'.join(ONE_WAY_KINDS)}")
-
-
-def make_strategy(params: AttackParams) -> AttackStrategy:
-    if not isinstance(params, AttackParams):
-        raise ValueError(f"attack must be an AttackParams, got {params!r}")
-    return _STRATEGIES[params.kind](params)
+    return _STRATEGIES[attack.kind](attack)

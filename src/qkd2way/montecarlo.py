@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .attacks import NO_ATTACK, AttackParams, check_channel, make_strategy
+from .attacks import NO_ATTACK, AttackParams, make_strategy
 from .numerics import integer, real
 from .protocol import RATE_NAMES, ProtocolConfig, Tallies, enumerate_round
 
@@ -61,7 +61,7 @@ class BatchReport:
 
 def wilson_interval(errors: int, trials: int, z: float = _CI_Z) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion; always inside [0, 1]."""
-    trials = integer("trials", trials, 1)
+    trials = integer("trials", trials, 1, 2**63 - 1)  # a tally counts in int64
     errors = integer("errors", errors, 0, trials)
     z = real("z", z, 0.0, lo_open=True)
     p = errors / trials
@@ -81,8 +81,7 @@ def predicted_rates(protocol: str, attack: AttackParams) -> dict[str, Optional[f
     rounds where Eve actually guessed, so they do not.  BB84 has no
     Encoding Mode, so no q_ab and no q_ae.
     """
-    q1, q_ab, q_ae, q_be = make_strategy(attack).attacked_rates()  # checks the attack's type
-    check_channel(protocol, attack)
+    q1, q_ab, q_ae, q_be = make_strategy(protocol, attack).attacked_rates()
     xi = attack.xi
     two_way = protocol != "bb84"
     return {"q1": xi * q1, "q_ab": xi * q_ab if two_way else None,

@@ -22,8 +22,8 @@ Four error rates are tallied:
   (LM05 key bit = Bob's decoded operation; BB84 key bit = sender's bit).
 
 Round draws happen in a fixed order (preparation, attack, mode, encoding,
-attack, measurement, reveal coin, attack readout), each through
-:func:`qkd2way.rng.coin`.  A round is one chain of three stages for both
+attack, measurement, reveal coin, attack readout), each a ``coin(p)`` on
+the round's stream.  A round is one chain of three stages for both
 protocols, cut at its physical seams: the forward leg (preparation, Eve's
 set-up, the forward pass), Alice's station (Control Mode, always in BB84,
 which draws no mode coin, and in LM05 on the mode coin; or else her
@@ -82,16 +82,14 @@ import numpy as np
 
 from . import rng as _rng
 from . import PROTOCOLS
-from .attacks import NO_ATTACK, AttackParams, AttackStrategy, check_channel, make_strategy
+from .attacks import NO_ATTACK, AttackParams, AttackStrategy, make_strategy
 from .numerics import integer, real
 from .qsim import Basis, apply, measure, prepare, random_basis, spin_flip
-from .rng import coin
 
 RATE_NAMES = ("q1", "q_ab", "q_ae", "q_be")
 
 _WEIGHT_ATOL = 1e-12
 _MAX_ROUNDS = 2**63 - 1  # numpy's multinomial draws counts as int64
-_MAX_SEED = 2**64 - 1  # a seed is a 64-bit key
 # rounds per write of a round log: a chunk of ~20-byte rows is ~80 kB, so the write
 # call costs little next to its rows, while a chunk stays small next to a long run
 _LOG_CHUNK = 4096
@@ -111,7 +109,7 @@ class ProtocolConfig:
         for name, lo_open in (("control_prob", False), ("reveal_fraction", True)):
             object.__setattr__(self, name, real(name, getattr(self, name), 0.0, 1.0, lo_open=lo_open))
         object.__setattr__(self, "rounds", integer("rounds", self.rounds, 1, _MAX_ROUNDS))
-        object.__setattr__(self, "seed", integer("seed", self.seed, 0, _MAX_SEED))
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0, _rng.MAX_SEED))
 
 
 _BASIS = ("a Basis", lambda v: type(v) is Basis)
@@ -186,7 +184,7 @@ class Tallies:
 def _forward_leg(strategy: AttackStrategy, rng):
     """Stage 1: preparation, Eve's round set-up, the forward pass."""
     basis = random_basis(rng)
-    bit = 0 if coin(rng, 0.5) else 1
+    bit = 0 if rng.coin(0.5) else 1
     state = prepare(basis, bit)
     memory = strategy.start(rng)
     if memory is not None:
@@ -199,10 +197,10 @@ def _alice(config: ProtocolConfig, strategy: AttackStrategy, leg, rng):
     BB84 and on LM05's mode coin, or else her operation, the way back and Bob's measurement
     in his basis.  Returns (the record's first six fields, Eve's memory, the collapsed state)."""
     basis, bit, memory, state = leg
-    if config.protocol == "bb84" or coin(rng, config.control_prob):
+    if config.protocol == "bb84" or rng.coin(config.control_prob):
         mode, op, receiver_basis = "CM", None, random_basis(rng)
     else:
-        mode, op, receiver_basis = "EM", 0 if coin(rng, 0.5) else 1, basis
+        mode, op, receiver_basis = "EM", 0 if rng.coin(0.5) else 1, basis
         if op:
             state = apply(state, spin_flip(0))
         if memory is not None:
@@ -217,7 +215,7 @@ def _readout(config: ProtocolConfig, strategy: AttackStrategy, back, rng) -> tup
     ends, memory, state = back
     if ends[0] == "CM" and config.protocol != "bb84":  # an LM05 Control-Mode round: no key bit
         return (*ends, False, None, None, memory is not None)
-    revealed = ends[0] == "EM" and coin(rng, config.reveal_fraction)
+    revealed = ends[0] == "EM" and rng.coin(config.reveal_fraction)
     guess_a, guess_b = (None, None) if memory is None else strategy.finalize(memory, state, rng)
     return (*ends, revealed, guess_a, guess_b, memory is not None)
 
@@ -226,16 +224,17 @@ def _stages(config: ProtocolConfig, attack: AttackParams):
     """The round's chain of three stages, one for both protocols, bound to the attack's strategy."""
     if not isinstance(config, ProtocolConfig):
         raise ValueError(f"config must be a ProtocolConfig, got {config!r}")
-    check_channel(config.protocol, attack)
-    strategy = make_strategy(attack)
+    strategy = make_strategy(config.protocol, attack)
     return (partial(_forward_leg, strategy), partial(_alice, config, strategy),
             partial(_readout, config, strategy))
 
 
 def run_round(config: ProtocolConfig, attack: AttackParams, rng) -> RoundRecord:
-    """One round on one stream: each stage continues from the value of the one before, and
-    the last one's leaf becomes the record."""
+    """One round on `rng`, a Stream or a Branching: each stage continues from the value of the
+    one before, and the last one's leaf becomes the record."""
     first, *rest = _stages(config, attack)
+    if not hasattr(rng, "coin"):  # a plain numpy Generator has no coin
+        raise ValueError(f"rng must be a Stream or a Branching, got {rng!r}")
     value = first(rng)
     for stage in rest:
         value = stage(value, rng)
@@ -406,8 +405,7 @@ class LeafTable:
     def draw(self, rounds: int, seed: int) -> np.ndarray:
         """How often each leaf occurs in `rounds` i.i.d. rounds from `seed`, both checked as
         :class:`ProtocolConfig` checks them."""
-        rounds = integer("rounds", rounds, 1, _MAX_ROUNDS)
-        return _rng.stream(integer("seed", seed, 0, _MAX_SEED)).multinomial(rounds, self.weights)
+        return _rng.stream(seed).multinomial(integer("rounds", rounds, 1, _MAX_ROUNDS), self.weights)
 
     def exact_rates(self) -> dict[str, Optional[float]]:
         """Expected errors / expected trials per rate; None where no round is a trial."""
@@ -424,7 +422,7 @@ def enumerate_round(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) ->
     """
     weights, leaves = zip(*_rng.enumerate_paths(*_stages(config, attack)))
     total = math.fsum(weights)
-    if abs(total - 1.0) > _WEIGHT_ATOL:
+    if not abs(total - 1.0) <= _WEIGHT_ATOL:  # `not <=` so that a NaN sum fails too
         raise ValueError(f"leaf weights sum to {total!r}, not 1")
     index = _ALPHABET.index(leaves)
     return LeafTable(np.array(weights), tuple(map(_ALPHABET.records.__getitem__, index)),

@@ -4,7 +4,7 @@ Wire 0 carries the traveling qubit; wires 1 and 2 are eavesdropper probe
 ancillae attached on demand.  Amplitudes are stored densely with wire 0 as
 the most significant bit of the index.  States are immutable values and
 every operation is a pure function; anything that samples takes an
-explicit generator, so runs are reproducible bit for bit.
+explicit stream and flips its ``coin``, so runs are reproducible bit for bit.
 
 Conventions
 -----------
@@ -47,8 +47,8 @@ built directly is shared by no one.  Results are shared by every caller, so thei
 amplitudes are read-only, and so is a gate's matrix, so that the expansion
 cached for a gate stays its own.  Enumerating a round's outcome paths
 replays the same state through the same step again and again; those
-repeats are hits.  :func:`measure` draws its outcome with
-:func:`qkd2way.rng.coin` on every call, hit or miss, so streams see the
+repeats are hits.  :func:`measure` draws its outcome with the stream's
+``coin`` on every call, hit or miss, so streams see the
 same coins in the same order.  A basis that is not a :class:`Basis` is
 refused on a miss, and a hit needs no check: a ``Basis`` hashes by
 identity, so no other key ever matches a cached one.  A wire is not so:
@@ -67,7 +67,6 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import real
-from .rng import coin
 
 MAX_WIRES = 3
 NORM_ATOL = 1e-9
@@ -93,7 +92,7 @@ class Basis(Enum):
 
 def random_basis(rng) -> Basis:
     """Z or X with probability 1/2 each, from one coin."""
-    return Basis.Z if coin(rng, 0.5) else Basis.X
+    return Basis.Z if rng.coin(0.5) else Basis.X
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +108,7 @@ class StateVector:
         if self.amps.shape != (2 ** self.num_wires,):
             raise ValueError("amplitude vector length must be 2**num_wires")
         n2 = float(np.vdot(self.amps, self.amps).real)
-        if abs(n2 - 1.0) > NORM_ATOL:
+        if not abs(n2 - 1.0) <= NORM_ATOL:  # `not <=` so that a NaN norm fails too
             raise ValueError(f"state not normalized: |amps|^2 = {n2!r}")
 
 
@@ -293,6 +292,6 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
     if type(wire) is not int:  # checked before the cache: 0.0 and False hash like wire 0
         raise ValueError(f"wire must be an int, got {wire!r}")
     p0, zero, one = _outcomes(state, wire, basis)
-    if coin(rng, p0):
+    if rng.coin(p0):
         return 0, zero
     return 1, one

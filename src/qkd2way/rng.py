@@ -1,15 +1,15 @@
 """Deterministic random streams and the package's one random decision.
 
 All sampling in the package goes through explicitly seeded, counter-based
-Philox generators.  A stream is keyed by a 64-bit seed plus an optional
-branch path, so any piece of work can re-derive its own generator
-independent of execution order.
+Philox generators.  A :class:`Stream` is keyed by a 64-bit seed plus an
+optional branch path, each key checked, so any piece of work can re-derive
+its own generator independent of execution order.
 
 Every random decision of the protocol, the attacks and the Born rule is a
-:func:`coin`.  Handing the same code a :class:`Branching` stream instead of
-a generator makes each coin fork rather than sample, which is how
-:func:`enumerate_paths` lists every outcome of a round with its exact
-probability.
+``coin(p)`` on the stream it was handed.  Handing the same code a
+:class:`Branching` stream instead of a :class:`Stream` makes each coin fork
+rather than sample, which is how :func:`enumerate_paths` lists every
+outcome of a round with its exact probability.
 
 A function is enumerated by rerunning it once per path of coin outcomes, so
 coins early in a deep tree are replayed for every leaf below them.  Split
@@ -23,13 +23,38 @@ replayed from the root: the weights are bit-identical.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
+from .numerics import integer
 
-def stream(seed: int, *branch: int) -> np.random.Generator:
-    """Generator for (seed, branch...): one stream per non-negative input, refusing a negative one."""
-    seq = np.random.SeedSequence(seed, spawn_key=branch)
-    return np.random.Generator(np.random.Philox(seq))
+MAX_SEED = 2**64 - 1  # a seed, and each branch key, is a 64-bit key
+
+
+@cache
+def __getattr__(name: str) -> type:
+    """``Stream``, made on first use: subclassing numpy's Generator loads numpy.random, which numpy
+    loads only when used, and a process that imports rng but draws nothing never needs it."""
+    if name != "Stream":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+    class Stream(np.random.Generator):
+        """A numpy Generator that flips coins: ``coin(p)`` is True with probability p."""
+
+        __slots__ = ()
+
+        def coin(self, p: float) -> bool:
+            return self.random() < p
+
+    return Stream
+
+
+def stream(seed: int, *branch: int) -> Stream:
+    """Stream for (seed, branch...); each key, an int in [0, MAX_SEED], is refused by name otherwise."""
+    seq = np.random.SeedSequence(integer("seed", seed, 0, MAX_SEED),
+                                 spawn_key=[integer("branch", key, 0, MAX_SEED) for key in branch])
+    return __getattr__("Stream")(np.random.Philox(seq))
 
 
 class Branching:
@@ -62,17 +87,6 @@ class Branching:
         return outcome
 
 
-def coin(stream, p: float) -> bool:
-    """True with probability p.
-
-    ``stream`` is a numpy Generator, or anything with its ``random()``
-    method, or a :class:`Branching` stream, which forks instead of sampling.
-    """
-    if type(stream) is Branching:
-        return stream.coin(p)
-    return stream.random() < p
-
-
 def enumerate_paths(*stages):
     """Run a chain of stages once per possible path of coin outcomes.
 
@@ -81,8 +95,8 @@ def enumerate_paths(*stages):
     of the stream is the one-stage chain.  Yields (probability, result of
     the last stage) per path, depth first with True before False, which is
     the order of one function replayed from the root.  Outcomes of
-    probability 0 are never followed.  A stage must draw only through
-    :func:`coin`, be deterministic given its value and outcomes, and leave
+    probability 0 are never followed.  A stage must draw only through the
+    stream's ``coin``, be deterministic given its value and outcomes, and leave
     its value unchanged: its sibling paths read that value again.
     """
     last = len(stages) - 1

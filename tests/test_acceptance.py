@@ -195,13 +195,19 @@ PROPERTY_SUITES = ("test_qsim.py", "test_infotheory.py", "test_montecarlo.py")
 
 def test_criterion_6_property_suites_standalone():
     # the suites run in full as part of this test session; here we verify
-    # each file also collects cleanly on its own
+    # each file also collects cleanly on its own, each in its own process,
+    # the three started together
     tests_dir = Path(__file__).parent
-    for name in PROPERTY_SUITES:
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "--collect-only", "-q",
-             str(tests_dir / name)],
-            capture_output=True, text=True, timeout=120,
-        )
+    procs = {name: subprocess.Popen(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", str(tests_dir / name)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) for name in PROPERTY_SUITES}
+    try:
+        for proc in procs.values():
+            proc.wait(timeout=120)
+    finally:
+        for proc in procs.values():
+            proc.kill()  # a no-op on a process that has exited
+            proc.wait()
+    for name, proc in procs.items():
         _check(f"criterion 6: {name} collects standalone", proc.returncode == 0,
                f" (exit {proc.returncode})")

@@ -128,7 +128,7 @@ def test_the_z_readout_of_a_nort_probe_pair_is_its_helstrom_measurement():
         rho = [np.outer(e, e.conj()) for e in probes]
         helstrom = (1.0 - 0.5 * np.abs(np.linalg.eigvalsh(rho[0] - rho[1])).sum()) / 2.0
         z_readout = (abs(probes[0][1]) ** 2 + abs(probes[1][0]) ** 2) / 2.0
-        q_ae = make_strategy(AttackParams(kind="nort", x=x, x_prime=math.pi / 2)).attacked_rates()[2]
+        q_ae = make_strategy("lm05", AttackParams(kind="nort", x=x, x_prime=math.pi / 2)).attacked_rates()[2]
         for error in (z_readout, (1.0 - math.sin(x)) / 2.0, q_ae):
             assert helstrom == pytest.approx(error, abs=1e-12), x
 
@@ -177,7 +177,7 @@ def test_symmetric_attacks_disturb_both_bases_equally(kind, x):
 @pytest.mark.parametrize("kind", ["ir", "nort", "dcnot", "dcnot_star"])
 def test_a_round_left_alone_calls_no_hook_after_start(kind, monkeypatch):
     params = AttackParams(kind=kind, xi=0.0, chi=0.5)
-    strategy = make_strategy(params)
+    strategy = make_strategy("lm05", params)
     rng = stream(3)
     assert all(strategy.start(rng) is None for _ in range(50))
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qkd2way import protocol as protocol_module
 from qkd2way import qsim
-from qkd2way.attacks import AttackParams, check_channel
+from qkd2way.attacks import AttackParams, make_strategy
 from qkd2way.infotheory import curve_points, secrecy, threshold
 from qkd2way.montecarlo import (
     ENGINE,
@@ -38,7 +38,7 @@ from qkd2way.protocol import (
     tally,
     write_round_log,
 )
-from qkd2way.rng import Branching, coin, enumerate_paths, stream
+from qkd2way.rng import Branching, enumerate_paths, stream
 
 
 def test_predicted_rates_closed_forms():
@@ -193,9 +193,11 @@ def test_leaf_table_reproduces_closed_forms_exactly(protocol, attack, control_pr
         assert exact["q_ab"] == 0.0
 
 
-def test_enumerate_round_rejects_weights_not_summing_to_one(monkeypatch):
-    # a last stage whose coin has "probability" 1.5 scales every leaf weight by 1.5
-    monkeypatch.setattr("qkd2way.protocol._readout", lambda config, strategy, back, rng: coin(rng, 1.5))
+@pytest.mark.parametrize("p", [1.5, math.nan])
+def test_enumerate_round_rejects_weights_not_summing_to_one(monkeypatch, p):
+    # a last stage whose coin has "probability" 1.5 scales every leaf weight by 1.5, and one
+    # of probability NaN makes every leaf weight NaN
+    monkeypatch.setattr("qkd2way.protocol._readout", lambda config, strategy, back, rng: rng.coin(p))
     with pytest.raises(ValueError, match="sum to"):
         enumerate_round(ProtocolConfig(protocol="lm05"))
 
@@ -435,8 +437,8 @@ _WRONG_TYPES = [
     ("config", "'lm05'", lambda: enumerate_round("lm05")),
     ("config", "None", lambda: run_round(None, AttackParams(), stream(1))),
     ("attack", "'ir'", lambda: run_round(_CONFIG, "ir", stream(1))),
-    ("attack", "'ir'", lambda: check_channel("lm05", "ir")),
-    ("attack", "'ir'", lambda: check_channel("bb84", "ir")),
+    ("attack", "'ir'", lambda: make_strategy("lm05", "ir")),
+    ("attack", "'ir'", lambda: make_strategy("bb84", "ir")),
 ]
 
 

@@ -386,6 +386,12 @@ def test_bb84_rejects_two_way_attacks():
             run_round(config, AttackParams(kind=kind), stream(1))
 
 
+def test_run_round_refuses_a_stream_that_flips_no_coin():
+    # a plain numpy Generator has random() but no coin: the stepped path takes a Stream or a Branching
+    with pytest.raises(ValueError, match=r"^rng must be a Stream or a Branching, got Generator\(Philox\)"):
+        run_round(ProtocolConfig(), AttackParams(), np.random.Generator(np.random.Philox(1)))
+
+
 def test_round_log_csv_format():
     config = ProtocolConfig(protocol="lm05", rounds=200, seed=8, control_prob=0.5)
     records = run(config, AttackParams(kind="ir", xi=0.5))

@@ -223,6 +223,13 @@ def test_statevector_validation():
         ancilla_rotation(2.0, 0, 1)
 
 
+@pytest.mark.parametrize("amp", [math.nan, math.inf, complex(0.0, math.nan)], ids=["nan", "inf", "nanj"])
+def test_statevector_refuses_a_nan_or_infinite_amplitude(amp):
+    # a NaN norm fails every comparison, so the check must be `not <=`
+    with pytest.raises(ValueError, match="state not normalized"):
+        StateVector(np.array([amp, 0.0], dtype=complex), 1)
+
+
 @given(x=st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False))
 @settings(max_examples=80, deadline=None)
 def test_ancilla_rotation_probe_overlap(x):

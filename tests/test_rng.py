@@ -2,12 +2,12 @@ import math
 
 import pytest
 
-from qkd2way.rng import Branching, coin, enumerate_paths, stream
+from qkd2way.rng import Branching, enumerate_paths, stream
 
 
 def _two_coins(rng):
-    first = coin(rng, 0.3)
-    second = coin(rng, 0.0 if first else 0.6)  # impossible outcomes are pruned
+    first = rng.coin(0.3)
+    second = rng.coin(0.0 if first else 0.6)  # impossible outcomes are pruned
     return first, second
 
 
@@ -20,13 +20,13 @@ def test_enumerate_paths_lists_every_possible_outcome_with_its_probability():
 
 
 def _ladder_head(rng):
-    return [coin(rng, 0.1), coin(rng, 1.0 / 3.0)]
+    return [rng.coin(0.1), rng.coin(1.0 / 3.0)]
 
 
 def _ladder_tail(taken, rng):
     # the tail's coins depend on the head's outcomes; its value is a new list
     p = 0.37 if taken[0] else 0.0
-    return [*taken, coin(rng, p), coin(rng, 0.7 if taken[1] else 0.29)]
+    return [*taken, rng.coin(p), rng.coin(0.7 if taken[1] else 0.29)]
 
 
 def _ladder(rng):
@@ -47,19 +47,8 @@ def test_branching_stream_follows_its_forced_path():
     assert branch.forks == [(False, False)]
 
 
-class _Wrapped:
-    """Any object with the Generator's random() is a valid stream."""
-
-    def __init__(self, gen):
-        self.gen = gen
-
-    def random(self):
-        return self.gen.random()
-
-
 def test_coin_draws_like_comparing_a_uniform_draw():
-    plain, wrapped, reference = stream(5), _Wrapped(stream(5)), stream(5)
+    plain, reference = stream(5), stream(5)
     for p in (0.0, 0.25, 0.5, 0.9, 1.0) * 20:
         expected = reference.random() < p
-        assert coin(plain, p) == expected
-        assert coin(wrapped, p) == expected
+        assert plain.coin(p) == expected
