@@ -76,11 +76,11 @@ def physics_digest(table: LeafTable) -> str:
 
 def stepped_rounds():
     """300 rounds per scenario and c in {0.25, 0.6}, each run stepped on
-    rng.stream(1234, scenario index, 100 c)."""
+    rng.Stream(1234, scenario index, 100 c)."""
     for i, (protocol, attack) in enumerate(SCENARIOS):
         for c in (0.25, 0.6):
             config = ProtocolConfig(protocol=protocol, control_prob=c)
-            stream = rng.stream(1234, i, int(100 * c))
+            stream = rng.Stream(1234, i, int(100 * c))
             for _ in range(300):
                 yield run_round(config, attack, stream)
 

@@ -41,20 +41,19 @@ States and gates hash and compare by identity, and a cache entry holds its
 key objects, so no id is reused while the entry lives and a hit is always
 the very input it was computed from.  So each gate factory caches the
 gates it hands out, keyed on its positional-only arguments and their types
-(so a bool or float wire, which a ``Gate`` refuses, never hits an int's
-gate), and ``ancilla_rotation`` on its angle once checked; a ``Gate``
-built directly is shared by no one.  Results are shared by every caller, so their
+(so a bool or float wire, which a ``Gate`` refuses as it does a wire
+outside ``[0, MAX_WIRES)``, never hits an int's gate), and
+``ancilla_rotation`` on its angle once checked; a ``Gate`` built directly
+is shared by no one.  Results are shared by every caller, so their
 amplitudes are read-only, and so is a gate's matrix, so that the expansion
 cached for a gate stays its own.  Enumerating a round's outcome paths
 replays the same state through the same step again and again; those
 repeats are hits.  :func:`measure` draws its outcome with the stream's
 ``coin`` on every call, hit or miss, so streams see the
-same coins in the same order.  A basis that is not a :class:`Basis` is
-refused on a miss, and a hit needs no check: a ``Basis`` hashes by
-identity, so no other key ever matches a cached one.  A wire is not so:
-``0.0`` and ``False`` hash like ``0``, so :func:`measure` refuses a wire
-that is not an int before it looks in the cache, and the answer does not
-depend on what the cache holds.
+same coins in the same order.  :func:`measure` refuses a wire that is not
+an int (``0.0`` and ``False`` hash like ``0``) and a basis that is not a
+:class:`Basis` (``[]`` does not hash) before it looks in the cache, so the
+answer does not depend on what the cache holds.
 """
 
 from __future__ import annotations
@@ -138,6 +137,8 @@ class Gate:
         for wire in self.wires:
             if type(wire) is not int:  # True and 0.0 equal wires 1 and 0, but are no wire
                 raise ValueError(f"gate wires must be ints, got {self.wires!r}")
+            if not 0 <= wire < MAX_WIRES:
+                raise ValueError(f"gate wires must lie in [0, {MAX_WIRES}), got {self.wires}")
         if len(set(self.wires)) != len(self.wires):
             raise ValueError(f"gate wires must be distinct, got {self.wires}")
         dim = 2 ** len(self.wires)
@@ -259,8 +260,6 @@ def attach_ancilla(state: StateVector) -> StateVector:
 def _outcomes(state: StateVector, wire: int, basis: Basis):
     """(the Born probability p0 of outcome 0, collapse on 0, collapse on 1); an impossible
     outcome, never drawn, has None."""
-    if type(basis) is not Basis:
-        raise ValueError(f"basis must be a Basis, got {basis!r}")
     _check_wires(state, (wire,))
     n = state.num_wires
     hadamard_full, keep0, keep1 = _wire_table(n, wire)
@@ -291,6 +290,8 @@ def measure(state: StateVector, wire: int, basis: Basis, rng) -> tuple[int, Stat
     """
     if type(wire) is not int:  # checked before the cache: 0.0 and False hash like wire 0
         raise ValueError(f"wire must be an int, got {wire!r}")
+    if type(basis) is not Basis:  # and before it hashes the basis: [] is unhashable
+        raise ValueError(f"basis must be a Basis, got {basis!r}")
     p0, zero, one = _outcomes(state, wire, basis)
     if rng.coin(p0):
         return 0, zero

@@ -1,15 +1,15 @@
 """Deterministic random streams and the package's one random decision.
 
-All sampling in the package goes through explicitly seeded, counter-based
-Philox generators.  A :class:`Stream` is keyed by a 64-bit seed plus an
-optional branch path, each key checked, so any piece of work can re-derive
-its own generator independent of execution order.
+All sampling goes through seeded, counter-based Philox generators:
+:func:`stream` hands out numpy's own ``Generator``, keyed by a 64-bit seed and
+an optional branch path, each key checked, so any work can re-derive its own
+generator in any order.  This module names ``numpy.random``, which numpy loads
+on first use, only inside calls, so importing the simulator does not load it.
 
 Every random decision of the protocol, the attacks and the Born rule is a
-``coin(p)`` on the stream it was handed.  Handing the same code a
-:class:`Branching` stream instead of a :class:`Stream` makes each coin fork
-rather than sample, which is how :func:`enumerate_paths` lists every
-outcome of a round with its exact probability.
+``coin(p)`` on the stream it was handed: a :class:`Stream` compares one
+uniform draw with p, and a :class:`Branching` forks instead, which is how
+:func:`enumerate_paths` lists every outcome of a round with its probability.
 
 A function is enumerated by rerunning it once per path of coin outcomes, so
 coins early in a deep tree are replayed for every leaf below them.  Split
@@ -23,8 +23,6 @@ replayed from the root: the weights are bit-identical.
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
 from .numerics import integer
@@ -32,29 +30,23 @@ from .numerics import integer
 MAX_SEED = 2**64 - 1  # a seed, and each branch key, is a 64-bit key
 
 
-@cache
-def __getattr__(name: str) -> type:
-    """``Stream``, made on first use: subclassing numpy's Generator loads numpy.random, which numpy
-    loads only when used, and a process that imports rng but draws nothing never needs it."""
-    if name != "Stream":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-    class Stream(np.random.Generator):
-        """A numpy Generator that flips coins: ``coin(p)`` is True with probability p."""
-
-        __slots__ = ()
-
-        def coin(self, p: float) -> bool:
-            return self.random() < p
-
-    return Stream
-
-
-def stream(seed: int, *branch: int) -> Stream:
-    """Stream for (seed, branch...); each key, an int in [0, MAX_SEED], is refused by name otherwise."""
+def stream(seed: int, *branch: int) -> np.random.Generator:
+    """Generator for (seed, branch...); each key, an int in [0, MAX_SEED], is refused by name otherwise."""
     seq = np.random.SeedSequence(integer("seed", seed, 0, MAX_SEED),
                                  spawn_key=[integer("branch", key, 0, MAX_SEED) for key in branch])
-    return __getattr__("Stream")(np.random.Philox(seq))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+class Stream:
+    """Coins from ``stream(seed, *branch)``: ``coin(p)`` is True with probability p."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, seed: int, *branch: int):
+        self.random = stream(seed, *branch).random
+
+    def coin(self, p: float) -> bool:
+        return self.random() < p
 
 
 class Branching:

@@ -10,7 +10,7 @@ from qkd2way.attacks import ATTACK_KINDS, NO_ATTACK, ONE_WAY_KINDS, AttackParams
 from qkd2way.montecarlo import predicted_rates, run_batch
 from qkd2way.protocol import ProtocolConfig, enumerate_round, run, run_round, tally
 from qkd2way.qsim import Basis, ancilla_rotation, apply, attach_ancilla, prepare
-from qkd2way.rng import stream
+from qkd2way.rng import Stream
 
 
 def test_params_validation():
@@ -178,7 +178,7 @@ def test_symmetric_attacks_disturb_both_bases_equally(kind, x):
 def test_a_round_left_alone_calls_no_hook_after_start(kind, monkeypatch):
     params = AttackParams(kind=kind, xi=0.0, chi=0.5)
     strategy = make_strategy("lm05", params)
-    rng = stream(3)
+    rng = Stream(3)
     assert all(strategy.start(rng) is None for _ in range(50))
 
     def refuse(*args):
@@ -208,7 +208,7 @@ def test_every_entry_point_refuses_a_two_way_attack_on_bb84_alike(entry, kind, c
         assert captured.err == f"error: {message}\n" and captured.out == ""
         return
     calls = {"run": lambda: run(config, params),
-             "run_round": lambda: run_round(config, params, stream(0)),
+             "run_round": lambda: run_round(config, params, Stream(0)),
              "enumerate_round": lambda: enumerate_round(config, params),
              "run_batch": lambda: run_batch(config, params),
              "predicted_rates": lambda: predicted_rates("bb84", params)}

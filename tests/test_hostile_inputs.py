@@ -4,9 +4,11 @@ Each row of ``CASES`` is one (entry point, parameter) pair: a call that puts a v
 parameter's place with every other argument valid, and the name a refusal of it gives.  Every row
 is called with each of the twelve ``HOSTILE`` values.  The rows cover the closed forms
 (``infotheory``, ``photonics``) and the simulator (``rng``, ``qsim``, ``attacks``, ``protocol``,
-``montecarlo``).  Left out, since they take checked values from their callers: numerics' solvers
-(``grid``, ``golden_max``, ``bisect_first_zero``) and the coins, ``Stream.coin`` and
-``Branching.coin``, on the walker's hot path.
+``montecarlo``).  A gate factory's wire has a case of its own: every hashable hostile value is
+refused, as no wire of a register.  Left out, since they take checked values from their callers:
+numerics' solvers (``grid``, ``golden_max``, ``bisect_first_zero``) and the coins,
+``Stream.coin`` and ``Branching.coin``, on the walker's hot path; and a gate factory's unhashable
+wire, which its ``lru_cache`` hashes before the ``Gate`` checks it.
 """
 
 import math
@@ -87,7 +89,8 @@ CASES = {
     "wilson_interval.z": (lambda v: wilson_interval(1, 10, v), "z"),
     "prepare.basis": (lambda v: qsim.prepare(v, 0), "basis"),
     "prepare.bit": (lambda v: qsim.prepare(qsim.Basis.Z, v), "bit"),
-    "measure.wire": (lambda v: qsim.measure(_PLUS, v, qsim.Basis.Z, stream(1)), "wire"),
+    "measure.wire": (lambda v: qsim.measure(_PLUS, v, qsim.Basis.Z, Stream(1)), "wire"),
+    "measure.basis": (lambda v: qsim.measure(_PLUS, 0, v, Stream(1)), "basis"),
     "ancilla_rotation.angle": (lambda v: qsim.ancilla_rotation(v, 0, 1), "angle"),  # "probe angle"
 }
 
@@ -117,11 +120,24 @@ def test_a_hostile_argument_gives_a_finite_result_or_is_refused_by_name(call, na
 def test_a_stream_key_is_an_int_in_the_seed_range_or_refused(call, name, value):
     # no other value is read as some seed: None would seed from OS entropy, True as 1, (0,) as 0
     if type(value) is np.int64:
-        assert type(call(value)) is Stream
+        assert type(call(value)) is np.random.Generator
         assert call(value).random() == call(1).random()
     else:
         with pytest.raises(ValueError, match=rf"^{name} must"):
             call(value)
+
+
+_HASHABLE = {key: value for key, value in HOSTILE.items() if key != "list"}
+_FACTORIES = {"spin_flip": qsim.spin_flip, "hadamard": qsim.hadamard,
+              "cnot.control": lambda v: qsim.cnot(v, 1), "cnot.target": lambda v: qsim.cnot(0, v)}
+
+
+@pytest.mark.parametrize("value", _HASHABLE.values(), ids=_HASHABLE)
+@pytest.mark.parametrize("factory", _FACTORIES.values(), ids=_FACTORIES)
+def test_a_gate_factory_refuses_every_hostile_wire(factory, value):
+    # a wire that is no int in [0, MAX_WIRES) is no wire of any register
+    with pytest.raises(ValueError, match=r"\bwires\b"):
+        factory(value)
 
 
 @pytest.mark.parametrize("name", [*HOSTILE.values(), "q2", "__init__"], ids=[*HOSTILE, "q2", "__init__"])

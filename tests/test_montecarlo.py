@@ -38,7 +38,7 @@ from qkd2way.protocol import (
     tally,
     write_round_log,
 )
-from qkd2way.rng import Branching, enumerate_paths, stream
+from qkd2way.rng import Branching, Stream, enumerate_paths, stream
 
 
 def test_predicted_rates_closed_forms():
@@ -403,7 +403,7 @@ def test_per_round_engine_agrees_with_leaf_table(protocol, attack):
     # one sampled stream, against the exact leaf rates, five-sigma gated for
     # every rate, including those without a closed form
     config = ProtocolConfig(protocol=protocol, rounds=20_000, seed=44)
-    rounds_stream = stream(44)
+    rounds_stream = Stream(44)
     observed = tally(run_round(config, attack, rounds_stream) for _ in range(config.rounds))
     exact = enumerate_round(config, attack).exact_rates()
     for name in RATE_NAMES:

@@ -30,7 +30,7 @@ from qkd2way.protocol import (  # noqa: E402
     write_round_log,
 )
 from qkd2way.qsim import Basis, prepare  # noqa: E402
-from qkd2way.rng import stream  # noqa: E402
+from qkd2way.rng import Stream, stream  # noqa: E402
 
 
 def test_config_validation():
@@ -281,7 +281,7 @@ def test_tally_of_a_stream_holds_one_entry_per_value(monkeypatch):
     attack = AttackParams(kind="nort", x=math.pi / 4)
 
     def stepped():
-        rounds_stream = stream(5)
+        rounds_stream = Stream(5)
         return (run_round(config, attack, rounds_stream) for _ in range(config.rounds))
 
     monkeypatch.setattr(protocol, "_ALPHABET", _LeafAlphabet())
@@ -413,7 +413,7 @@ def test_round_log_csv_format():
     assert buffer.getvalue() == _plain_round_log(records)
 
     def stepped():
-        attack, rounds_stream = AttackParams(kind="ir", xi=0.5), stream(8)
+        attack, rounds_stream = AttackParams(kind="ir", xi=0.5), Stream(8)
         return (run_round(config, attack, rounds_stream) for _ in range(config.rounds))
 
     buffer = io.StringIO()
@@ -423,7 +423,7 @@ def test_round_log_csv_format():
 
 def test_round_log_renders_each_record_value_once(monkeypatch):
     config = ProtocolConfig(rounds=2_000, seed=8, control_prob=0.5)
-    attack, rounds_stream = AttackParams(kind="nort", x=0.7), stream(8)
+    attack, rounds_stream = AttackParams(kind="nort", x=0.7), Stream(8)
     records = [run_round(config, attack, rounds_stream) for _ in range(config.rounds)]
     monkeypatch.setattr(protocol, "_ALPHABET", _LeafAlphabet())
     rendered = _spy(monkeypatch, "_cell")
@@ -457,7 +457,7 @@ def test_round_log_writes_whole_chunks_of_rows(n):
     attack = AttackParams(kind="nort", x=0.7)
 
     def stepped():
-        rounds_stream = stream(12)
+        rounds_stream = Stream(12)
         return (run_round(config, attack, rounds_stream) for _ in range(n))
 
     shared = run(config, attack)[:n]

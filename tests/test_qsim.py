@@ -22,7 +22,7 @@ from qkd2way.qsim import (
     prepare,
     spin_flip,
 )
-from qkd2way.rng import Branching, stream
+from qkd2way.rng import Branching, Stream
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -123,6 +123,18 @@ def test_a_gate_refuses_a_wire_that_is_not_an_int_by_name(wire):
         Gate(qsim._SPIN_FLIP, (wire,))
 
 
+def test_a_wire_outside_every_register_is_refused_when_the_gate_is_built():
+    # each of these used to build and cache a Gate that only apply refused
+    calls = [(spin_flip, (-1,)), (hadamard, (10**400,)), (cnot, (0, -1)), (cnot, (0, 3))]
+    cached = {factory: factory.cache_info().currsize for factory, _ in calls}
+    for factory, wires in calls:
+        with pytest.raises(ValueError, match=re.escape(f"gate wires must lie in [0, 3), got {wires}")):
+            factory(*wires)
+    with pytest.raises(ValueError, match=re.escape("gate wires must lie in [0, 3), got (3,)")):
+        Gate(qsim._SPIN_FLIP, (3,))
+    assert {factory: factory.cache_info().currsize for factory in cached} == cached
+
+
 def test_gate_matrix_takes_first_wire_as_high_bit():
     # X on the first listed wire, which is register wire 1, the low bit of two
     x_then_identity = np.kron([[0, 1], [1, 0]], np.eye(2))
@@ -145,8 +157,8 @@ def test_a_basis_that_is_not_a_basis_is_refused_by_name():
             prepare(basis, 0)
         for _ in range(2):  # a refused key is never cached
             with pytest.raises(ValueError, match=f"basis must be a Basis, got {basis!r}"):
-                measure(state, 0, basis, stream(0))
-    assert all(measure(state, 0, Basis.X, stream(seed))[0] == 0 for seed in range(20))
+                measure(state, 0, basis, Stream(0))
+    assert all(measure(state, 0, Basis.X, Stream(seed))[0] == 0 for seed in range(20))
 
 
 def test_a_bit_or_wire_that_is_not_an_int_is_refused_by_name():
@@ -159,11 +171,11 @@ def test_a_bit_or_wire_that_is_not_an_int_is_refused_by_name():
     for warm in (False, True):
         qsim._outcomes.cache_clear()
         if warm:
-            measure(state, 0, Basis.Z, stream(0))
-            measure(state, 1, Basis.Z, stream(0))
+            measure(state, 0, Basis.Z, Stream(0))
+            measure(state, 1, Basis.Z, Stream(0))
         for wire in (0.0, False, 1.0, True, np.int64(0), None):
             with pytest.raises(ValueError, match=re.escape(f"wire must be an int, got {wire!r}")):
-                measure(state, wire, Basis.Z, stream(0))
+                measure(state, wire, Basis.Z, Stream(0))
 
 
 def test_basis_members_hash_by_identity_and_survive_pickling():
@@ -203,7 +215,7 @@ def test_apply_rejects_out_of_range_wire():
     with pytest.raises(ValueError):
         apply(prepare(Basis.Z, 0), cnot(0, 1))
     with pytest.raises(ValueError):
-        measure(prepare(Basis.Z, 0), 1, Basis.Z, stream(0))
+        measure(prepare(Basis.Z, 0), 1, Basis.Z, Stream(0))
 
 
 def test_attach_ancilla_caps_register_size():
@@ -292,7 +304,7 @@ def test_apply_preserves_norm(state_and_gate):
 
 
 def test_measure_eigenstate_is_deterministic():
-    rng = stream(1)
+    rng = Stream(1)
     for _ in range(500):
         assert measure(prepare(Basis.Z, 0), 0, Basis.Z, rng)[0] == 0
         assert measure(prepare(Basis.X, 1), 0, Basis.X, rng)[0] == 1
@@ -300,7 +312,7 @@ def test_measure_eigenstate_is_deterministic():
 
 def test_measure_born_statistics_plus_state():
     # |+> measured in Z: a fair coin, checked over a million samples
-    rng = stream(42)
+    rng = Stream(42)
     state = prepare(Basis.X, 0)
     n = 1_000_000
     zeros = sum(measure(state, 0, Basis.Z, rng)[0] == 0 for _ in range(n))
@@ -313,7 +325,7 @@ def test_measure_born_statistics_plus_state():
     (Basis.Z, 0, Basis.Z, 1.0),
 ])
 def test_measure_born_statistics_grid(basis, bit, meas, p0):
-    rng = stream(43, bit)
+    rng = Stream(43, bit)
     state = prepare(basis, bit)
     n = 100_000
     zeros = sum(measure(state, 0, meas, rng)[0] == 0 for _ in range(n))
@@ -324,7 +336,7 @@ def test_measure_born_statistics_grid(basis, bit, meas, p0):
 
 
 def test_measurement_collapse_keeps_bell_correlations():
-    rng = stream(9)
+    rng = Stream(9)
     bell = apply(attach_ancilla(prepare(Basis.X, 0)), cnot(0, 1))
     for _ in range(300):
         first, collapsed = measure(bell, 0, Basis.Z, rng)
@@ -354,7 +366,7 @@ def test_kernel_caches_never_confuse_recycled_ids():
 
 @pytest.mark.parametrize("x", [0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2])
 def test_measure_probe_pair_error_rate(x):
-    rng = stream(5, int(x * 1e6))
+    rng = Stream(5, int(x * 1e6))
     probes = {
         bit: apply(attach_ancilla(prepare(Basis.Z, bit)), ancilla_rotation(x, 0, 1))
         for bit in (0, 1)
@@ -375,7 +387,7 @@ def test_measure_probe_pair_error_rate(x):
 def test_measure_probe_pair_error_rate_pi_third_large_sample():
     # closed form (1 - sin x)/2 ~ 0.0670 at x = pi/3, brute-force sampled
     x = math.pi / 3
-    rng = stream(6)
+    rng = Stream(6)
     probes = {
         bit: apply(attach_ancilla(prepare(Basis.Z, bit)), ancilla_rotation(x, 0, 1))
         for bit in (0, 1)

@@ -1,8 +1,12 @@
+import copy
 import math
+import pickle
+import subprocess
+import sys
 
 import pytest
 
-from qkd2way.rng import Branching, enumerate_paths, stream
+from qkd2way.rng import Branching, Stream, enumerate_paths, stream
 
 
 def _two_coins(rng):
@@ -48,7 +52,24 @@ def test_branching_stream_follows_its_forced_path():
 
 
 def test_coin_draws_like_comparing_a_uniform_draw():
-    plain, reference = stream(5), stream(5)
+    plain, reference = Stream(5), stream(5)
     for p in (0.0, 0.25, 0.5, 0.9, 1.0) * 20:
         expected = reference.random() < p
         assert plain.coin(p) == expected
+
+
+def test_a_copied_or_pickled_stream_flips_the_same_coins():
+    original = Stream(7, 2)
+    original.coin(0.5)  # a copy carries the state a stream has reached
+    copies = [copy.deepcopy(original), pickle.loads(pickle.dumps(original))]
+    flips = [[rng.coin(0.5) for _ in range(64)] for rng in (original, *copies)]
+    assert flips[1] == flips[2] == flips[0]
+
+
+def test_importing_the_simulator_leaves_numpy_random_unloaded():
+    # the benchmark imports these in every workload, and numpy.random costs
+    # the closed-form workloads memory they never use
+    script = ("import sys\nimport qkd2way.protocol, qkd2way.montecarlo, qkd2way.rng\n"
+              "assert 'numpy.random' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
