@@ -2,13 +2,18 @@
 """Print what building each verification scenario's leaf table costs.
 
 For every scenario of verify_attacks.py, prints the leaf count of
-``protocol.enumerate_round``, the coins its enumeration flips, its
-first-call time (the call comes after ``cache_clear()`` on every qsim
-cache: the kernel caches and the gate factories' caches, so the call also
-builds its gates anew; and it starts from an empty leaf alphabet, so it
-also checks and builds each new leaf value's record and counts the value)
-and its repeat-call time (the same call again at once, with the caches and
-the alphabet kept, which is what a second call gains from them).
+``protocol.enumerate_round``, the coins its enumeration flips and three
+call times.  The first call comes after ``cache_clear()`` on every qsim
+cache (the kernel caches and the gate factories' caches, so the call also
+builds its gates anew) and on the leaf-table cache, and it starts from an
+empty leaf alphabet, so it also checks and builds each new leaf value's
+record and counts the value.  The kernel-warm call comes right after it,
+with the leaf-table cache emptied again and the qsim caches and the
+alphabet kept: it enumerates the table anew, which is what a second
+setting gains from the kernel caches.  The cached call is the same call
+again at once, a hit in the leaf-table cache, which is what every later
+``run_batch`` or ``run`` of the setting pays.  Every count and occupancy
+below enumerates from an emptied leaf-table cache, so it counts real work.
 Each time is the minimum over --calls calls in each of --processes fresh
 processes, run one after another.  The last row sums the scenarios, which
 is one pass of the ``mc_verify`` benchmark workload.  The digest column is the
@@ -128,7 +133,7 @@ def predictions_digest() -> str:
 
 
 def count_coins(config: ProtocolConfig, attack: AttackParams) -> tuple[LeafTable, int]:
-    """(leaf table, coins flipped) of one enumeration."""
+    """(leaf table, coins flipped) of one enumeration, from an emptied leaf-table cache."""
     flips = 0
     plain = rng.Branching.coin
 
@@ -137,6 +142,7 @@ def count_coins(config: ProtocolConfig, attack: AttackParams) -> tuple[LeafTable
         flips += 1
         return plain(self, p)
 
+    protocol_module._leaf_table.cache_clear()
     rng.Branching.coin = counted
     try:
         table = enumerate_round(config, attack)
@@ -146,7 +152,9 @@ def count_coins(config: ProtocolConfig, attack: AttackParams) -> tuple[LeafTable
 
 
 def one_pass() -> list[LeafTable]:
-    """The scenarios' leaf tables: one mc_verify pass."""
+    """The scenarios' leaf tables, each enumerated from an emptied leaf-table cache: one
+    mc_verify pass."""
+    protocol_module._leaf_table.cache_clear()
     return [enumerate_round(ProtocolConfig(protocol=protocol), attack) for protocol, attack in SCENARIOS]
 
 
@@ -189,23 +197,25 @@ def kernel_occupancy(later_passes: int = 2) -> dict[str, tuple[int, list[int]]]:
     return {name: (len(keys[name]), misses[name]) for name in kernels}
 
 
-def call_seconds(calls: int) -> tuple[list[float], list[float]]:
-    """Per scenario, the fastest of `calls` first calls, each from emptied qsim caches and
-    an empty leaf alphabet, and the fastest of the repeat calls made right after them."""
+def call_seconds(calls: int) -> list[list[float]]:
+    """Per scenario, the fastest of `calls` first calls, each from emptied qsim and leaf-table
+    caches and an empty leaf alphabet; of the kernel-warm calls made right after them, from an
+    emptied leaf-table cache; and of the cached calls made right after those."""
     caches = [f for f in vars(qsim).values() if hasattr(f, "cache_clear")]
-    first = [math.inf] * len(SCENARIOS)
-    repeat = [math.inf] * len(SCENARIOS)
+    best = [[math.inf] * len(SCENARIOS) for _ in range(3)]
     for _ in range(calls):
         for i, (protocol, attack) in enumerate(SCENARIOS):
             config = ProtocolConfig(protocol=protocol)
             for cache in caches:
                 cache.cache_clear()
             protocol_module._ALPHABET = _LeafAlphabet()
-            for best in (first, repeat):
+            for column, clear_tables in zip(best, (True, True, False)):
+                if clear_tables:
+                    protocol_module._leaf_table.cache_clear()
                 started = time.perf_counter()
                 enumerate_round(config, attack)
-                best[i] = min(best[i], time.perf_counter() - started)
-    return first, repeat
+                column[i] = min(column[i], time.perf_counter() - started)
+    return best
 
 
 def main() -> int:
@@ -220,28 +230,25 @@ def main() -> int:
         print(json.dumps(call_seconds(args.calls)))
         return 0
 
-    first = [math.inf] * len(SCENARIOS)
-    repeat = [math.inf] * len(SCENARIOS)
+    best = [[math.inf] * len(SCENARIOS) for _ in range(3)]
     for _ in range(args.processes):
         out = subprocess.run([sys.executable, __file__, "--worker", "--calls", str(args.calls)],
                              check=True, capture_output=True, text=True).stdout
-        worker_first, worker_repeat = json.loads(out)
-        first = [min(a, b) for a, b in zip(first, worker_first)]
-        repeat = [min(a, b) for a, b in zip(repeat, worker_repeat)]
+        best = [[min(a, b) for a, b in zip(column, worker)] for column, worker in zip(best, json.loads(out))]
 
     values, paths = alphabet_hits()
     rows = []
-    for (protocol, attack), first_s, repeat_s in zip(SCENARIOS, first, repeat):
+    for (protocol, attack), *seconds in zip(SCENARIOS, *best):
         table, coins = count_coins(ProtocolConfig(protocol=protocol), attack)
-        rows.append((label(protocol, attack), len(table.weights), coins, first_s, repeat_s,
+        rows.append((label(protocol, attack), len(table.weights), coins, *seconds,
                      digest(table), physics_digest(table)))
     rows.append(("total (one mc_verify pass)", *(sum(col) for col in list(zip(*rows))[1:-2]), "", ""))
     width = max(len(row[0]) for row in rows)
     print(f"{'scenario':<{width}} {'leaves':>6} {'coins':>6} {'first call (ms)':>15} "
-          f"{'repeat call (ms)':>16} {'digest':<12} physics")
-    for name, leaves, coins, first_s, repeat_s, table_digest, physics in rows:
-        print(f"{name:<{width}} {leaves:>6} {coins:>6} {1e3 * first_s:>15.2f} {1e3 * repeat_s:>16.2f} "
-              f"{table_digest:<12} {physics}")
+          f"{'kernel-warm (ms)':>16} {'cached call (ms)':>16} {'digest':<12} physics")
+    for name, leaves, coins, first_s, warm_s, cached_s, table_digest, physics in rows:
+        print(f"{name:<{width}} {leaves:>6} {coins:>6} {1e3 * first_s:>15.2f} {1e3 * warm_s:>16.2f} "
+              f"{1e3 * cached_s:>16.4f} {table_digest:<12} {physics}")
     print(f"leaf alphabet after one pass from empty: {values} values; {paths - values:,} of "
           f"{paths:,} paths ({(paths - values) / paths:.0%}) found theirs already there")
     occupancy = kernel_occupancy()

@@ -3,17 +3,19 @@
 
 For each setting of the workload's first pass at --seed (its name, config
 and attack come from ``perfbench/workloads.py``: 10,000 rounds each), prints
-the time of ``protocol.enumerate_round``, of ``run`` (which enumerates the
-round too, then draws, shuffles and gathers the rounds), of ``tally`` of the
-run and of ``write_round_log`` of the run into a ``StringIO``, and then the
-record-by-record cost of the same rounds: ``tally`` and the log of
-``list(run(...))``, which reads them one chunk at a time.  Each time is
-the minimum over --calls calls, made after one warm-up call of each, so the
-kernel caches and the leaf alphabet hold the settings, as they do in every
-benchmark pass but the first.  The pass column is run + tally + log, the
-calls one benchmark pass times, and the last row sums the settings.  The
-last line is a sha256 over the settings' round logs in order: two trees that
-print the same hash write byte-identical round logs.
+the time of ``protocol.enumerate_round``, of ``run`` (which gets the
+round's leaf table too, then draws, shuffles and gathers the rounds), of
+``tally`` of the run and of ``write_round_log`` of the run into a
+``StringIO``, and then the record-by-record cost of the same rounds:
+``tally`` and the log of ``list(run(...))``, which reads them one chunk at
+a time.  Each time is the minimum over --calls calls, made after one
+warm-up call of each, so the leaf-table cache holds the settings, as it
+does in every benchmark pass but the first: the enumerate column times a
+cache hit, not an enumeration (``enumeration_costs.py`` times those).  The
+pass column is run + tally + log, the calls one benchmark pass times, and
+the last row sums the settings.  The last line is a sha256 over the
+settings' round logs in order: two trees that print the same hash write
+byte-identical round logs.
 
     python scripts/round_log_costs.py --calls 40
 """

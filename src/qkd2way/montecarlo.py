@@ -54,7 +54,7 @@ class BatchReport:
     elapsed_s: float
     engine: str = ENGINE
     leaves: int = 0
-    enumerate_s: float = 0.0  # of elapsed_s, the time spent building the leaf table
+    enumerate_s: float = 0.0  # of elapsed_s, building the leaf table, or looking it up once cached
     draw_s: float = 0.0  # of elapsed_s, the multinomial draw and the tallies of its counter product
     gate_s: float = 0.0  # after elapsed_s, the Wilson intervals and verdicts of the rates
 

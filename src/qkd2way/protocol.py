@@ -66,6 +66,14 @@ by record and read through the same alphabet, one chunk at a time.  This
 holds only while rounds are i.i.d.: an attack or protocol whose rounds
 share state (memory, drift, adaptive choices) would have to step
 :func:`run_round` round by round on one stream.
+
+A table depends on (protocol, control_prob, reveal_fraction, attack)
+alone, so the process keeps its last ``_TABLES`` tables in an
+``lru_cache`` keyed on the leaf alphabet and those four values: a repeated
+``run_batch`` or ``run`` of a setting enumerates nothing.  A table's
+weights, counts and records tuple take 3-18 kB (a nort table about 18 kB),
+so 64 tables hold at most about 1.2 MB and ten verification settings six
+times over.  The arrays are read-only, since every caller shares them.
 """
 
 from __future__ import annotations
@@ -74,7 +82,7 @@ import io
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
@@ -84,7 +92,7 @@ from . import rng as _rng
 from . import PROTOCOLS
 from .attacks import NO_ATTACK, AttackParams, AttackStrategy, make_strategy
 from .numerics import integer, real
-from .qsim import Basis, apply, measure, prepare, random_basis, spin_flip
+from .qsim import Basis, _read_only, apply, measure, prepare, random_basis, spin_flip
 
 RATE_NAMES = ("q1", "q_ab", "q_ae", "q_be")
 
@@ -93,6 +101,7 @@ _MAX_ROUNDS = 2**63 - 1  # numpy's multinomial draws counts as int64
 # rounds per write of a round log: a chunk of ~20-byte rows is ~80 kB, so the write
 # call costs little next to its rows, while a chunk stays small next to a long run
 _LOG_CHUNK = 4096
+_TABLES = 64  # leaf tables the process keeps; the module docstring sizes them
 
 
 @dataclass(frozen=True)
@@ -419,14 +428,26 @@ def enumerate_round(config: ProtocolConfig, attack: AttackParams = NO_ATTACK) ->
 
     A leaf value repeats across paths and settings, so its record and
     counters come from the process's leaf alphabet, built once per value.
+    A setting's table is built once per process; ``rounds`` and ``seed`` are no part of it.
     """
+    if not isinstance(config, ProtocolConfig):
+        raise ValueError(f"config must be a ProtocolConfig, got {config!r}")
+    if not isinstance(attack, AttackParams):  # before the cache hashes it: [] is unhashable
+        raise ValueError(f"attack must be an AttackParams, got {attack!r}")
+    return _leaf_table(_ALPHABET, config.protocol, config.control_prob, config.reveal_fraction, attack)
+
+
+@lru_cache(maxsize=_TABLES)
+def _leaf_table(alphabet: _LeafAlphabet, protocol: str, control_prob: float, reveal_fraction: float,
+                attack: AttackParams) -> LeafTable:
+    config = ProtocolConfig(protocol, control_prob, reveal_fraction=reveal_fraction)
     weights, leaves = zip(*_rng.enumerate_paths(*_stages(config, attack)))
     total = math.fsum(weights)
     if not abs(total - 1.0) <= _WEIGHT_ATOL:  # `not <=` so that a NaN sum fails too
         raise ValueError(f"leaf weights sum to {total!r}, not 1")
-    index = _ALPHABET.index(leaves)
-    return LeafTable(np.array(weights), tuple(map(_ALPHABET.records.__getitem__, index)),
-                     _ALPHABET.counters[index])
+    index = alphabet.index(leaves)
+    return LeafTable(_read_only(np.array(weights)), tuple(map(alphabet.records.__getitem__, index)),
+                     _read_only(alphabet.counters[index]))
 
 
 def _cell(value) -> str:

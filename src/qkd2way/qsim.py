@@ -31,12 +31,13 @@ Kernel cache
 :func:`apply`, :func:`attach_ancilla` and the Born-rule kernel behind
 :func:`measure` are pure, so each keeps its ``_STEPS`` (1024) most
 recently used results in a ``functools.lru_cache``, as do the gate-matrix
-tables.  One pass over the ten verification settings of
+tables.  A setting met again in one process is served whole by
+:mod:`qkd2way.protocol`'s leaf-table cache and calls no kernel; these
+caches serve the prefix replays within one enumeration and the steps that
+settings share.  One pass over the ten verification settings of
 ``scripts/verify_attacks.py`` reads 528 distinct ``_outcomes`` keys, 252
 ``apply`` and 68 ``attach_ancilla`` keys, so every cache holds a whole
-pass with 1.9x headroom and a pass that repeats a setting misses nothing.
-The bound helps only where a setting repeats within one process; a
-process that builds each setting once gains nothing from it.
+pass with 1.9x headroom and a pass enumerated anew misses nothing.
 States and gates hash and compare by identity, and a cache entry holds its
 key objects, so no id is reused while the entry lives and a hit is always
 the very input it was computed from.  So each gate factory caches the
@@ -74,7 +75,8 @@ PROBE_ANGLES = (-1e-12, math.pi / 2 + 1e-12)  # [0, pi/2], with 1e-12 of slack a
 # entries per kernel cache: one pass over the ten verification settings reads
 # at most 528 distinct keys from one kernel (_outcomes; apply 252, attach_ancilla
 # 68), and 1024, the smallest power of two with 1.5x headroom over that, keeps a
-# whole pass, so a repeated setting recomputes no step
+# whole pass, so a pass enumerated anew recomputes no step (a repeated setting
+# is served by protocol's leaf-table cache and reaches no kernel)
 _STEPS = 1024
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)

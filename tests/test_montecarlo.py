@@ -235,7 +235,7 @@ def test_enumeration_flips_each_coin_prefix_once(monkeypatch):
     monkeypatch.setattr(Branching, "coin", lambda self, p: flips.append(p) or plain(self, p))
     table = enumerate_round(ProtocolConfig(), AttackParams(kind="nort", x=math.pi / 4))
     assert len(table.records) == 188
-    assert len(flips) <= 668
+    assert len(flips) == 668
 
 
 def test_the_first_batch_builds_one_record_per_distinct_leaf(monkeypatch):
@@ -285,6 +285,61 @@ def test_tables_share_one_record_per_leaf_value():
     assert type(rounds) is protocol_module.Rounds and {id(r) for r in rounds} <= {id(r) for r in first}
 
 
+def test_a_repeated_setting_is_served_by_the_table_cache(monkeypatch):
+    # rounds and seed are no part of a table: a second call of the setting, from any entry
+    # point, gets the first call's table and makes no qsim call and flips no coin
+    attack = AttackParams(kind="nort", x=math.pi / 4)
+    table = enumerate_round(ProtocolConfig(rounds=10, seed=1), attack)
+    flips = []
+    plain = Branching.coin
+    monkeypatch.setattr(Branching, "coin", lambda self, p: flips.append(p) or plain(self, p))
+    kernels = [f.cache_info() for f in _qsim_caches()]
+    assert enumerate_round(ProtocolConfig(rounds=1000, seed=2), attack) is table
+    assert run_batch(ProtocolConfig(rounds=1000, seed=3), attack).leaves == 188
+    assert run(ProtocolConfig(rounds=1000, seed=4), attack).table is table
+    assert flips == [] and [f.cache_info() for f in _qsim_caches()] == kernels
+    info = protocol_module._leaf_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+
+
+def test_a_cached_table_cannot_be_written():
+    table = enumerate_round(ProtocolConfig())
+    for array in (table.weights, table.counts):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert enumerate_round(ProtocolConfig()) is table
+
+
+def test_a_fresh_alphabet_gets_a_newly_enumerated_bit_identical_table(monkeypatch):
+    config, attack = ProtocolConfig(), AttackParams(kind="dcnot_star", chi=0.1)
+    first = enumerate_round(config, attack)
+    alphabet = _LeafAlphabet()
+    monkeypatch.setattr(protocol_module, "_ALPHABET", alphabet)
+    again = enumerate_round(config, attack)
+    assert again is not first and protocol_module._leaf_table.cache_info().misses == 2
+    assert np.array_equal(again.weights, first.weights) and np.array_equal(again.counts, first.counts)
+    assert again.records == first.records
+    assert {id(r) for r in again.records} == {id(r) for r in alphabet.records}
+
+
+@pytest.mark.parametrize("fault", ["bad leaf", "weight sum"])
+def test_a_refused_enumeration_caches_nothing(monkeypatch, fault):
+    plain = protocol_module._readout
+
+    def bad_op(config, strategy, back, rng):
+        leaf = plain(config, strategy, back, rng)
+        return (*leaf[:5], 2, *leaf[6:]) if leaf[0] == "EM" else leaf
+
+    readout, match = {"bad leaf": (bad_op, "alice_op must be"),
+                      "weight sum": (lambda config, strategy, back, rng: rng.coin(1.5), "sum to")}[fault]
+    monkeypatch.setattr(protocol_module, "_readout", readout)
+    for _ in range(2):  # the second call is refused again, not served a table
+        with pytest.raises(ValueError, match=match):
+            enumerate_round(ProtocolConfig())
+    info = protocol_module._leaf_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+
 _IDENTITY_SCENARIOS = EXACT_SCENARIOS + [("lm05", AttackParams(kind="nort", x=0.0, x_prime=0.0))]
 
 
@@ -311,7 +366,10 @@ def test_kernel_cache_keeps_the_leaf_table_bit_identical(protocol, attack):
     weights, records = zip(*enumerate_paths(cold_path))
     _clear_qsim_caches()
     cold = enumerate_round(config, attack)
+    protocol_module._leaf_table.cache_clear()  # the warm table is enumerated anew, on warm kernels
+    hits = qsim._outcomes.cache_info().hits
     warm = enumerate_round(config, attack)
+    assert warm is not cold and qsim._outcomes.cache_info().hits > hits
     for table in (cold, warm):
         assert np.array_equal(table.weights, np.array(weights))
         assert table.records == records
@@ -323,24 +381,31 @@ def test_kernel_cache_keeps_the_leaf_table_bit_identical(protocol, attack):
                          ids=["nort-pi4", "nort-x0.7-xp1.1"])
 def test_repeat_enumeration_misses_no_qsim_cache(attack):
     # a second strategy for the same attack gets the first one's gates, so
-    # every step of the repeat is a hit
+    # every step of the repeat, enumerated anew past the leaf-table cache, is a hit
     enumerate_round(ProtocolConfig(), attack)
+    protocol_module._leaf_table.cache_clear()
     misses = {f.__name__: f.cache_info().misses for f in _qsim_caches()}
+    hits = qsim._outcomes.cache_info().hits
     enumerate_round(ProtocolConfig(), attack)
     assert {f.__name__: f.cache_info().misses for f in _qsim_caches()} == misses
+    assert qsim._outcomes.cache_info().hits > hits
 
 
 def test_a_repeated_verification_pass_misses_no_qsim_cache():
     # one pass over every verification setting fits in each cache, so the
-    # second pass recomputes no step; with 512 entries _outcomes missed 491 of its 528 keys
+    # second pass, enumerated anew past the leaf-table cache, recomputes no step;
+    # with 512 entries _outcomes missed 491 of its 528 keys
     def one_pass():
+        protocol_module._leaf_table.cache_clear()
         for protocol, attack in EXACT_SCENARIOS:
             enumerate_round(ProtocolConfig(protocol=protocol), attack)
 
     one_pass()
     misses = {f.__name__: f.cache_info().misses for f in _qsim_caches()}
+    hits = qsim._outcomes.cache_info().hits
     one_pass()
     assert {f.__name__: f.cache_info().misses for f in _qsim_caches()} == misses
+    assert qsim._outcomes.cache_info().hits > hits
 
 
 def test_each_kernel_cache_holds_a_verification_pass_with_headroom(monkeypatch):
@@ -349,18 +414,24 @@ def test_each_kernel_cache_holds_a_verification_pass_with_headroom(monkeypatch):
     import enumeration_costs
 
     occupancy = enumeration_costs.kernel_occupancy()
-    assert set(occupancy) == {"apply", "attach_ancilla", "_outcomes"}
+    assert {name: distinct for name, (distinct, _) in occupancy.items()} == {
+        "apply": 252, "attach_ancilla": 68, "_outcomes": 528}
     for name, (distinct, later_misses) in occupancy.items():
         assert 1.5 * distinct <= qsim._STEPS and later_misses == [0, 0], (name, distinct, later_misses)
+    # and the pass's enumeration flips every coin it needs
+    assert sum(enumeration_costs.count_coins(ProtocolConfig(protocol=protocol), attack)[1]
+               for protocol, attack in enumeration_costs.SCENARIOS) == 4180
 
 
 def test_qsim_caches_stay_bounded():
-    caches = _qsim_caches()
+    caches = _qsim_caches() + [protocol_module._leaf_table]
     assert {f.__name__ for f in caches} >= {"apply", "attach_ancilla", "_outcomes", "_expanded_matrix",
                                             "spin_flip", "hadamard", "cnot", "_ancilla_rotation"}
     _clear_qsim_caches()
-    for x in np.linspace(0.0, math.pi / 2, 60):
+    settings = np.linspace(0.0, math.pi / 2, 80)  # more than the leaf-table cache holds
+    for x in settings:
         enumerate_round(ProtocolConfig(), AttackParams(kind="nort", x=float(x), x_prime=1.1))
+    assert protocol_module._leaf_table.cache_info().misses == len(settings) > protocol_module._TABLES
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, cache.__name__
